@@ -18,7 +18,6 @@ from .integrals import (
     set_partitions,
 )
 from .model import (
-    Dissection,
     FuzzySubset,
     WeakProbModel,
     expand_by_constants,

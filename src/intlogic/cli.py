@@ -8,6 +8,7 @@ errors.  Output is deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .satisfaction import (
     check_weak_negation,
     hasat,
     hsat,
+    hsat_qeq,
     validate_approximation_system,
 )
 from .syntax import QuantEq, Vocabulary, congruence_axioms
@@ -65,6 +67,11 @@ def _add_gen_flags(parser):
     group.add_argument("--exhaustive", action="store_true")
 
 
+def _add_level_flags(parser):
+    parser.add_argument("--levels", default="auto", metavar="LIST")
+    parser.add_argument("--pairs", default="diagonal", metavar="LIST")
+
+
 def _add_output_flag(parser):
     parser.add_argument("--output", choices=("text", "json"), default="text")
 
@@ -81,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sat", help="H-satisfaction of a sentence in a model")
     _add_model_flag(p)
     _add_formula_flags(p)
-    p.add_argument("--levels", default="auto", metavar="LIST")
-    p.add_argument("--pairs", default="diagonal", metavar="LIST")
+    _add_level_flags(p)
     _add_output_flag(p)
 
     p = sub.add_parser("approx-sat", help="approximate H-satisfaction via a system")
@@ -94,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qeq", help="quantifier-equality satisfaction with level control")
     _add_model_flag(p)
     _add_formula_flags(p)
-    p.add_argument("--levels", default="auto", metavar="LIST")
-    p.add_argument("--pairs", default="diagonal", metavar="LIST")
+    _add_level_flags(p)
     _add_output_flag(p)
 
     p = sub.add_parser("validate-axioms", help="axiom schemata over generated models")
@@ -216,12 +221,9 @@ def _level_config(args) -> LevelConfig | None:
 
 
 def _emit_report(report: Report, args) -> int:
-    if args.output == "json":
-        for record in report.violations:
-            print(json.dumps(record, default=str, sort_keys=True))
-    else:
-        for record in report.violations:
-            print(json.dumps(record, default=str, sort_keys=True))
+    for record in report.violations:
+        print(json.dumps(record, default=str, sort_keys=True))
+    if args.output != "json":
         noun = "violation" if len(report.violations) == 1 else "violations"
         print(f"{len(report.violations)} {noun} ({report.checked} checks)")
     return 0 if report.ok else 1
@@ -266,8 +268,6 @@ def _cmd_qeq(args) -> int:
     formula = parse_formula(_formula_text(args), model.vocabulary())
     if not isinstance(formula, QuantEq):
         raise UsageError("qeq expects a formula of the shape 'Q ... = Q ...'")
-    from .satisfaction import hsat_qeq
-
     holds = hsat_qeq(formula.left, formula.right, model, _level_config(args))
     return _sat_verdict(holds, args)
 
@@ -350,10 +350,10 @@ def _cmd_check_proof(args) -> int:
 
 
 def _cmd_find_countermodel(args) -> int:
-    gen = _gen_spec(args)
+    # without --count the search is exhaustive, so --exhaustive is the default here
+    gen = dataclasses.replace(_gen_spec(args), exhaustive=args.count is None)
     formula = close_free_names(parse_formula(_formula_text(args)))
-    mode = "exhaustive" if args.exhaustive else ("random" if args.count is not None else "exhaustive")
-    model = find_countermodel(formula, gen, mode)
+    model = find_countermodel(formula, gen)
     if model is None:
         print("no countermodel found")
         return 0

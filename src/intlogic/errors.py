@@ -30,6 +30,10 @@ class ArityMismatch(IntlogicError):
         self.span = span
 
 
+class NestedQuantEq(IntlogicError, ValueError):
+    """Quantifier equality ('=') below the top level of a formula."""
+
+
 class ParseError(IntlogicError):
     """Malformed concrete syntax; carries the source span of the offence."""
 

@@ -42,6 +42,11 @@ class WeakProbModel:
             raise FormatError("universe must be non-empty")
         if len(set(self.universe)) != len(self.universe):
             raise FormatError("universe elements must be distinct")
+        for element in self.universe:
+            # table keys join element names with ',' and strip around them
+            if not isinstance(element, str) or "," in element or element != element.strip():
+                raise FormatError(f"element name {element!r} must be a string without ','"
+                                  " and without leading or trailing whitespace")
         elements = set(self.universe)
 
         measure = {m: unit(w) for m, w in self.measure.items()}
@@ -191,25 +196,6 @@ def level_set(subset: FuzzySubset, alpha: Fraction) -> frozenset[str]:
 def truth_set(subset: FuzzySubset) -> frozenset[tuple[str, ...]]:
     """{x : f(x) = 1}, as tuples."""
     return frozenset(key for key, value in subset.values.items() if value == ONE)
-
-
-@dataclass(frozen=True)
-class Dissection:
-    """A finite partition of the universe into pairwise disjoint blocks."""
-
-    blocks: tuple[frozenset[str], ...]
-
-    def __post_init__(self):
-        blocks = tuple(frozenset(b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if any(not b for b in blocks):
-            raise FormatError("dissection blocks must be non-empty")
-        flat = [x for b in blocks for x in b]
-        if len(flat) != len(set(flat)):
-            raise FormatError("dissection blocks must be pairwise disjoint")
-
-    def covers(self, universe: Iterable[str]) -> bool:
-        return set().union(*self.blocks) == set(universe) if self.blocks else not tuple(universe)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ Precedence (tightest first): ~ ; & and |+| ; /\\ and \\/ ; -> (right
 associative).  Quantifiers bind the longest formula to the right; '='
 appears only at the top level, between two quantifier expressions.
 
+Nesting is bounded by `MAX_NESTING`: every `~`, quantifier, `INT`,
+parenthesis, `->` and function application opens one level, and the formula
+tree (binary connectives included) may be no deeper.  Deeper input is a
+ParseError, so the recursive parser, printer and evaluator stay well inside
+Python's recursion limit.
+
 Identifier classification is driven by the vocabulary: a name declared as a
 predicate/function/constant parses as such, anything else in term position
 is a variable.  Without a vocabulary the parser runs in permissive mode and
@@ -20,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArityMismatch, ParseError, UnknownSymbol, ValueOutOfRange
+from .errors import ArityMismatch, NestedQuantEq, ParseError, UnknownSymbol, ValueOutOfRange
 from .rational import unit
 from .syntax import (
     APPROX_PRED,
@@ -94,6 +100,8 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"ALL", "EX", "INT"}
 
+MAX_NESTING = 100
+
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
@@ -157,6 +165,7 @@ class _Parser:
         self.pos = 0
         self.voc = voc
         self.builder = builder
+        self.depth = 0
 
     # -- token helpers ----------------------------------------------------
 
@@ -173,6 +182,15 @@ class _Parser:
         if tok.kind != kind:
             raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
         return self.advance()
+
+    def nested(self, parse, tok: Token):
+        """Run `parse` one nesting level deeper than `tok`."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", tok.span)
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
 
     # -- grammar ----------------------------------------------------------
 
@@ -197,9 +215,8 @@ class _Parser:
     def parse_impl(self) -> Formula:
         left = self.parse_weak()
         if self.peek().kind == "ARROW":
-            self.advance()
-            right = self.parse_impl()
-            return Implies(left, right)
+            arrow = self.advance()
+            return Implies(left, self.nested(self.parse_impl, arrow))
         return left
 
     def parse_weak(self) -> Formula:
@@ -222,23 +239,23 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "TILDE":
             self.advance()
-            return Not(self.parse_unary())
+            return Not(self.nested(self.parse_unary, tok))
         if tok.kind == "IDENT" and tok.text in ("ALL", "EX"):
             self.advance()
             var = self.parse_bound_variable()
             self.expect("DOT", "'.' after the bound variable")
-            body = self.parse_impl()
+            body = self.nested(self.parse_impl, tok)
             return Forall(var, body) if tok.text == "ALL" else Exists(var, body)
         if tok.kind == "IDENT" and tok.text == "INT":
             self.advance()
-            body = self.parse_impl()
+            body = self.nested(self.parse_impl, tok)
             dtok = self.expect("IDENT", "the closing 'd<var>' of the integral")
             if len(dtok.text) < 2 or not dtok.text.startswith("d"):
                 raise ParseError(f"expected 'd<var>' to close the integral, found {dtok.text!r}", dtok.span)
             return Integral(dtok.text[1:], body)
         if tok.kind == "LPAREN":
             self.advance()
-            inner = self.parse_impl()
+            inner = self.nested(self.parse_impl, tok)
             self.expect("RPAREN", "')'")
             return inner
         if tok.kind == "IDENT" and tok.text == "rat":
@@ -313,7 +330,7 @@ class _Parser:
         if name in _KEYWORDS or name == "rat":
             raise ParseError(f"{name!r} is a keyword, not a term", tok.span)
         if self.peek().kind == "LPAREN":
-            args = self.parse_args()
+            args = self.nested(self.parse_args, tok)
             if self.voc is not None:
                 arity = self.voc.function_arity(name)
                 if arity is None:
@@ -341,7 +358,34 @@ def parse_formula(text: str, voc: Vocabulary | None = None, builder: VocabBuilde
     usage; pass a shared `builder` to hold arities consistent across several
     related formulas (a sentence pool, a proof script).
     """
-    return _Parser(tokenize(text), voc, builder).parse_top()
+    formula = _Parser(tokenize(text), voc, builder).parse_top()
+    if _tree_depth(formula) > MAX_NESTING:
+        raise ParseError(f"formula nests deeper than {MAX_NESTING} levels",
+                         SourceSpan(0, len(text), 1, 1))
+    return formula
+
+
+def _tree_depth(formula: Formula) -> int:
+    """Nesting depth of the formula tree, counted like `_Parser.nested` but without recursion.
+
+    Chains of binary connectives nest in the tree without nesting in the parser.
+    """
+    deepest = 0
+    stack = [(formula, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, Atom):
+            stack.extend((arg, depth) for arg in node.args)
+        elif isinstance(node, FuncApp):
+            stack.extend((arg, depth + 1) for arg in node.args)
+        elif isinstance(node, QuantEq):
+            stack += [(node.left.body, depth + 1), (node.right.body, depth + 1)]
+        elif isinstance(node, (Not, Forall, Exists, Integral)):
+            stack.append((node.body, depth + 1))
+        elif isinstance(node, (And, Or, StrongAnd, StrongOr, Implies)):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return deepest
 
 
 def close_free_names(formula: Formula) -> Formula:
@@ -406,7 +450,7 @@ def _fmt(phi: Formula, min_level: int, open_ok: bool) -> str:
         # the trailing d<var> closes the integral, so no parentheses needed
         return f"INT {_fmt(phi.body, _LEVEL_IMPL, True)} d{phi.var}"
     if isinstance(phi, QuantEq):
-        raise ValueError("quantifier equality can only be printed at the top level")
+        raise NestedQuantEq("quantifier equality can only be printed at the top level")
     raise TypeError(f"not a formula: {phi!r}")
 
 

@@ -130,47 +130,33 @@ def _biconditional_sides(formula: Formula) -> tuple[Formula, Formula] | None:
 
 
 def matches_axiom(schema: str, formula: Formula) -> bool:
-    """Does the formula instantiate the named schema (as a biconditional)?"""
+    """Does the formula instantiate the named schema (as a biconditional)?
+
+    The schema's parts are read off the left side once, and the instance they
+    determine is rebuilt with `axiom_sides` and compared with both sides.
+    """
     sides = _biconditional_sides(formula)
     if sides is None:
         return False
-    left, right = sides
-
+    left = sides[0]
+    if schema not in AXIOM_IDS:
+        raise ValueError(f"unknown axiom schema {schema!r}")
+    if not isinstance(left, Integral):
+        return False
+    x, body = left.var, left.body
     if schema == "mu1":
-        return (
-            isinstance(left, Integral)
-            and left.body == right
-            and left.var not in free_vars(right)
-        )
-    if schema == "mu2":
-        return (
-            isinstance(left, Integral)
-            and isinstance(left.body, Not)
-            and isinstance(right, Not)
-            and isinstance(right.body, Integral)
-            and right.body.var == left.var
-            and right.body.body == left.body.body
-        )
-    if schema == "mu3":
-        if not (isinstance(left, Integral) and isinstance(left.body, Implies)):
+        if x in free_vars(body):
             return False
-        x, phi, psi = left.var, left.body.left, left.body.right
-        return right == Implies(Integral(x, phi), Integral(x, psi))
-    if schema == "mu4":
-        if not (isinstance(left, Integral) and isinstance(left.body, StrongOr)):
-            return False
-        x, phi, psi = left.var, left.body.left, left.body.right
-        expected = Implies(
-            Implies(Integral(x, phi), Integral(x, StrongAnd(phi, psi))),
-            Integral(x, psi),
-        )
-        return right == expected
-    if schema == "mu5":
-        if not (isinstance(left, Integral) and isinstance(left.body, Integral)):
-            return False
-        y, x, phi = left.var, left.body.var, left.body.body
-        return right == Integral(x, Integral(y, phi))
-    raise ValueError(f"unknown axiom schema {schema!r}")
+        parts = {"x": x, "v": body}
+    elif schema == "mu2" and isinstance(body, Not):
+        parts = {"x": x, "phi": body.body}
+    elif (schema == "mu3" and isinstance(body, Implies)) or (schema == "mu4" and isinstance(body, StrongOr)):
+        parts = {"x": x, "phi": body.left, "psi": body.right}
+    elif schema == "mu5" and isinstance(body, Integral):
+        parts = {"y": x, "x": body.var, "phi": body.body}
+    else:
+        return False
+    return axiom_sides(schema, **parts) == sides
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import (
     ContainmentViolated,
     FormatError,
+    IntlogicError,
     NotASentence,
     NotASubuniverse,
     NotCrisp,
@@ -39,8 +40,8 @@ from .syntax import (
     Not,
     QuantEq,
     QuantExpr,
-    check_formula,
     free_vars,
+    is_well_formed,
 )
 
 
@@ -205,7 +206,7 @@ def validate_approximation_system(
         voc = model.vocabulary()
         for i, j in sorted(rel):
             report.tally()
-            if _well_formed_over(system.sentences[i], voc) and not _well_formed_over(system.sentences[j], voc):
+            if is_well_formed(system.sentences[i], voc) and not is_well_formed(system.sentences[j], voc):
                 report.add("not-language-closed", model=m_index, pair=[i, j])
 
         for i, j in sorted(rel):
@@ -219,14 +220,6 @@ def validate_approximation_system(
             if src and not dst:
                 report.add("not-monotone", model=m_index, pair=[i, j])
     return report
-
-
-def _well_formed_over(sentence: Formula, voc) -> bool:
-    try:
-        check_formula(sentence, voc)
-        return True
-    except Exception:
-        return False
 
 
 def hasat(
@@ -309,7 +302,7 @@ def _name(sentence: Formula) -> str:
 
     try:
         return print_formula(sentence)
-    except Exception:
+    except IntlogicError:
         return repr(sentence)
 
 

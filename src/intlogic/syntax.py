@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Literal, Mapping, Union
 
-from .errors import ArityMismatch, CaptureError, FlagMissing, UnknownSymbol
+from .errors import ArityMismatch, CaptureError, FlagMissing, IntlogicError, NestedQuantEq, UnknownSymbol
 from .rational import unit
 
 #: Names with fixed meaning in the concrete syntax; never usable as symbols.
@@ -406,13 +406,22 @@ def check_formula(formula: Formula, voc: Vocabulary, _top: bool = True) -> None:
         return
     if isinstance(formula, QuantEq):
         if not _top:
-            raise ValueError("quantifier equality must be the top-level connective")
+            raise NestedQuantEq("quantifier equality must be the top-level connective")
         if not voc.has_eq:
             raise FlagMissing("quantifier equality is not enabled in this vocabulary")
         check_formula(formula.left.body, voc, _top=False)
         check_formula(formula.right.body, voc, _top=False)
         return
     raise TypeError(f"not a formula: {formula!r}")
+
+
+def is_well_formed(formula: Formula, voc: Vocabulary) -> bool:
+    """True when `check_formula` accepts the formula over `voc`."""
+    try:
+        check_formula(formula, voc)
+    except IntlogicError:
+        return False
+    return True
 
 
 def subformulas(formula: Formula) -> Iterator[Formula]:

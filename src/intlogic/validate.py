@@ -12,9 +12,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .errors import ContainmentViolated, SearchSpaceTooLarge
+from .errors import ContainmentViolated, IntlogicError, NotASentence, SearchSpaceTooLarge
 from .evaluate import evaluate, evaluate_closed
 from .integrals import check_semantic_integral_laws
 from .model import FuzzySubset, WeakProbModel, model_to_json, reduct, relabel_universe, rename
@@ -32,9 +32,9 @@ from .syntax import (
     TruthConst,
     Variable,
     Vocabulary,
-    check_formula,
     free_vars,
     infer_vocabulary,
+    is_well_formed,
     rename_symbols,
 )
 
@@ -92,6 +92,10 @@ def _all_tables(names: tuple[str, ...], arity: int, values: Sequence) -> Iterato
         yield dict(zip(keys, combo))
 
 
+def _random_table(names: tuple[str, ...], arity: int, values: Sequence, rng: random.Random) -> dict:
+    return {key: rng.choice(values) for key in itertools.product(names, repeat=arity)}
+
+
 def _random_measure(names, grid, rng) -> dict[str, Fraction]:
     while True:
         draw = [rng.choice(grid) for _ in names]
@@ -100,25 +104,26 @@ def _random_measure(names, grid, rng) -> dict[str, Fraction]:
             return {name: w / total for name, w in zip(names, draw)}
 
 
+def _pred_symbols(voc: Vocabulary) -> list[tuple[str, int]]:
+    """The predicate tables a generated model carries: the vocabulary's, then `approx`."""
+    return list(voc.predicates) + ([(APPROX_PRED, 2)] if voc.has_approx else [])
+
+
 def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary) -> Iterator[WeakProbModel]:
     """Every model over the grids, in a fixed deterministic order."""
     names = universe_names(gen.size)
     measures = grid_measures(gen.size, gen.measure_grid)
+    pred_symbols = _pred_symbols(voc)
 
     space = len(measures)
-    for _, arity in voc.predicates:
+    for _, arity in pred_symbols:
         space *= len(gen.value_grid) ** (gen.size ** arity)
     for _, arity in voc.functions:
         space *= gen.size ** (gen.size ** arity)
     space *= gen.size ** len(voc.constants)
-    if voc.has_approx:
-        space *= len(gen.value_grid) ** (gen.size ** 2)
     if space > EXHAUSTIVE_SPACE_CAP:
         raise SearchSpaceTooLarge(f"exhaustive space has {space} models (cap {EXHAUSTIVE_SPACE_CAP})")
 
-    pred_symbols = list(voc.predicates)
-    if voc.has_approx:
-        pred_symbols.append((APPROX_PRED, 2))
     pred_tables = [list(_all_tables(names, arity, sorted(gen.value_grid))) for _, arity in pred_symbols]
     func_tables = [list(_all_tables(names, arity, names)) for _, arity in voc.functions]
     const_choices = [names] * len(voc.constants)
@@ -142,30 +147,17 @@ def random_models(gen: ModelGenSpec, voc: Vocabulary) -> Iterator[WeakProbModel]
     rng = random.Random(gen.seed)
     grid = sorted(gen.value_grid)
     mgrid = sorted(gen.measure_grid)
-    pred_symbols = list(voc.predicates)
-    if voc.has_approx:
-        pred_symbols.append((APPROX_PRED, 2))
+    pred_symbols = _pred_symbols(voc)
     for _ in range(gen.count):
         measure = _random_measure(names, mgrid, rng)
-        preds = {
-            name: {
-                key: rng.choice(grid)
-                for key in itertools.product(names, repeat=arity)
-            }
-            for name, arity in pred_symbols
-        }
-        funcs = {
-            name: {
-                key: rng.choice(names)
-                for key in itertools.product(names, repeat=arity)
-            }
-            for name, arity in voc.functions
-        }
+        preds = {name: _random_table(names, arity, grid, rng) for name, arity in pred_symbols}
+        funcs = {name: _random_table(names, arity, names, rng) for name, arity in voc.functions}
         consts = {name: rng.choice(names) for name in voc.constants}
         yield WeakProbModel(names, measure, preds, funcs, consts)
 
 
 def generate_models(gen: ModelGenSpec, voc: Vocabulary) -> Iterator[WeakProbModel]:
+    """The one place that chooses between exhaustive and seeded-random enumeration."""
     if gen.exhaustive:
         return exhaustive_models(gen, voc)
     return random_models(gen, voc)
@@ -186,11 +178,7 @@ def grid_fuzzy_subsets(universe: Sequence[str], grid: Sequence[Fraction],
 def random_fuzzy_subset(universe: Sequence[str], grid: Sequence[Fraction],
                         rng: random.Random, arity: int = 1) -> FuzzySubset:
     universe = tuple(universe)
-    grid = sorted(grid)
-    return FuzzySubset(
-        universe,
-        {key: rng.choice(grid) for key in itertools.product(universe, repeat=arity)},
-    )
+    return FuzzySubset(universe, _random_table(universe, arity, sorted(grid), rng))
 
 
 def integral_law_suite(model: WeakProbModel, gen: ModelGenSpec) -> Report:
@@ -256,10 +244,29 @@ def _axiom_instantiations(axiom: str, gen: ModelGenSpec) -> list[dict]:
     raise ValueError(f"unknown axiom {axiom!r}")
 
 
-def _valuations(names: Iterable[str], universe: tuple[str, ...]) -> Iterator[dict]:
-    names = sorted(names)
-    for combo in itertools.product(universe, repeat=len(names)):
-        yield dict(zip(names, combo))
+def _axiom_checks(axiom: str, gen: ModelGenSpec, instances: int | None = None) -> Iterator[tuple]:
+    """(model, left, right, valuation, lhs, rhs) for every instantiation, model and valuation."""
+    for inst in _axiom_instantiations(axiom, gen)[:instances]:
+        left, right = axiom_sides(axiom, **inst)
+        voc = infer_vocabulary([left, right])
+        names = sorted(free_vars(left) | free_vars(right))
+        for model in generate_models(gen, voc):
+            for combo in itertools.product(model.universe, repeat=len(names)):
+                valuation = dict(zip(names, combo))
+                yield (model, left, right, valuation,
+                       evaluate(left, model, valuation), evaluate(right, model, valuation))
+
+
+def _check_record(axiom, model, left, right, valuation, lhs, rhs) -> dict:
+    """A replayable record of one check: the model inline, both sides and both values."""
+    return {
+        "axiom": axiom,
+        "model": model_to_json(model),
+        "instantiation": f"{print_formula(left)}  vs  {print_formula(right)}",
+        "valuation": dict(valuation),
+        "lhs": str(lhs),
+        "rhs": str(rhs),
+    }
 
 
 def validate_axiom(axiom: str, gen: ModelGenSpec, instances: int | None = None) -> Report:
@@ -271,49 +278,19 @@ def validate_axiom(axiom: str, gen: ModelGenSpec, instances: int | None = None) 
     instantiation and the two values, so it replays directly.
     """
     report = Report()
-    instantiations = _axiom_instantiations(axiom, gen)
-    if instances is not None:
-        instantiations = instantiations[:instances]
-    for inst in instantiations:
-        left, right = axiom_sides(axiom, **inst)
-        voc = infer_vocabulary([left, right])
-        for model in generate_models(gen, voc):
-            for valuation in _valuations(free_vars(left) | free_vars(right), model.universe):
-                lhs = evaluate(left, model, valuation)
-                rhs = evaluate(right, model, valuation)
-                report.tally()
-                holds = lhs <= rhs if axiom == "mu3" else lhs == rhs
-                if not holds:
-                    report.add(
-                        "axiom-violation",
-                        axiom=axiom,
-                        model=model_to_json(model),
-                        instantiation=f"{print_formula(left)}  vs  {print_formula(right)}",
-                        valuation=dict(valuation),
-                        lhs=str(lhs),
-                        rhs=str(rhs),
-                    )
+    for check in _axiom_checks(axiom, gen, instances):
+        lhs, rhs = check[4:]
+        report.tally()
+        if not (lhs <= rhs if axiom == "mu3" else lhs == rhs):
+            report.add("axiom-violation", **_check_record(axiom, *check))
     return report
 
 
 def mu3_equality_gap(gen: ModelGenSpec) -> dict | None:
     """A witness where mu3 read as an equality fails (the law is only <=)."""
-    for inst in _axiom_instantiations("mu3", gen):
-        left, right = axiom_sides("mu3", **inst)
-        voc = infer_vocabulary([left, right])
-        for model in generate_models(gen, voc):
-            for valuation in _valuations(free_vars(left) | free_vars(right), model.universe):
-                lhs = evaluate(left, model, valuation)
-                rhs = evaluate(right, model, valuation)
-                if lhs != rhs:
-                    return {
-                        "axiom": "mu3",
-                        "model": model_to_json(model),
-                        "instantiation": f"{print_formula(left)}  vs  {print_formula(right)}",
-                        "valuation": dict(valuation),
-                        "lhs": str(lhs),
-                        "rhs": str(rhs),
-                    }
+    for check in _axiom_checks("mu3", gen):
+        if check[4] != check[5]:
+            return _check_record("mu3", *check)
     return None
 
 
@@ -321,28 +298,20 @@ def mu3_equality_gap(gen: ModelGenSpec) -> dict | None:
 # Countermodel search
 
 
-def find_countermodel(
-    formula: Formula,
-    gen: ModelGenSpec,
-    mode: str = "exhaustive",
-) -> WeakProbModel | None:
+def find_countermodel(formula: Formula, gen: ModelGenSpec) -> WeakProbModel | None:
     """First generated model (deterministic order) whose value for the sentence is < 1.
 
-    Models on which a quantifier-equality precondition fails are skipped.
+    `gen.exhaustive` chooses between the whole grid and `gen.count` seeded
+    draws.  Models on which a quantifier-equality precondition fails are
+    skipped.
     """
     free = free_vars(formula)
     if free:
-        from .errors import NotASentence
-
         raise NotASentence(free)
-    if mode not in ("exhaustive", "random"):
-        raise ValueError("mode must be 'exhaustive' or 'random'")
-    if mode == "exhaustive" and (gen.size > 3 or len(gen.value_grid) > 5):
+    if gen.exhaustive and (gen.size > 3 or len(gen.value_grid) > 5):
         raise SearchSpaceTooLarge(
             "exhaustive countermodel search is bounded by size <= 3 and grid <= 5")
-    voc = infer_vocabulary(formula)
-    models = exhaustive_models(gen, voc) if mode == "exhaustive" else random_models(gen, voc)
-    for model in models:
+    for model in generate_models(gen, infer_vocabulary(formula)):
         try:
             value = evaluate_closed(formula, model)
         except ContainmentViolated:
@@ -359,7 +328,7 @@ def find_countermodel(
 def _outcome(thunk):
     try:
         return ("value", thunk())
-    except Exception as exc:  # noqa: BLE001 - the outcome class is the datum
+    except IntlogicError as exc:  # the error class is the datum; other errors are bugs
         return ("error", type(exc).__name__)
 
 
@@ -404,15 +373,8 @@ def check_abstract_logic_properties(gen: ModelGenSpec, pool: Sequence[Formula]) 
             report.tally()
             extended = sentence_voc.merged(
                 Vocabulary(predicates=(("extra_wf_probe", 1),)))
-            if not (_wf(sentence, sentence_voc) and _wf(sentence, extended)):
+            if not (is_well_formed(sentence, sentence_voc) and is_well_formed(sentence, extended)):
                 report.add("sentence-monotonicity-failure", model=m_index,
                            sentence=print_formula(sentence))
     return report
 
-
-def _wf(sentence: Formula, voc: Vocabulary) -> bool:
-    try:
-        check_formula(sentence, voc)
-        return True
-    except Exception:
-        return False

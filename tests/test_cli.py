@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from intlogic.cli import main
+from intlogic.parser import MAX_NESTING, parse_formula, print_formula
 
 F = Fraction
 
@@ -256,6 +257,55 @@ class TestOtherCommands:
         code = main(["check-weak-negation", "--approx-system", str(sys_path),
                      "--pool", str(pool_path), "--model", model_path])
         assert code == 0
+
+
+# One element, so quantifier nests evaluate once per level.
+ONE_ELEMENT_DOC = {
+    "universe": ["a"],
+    "measure": {"a": "1"},
+    "predicates": {"P": {"arity": 1, "table": {"a": "1/2"}}},
+    "functions": {"f": {"arity": 1, "table": {"a": "a"}}},
+    "constants": {"c": "a"},
+}
+
+NESTED = {
+    "negation": lambda n: "~" * n + "P(c)",
+    "parentheses": lambda n: "(" * n + "P(c)" + ")" * n,
+    "integral": lambda n: "INT " * n + "P(x)" + " dx" * n,
+    "universal": lambda n: "ALL x. " * n + "P(x)",
+    "implication": lambda n: "P(c) -> " * n + "P(c)",
+    "conjunction chain": lambda n: "P(c) & " * n + "P(c)",
+    "function application": lambda n: "P(" + "f(" * n + "c" + ")" * n + ")",
+    "quantifier equality": lambda n: "INT " * n + "P(x)" + " dx" * n + " = INT P(y) dy",
+}
+
+
+class TestNestingLimit:
+    @pytest.fixture
+    def one_path(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(ONE_ELEMENT_DOC))
+        return str(path)
+
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_at_limit_parses_prints_and_evaluates(self, shape, one_path, capsys):
+        text = NESTED[shape](MAX_NESTING)
+        formula = parse_formula(text)
+        assert parse_formula(print_formula(formula)) == formula
+        assert main(["eval", "--model", one_path, "--formula", text]) == 0
+        assert main(["sat", "--model", one_path, "--formula", text]) in (0, 1)
+        if "=" in text:
+            assert main(["qeq", "--model", one_path, "--formula", text]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_past_limit_exits_2_with_one_line(self, shape, one_path, capsys):
+        text = NESTED[shape](MAX_NESTING + 1)
+        assert main(["eval", "--model", one_path, "--formula", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"nests deeper than {MAX_NESTING} levels" in captured.err
 
 
 def test_byte_identical_reruns(ex2_path, capsys):

@@ -1,12 +1,14 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import gen
 import intlogic as il
 from intlogic import errors
 from intlogic.model import (
-    Dissection,
     FuzzySubset,
     WeakProbModel,
     expand_by_constants,
@@ -75,6 +77,25 @@ class TestLoading:
         model = model_from_json(MODEL_DOC)
         assert model_from_json(model_to_json(model)) == model
 
+    @pytest.mark.parametrize("name", ["a,b", " a", "a ", "a\n", 1])
+    def test_element_name_that_cannot_round_trip(self, name):
+        with pytest.raises(errors.FormatError):
+            WeakProbModel((name,), {name: Fraction(1)})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=3),
+           st.lists(st.text(alphabet=" ,\tab", max_size=3), min_size=3, max_size=3, unique=True))
+    def test_json_round_trip_property(self, seed, size, names):
+        model = gen.random_model(random.Random(seed), size)
+        names = names[:size]
+        try:
+            model = relabel_universe(model, dict(zip(model.universe, names)))
+        except errors.FormatError:
+            assert any("," in n or n != n.strip() for n in names)
+            return
+        text = json.dumps(model_to_json(model))
+        assert model_from_json(json.loads(text)) == model
+
 
 class TestMuSet:
     def test_singleton(self):
@@ -119,20 +140,6 @@ class TestFuzzySubset:
         assert level_set(f, HALF) == {"b"}
         assert level_set(f, Fraction(0)) == {"a", "b"}
         assert level_set(f, Fraction(1)) == frozenset()
-
-
-class TestDissection:
-    def test_partition_checked(self):
-        Dissection((frozenset({"a"}), frozenset({"b"})))
-        with pytest.raises(errors.FormatError):
-            Dissection((frozenset({"a"}), frozenset({"a", "b"})))
-        with pytest.raises(errors.FormatError):
-            Dissection((frozenset(),))
-
-    def test_covers(self):
-        d = Dissection((frozenset({"a"}), frozenset({"b"})))
-        assert d.covers(("a", "b"))
-        assert not d.covers(("a", "b", "c"))
 
 
 class TestStructureOps:

@@ -5,7 +5,7 @@ import pytest
 
 import intlogic as il
 from intlogic import errors
-from intlogic.model import model_from_json
+from intlogic.model import model_from_json, model_to_json
 from intlogic.syntax import Atom, Constant, Implies, Integral, Not, Or, Variable, Vocabulary
 from intlogic.validate import (
     ModelGenSpec,
@@ -127,7 +127,7 @@ class TestFindCountermodel:
 
     def test_random_mode(self):
         formula = Or(P_c, Not(P_c))
-        model = find_countermodel(formula, ModelGenSpec(size=2, seed=3, count=50), mode="random")
+        model = find_countermodel(formula, ModelGenSpec(size=2, seed=3, count=50))
         assert model is not None
 
     def test_requires_sentence(self):
@@ -144,6 +144,14 @@ class TestClosureProperties:
         report = check_abstract_logic_properties(ModelGenSpec(size=2, seed=8, count=20), pool)
         assert report.ok
         assert report.checked == 20 * len(pool) * 4
+
+    def test_programming_errors_are_not_outcomes(self, monkeypatch):
+        def broken(formula, model, constants_only=False):
+            raise ZeroDivisionError
+
+        monkeypatch.setattr("intlogic.validate.evaluate_closed", broken)
+        with pytest.raises(ZeroDivisionError):
+            check_abstract_logic_properties(ModelGenSpec(size=2, seed=8, count=2), [P_c])
 
     def test_quantifier_equality_outcomes_transport(self):
         pool = [il.parse_formula("INT P(x) dx = INT P(y) dy",
@@ -177,3 +185,57 @@ def test_grid_fuzzy_subset_count():
     subsets = list(grid_fuzzy_subsets(("a", "b"), (F(0), HALF, F(1))))
     assert len(subsets) == 9
     assert len(list(grid_fuzzy_subsets(("a",), (F(0), F(1)), arity=2))) == 2
+
+
+def _table(arity, **values):
+    return {"arity": arity, "table": {key.replace("_", ","): value for key, value in values.items()}}
+
+
+class TestGolden:
+    """Enumeration order and random draws, pinned so that a rewrite of model generation keeps them."""
+
+    def test_first_exhaustive_countermodel(self):
+        formula = il.close_free_names(il.parse_formula("INT P(x) dx -> P(k)"))
+        model = find_countermodel(formula, ModelGenSpec(size=2, exhaustive=True))
+        assert model_to_json(model) == {
+            "universe": ["a", "b"],
+            "measure": {"a": "0", "b": "1"},
+            "predicates": {"P": _table(1, a="0", b="1/4")},
+            "functions": {},
+            "constants": {"k": "a"},
+        }
+
+    def test_mu3_equality_gap_witness(self):
+        assert mu3_equality_gap(ModelGenSpec(size=2, exhaustive=True)) == {
+            "axiom": "mu3",
+            "model": {
+                "universe": ["a", "b"],
+                "measure": {"a": "1/2", "b": "1/2"},
+                "predicates": {"P": _table(1, a="0", b="1/4"), "Q": _table(1, a="1/4", b="0")},
+                "functions": {},
+                "constants": {},
+            },
+            "instantiation": "INT P(x) -> Q(x) dx  vs  INT P(x) dx -> INT Q(x) dx",
+            "valuation": {},
+            "lhs": "7/8",
+            "rhs": "1",
+        }
+
+    def test_first_random_models(self):
+        voc = Vocabulary(predicates=(("P", 1),), functions=(("f", 1),), constants=("c",), has_approx=True)
+        models = [model_to_json(m) for m in random_models(ModelGenSpec(size=2, seed=7, count=3), voc)]
+        expected = [
+            ("2/3", "1/3", dict(a="3/4", b="0"), dict(a_a="0", a_b="1", b_a="0", b_b="1/2"), "a", "a"),
+            ("0", "1", dict(a="3/4", b="0"), dict(a_a="1/4", a_b="0", b_a="1", b_b="3/4"), "a", "a"),
+            ("1", "0", dict(a="1", b="1"), dict(a_a="3/4", a_b="0", b_a="1/4", b_b="0"), "b", "b"),
+        ]
+        assert models == [
+            {
+                "universe": ["a", "b"],
+                "measure": {"a": mu_a, "b": mu_b},
+                "predicates": {"P": _table(1, **p), "approx": _table(2, **approx)},
+                "functions": {"f": _table(1, a="a", b=f_b)},
+                "constants": {"c": c},
+            }
+            for mu_a, mu_b, p, approx, f_b, c in expected
+        ]
