@@ -73,9 +73,7 @@ from .syntax import (
     Integral,
     Not,
     Or,
-    Quant,
     QuantEq,
-    QuantExpr,
     StrongAnd,
     StrongOr,
     Term,

@@ -12,7 +12,6 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import files
 from .errors import IntlogicError, ParseError
@@ -181,7 +180,7 @@ def _merged_vocabulary(models) -> Vocabulary | None:
 def _formula_text(args) -> str:
     if args.formula is not None:
         return args.formula
-    return Path(args.formula_file).read_text().strip()
+    return files.read_text(args.formula_file).strip()
 
 
 def _parse_grid(text: str | None) -> tuple[Fraction, ...] | None:

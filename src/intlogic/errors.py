@@ -34,6 +34,10 @@ class NestedQuantEq(IntlogicError, ValueError):
     """Quantifier equality ('=') below the top level of a formula."""
 
 
+class InvalidSpec(IntlogicError, ValueError):
+    """A vocabulary or a model-generation spec contradicts itself."""
+
+
 class ParseError(IntlogicError):
     """Malformed concrete syntax; carries the source span of the offence."""
 

@@ -2,10 +2,10 @@
 
 Connective clauses: negation 1-x, weak and/or min/max, strong and/or the
 Lukasiewicz t-norm/t-conorm, implication min(1, 1-x+y).  The universal and
-existential quantifiers take min/max over the universe (optionally over the
-named constants only), and the integral quantifier takes the expectation of
-the bound variable's value matrix.  Quantifier equality evaluates to a crisp
-0 or 1 via the level-set condition in the satisfaction module.
+existential quantifiers take min/max over the universe, and the integral
+quantifier takes the expectation of the bound variable's value matrix.
+Quantifier equality evaluates to a crisp 0 or 1 via the level-set condition
+in the satisfaction module.
 """
 
 from __future__ import annotations
@@ -59,43 +59,23 @@ def eval_term(term: Term, model: WeakProbModel, valuation: Valuation) -> str:
     return table[args]
 
 
-def _domain(model: WeakProbModel, constants_only: bool) -> tuple[str, ...]:
-    if not constants_only:
-        return model.universe
-    seen: dict[str, None] = {}
-    for element in model.constants.values():
-        seen.setdefault(element)
-    return tuple(seen)
-
-
 def value_matrix(
     body: Formula,
     var: str,
     model: WeakProbModel,
     valuation: Valuation | None = None,
-    constants_only: bool = False,
 ) -> FuzzySubset:
     """The unary fuzzy subset m -> value of `body` with `var` bound to m."""
     base = dict(valuation or {})
     values = {}
     for m in model.universe:
         base[var] = m
-        values[(m,)] = evaluate(body, model, base, constants_only=constants_only)
+        values[(m,)] = evaluate(body, model, base)
     return FuzzySubset(model.universe, values)
 
 
-def evaluate(
-    formula: Formula,
-    model: WeakProbModel,
-    valuation: Valuation | None = None,
-    constants_only: bool = False,
-) -> Fraction:
-    """Exact rational truth value of `formula` under `valuation`.
-
-    `constants_only=True` makes ALL/EX range over the named constants'
-    interpretations instead of the whole universe; the two readings agree
-    whenever every element is named.
-    """
+def evaluate(formula: Formula, model: WeakProbModel, valuation: Valuation | None = None) -> Fraction:
+    """Exact rational truth value of `formula` under `valuation`."""
     v = valuation or {}
     if isinstance(formula, Atom):
         args = tuple(eval_term(a, model, v) for a in formula.args)
@@ -108,34 +88,28 @@ def evaluate(
     if isinstance(formula, TruthConst):
         return formula.value
     if isinstance(formula, Not):
-        return neg(evaluate(formula.body, model, v, constants_only))
+        return neg(evaluate(formula.body, model, v))
     if isinstance(formula, And):
-        return weak_and(evaluate(formula.left, model, v, constants_only),
-                        evaluate(formula.right, model, v, constants_only))
+        return weak_and(evaluate(formula.left, model, v), evaluate(formula.right, model, v))
     if isinstance(formula, Or):
-        return weak_or(evaluate(formula.left, model, v, constants_only),
-                       evaluate(formula.right, model, v, constants_only))
+        return weak_or(evaluate(formula.left, model, v), evaluate(formula.right, model, v))
     if isinstance(formula, StrongAnd):
-        return strong_and(evaluate(formula.left, model, v, constants_only),
-                          evaluate(formula.right, model, v, constants_only))
+        return strong_and(evaluate(formula.left, model, v), evaluate(formula.right, model, v))
     if isinstance(formula, StrongOr):
-        return strong_or(evaluate(formula.left, model, v, constants_only),
-                         evaluate(formula.right, model, v, constants_only))
+        return strong_or(evaluate(formula.left, model, v), evaluate(formula.right, model, v))
     if isinstance(formula, Implies):
-        return implies(evaluate(formula.left, model, v, constants_only),
-                       evaluate(formula.right, model, v, constants_only))
+        return implies(evaluate(formula.left, model, v), evaluate(formula.right, model, v))
     if isinstance(formula, (Forall, Exists)):
-        domain = _domain(model, constants_only)
         scoped = dict(v)
         values = []
-        for m in domain:
+        for m in model.universe:
             scoped[formula.var] = m
-            values.append(evaluate(formula.body, model, scoped, constants_only))
+            values.append(evaluate(formula.body, model, scoped))
         if isinstance(formula, Forall):
             return min(values, default=ONE)
         return max(values, default=ZERO)
     if isinstance(formula, Integral):
-        matrix = value_matrix(formula.body, formula.var, model, v, constants_only)
+        matrix = value_matrix(formula.body, formula.var, model, v)
         return integral_expectation(matrix, model)
     if isinstance(formula, QuantEq):
         from . import satisfaction  # deferred: satisfaction evaluates bodies through us
@@ -145,13 +119,9 @@ def evaluate(
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def evaluate_closed(
-    formula: Formula,
-    model: WeakProbModel,
-    constants_only: bool = False,
-) -> Fraction:
+def evaluate_closed(formula: Formula, model: WeakProbModel) -> Fraction:
     """Evaluate a sentence; raises NotASentence when free variables remain."""
     free = free_vars(formula)
     if free:
         raise NotASentence(free)
-    return evaluate(formula, model, {}, constants_only=constants_only)
+    return evaluate(formula, model, {})

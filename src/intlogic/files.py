@@ -29,11 +29,16 @@ from .satisfaction import ApproximationSystem
 from .syntax import Formula, Vocabulary
 
 
-def _read_json(path) -> object:
+def read_text(path) -> str:
+    """The UTF-8 text of a file; unreadable or undecodable files are a FormatError."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_json(path) -> object:
+    text = read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -68,6 +73,8 @@ def load_approx_system(path, voc: Vocabulary | None = None) -> ApproximationSyst
         raise FormatError(f"{path}: 'sentences' must be an array of formula strings")
     builder = VocabBuilder() if voc is None else None
     sentences = tuple(parse_formula(text, voc, builder) for text in sentences_raw)
+    if not isinstance(data["rel"], list):
+        raise FormatError(f"{path}: 'rel' must be an array of index pairs")
     rel = set()
     for entry in data["rel"]:
         if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(i, int) for i in entry)):
@@ -107,7 +114,7 @@ def parse_justification(text: str) -> Justification:
 
 def load_proof(path, voc: Vocabulary | None = None) -> ProofScript:
     """Load a proof script (JSON array of line objects, or JSON lines)."""
-    text = Path(path).read_text()
+    text = read_text(path)
     try:
         data = json.loads(text)
         if not isinstance(data, list):
@@ -120,8 +127,9 @@ def load_proof(path, voc: Vocabulary | None = None) -> ProofScript:
     builder = VocabBuilder() if voc is None else None
     lines = []
     for entry in data:
-        if not isinstance(entry, dict) or "formula" not in entry or "just" not in entry:
-            raise FormatError(f"{path}: each line must be {{'formula': ..., 'just': ...}}")
+        if not (isinstance(entry, dict) and isinstance(entry.get("formula"), str)
+                and isinstance(entry.get("just"), str)):
+            raise FormatError(f"{path}: each line must be {{'formula': str, 'just': str}}")
         formula = parse_formula(entry["formula"], voc, builder)
         lines.append(ProofLine(formula, parse_justification(entry["just"])))
     return ProofScript(tuple(lines))

@@ -28,6 +28,36 @@ PredTable = Mapping[tuple[str, ...], Fraction]
 FuncTable = Mapping[tuple[str, ...], str]
 
 
+def _element(value) -> str:
+    if not isinstance(value, str):
+        raise FormatError(f"{value!r} is not an element name")
+    return value
+
+
+def _checked_table(what: str, table: Mapping, universe: tuple[str, ...], convert) -> tuple[dict, int]:
+    """`table` with tuple keys and `convert`ed values, and its arity.
+
+    The keys (a bare string is a 1-tuple) must all have one arity >= 1, name
+    only elements of `universe` and cover every tuple of that arity.  The
+    per-key work stays in the one comprehension; the checks run over the
+    result at C speed.
+    """
+    fixed = {(key,) if isinstance(key, str) else tuple(key): convert(value) for key, value in table.items()}
+    arities = set(map(len, fixed))
+    if len(arities) > 1:
+        raise FormatError(f"{what} mixes key arities")
+    arity = arities.pop() if arities else 0
+    if arity < 1:
+        raise FormatError(f"{what} must have arity >= 1")
+    elements = set(universe)
+    if not elements.issuperset(itertools.chain.from_iterable(fixed)):
+        bad = next(key for key in fixed if not elements.issuperset(key))
+        raise FormatError(f"{what} mentions unknown elements {bad}")
+    if len(fixed) != len(universe) ** arity:
+        raise TableIncomplete(f"{what} must cover all {len(universe)}^{arity} tuples")
+    return fixed, arity
+
+
 @dataclass(frozen=True)
 class WeakProbModel:
     universe: tuple[str, ...]
@@ -59,43 +89,25 @@ class WeakProbModel:
 
         predicates = {}
         for name, table in self.predicates.items():
-            predicates[name] = self._check_table(name, table, elements, value_kind="truth")
+            predicates[name], arity = _checked_table(f"table for {name!r}", table, self.universe, unit)
+            if name in (EQ_PRED, APPROX_PRED) and arity != 2:
+                raise FormatError(f"the reserved predicate {name!r} must be binary")
         object.__setattr__(self, "predicates", predicates)
 
         functions = {}
         for name, table in self.functions.items():
-            checked = self._check_table(name, table, elements, value_kind="element")
+            checked, _ = _checked_table(f"table for {name!r}", table, self.universe, _element)
+            for key, value in checked.items():
+                if value not in elements:
+                    raise FormatError(f"function {name!r} maps {key} outside the universe")
             functions[name] = checked
         object.__setattr__(self, "functions", functions)
 
         constants = dict(self.constants)
         for cname, target in constants.items():
-            if target not in elements:
+            if _element(target) not in elements:
                 raise FormatError(f"constant {cname!r} points at unknown element {target!r}")
         object.__setattr__(self, "constants", constants)
-
-    def _check_table(self, name, table, elements, value_kind):
-        fixed = {}
-        arity = None
-        for key, value in table.items():
-            key = (key,) if isinstance(key, str) else tuple(key)
-            if arity is None:
-                arity = len(key)
-            elif len(key) != arity:
-                raise FormatError(f"table for {name!r} mixes key arities")
-            if not set(key) <= elements:
-                raise FormatError(f"table for {name!r} mentions unknown elements {key}")
-            if value_kind == "truth":
-                fixed[key] = unit(value)
-            else:
-                if value not in elements:
-                    raise FormatError(f"function {name!r} maps {key} outside the universe")
-                fixed[key] = value
-        if arity is None or arity < 1:
-            raise FormatError(f"table for {name!r} must have arity >= 1")
-        if len(fixed) != len(elements) ** arity:
-            raise TableIncomplete(f"table for {name!r} must cover all {len(elements)}^{arity} tuples")
-        return fixed
 
     # -- signature ---------------------------------------------------------
 
@@ -151,19 +163,7 @@ class FuzzySubset:
 
     def __post_init__(self):
         object.__setattr__(self, "universe", tuple(self.universe))
-        values = {}
-        arity = None
-        for key, value in self.values.items():
-            key = (key,) if isinstance(key, str) else tuple(key)
-            if arity is None:
-                arity = len(key)
-            elif len(key) != arity:
-                raise FormatError("fuzzy subset mixes key arities")
-            values[key] = unit(value)
-        if arity is None:
-            raise FormatError("fuzzy subset must not be empty")
-        if len(values) != len(self.universe) ** arity:
-            raise TableIncomplete(f"fuzzy subset must cover all |M|^{arity} tuples")
+        values, arity = _checked_table("fuzzy subset", self.values, self.universe, unit)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "arity", arity)
 
@@ -366,17 +366,21 @@ def model_from_json(data: dict) -> WeakProbModel:
     measure = {m: parse_rational(w) for m, w in measure_raw.items()}
 
     predicates = {}
-    for name, entry in (data.get("predicates") or {}).items():
+    for name, entry in _section(data, "predicates").items():
         arity, table_raw = _table_entry(name, entry)
         predicates[name] = {_split_key(k, arity): parse_rational(v) for k, v in table_raw.items()}
     functions = {}
-    for name, entry in (data.get("functions") or {}).items():
+    for name, entry in _section(data, "functions").items():
         arity, table_raw = _table_entry(name, entry)
         functions[name] = {_split_key(k, arity): v for k, v in table_raw.items()}
-    constants = data.get("constants") or {}
-    if not isinstance(constants, dict):
-        raise FormatError("'constants' must map names to elements")
-    return WeakProbModel(tuple(universe), measure, predicates, functions, constants)
+    return WeakProbModel(tuple(universe), measure, predicates, functions, _section(data, "constants"))
+
+
+def _section(data: dict, key: str) -> dict:
+    section = data.get(key) or {}
+    if not isinstance(section, dict):
+        raise FormatError(f"{key!r} must be an object")
+    return section
 
 
 def _table_entry(name, entry):

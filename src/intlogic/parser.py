@@ -43,7 +43,6 @@ from .syntax import (
     Not,
     Or,
     QuantEq,
-    QuantExpr,
     StrongAnd,
     StrongOr,
     Term,
@@ -51,7 +50,6 @@ from .syntax import (
     Variable,
     Vocabulary,
     free_vars,
-    is_quantifier_formula,
 )
 
 
@@ -201,10 +199,10 @@ class _Parser:
             if self.voc is not None and not self.voc.has_eq:
                 raise ParseError("quantifier equality ('=') is not enabled in this vocabulary", eq_tok.span)
             second = self.parse_impl()
-            for side in (first, second):
-                if not is_quantifier_formula(side):
-                    raise ParseError("'=' may only relate quantifier expressions", eq_tok.span)
-            result: Formula = QuantEq(QuantExpr.from_formula(first), QuantExpr.from_formula(second))
+            try:
+                result: Formula = QuantEq(first, second)
+            except ValueError as exc:
+                raise ParseError(str(exc), eq_tok.span) from None
         else:
             result = first
         tok = self.peek()
@@ -380,7 +378,7 @@ def _tree_depth(formula: Formula) -> int:
         elif isinstance(node, FuncApp):
             stack.extend((arg, depth + 1) for arg in node.args)
         elif isinstance(node, QuantEq):
-            stack += [(node.left.body, depth + 1), (node.right.body, depth + 1)]
+            stack += [(node.left, depth), (node.right, depth)]
         elif isinstance(node, (Not, Forall, Exists, Integral)):
             stack.append((node.body, depth + 1))
         elif isinstance(node, (And, Or, StrongAnd, StrongOr, Implies)):
@@ -457,7 +455,5 @@ def _fmt(phi: Formula, min_level: int, open_ok: bool) -> str:
 def print_formula(formula: Formula) -> str:
     """Canonical text for a formula; `parse_formula` inverts it exactly."""
     if isinstance(formula, QuantEq):
-        left = _fmt(formula.left.to_formula(), _LEVEL_IMPL, True)
-        right = _fmt(formula.right.to_formula(), _LEVEL_IMPL, True)
-        return f"{left} = {right}"
+        return f"{_fmt(formula.left, _LEVEL_IMPL, True)} = {_fmt(formula.right, _LEVEL_IMPL, True)}"
     return _fmt(formula, _LEVEL_IMPL, True)

@@ -19,14 +19,18 @@ DEFAULT_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE)
 
 def unit(value) -> Fraction:
     """Coerce `value` to an exact rational and require it to lie in [0, 1]."""
-    q = Fraction(value)
-    if q < ZERO or q > ONE:
+    # a Fraction is immutable, so it needs no copy; its denominator is positive,
+    # so the range test can compare integers instead of Fractions
+    q = value if type(value) is Fraction else Fraction(value)
+    if not 0 <= q.numerator <= q.denominator:
         raise ValueOutOfRange(f"value {q} is outside [0, 1]")
     return q
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a "p/q" or "p" string into a Fraction (no floats accepted)."""
+    if not isinstance(text, str):
+        raise FormatError(f"not a rational 'p/q' string: {text!r}")
     text = text.strip()
     try:
         if "/" in text:

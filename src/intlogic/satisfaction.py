@@ -39,7 +39,6 @@ from .syntax import (
     Formula,
     Not,
     QuantEq,
-    QuantExpr,
     free_vars,
     is_well_formed,
 )
@@ -108,20 +107,20 @@ def hsat_qeq_dirac(f: FuzzySubset, g: FuzzySubset, model: WeakProbModel) -> bool
     return mu_set(model, f_true - g_true, 1) == ZERO
 
 
-def _qeq_matrix(side: QuantExpr, model: WeakProbModel) -> FuzzySubset:
-    extra = free_vars(side.body) - {side.var}
+def _qeq_matrix(side: Formula, model: WeakProbModel) -> FuzzySubset:
+    extra = free_vars(side)
     if extra:
         raise NotASentence(extra)
     return value_matrix(side.body, side.var, model)
 
 
 def hsat_qeq(
-    left: QuantExpr,
-    right: QuantExpr,
+    left: Formula,
+    right: Formula,
     model: WeakProbModel,
     cfg: LevelConfig | None = None,
 ) -> bool:
-    """Level-set condition for 'Q phi(x) = Q psi(y)'.
+    """Level-set condition for 'Q phi(x) = Q psi(y)'; both sides are quantifier formulas.
 
     With no explicit config: crisp matrices go through the Dirac check,
     otherwise the diagonal pairing over the attained interior values is

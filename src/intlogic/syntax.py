@@ -16,11 +16,18 @@ formula constructors of their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Literal, Mapping, Union
 
-from .errors import ArityMismatch, CaptureError, FlagMissing, IntlogicError, NestedQuantEq, UnknownSymbol
+from .errors import (
+    ArityMismatch,
+    CaptureError,
+    FlagMissing,
+    IntlogicError,
+    InvalidSpec,
+    NestedQuantEq,
+    UnknownSymbol,
+)
 from .rational import unit
 
 #: Names with fixed meaning in the concrete syntax; never usable as symbols.
@@ -52,13 +59,13 @@ class Vocabulary:
         names = [n for n, _ in self.predicates] + [n for n, _ in self.functions] + list(self.constants)
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(f"duplicate symbol names in vocabulary: {dupes}")
+            raise InvalidSpec(f"duplicate symbol names in vocabulary: {dupes}")
         for n in names:
             if n in RESERVED_NAMES:
-                raise ValueError(f"symbol name {n!r} is reserved")
+                raise InvalidSpec(f"symbol name {n!r} is reserved")
         for n, a in self.predicates + self.functions:
             if a < 1:
-                raise ValueError(f"symbol {n!r} must have arity >= 1, got {a}")
+                raise InvalidSpec(f"symbol {n!r} must have arity >= 1, got {a}")
 
     def predicate_arity(self, name: str) -> int | None:
         if name == EQ_PRED:
@@ -226,41 +233,19 @@ class Integral:
     body: "Formula"
 
 
-class Quant(Enum):
-    FORALL = "ALL"
-    EXISTS = "EX"
-    INTEGRAL = "INT"
-
-
-@dataclass(frozen=True)
-class QuantExpr:
-    """A quantifier expression Q x . body with Q in {ALL, EX, INT}."""
-
-    quant: Quant
-    var: str
-    body: "Formula"
-
-    def to_formula(self) -> "Formula":
-        cls = {Quant.FORALL: Forall, Quant.EXISTS: Exists, Quant.INTEGRAL: Integral}[self.quant]
-        return cls(self.var, self.body)
-
-    @classmethod
-    def from_formula(cls, formula: "Formula") -> "QuantExpr":
-        if isinstance(formula, Forall):
-            return cls(Quant.FORALL, formula.var, formula.body)
-        if isinstance(formula, Exists):
-            return cls(Quant.EXISTS, formula.var, formula.body)
-        if isinstance(formula, Integral):
-            return cls(Quant.INTEGRAL, formula.var, formula.body)
-        raise ValueError("'=' may only relate quantifier expressions")
+_QUANTIFIERS = (Forall, Exists, Integral)
 
 
 @dataclass(frozen=True)
 class QuantEq:
-    """Equality between two quantifier expressions (top-level only)."""
+    """Equality between two quantifier formulas (top-level only)."""
 
-    left: QuantExpr
-    right: QuantExpr
+    left: "Formula"
+    right: "Formula"
+
+    def __post_init__(self):
+        if not (isinstance(self.left, _QUANTIFIERS) and isinstance(self.right, _QUANTIFIERS)):
+            raise ValueError("'=' may only relate quantifier expressions")
 
 
 Formula = Union[
@@ -268,12 +253,10 @@ Formula = Union[
     Forall, Exists, Integral, QuantEq,
 ]
 
-_BINARY = (And, Or, StrongAnd, StrongOr, Implies)
-_QUANTIFIERS = (Forall, Exists, Integral)
-
-
-def is_quantifier_formula(formula: Formula) -> bool:
-    return isinstance(formula, _QUANTIFIERS)
+# QuantEq has the shape of a binary connective, so the walkers here treat it as
+# one; well-formedness adds its top-level rule, and parsing, printing and
+# evaluation keep their own case.
+_BINARY = (And, Or, StrongAnd, StrongOr, Implies, QuantEq)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +289,6 @@ def free_vars(formula: Formula) -> frozenset[str]:
         return free_vars(formula.left) | free_vars(formula.right)
     if isinstance(formula, _QUANTIFIERS):
         return free_vars(formula.body) - {formula.var}
-    if isinstance(formula, QuantEq):
-        left = free_vars(formula.left.body) - {formula.left.var}
-        right = free_vars(formula.right.body) - {formula.right.var}
-        return left | right
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -344,14 +323,6 @@ def substitute(formula: Formula, var: str, term: Term) -> Formula:
         if formula.var == var:
             return formula
         return type(formula)(formula.var, _subst_binder(formula.var, formula.body, var, term))
-    if isinstance(formula, QuantEq):
-        sides = []
-        for side in (formula.left, formula.right):
-            if side.var == var:
-                sides.append(side)
-            else:
-                sides.append(QuantExpr(side.quant, side.var, _subst_binder(side.var, side.body, var, term)))
-        return QuantEq(sides[0], sides[1])
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -397,20 +368,17 @@ def check_formula(formula: Formula, voc: Vocabulary, _top: bool = True) -> None:
     if isinstance(formula, Not):
         check_formula(formula.body, voc, _top=False)
         return
+    if isinstance(formula, QuantEq):
+        if not _top:
+            raise NestedQuantEq("quantifier equality must be the top-level connective")
+        if not voc.has_eq:
+            raise FlagMissing("quantifier equality is not enabled in this vocabulary")
     if isinstance(formula, _BINARY):
         check_formula(formula.left, voc, _top=False)
         check_formula(formula.right, voc, _top=False)
         return
     if isinstance(formula, _QUANTIFIERS):
         check_formula(formula.body, voc, _top=False)
-        return
-    if isinstance(formula, QuantEq):
-        if not _top:
-            raise NestedQuantEq("quantifier equality must be the top-level connective")
-        if not voc.has_eq:
-            raise FlagMissing("quantifier equality is not enabled in this vocabulary")
-        check_formula(formula.left.body, voc, _top=False)
-        check_formula(formula.right.body, voc, _top=False)
         return
     raise TypeError(f"not a formula: {formula!r}")
 
@@ -425,7 +393,7 @@ def is_well_formed(formula: Formula, voc: Vocabulary) -> bool:
 
 
 def subformulas(formula: Formula) -> Iterator[Formula]:
-    """Pre-order walk over the formula tree (QuantEq yields the two bodies)."""
+    """Pre-order walk over the formula tree."""
     yield formula
     if isinstance(formula, Not):
         yield from subformulas(formula.body)
@@ -434,9 +402,6 @@ def subformulas(formula: Formula) -> Iterator[Formula]:
         yield from subformulas(formula.right)
     elif isinstance(formula, _QUANTIFIERS):
         yield from subformulas(formula.body)
-    elif isinstance(formula, QuantEq):
-        yield from subformulas(formula.left.body)
-        yield from subformulas(formula.right.body)
 
 
 def _collect_term_symbols(term: Term, funcs: dict, consts: set) -> None:
@@ -505,11 +470,6 @@ def rename_symbols(formula: Formula, mapping: Mapping[str, str]) -> Formula:
         return type(formula)(rename_symbols(formula.left, mapping), rename_symbols(formula.right, mapping))
     if isinstance(formula, _QUANTIFIERS):
         return type(formula)(formula.var, rename_symbols(formula.body, mapping))
-    if isinstance(formula, QuantEq):
-        return QuantEq(
-            QuantExpr(formula.left.quant, formula.left.var, rename_symbols(formula.left.body, mapping)),
-            QuantExpr(formula.right.quant, formula.right.var, rename_symbols(formula.right.body, mapping)),
-        )
     raise TypeError(f"not a formula: {formula!r}")
 
 

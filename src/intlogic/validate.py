@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import ContainmentViolated, IntlogicError, NotASentence, SearchSpaceTooLarge
+from .errors import ContainmentViolated, IntlogicError, InvalidSpec, NotASentence, SearchSpaceTooLarge
 from .evaluate import evaluate, evaluate_closed
 from .integrals import check_semantic_integral_laws
 from .model import FuzzySubset, WeakProbModel, model_to_json, reduct, relabel_universe, rename
@@ -56,11 +56,14 @@ class ModelGenSpec:
 
     def __post_init__(self):
         if self.size < 1:
-            raise ValueError("universe size must be >= 1")
+            raise InvalidSpec("universe size must be >= 1")
         if not self.value_grid or not self.measure_grid:
-            raise ValueError("grids must be non-empty")
+            raise InvalidSpec("grids must be non-empty")
         object.__setattr__(self, "value_grid", tuple(Fraction(v) for v in self.value_grid))
         object.__setattr__(self, "measure_grid", tuple(Fraction(v) for v in self.measure_grid))
+        if max(self.measure_grid) <= ZERO:
+            # every measure draw would sum to 0, and measures are draws renormalized
+            raise InvalidSpec("the measure grid needs a positive value")
 
 
 def universe_names(size: int) -> tuple[str, ...]:

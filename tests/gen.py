@@ -77,8 +77,8 @@ def random_toplevel(rng: random.Random, depth: int):
     if rng.random() < 0.15:
         def side():
             var = rng.choice(VAR_POOL)
-            quant = rng.choice((il.Quant.FORALL, il.Quant.EXISTS, il.Quant.INTEGRAL))
-            return il.QuantExpr(quant, var, random_formula(rng, depth - 1, (var,)))
+            quant = rng.choice((il.Forall, il.Exists, il.Integral))
+            return quant(var, random_formula(rng, depth - 1, (var,)))
 
         return il.QuantEq(side(), side())
     return random_formula(rng, depth)

@@ -38,9 +38,8 @@ from intlogic.syntax import (
     Constant,
     Exists,
     Forall,
+    Integral,
     Or,
-    Quant,
-    QuantExpr,
     StrongAnd,
     Variable,
 )
@@ -181,8 +180,8 @@ def test_criterion_08_quantifier_equality_semantics():
         for _ in range(200):
             model = gen.random_model(rng, size=2)
             var = rng.choice(("x", "y"))
-            quant = rng.choice((Quant.FORALL, Quant.EXISTS, Quant.INTEGRAL))
-            side = QuantExpr(quant, var, gen.random_formula(rng, depth=2, scope=(var,)))
+            quant = rng.choice((Forall, Exists, Integral))
+            side = quant(var, gen.random_formula(rng, depth=2, scope=(var,)))
             assert hsat_qeq(side, side, model)
 
         # Dirac vs general level-set checker at level 1/2 on crisp matrices
@@ -201,8 +200,8 @@ def test_criterion_08_quantifier_equality_semantics():
                 {}, {})
             f = FuzzySubset.from_predicate(model, "P")
             g = FuzzySubset.from_predicate(model, "Q")
-            left = QuantExpr(Quant.INTEGRAL, "x", Atom("P", (Variable("x"),)))
-            right = QuantExpr(Quant.INTEGRAL, "y", Atom("Q", (Variable("y"),)))
+            left = Integral("x", Atom("P", (Variable("x"),)))
+            right = Integral("y", Atom("Q", (Variable("y"),)))
             assert hsat_qeq_dirac(f, g, model) == hsat_qeq(left, right, model, cfg)
 
         # the level-set difference {b} has mass 0 in one model, mass 1/2 in the other
@@ -213,8 +212,8 @@ def test_criterion_08_quantifier_equality_semantics():
                  "Q": {("a",): F(3, 4), ("b",): F(0)}},
                 {}, {})
 
-        left = QuantExpr(Quant.INTEGRAL, "x", Atom("P", (Variable("x"),)))
-        right = QuantExpr(Quant.INTEGRAL, "y", Atom("Q", (Variable("y"),)))
+        left = Integral("x", Atom("P", (Variable("x"),)))
+        right = Integral("y", Atom("Q", (Variable("y"),)))
         low_cfg = LevelConfig((F(1, 8),), ((0, 0),))
         assert hsat_qeq(left, right, witness_model(F(1), F(0)), low_cfg)
         assert not hsat_qeq(left, right, witness_model(HALF, HALF), low_cfg)

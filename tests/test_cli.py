@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intlogic.cli import main
 from intlogic.parser import MAX_NESTING, parse_formula, print_formula
@@ -314,3 +317,174 @@ def test_byte_identical_reruns(ex2_path, capsys):
     first = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+class TestInputErrorsExit2:
+    @pytest.mark.parametrize("argv", [
+        ["gen-models", "--size", "0"],
+        ["find-countermodel", "--size", "1", "--formula", "P(eq(x))"],
+        ["find-countermodel", "--size", "1", "--formula", "P(x) -> Q(P(x))"],
+    ])
+    def test_bad_generation_or_vocabulary(self, argv, capsys):
+        exits_2_with_one_line(argv, capsys)
+
+    @pytest.mark.parametrize("command", [
+        lambda path, model: ["eval", "--model", path, "--formula", "P(c)"],
+        lambda path, model: ["check-proof", "--proof", path],
+        lambda path, model: ["eval", "--model", model, "--formula-file", path],
+        lambda path, model: ["find-countermodel", "--formula-file", path, "--count", "1"],
+        lambda path, model: ["check-closure", "--pool", path, "--count", "1"],
+    ])
+    def test_non_utf8_file(self, command, model_path, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\x80")
+        exits_2_with_one_line(command(str(path), model_path), capsys)
+
+    @pytest.mark.parametrize("line", [
+        {"formula": None, "just": "premise"},
+        {"formula": "P(x)", "just": None},
+        {"formula": ["P(x)"], "just": "premise"},
+        {"formula": "P(x)", "just": 3},
+    ])
+    def test_proof_line_field_types(self, line, tmp_path, capsys):
+        path = tmp_path / "proof.json"
+        path.write_text(json.dumps([line]))
+        exits_2_with_one_line(["check-proof", "--proof", str(path)], capsys)
+
+    @pytest.mark.parametrize("field, value", [
+        (("measure", "a"), 1),
+        (("predicates", "P", "table", "a"), 1),
+        (("constants", "c"), ["a"]),
+        (("predicates",), ["P"]),
+        (("functions",), "f"),
+    ])
+    def test_model_field_types(self, field, value, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(with_field(MODEL_DOC, field, value)))
+        exits_2_with_one_line(["eval", "--model", str(path), "--formula", "P(c)"], capsys)
+
+    def test_approx_system_rel_not_an_array(self, model_path, tmp_path, capsys):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"sentences": ["P(c)"], "rel": 0}))
+        exits_2_with_one_line(["validate-approx-system", "--approx-system", str(path),
+                               "--model", model_path], capsys)
+
+
+def with_field(doc, field, value):
+    """A deep copy of a JSON document with the value at the key path `field` replaced."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    return doc
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+FUZZ_MODEL_DOC = {
+    "universe": ["a", "b"],
+    "measure": {"a": "1/2", "b": "1/2"},
+    "predicates": {"P": {"arity": 1, "table": {"a": "1", "b": "1/4"}},
+                   "R": {"arity": 2, "table": {"a,a": "1", "a,b": "0", "b,a": "1/2", "b,b": "0"}}},
+    "functions": {"f": {"arity": 1, "table": {"a": "b", "b": "a"}}},
+    "constants": {"c": "a"},
+}
+
+FUZZ_PROOF = [
+    {"formula": "P(x)", "just": "premise"},
+    {"formula": "INT P(x) dx", "just": "int-intro:1,x"},
+]
+
+FORMULA_TOKENS = (
+    "ALL", "EX", "INT", "x", "y", "dx", "dy", ".", "(", ")", ",", "~", "/\\", "\\/", "&",
+    "|+|", "->", "=", "rat(1/2)", "rat", "P", "R", "c", "f", "eq", "approx", "1", "/", "-",
+)
+
+formula_texts = st.one_of(
+    st.lists(st.sampled_from(FORMULA_TOKENS), max_size=12).map(" ".join),
+    st.text(max_size=20),
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(["", "a", "b", "1/2", "x", "a,b"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["a", "b", "arity", "table"]),
+                                                                inner, max_size=3),
+    max_leaves=6,
+)
+
+MODEL_FIELDS = [
+    ("universe",), ("measure",), ("measure", "a"), ("predicates",), ("predicates", "P"),
+    ("predicates", "P", "arity"), ("predicates", "P", "table"), ("predicates", "R", "table", "a,b"),
+    ("functions",), ("functions", "f", "arity"), ("functions", "f", "table", "a"),
+    ("constants",), ("constants", "c"),
+]
+
+
+def run_cli(argv) -> int:
+    """`main`'s exit code, output discarded; argparse's usage errors exit through SystemExit."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+FUZZ = settings(max_examples=60, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "model.json").write_text(json.dumps(FUZZ_MODEL_DOC))
+    return directory
+
+
+class TestFuzz:
+    @FUZZ
+    @given(text=formula_texts, command=st.sampled_from(["eval", "sat", "qeq", "find-countermodel"]))
+    def test_formula_text(self, fuzz_dir, text, command):
+        if command == "find-countermodel":
+            argv = [command, f"--formula={text}", "--size", "1", "--count", "2"]
+        else:
+            argv = [command, "--model", str(fuzz_dir / "model.json"), f"--formula={text}"]
+        assert run_cli(argv) in (0, 1, 2)
+
+    @FUZZ
+    @given(data=st.binary(max_size=40), use=st.sampled_from(["model", "proof", "pool", "formula-file"]))
+    def test_file_bytes(self, fuzz_dir, data, use):
+        path = fuzz_dir / "bytes.bin"
+        path.write_bytes(data)
+        argv = {
+            "model": ["eval", "--model", str(path), "--formula", "P(c)"],
+            "proof": ["check-proof", "--proof", str(path)],
+            "pool": ["check-closure", "--pool", str(path), "--size", "1", "--count", "1"],
+            "formula-file": ["find-countermodel", "--formula-file", str(path), "--size", "1", "--count", "1"],
+        }[use]
+        assert run_cli(argv) in (0, 1, 2)
+
+    @FUZZ
+    @given(field=st.sampled_from(MODEL_FIELDS), value=json_values)
+    def test_model_fields(self, fuzz_dir, field, value):
+        path = fuzz_dir / "fuzzed_model.json"
+        path.write_text(json.dumps(with_field(FUZZ_MODEL_DOC, field, value)))
+        assert run_cli(["eval", "--model", str(path), "--formula", "INT R(x, f(c)) dx"]) in (0, 1, 2)
+
+    @FUZZ
+    @given(line=st.sampled_from([0, 1]), field=st.sampled_from([None, "formula", "just"]), value=json_values)
+    def test_proof_line_fields(self, fuzz_dir, line, field, value):
+        proof = json.loads(json.dumps(FUZZ_PROOF))
+        if field is None:
+            proof[line] = value
+        else:
+            proof[line][field] = value
+        path = fuzz_dir / "fuzzed_proof.json"
+        path.write_text(json.dumps(proof))
+        assert run_cli(["check-proof", "--proof", str(path)]) in (0, 1, 2)

@@ -191,20 +191,6 @@ class TestStructureInvariance:
                 evaluate_closed(sentence, relabel_universe(model, flipped))
 
 
-class TestConstantRestrictedMode:
-    def test_agrees_when_every_element_named(self):
-        model = three_constant_model()
-        for formula in (Forall("x", Phi_x), Exists("x", Phi_x)):
-            assert evaluate_closed(formula, model, constants_only=True) == \
-                evaluate_closed(formula, model)
-
-    def test_differs_on_unnamed_elements(self):
-        model = two_element_model(F(1), F(0))  # only a is named by c
-        assert evaluate_closed(Forall("x", Atom("P", (Variable("x"),))), model) == 0
-        assert evaluate_closed(Forall("x", Atom("P", (Variable("x"),))), model,
-                               constants_only=True) == 1
-
-
 def test_value_matrix_shape():
     model = two_element_model(F(3, 4), F(1, 4))
     matrix = value_matrix(Atom("P", (Variable("x"),)), "x", model)

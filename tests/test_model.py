@@ -73,6 +73,12 @@ class TestLoading:
         with pytest.raises(errors.FormatError):
             model_from_json(doc)
 
+    @pytest.mark.parametrize("name", ["eq", "approx"])
+    def test_reserved_predicate_must_be_binary(self, name):
+        doc = dict(MODEL_DOC, predicates={name: {"arity": 1, "table": {"a": "1", "b": "0"}}})
+        with pytest.raises(errors.FormatError):
+            model_from_json(doc)
+
     def test_json_round_trip(self):
         model = model_from_json(MODEL_DOC)
         assert model_from_json(model_to_json(model)) == model
@@ -128,6 +134,11 @@ class TestFuzzySubset:
     def test_totality_enforced(self):
         with pytest.raises(errors.TableIncomplete):
             FuzzySubset(("a", "b"), {("a",): HALF})
+
+    def test_keys_outside_universe_rejected(self):
+        # as many keys as tuples, but one names no element
+        with pytest.raises(errors.FormatError):
+            FuzzySubset(("a", "b"), {("a",): 1, ("z",): 0})
 
     def test_constant_and_crisp(self):
         const = FuzzySubset.constant(("a", "b"), HALF)

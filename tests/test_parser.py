@@ -16,9 +16,7 @@ from intlogic.syntax import (
     Integral,
     Not,
     Or,
-    Quant,
     QuantEq,
-    QuantExpr,
     StrongAnd,
     StrongOr,
     TruthConst,
@@ -46,8 +44,8 @@ class TestParseExamples:
     def test_quantifier_equality(self):
         parsed = parse_formula("INT P(x) dx = INT Q(y) dy", VOC)
         assert parsed == QuantEq(
-            QuantExpr(Quant.INTEGRAL, "x", P_x),
-            QuantExpr(Quant.INTEGRAL, "y", Atom("Q", (Variable("y"),))),
+            Integral("x", P_x),
+            Integral("y", Atom("Q", (Variable("y"),))),
         )
 
     def test_arithmetic_on_formulas_rejected(self):
@@ -65,7 +63,7 @@ class TestParseExamples:
     def test_forall_equality(self):
         parsed = parse_formula("ALL x. P(x) = ALL y. Q(y)", VOC)
         assert isinstance(parsed, QuantEq)
-        assert parsed.left.quant is Quant.FORALL
+        assert isinstance(parsed.left, Forall)
 
 
 class TestPrintExamples:
@@ -81,8 +79,8 @@ class TestPrintExamples:
 
     def test_quantifier_equality(self):
         formula = QuantEq(
-            QuantExpr(Quant.INTEGRAL, "x", P_x),
-            QuantExpr(Quant.INTEGRAL, "y", Atom("Q", (Variable("y"),))),
+            Integral("x", P_x),
+            Integral("y", Atom("Q", (Variable("y"),))),
         )
         assert print_formula(formula) == "INT P(x) dx = INT Q(y) dy"
 

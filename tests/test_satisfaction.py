@@ -24,11 +24,11 @@ from intlogic.syntax import (
     And,
     Atom,
     Constant,
+    Exists,
     Forall,
+    Integral,
     Not,
     Or,
-    Quant,
-    QuantExpr,
     StrongAnd,
     Variable,
 )
@@ -140,8 +140,8 @@ class TestDiracCase:
             hsat_qeq_dirac(f, f, model)
 
 
-def qexpr(pred, var="x", quant=Quant.INTEGRAL):
-    return QuantExpr(quant, var, Atom(pred, (Variable(var),)))
+def qexpr(pred, var="x", quant=Integral):
+    return quant(var, Atom(pred, (Variable(var),)))
 
 
 class TestHsatQeq:
@@ -150,8 +150,8 @@ class TestHsatQeq:
         for _ in range(100):
             model = gen.random_model(rng, size=2)
             var = rng.choice(("x", "y"))
-            quant = rng.choice((Quant.FORALL, Quant.EXISTS, Quant.INTEGRAL))
-            side = QuantExpr(quant, var, gen.random_formula(rng, depth=2, scope=(var,)))
+            quant = rng.choice((Forall, Exists, Integral))
+            side = quant(var, gen.random_formula(rng, depth=2, scope=(var,)))
             assert hsat_qeq(side, side, model)
 
     def test_level_set_difference_with_null_mass(self):
@@ -205,13 +205,13 @@ class TestHsatQeq:
 
     def test_mixed_quantifier_kinds_allowed(self):
         model = matrix_model({"a": F(1), "b": F(0)})
-        left = qexpr("P", quant=Quant.FORALL)
-        right = qexpr("P", quant=Quant.INTEGRAL)
+        left = qexpr("P", quant=Forall)
+        right = qexpr("P", quant=Integral)
         assert hsat_qeq(left, right, model)
 
     def test_body_with_extra_free_variable_rejected(self):
         model = matrix_model({"a": F(1), "b": F(0)})
-        side = QuantExpr(Quant.INTEGRAL, "x", Atom("Q", (Variable("z"),)))
+        side = Integral("x", Atom("Q", (Variable("z"),)))
         with pytest.raises(errors.NotASentence):
             hsat_qeq(side, side, model)
 

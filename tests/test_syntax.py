@@ -15,8 +15,6 @@ from intlogic.syntax import (
     Integral,
     Not,
     QuantEq,
-    QuantExpr,
-    Quant,
     TruthConst,
     Variable,
     Vocabulary,
@@ -26,6 +24,7 @@ from intlogic.syntax import (
     infer_vocabulary,
     rename_symbols,
     substitute,
+    subformulas,
 )
 
 import gen
@@ -73,8 +72,8 @@ class TestFreeVars:
 
     def test_quant_eq_binds_each_side(self):
         qe = QuantEq(
-            QuantExpr(Quant.INTEGRAL, "x", Atom("R", (Variable("x"), Variable("y")))),
-            QuantExpr(Quant.FORALL, "y", Atom("P", (Variable("y"),))),
+            Integral("x", Atom("R", (Variable("x"), Variable("y")))),
+            Forall("y", Atom("P", (Variable("y"),))),
         )
         assert free_vars(qe) == {"y"}
 
@@ -91,6 +90,18 @@ class TestSubstitute:
         formula = Forall("y", Atom("R", (Variable("x"), Variable("y"))))
         with pytest.raises(errors.CaptureError):
             substitute(formula, "x", FuncApp("f", (Variable("y"),)))
+
+    def test_capture_in_quant_eq_side(self):
+        qe = QuantEq(Integral("x", P_x), Forall("y", Atom("R", (Variable("y"), Variable("z")))))
+        with pytest.raises(errors.CaptureError):
+            substitute(qe, "z", FuncApp("f", (Variable("y"),)))
+
+    def test_quant_eq_side_binding_the_variable_unchanged(self):
+        left = Integral("x", Atom("R", (Variable("x"), Variable("x"))))
+        right = Exists("y", Atom("R", (Variable("y"), Variable("x"))))
+        qe = QuantEq(left, right)
+        assert substitute(qe, "x", Constant("c")) == QuantEq(
+            left, Exists("y", Atom("R", (Variable("y"), Constant("c")))))
 
     def test_substituted_var_no_longer_free(self):
         rng = random.Random(7)
@@ -165,18 +176,26 @@ class TestWellFormedness:
 
     def test_nested_quant_eq_rejected(self):
         qe = QuantEq(
-            QuantExpr(Quant.INTEGRAL, "x", P_x),
-            QuantExpr(Quant.INTEGRAL, "x", P_x),
+            Integral("x", P_x),
+            Integral("x", P_x),
         )
         voc = Vocabulary(predicates=(("P", 1),))
         check_formula(qe, voc)  # fine at the top
         with pytest.raises(ValueError):
             check_formula(Not(qe), voc)
 
+    @pytest.mark.parametrize("left, right", [
+        (P_x, Integral("x", P_x)),
+        (Integral("x", P_x), Not(Integral("x", P_x))),
+    ])
+    def test_quant_eq_sides_must_be_quantifiers(self, left, right):
+        with pytest.raises(ValueError):
+            QuantEq(left, right)
+
     def test_quant_eq_needs_flag(self):
         qe = QuantEq(
-            QuantExpr(Quant.INTEGRAL, "x", P_x),
-            QuantExpr(Quant.INTEGRAL, "x", P_x),
+            Integral("x", P_x),
+            Integral("x", P_x),
         )
         with pytest.raises(errors.FlagMissing):
             check_formula(qe, Vocabulary(predicates=(("P", 1),), has_eq=False))
@@ -196,7 +215,19 @@ class TestInferVocabulary:
             infer_vocabulary(pair)
 
 
+def test_subformulas_of_quant_eq_yield_the_sides():
+    qe = QuantEq(Integral("x", P_x), Forall("y", P_c))
+    assert list(subformulas(qe)) == [qe, qe.left, P_x, qe.right, P_c]
+
+
 class TestRenameSymbols:
+    def test_renames_both_sides_of_quant_eq(self):
+        qe = QuantEq(Integral("x", P_x), Exists("y", Atom("R", (Variable("y"), Constant("c")))))
+        assert rename_symbols(qe, {"P": "P2", "R": "R2", "c": "c2"}) == QuantEq(
+            Integral("x", Atom("P2", (Variable("x"),))),
+            Exists("y", Atom("R2", (Variable("y"), Constant("c2")))),
+        )
+
     def test_renames_all_kinds(self):
         formula = Implies(P_c, Atom("Q", (FuncApp("f", (Constant("c"),)),)))
         renamed = rename_symbols(formula, {"P": "P2", "Q": "Q2", "f": "f2", "c": "c2"})

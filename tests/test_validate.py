@@ -64,6 +64,12 @@ class TestModelGeneration:
             assert sum(model.measure.values()) == 1
             assert "approx" in model.predicates
 
+    @pytest.mark.parametrize("kwargs", [dict(size=0), dict(measure_grid=(F(0),)), dict(measure_grid=())])
+    def test_bad_spec_rejected(self, kwargs):
+        # a measure grid without a positive value has no measure to renormalize to
+        with pytest.raises(errors.InvalidSpec):
+            ModelGenSpec(**kwargs)
+
     def test_universe_names(self):
         assert universe_names(3) == ("a", "b", "c")
         assert universe_names(27)[-1] == "e27"
@@ -146,7 +152,7 @@ class TestClosureProperties:
         assert report.checked == 20 * len(pool) * 4
 
     def test_programming_errors_are_not_outcomes(self, monkeypatch):
-        def broken(formula, model, constants_only=False):
+        def broken(formula, model):
             raise ZeroDivisionError
 
         monkeypatch.setattr("intlogic.validate.evaluate_closed", broken)
