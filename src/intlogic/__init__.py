@@ -6,7 +6,7 @@ proof scripts and abstract-logic closure properties.
 """
 
 from .errors import IntlogicError
-from .evaluate import Valuation, evaluate, evaluate_closed, value_matrix
+from .evaluate import Valuation, compile_formula, evaluate, evaluate_closed, value_matrix
 from .integrals import (
     check_family_closure,
     check_semantic_integral_laws,
@@ -84,6 +84,7 @@ from .syntax import (
     congruence_axioms,
     free_vars,
     infer_vocabulary,
+    mentions_eq,
     rename_symbols,
     substitute,
 )

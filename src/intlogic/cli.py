@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the requested property holds (or output was produced),
 1 when a property fails or a countermodel is found, 2 for usage and input
-errors.  Output is deterministic for fixed inputs and seed.
+errors, 3 for an internal error.  Output is deterministic for fixed inputs
+and seed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .satisfaction import (
     hsat_qeq,
     validate_approximation_system,
 )
-from .syntax import QuantEq, Vocabulary, congruence_axioms
+from .syntax import QuantEq, Vocabulary, congruence_axioms, infer_vocabulary, mentions_eq
 from .validate import (
     ModelGenSpec,
     check_abstract_logic_properties,
@@ -371,13 +372,11 @@ def _cmd_check_closure(args) -> int:
 def _cmd_gen_models(args) -> int:
     gen = _gen_spec(args)
     if args.pool is not None:
-        from .syntax import infer_vocabulary
-
         pool = [close_free_names(f) for f in files.load_pool(args.pool)]
-        voc = infer_vocabulary(pool)
+        voc, eq = infer_vocabulary(pool), mentions_eq(pool)
     else:
-        voc = Vocabulary(predicates=(("P", 1),))
-    for model in generate_models(gen, voc):
+        voc, eq = Vocabulary(predicates=(("P", 1),)), False
+    for model in generate_models(gen, voc, eq):
         print(json.dumps(model_to_json(model), sort_keys=True))
     return 0
 
@@ -425,6 +424,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a programming error: never exit 1, which claims "property fails"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

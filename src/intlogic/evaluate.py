@@ -3,20 +3,36 @@
 Connective clauses: negation 1-x, weak and/or min/max, strong and/or the
 Lukasiewicz t-norm/t-conorm, implication min(1, 1-x+y).  The universal and
 existential quantifiers take min/max over the universe, and the integral
-quantifier takes the expectation of the bound variable's value matrix.
+quantifier takes the expectation of the bound variable's values.
 Quantifier equality evaluates to a crisp 0 or 1 via the level-set condition
 in the satisfaction module.
+
+There is one evaluator, `compile_formula`.  It walks the formula once and
+turns every node into a closure `(view, env) -> int`:
+
+- `env` is a positional environment: the free names take the first slots,
+  and each binder the slot after those of the binders around it.
+- `view` is the model's integer view, built once per compiled formula and
+  model: one entry per table, constant, truth constant, scale and power the
+  closures read, at indices fixed when compiling.
+- A subformula whose `INT` nesting height is `e` has the value `n / S_e`,
+  with `S_e = D * M**e`.  `D` is the lcm of the denominators of the tables
+  the formula reads and of its truth constants, and `M` the lcm of the
+  measure's denominators.  The connectives are integer min, max and clamps
+  after aligning their operands by powers of `M`, and `INT` sums the body's
+  numerators times the integer weights `mu(m) * M`.
+
+A `Fraction` is made only for the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from math import lcm
+from typing import Callable, Mapping, Sequence
 
 from .errors import NotASentence, UnboundVariable, UnknownSymbol
-from .integrals import integral_expectation
 from .model import FuzzySubset, WeakProbModel
-from .rational import ONE, ZERO, implies, neg, strong_and, strong_or, weak_and, weak_or
 from .syntax import (
     And,
     Atom,
@@ -39,24 +55,272 @@ from .syntax import (
 
 Valuation = Mapping[str, str]
 
+#: A compiled formula bound to one model: elements for its free names -> value.
+Bound = Callable[[Sequence[str]], Fraction]
 
-def eval_term(term: Term, model: WeakProbModel, valuation: Valuation) -> str:
-    if isinstance(term, Variable):
-        try:
-            return valuation[term.name]
-        except KeyError:
-            raise UnboundVariable(term.name) from None
-    if isinstance(term, Constant):
-        try:
-            return model.constants[term.name]
-        except KeyError:
-            raise UnknownSymbol(term.name, message=f"constant {term.name!r} is not interpreted") from None
-    args = tuple(eval_term(a, model, valuation) for a in term.args)
-    try:
-        table = model.functions[term.func]
-    except KeyError:
-        raise UnknownSymbol(term.func, message=f"function {term.func!r} is not interpreted") from None
-    return table[args]
+
+class _Missing:
+    """The view entry of a table the model lacks: a lookup raises `UnknownSymbol`."""
+
+    __slots__ = ("kind", "name")
+
+    def __init__(self, kind: str, name: str):
+        self.kind, self.name = kind, name
+
+    def __getitem__(self, key):
+        raise UnknownSymbol(self.name, message=f"{self.kind} {self.name!r} is not interpreted")
+
+
+# Connectives on numerators over one S_e; `s` is the view index of S_e.  The
+# left operand is evaluated first, so errors surface in reading order.
+
+def _weak_and(left, right, s):
+    def run(view, env):
+        a = left(view, env)
+        b = right(view, env)
+        return a if a < b else b
+    return run
+
+
+def _weak_or(left, right, s):
+    def run(view, env):
+        a = left(view, env)
+        b = right(view, env)
+        return a if a > b else b
+    return run
+
+
+def _strong_and(left, right, s):
+    def run(view, env):
+        v = left(view, env) + right(view, env) - view[s]
+        return v if v > 0 else 0
+    return run
+
+
+def _strong_or(left, right, s):
+    def run(view, env):
+        v = left(view, env) + right(view, env)
+        top = view[s]
+        return v if v < top else top
+    return run
+
+
+def _implies(left, right, s):
+    def run(view, env):
+        d = left(view, env) - right(view, env)
+        return view[s] - d if d > 0 else view[s]
+    return run
+
+
+_CONNECTIVES = {
+    And: _weak_and,
+    Or: _weak_or,
+    StrongAnd: _strong_and,
+    StrongOr: _strong_or,
+    Implies: _implies,
+}
+
+
+def _over_universe(pick, body, slot, u):
+    """`ALL` (`pick` is `min`) or `EX` (`max`) of `body` with `slot` ranging over the universe."""
+    def run(view, env):
+        values = []
+        for m in view[u]:
+            env[slot] = m
+            values.append(body(view, env))
+        return pick(values)
+    return run
+
+
+def _integral(body, slot, w):
+    def run(view, env):
+        total = 0
+        for m, weight in view[w]:
+            env[slot] = m
+            total += weight * body(view, env)
+        return total
+    return run
+
+
+# The values of the view entries, each computed per model as
+# `build(key, model, den, m_den)`, where `den` is D and `m_den` is M.
+
+def _predicate(name, model, den, m_den):
+    table = model.predicates.get(name)
+    if table is None:
+        return _Missing("predicate", name)
+    return {key: v.numerator * (den // v.denominator) for key, v in table.items()}
+
+
+def _function(name, model, den, m_den):
+    table = model.functions.get(name)
+    return _Missing("function", name) if table is None else table
+
+
+def _constant(name, model, den, m_den):
+    return model.constants.get(name)
+
+
+def _truth(value, model, den, m_den):
+    return value.numerator * (den // value.denominator)
+
+
+def _scale(e, model, den, m_den):
+    return den * m_den ** e
+
+
+def _power(d, model, den, m_den):
+    return m_den ** d
+
+
+def _universe(_, model, den, m_den):
+    return model.universe
+
+
+def _weights(_, model, den, m_den):
+    measure = model.measure
+    return tuple((m, measure[m].numerator * (m_den // measure[m].denominator)) for m in model.universe)
+
+
+def _model(_, model, den, m_den):
+    return model
+
+
+class _Compiler:
+    """One walk over a formula: its closures, its slots and the entries of its view."""
+
+    def __init__(self, free_names: Sequence[str]):
+        self.depth = self.width = len(free_names)
+        self.entries: list[tuple[Callable, object]] = []
+        self.index: dict[tuple[Callable, object], int] = {}
+        self.predicates: list[str] = []
+        self.truth_den = 1
+
+    def entry(self, build: Callable, key=None) -> int:
+        """The view index of the per-model value `build(key, ...)`."""
+        if (build, key) not in self.index:
+            self.index[(build, key)] = len(self.entries)
+            self.entries.append((build, key))
+            if build is _predicate:
+                self.predicates.append(key)
+            elif build is _truth:
+                self.truth_den = lcm(self.truth_den, key.denominator)
+        return self.index[(build, key)]
+
+    def node(self, formula: Formula, scope: dict[str, int]):
+        """`(closure, e)`: the value of `formula` is `closure(view, env) / S_e`.
+
+        `scope` maps each variable in scope to its slot.  A binder takes slot
+        `self.depth`, the number of free names plus the binders around it.
+        """
+        if isinstance(formula, Atom):
+            return self.atom(formula, scope), 0
+        if isinstance(formula, TruthConst):
+            k = self.entry(_truth, formula.value)
+            return (lambda view, env: view[k]), 0
+        if isinstance(formula, Not):
+            body, e = self.node(formula.body, scope)
+            s = self.entry(_scale, e)
+            return (lambda view, env: view[s] - body(view, env)), e
+        if type(formula) in _CONNECTIVES:
+            left, e_left = self.node(formula.left, scope)
+            right, e_right = self.node(formula.right, scope)
+            e = max(e_left, e_right)
+            combine = _CONNECTIVES[type(formula)]
+            return combine(self.aligned(left, e - e_left), self.aligned(right, e - e_right),
+                           self.entry(_scale, e)), e
+        if isinstance(formula, (Forall, Exists, Integral)):
+            slot = self.depth
+            self.depth += 1
+            self.width = max(self.width, self.depth)
+            body, e = self.node(formula.body, {**scope, formula.var: slot})
+            self.depth -= 1
+            if isinstance(formula, Integral):
+                return _integral(body, slot, self.entry(_weights)), e + 1
+            pick = min if isinstance(formula, Forall) else max
+            return _over_universe(pick, body, slot, self.entry(_universe)), e
+        if isinstance(formula, QuantEq):
+            from .satisfaction import hsat_qeq  # deferred: satisfaction evaluates bodies through us
+
+            s, m = self.entry(_scale, 0), self.entry(_model)
+            left, right = formula.left, formula.right
+            return (lambda view, env: view[s] if hsat_qeq(left, right, view[m]) else 0), 0
+        raise TypeError(f"not a formula: {formula!r}")
+
+    def aligned(self, closure, d: int):
+        """`closure` moved from S_e to S_(e+d), by a factor M**d."""
+        if not d:
+            return closure
+        p = self.entry(_power, d)
+        return lambda view, env: closure(view, env) * view[p]
+
+    def atom(self, atom: Atom, scope: dict[str, int]):
+        k = self.entry(_predicate, atom.pred)
+        slots = [scope.get(t.name) if isinstance(t, Variable) else None for t in atom.args]
+        if len(slots) == 1 and slots[0] is not None:
+            s = slots[0]
+            return lambda view, env: view[k][(env[s],)]
+        if len(slots) == 2 and None not in slots:
+            s, t = slots
+            return lambda view, env: view[k][(env[s], env[t])]
+        args = [self.term(t, scope) for t in atom.args]
+        return lambda view, env: view[k][tuple([a(view, env) for a in args])]
+
+    def term(self, term: Term, scope: dict[str, int]):
+        """A closure `(view, env) -> element`."""
+        if isinstance(term, Variable):
+            if term.name not in scope:
+                name = term.name
+
+                def unbound(view, env):
+                    raise UnboundVariable(name)
+                return unbound
+            s = scope[term.name]
+            return lambda view, env: env[s]
+        if isinstance(term, Constant):
+            k, name = self.entry(_constant, term.name), term.name
+
+            def constant(view, env):
+                if view[k] is None:
+                    raise UnknownSymbol(name, message=f"constant {name!r} is not interpreted")
+                return view[k]
+            return constant
+        k = self.entry(_function, term.func)
+        args = [self.term(a, scope) for a in term.args]
+        return lambda view, env: view[k][tuple([a(view, env) for a in args])]
+
+    def view(self, model: WeakProbModel) -> list:
+        """The model's integer view: the value of every entry, in index order."""
+        tables = model.predicates
+        den = lcm(self.truth_den, *{v.denominator for name in self.predicates if name in tables
+                                    for v in tables[name].values()})
+        m_den = lcm(*[w.denominator for w in model.measure.values()])
+        return [build(key, model, den, m_den) for build, key in self.entries]
+
+
+def compile_formula(formula: Formula, free_names: Sequence[str] = ()) -> Callable[[WeakProbModel], Bound]:
+    """Compile `formula` once; `compile_formula(f, names)(model)(elements)` is its value.
+
+    `elements` gives, in order, the elements bound to `free_names`.  Binding
+    to a model builds its integer view once, so one bound formula serves
+    every valuation.  Errors surface when running, in the order the
+    recursive clauses meet them: a variable that neither `free_names` nor a
+    binder binds raises `UnboundVariable`, a symbol the model lacks
+    `UnknownSymbol`.
+    """
+    compiler = _Compiler(free_names)
+    root, e = compiler.node(formula, {name: slot for slot, name in enumerate(free_names)})
+    top = compiler.entry(_scale, e)
+    pad = [None] * (compiler.width - len(free_names))
+
+    def bind(model: WeakProbModel) -> Bound:
+        view = compiler.view(model)
+        den = view[top]
+
+        def value(elements: Sequence[str] = ()) -> Fraction:
+            return Fraction(root(view, [*elements, *pad]), den)
+        return value
+    return bind
 
 
 def value_matrix(
@@ -66,57 +330,16 @@ def value_matrix(
     valuation: Valuation | None = None,
 ) -> FuzzySubset:
     """The unary fuzzy subset m -> value of `body` with `var` bound to m."""
-    base = dict(valuation or {})
-    values = {}
-    for m in model.universe:
-        base[var] = m
-        values[(m,)] = evaluate(body, model, base)
-    return FuzzySubset(model.universe, values)
+    base = {name: m for name, m in (valuation or {}).items() if name != var}
+    value = compile_formula(body, (*base, var))(model)
+    fixed = tuple(base.values())
+    return FuzzySubset(model.universe, {(m,): value((*fixed, m)) for m in model.universe})
 
 
 def evaluate(formula: Formula, model: WeakProbModel, valuation: Valuation | None = None) -> Fraction:
     """Exact rational truth value of `formula` under `valuation`."""
     v = valuation or {}
-    if isinstance(formula, Atom):
-        args = tuple(eval_term(a, model, v) for a in formula.args)
-        try:
-            table = model.predicates[formula.pred]
-        except KeyError:
-            raise UnknownSymbol(
-                formula.pred, message=f"predicate {formula.pred!r} is not interpreted") from None
-        return table[args]
-    if isinstance(formula, TruthConst):
-        return formula.value
-    if isinstance(formula, Not):
-        return neg(evaluate(formula.body, model, v))
-    if isinstance(formula, And):
-        return weak_and(evaluate(formula.left, model, v), evaluate(formula.right, model, v))
-    if isinstance(formula, Or):
-        return weak_or(evaluate(formula.left, model, v), evaluate(formula.right, model, v))
-    if isinstance(formula, StrongAnd):
-        return strong_and(evaluate(formula.left, model, v), evaluate(formula.right, model, v))
-    if isinstance(formula, StrongOr):
-        return strong_or(evaluate(formula.left, model, v), evaluate(formula.right, model, v))
-    if isinstance(formula, Implies):
-        return implies(evaluate(formula.left, model, v), evaluate(formula.right, model, v))
-    if isinstance(formula, (Forall, Exists)):
-        scoped = dict(v)
-        values = []
-        for m in model.universe:
-            scoped[formula.var] = m
-            values.append(evaluate(formula.body, model, scoped))
-        if isinstance(formula, Forall):
-            return min(values, default=ONE)
-        return max(values, default=ZERO)
-    if isinstance(formula, Integral):
-        matrix = value_matrix(formula.body, formula.var, model, v)
-        return integral_expectation(matrix, model)
-    if isinstance(formula, QuantEq):
-        from . import satisfaction  # deferred: satisfaction evaluates bodies through us
-
-        holds = satisfaction.hsat_qeq(formula.left, formula.right, model)
-        return ONE if holds else ZERO
-    raise TypeError(f"not a formula: {formula!r}")
+    return compile_formula(formula, tuple(v))(model)(tuple(v.values()))
 
 
 def evaluate_closed(formula: Formula, model: WeakProbModel) -> Fraction:
@@ -124,4 +347,4 @@ def evaluate_closed(formula: Formula, model: WeakProbModel) -> Fraction:
     free = free_vars(formula)
     if free:
         raise NotASentence(free)
-    return evaluate(formula, model, {})
+    return compile_formula(formula)(model)()

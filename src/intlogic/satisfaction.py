@@ -169,7 +169,7 @@ class ApproximationSystem:
         for i, candidate in enumerate(self.sentences):
             if candidate == sentence:
                 return i
-        raise SentenceNotInSystem(f"sentence not in the pool: {sentence!r}")
+        raise SentenceNotInSystem(f"sentence not in the pool: {_name(sentence)}")
 
     def approximations_of(self, index: int) -> list[int]:
         return sorted(j for i, j in self.rel if i == index)

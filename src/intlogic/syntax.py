@@ -446,6 +446,14 @@ def infer_vocabulary(formulas: Formula | Iterable[Formula]) -> Vocabulary:
     )
 
 
+def mentions_eq(formulas: Formula | Iterable[Formula]) -> bool:
+    """True when an atom of the formulas uses the term-equality predicate `eq`."""
+    if not isinstance(formulas, (list, tuple, set, frozenset)):
+        formulas = [formulas]
+    return any(isinstance(sub, Atom) and sub.pred == EQ_PRED
+               for root in formulas for sub in subformulas(root))
+
+
 # ---------------------------------------------------------------------------
 # Symbol renaming (for the renaming closure property)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import ContainmentViolated, IntlogicError, InvalidSpec, NotASentence, SearchSpaceTooLarge
-from .evaluate import evaluate, evaluate_closed
+from .evaluate import compile_formula
 from .integrals import check_semantic_integral_laws
 from .model import FuzzySubset, WeakProbModel, model_to_json, reduct, relabel_universe, rename
 from .parser import print_formula
@@ -24,6 +24,7 @@ from .rational import DEFAULT_GRID, ONE, ZERO
 from .reporting import Report
 from .syntax import (
     APPROX_PRED,
+    EQ_PRED,
     And,
     Atom,
     Formula,
@@ -35,6 +36,7 @@ from .syntax import (
     free_vars,
     infer_vocabulary,
     is_well_formed,
+    mentions_eq,
     rename_symbols,
 )
 
@@ -108,12 +110,22 @@ def _random_measure(names, grid, rng) -> dict[str, Fraction]:
 
 
 def _pred_symbols(voc: Vocabulary) -> list[tuple[str, int]]:
-    """The predicate tables a generated model carries: the vocabulary's, then `approx`."""
+    """The predicate tables a generated model draws: the vocabulary's, then `approx`."""
     return list(voc.predicates) + ([(APPROX_PRED, 2)] if voc.has_approx else [])
 
 
-def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary) -> Iterator[WeakProbModel]:
-    """Every model over the grids, in a fixed deterministic order."""
+def _fixed_tables(names: tuple[str, ...], eq: bool) -> dict:
+    """The tables no draw sets: `eq` as the crisp identity when asked for."""
+    if not eq:
+        return {}
+    return {EQ_PRED: {(a, b): ONE if a == b else ZERO for a in names for b in names}}
+
+
+def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:
+    """Every model over the grids, in a fixed deterministic order.
+
+    With `eq`, every model also interprets `eq` as the crisp identity.
+    """
     names = universe_names(gen.size)
     measures = grid_measures(gen.size, gen.measure_grid)
     pred_symbols = _pred_symbols(voc)
@@ -130,6 +142,7 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary) -> Iterator[WeakProbMo
     pred_tables = [list(_all_tables(names, arity, sorted(gen.value_grid))) for _, arity in pred_symbols]
     func_tables = [list(_all_tables(names, arity, names)) for _, arity in voc.functions]
     const_choices = [names] * len(voc.constants)
+    fixed = _fixed_tables(names, eq)
 
     for measure in measures:
         for preds in itertools.product(*pred_tables):
@@ -138,32 +151,39 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary) -> Iterator[WeakProbMo
                     yield WeakProbModel(
                         names,
                         measure,
-                        {name: table for (name, _), table in zip(pred_symbols, preds)},
+                        {**{name: table for (name, _), table in zip(pred_symbols, preds)}, **fixed},
                         {name: table for (name, _), table in zip(voc.functions, funcs)},
                         dict(zip(voc.constants, consts)),
                     )
 
 
-def random_models(gen: ModelGenSpec, voc: Vocabulary) -> Iterator[WeakProbModel]:
-    """`gen.count` models drawn reproducibly from the seed."""
+def random_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:
+    """`gen.count` models drawn reproducibly from the seed; `eq` as in `exhaustive_models`."""
     names = universe_names(gen.size)
     rng = random.Random(gen.seed)
     grid = sorted(gen.value_grid)
     mgrid = sorted(gen.measure_grid)
     pred_symbols = _pred_symbols(voc)
+    fixed = _fixed_tables(names, eq)
     for _ in range(gen.count):
         measure = _random_measure(names, mgrid, rng)
         preds = {name: _random_table(names, arity, grid, rng) for name, arity in pred_symbols}
+        preds.update(fixed)
         funcs = {name: _random_table(names, arity, names, rng) for name, arity in voc.functions}
         consts = {name: rng.choice(names) for name in voc.constants}
         yield WeakProbModel(names, measure, preds, funcs, consts)
 
 
-def generate_models(gen: ModelGenSpec, voc: Vocabulary) -> Iterator[WeakProbModel]:
-    """The one place that chooses between exhaustive and seeded-random enumeration."""
+def generate_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:
+    """The one place that chooses between exhaustive and seeded-random enumeration.
+
+    Pass `eq=mentions_eq(formulas)`: term equality `eq` is then read as the
+    crisp identity, which no draw changes, and models for formulas without
+    `eq` carry no table for it.
+    """
     if gen.exhaustive:
-        return exhaustive_models(gen, voc)
-    return random_models(gen, voc)
+        return exhaustive_models(gen, voc, eq)
+    return random_models(gen, voc, eq)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +273,11 @@ def _axiom_checks(axiom: str, gen: ModelGenSpec, instances: int | None = None) -
         left, right = axiom_sides(axiom, **inst)
         voc = infer_vocabulary([left, right])
         names = sorted(free_vars(left) | free_vars(right))
+        left_in, right_in = compile_formula(left, names), compile_formula(right, names)
         for model in generate_models(gen, voc):
+            lhs, rhs = left_in(model), right_in(model)
             for combo in itertools.product(model.universe, repeat=len(names)):
-                valuation = dict(zip(names, combo))
-                yield (model, left, right, valuation,
-                       evaluate(left, model, valuation), evaluate(right, model, valuation))
+                yield model, left, right, dict(zip(names, combo)), lhs(combo), rhs(combo)
 
 
 def _check_record(axiom, model, left, right, valuation, lhs, rhs) -> dict:
@@ -314,9 +334,10 @@ def find_countermodel(formula: Formula, gen: ModelGenSpec) -> WeakProbModel | No
     if gen.exhaustive and (gen.size > 3 or len(gen.value_grid) > 5):
         raise SearchSpaceTooLarge(
             "exhaustive countermodel search is bounded by size <= 3 and grid <= 5")
-    for model in generate_models(gen, infer_vocabulary(formula)):
+    value_in = compile_formula(formula)
+    for model in generate_models(gen, infer_vocabulary(formula), eq=mentions_eq(formula)):
         try:
-            value = evaluate_closed(formula, model)
+            value = value_in(model)()
         except ContainmentViolated:
             continue
         if value < ONE:
@@ -335,6 +356,17 @@ def _outcome(thunk):
         return ("error", type(exc).__name__)
 
 
+def _closed_value(sentence: Formula):
+    """`model -> value` of a sentence compiled once; raises as `evaluate_closed` does."""
+    free = free_vars(sentence)
+    if free:
+        def not_a_sentence(model):
+            raise NotASentence(free)
+        return not_a_sentence
+    value_in = compile_formula(sentence)
+    return lambda model: value_in(model)()
+
+
 def check_abstract_logic_properties(gen: ModelGenSpec, pool: Sequence[Formula]) -> Report:
     """Evaluation invariance under renaming, reducts and universe relabeling.
 
@@ -343,41 +375,43 @@ def check_abstract_logic_properties(gen: ModelGenSpec, pool: Sequence[Formula]) 
     """
     report = Report()
     voc = infer_vocabulary(pool)
-    for m_index, model in enumerate(generate_models(gen, voc)):
+    symbol_map = {name: f"{name}_r" for name in sorted(voc.symbol_names())}
+    sentences = []
+    for sentence in pool:
+        sentence_voc = infer_vocabulary(sentence)
+        extended = sentence_voc.merged(Vocabulary(predicates=(("extra_wf_probe", 1),)))
+        monotone = is_well_formed(sentence, sentence_voc) and is_well_formed(sentence, extended)
+        sentences.append((sentence, _closed_value(sentence),
+                          _closed_value(rename_symbols(sentence, symbol_map)), sentence_voc, monotone))
+
+    for m_index, model in enumerate(generate_models(gen, voc, eq=mentions_eq(pool))):
         flipped = dict(zip(model.universe, reversed(model.universe)))
         relabeled = relabel_universe(model, flipped)
-
-        symbol_map = {name: f"{name}_r" for name in sorted(voc.symbol_names())}
         renamed_model = rename(model, symbol_map)
 
-        for sentence in pool:
-            base = _outcome(lambda: evaluate_closed(sentence, model))
+        for sentence, value_in, renamed_value_in, sentence_voc, monotone in sentences:
+            base = _outcome(lambda: value_in(model))
 
             report.tally()
-            iso = _outcome(lambda: evaluate_closed(sentence, relabeled))
+            iso = _outcome(lambda: value_in(relabeled))
             if iso != base:
                 report.add("isomorphism-variance", model=m_index,
                            sentence=print_formula(sentence), base=str(base), image=str(iso))
 
             report.tally()
-            renamed_sentence = rename_symbols(sentence, symbol_map)
-            ren = _outcome(lambda: evaluate_closed(renamed_sentence, renamed_model))
+            ren = _outcome(lambda: renamed_value_in(renamed_model))
             if ren != base:
                 report.add("renaming-variance", model=m_index,
                            sentence=print_formula(sentence), base=str(base), image=str(ren))
 
             report.tally()
-            sentence_voc = infer_vocabulary(sentence)
-            red = _outcome(lambda: evaluate_closed(sentence, reduct(model, sentence_voc)))
+            red = _outcome(lambda: value_in(reduct(model, sentence_voc)))
             if red != base:
                 report.add("reduct-variance", model=m_index,
                            sentence=print_formula(sentence), base=str(base), image=str(red))
 
             report.tally()
-            extended = sentence_voc.merged(
-                Vocabulary(predicates=(("extra_wf_probe", 1),)))
-            if not (is_well_formed(sentence, sentence_voc) and is_well_formed(sentence, extended)):
+            if not monotone:
                 report.add("sentence-monotonicity-failure", model=m_index,
                            sentence=print_formula(sentence))
     return report
-

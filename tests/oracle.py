@@ -1,0 +1,136 @@
+"""The recursive evaluator, kept as the test oracle for `intlogic.evaluate`.
+
+It follows the truth-value clauses node by node on `Fraction`s: a dict
+valuation copied per binder, and a `FuzzySubset` and `integral_expectation`
+for every `INT`.  Quantifier equality builds its matrices here too and
+applies the level-set condition through the satisfaction module's parts,
+so no value it returns comes from the compiled evaluator.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from intlogic.errors import ContainmentViolated, NotASentence, UnboundVariable, UnknownSymbol
+from intlogic.integrals import integral_expectation
+from intlogic.model import FuzzySubset, WeakProbModel, level_set, mu_set
+from intlogic.rational import ONE, ZERO, implies, neg, strong_and, strong_or, weak_and, weak_or
+from intlogic.satisfaction import default_level_config, hsat_qeq_dirac
+from intlogic.syntax import (
+    And,
+    Atom,
+    Constant,
+    Exists,
+    Forall,
+    Formula,
+    Implies,
+    Integral,
+    Not,
+    Or,
+    QuantEq,
+    StrongAnd,
+    StrongOr,
+    Term,
+    TruthConst,
+    Variable,
+    free_vars,
+)
+
+
+def eval_term(term: Term, model: WeakProbModel, valuation) -> str:
+    if isinstance(term, Variable):
+        try:
+            return valuation[term.name]
+        except KeyError:
+            raise UnboundVariable(term.name) from None
+    if isinstance(term, Constant):
+        try:
+            return model.constants[term.name]
+        except KeyError:
+            raise UnknownSymbol(term.name, message=f"constant {term.name!r} is not interpreted") from None
+    args = tuple(eval_term(a, model, valuation) for a in term.args)
+    try:
+        table = model.functions[term.func]
+    except KeyError:
+        raise UnknownSymbol(term.func, message=f"function {term.func!r} is not interpreted") from None
+    return table[args]
+
+
+def value_matrix(body: Formula, var: str, model: WeakProbModel, valuation=None) -> FuzzySubset:
+    base = dict(valuation or {})
+    values = {}
+    for m in model.universe:
+        base[var] = m
+        values[(m,)] = evaluate(body, model, base)
+    return FuzzySubset(model.universe, values)
+
+
+def _side_matrix(side: Formula, model: WeakProbModel) -> FuzzySubset:
+    if free_vars(side):
+        raise NotASentence(free_vars(side))
+    return value_matrix(side.body, side.var, model)
+
+
+def hsat_qeq(left: Formula, right: Formula, model: WeakProbModel) -> bool:
+    """`satisfaction.hsat_qeq` with the default levels, on matrices built here."""
+    f = _side_matrix(left, model)
+    g = _side_matrix(right, model)
+    if f.is_crisp() and g.is_crisp():
+        return hsat_qeq_dirac(f, g, model)
+    cfg = default_level_config(f, g)
+    total = ZERO
+    for i, j in cfg.pairs:
+        f_level = level_set(f, cfg.levels[i])
+        g_level = level_set(g, cfg.levels[j])
+        if not g_level <= f_level:
+            raise ContainmentViolated((i, j))
+        total += mu_set(model, f_level - g_level, 1)
+    return total == ZERO
+
+
+def evaluate(formula: Formula, model: WeakProbModel, valuation=None) -> Fraction:
+    v = valuation or {}
+    if isinstance(formula, Atom):
+        args = tuple(eval_term(a, model, v) for a in formula.args)
+        try:
+            table = model.predicates[formula.pred]
+        except KeyError:
+            raise UnknownSymbol(
+                formula.pred, message=f"predicate {formula.pred!r} is not interpreted") from None
+        return table[args]
+    if isinstance(formula, TruthConst):
+        return formula.value
+    if isinstance(formula, Not):
+        return neg(evaluate(formula.body, model, v))
+    if isinstance(formula, And):
+        return weak_and(evaluate(formula.left, model, v), evaluate(formula.right, model, v))
+    if isinstance(formula, Or):
+        return weak_or(evaluate(formula.left, model, v), evaluate(formula.right, model, v))
+    if isinstance(formula, StrongAnd):
+        return strong_and(evaluate(formula.left, model, v), evaluate(formula.right, model, v))
+    if isinstance(formula, StrongOr):
+        return strong_or(evaluate(formula.left, model, v), evaluate(formula.right, model, v))
+    if isinstance(formula, Implies):
+        return implies(evaluate(formula.left, model, v), evaluate(formula.right, model, v))
+    if isinstance(formula, (Forall, Exists)):
+        scoped = dict(v)
+        values = []
+        for m in model.universe:
+            scoped[formula.var] = m
+            values.append(evaluate(formula.body, model, scoped))
+        if isinstance(formula, Forall):
+            return min(values, default=ONE)
+        return max(values, default=ZERO)
+    if isinstance(formula, Integral):
+        matrix = value_matrix(formula.body, formula.var, model, v)
+        return integral_expectation(matrix, model)
+    if isinstance(formula, QuantEq):
+        return ONE if hsat_qeq(formula.left, formula.right, model) else ZERO
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def evaluate_closed(formula: Formula, model: WeakProbModel) -> Fraction:
+    free = free_vars(formula)
+    if free:
+        raise NotASentence(free)
+    return evaluate(formula, model, {})

@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intlogic import cli
 from intlogic.cli import main
+from intlogic.evaluate import evaluate_closed
+from intlogic.model import model_from_json
 from intlogic.parser import MAX_NESTING, parse_formula, print_formula
 
 F = Fraction
@@ -190,6 +193,26 @@ class TestCountermodel:
         assert code == 0
         assert "no countermodel" in capsys.readouterr().out
 
+    def test_term_equality_is_identity(self, capsys):
+        code = main(["find-countermodel", "--size", "2", "--formula", "ALL x. eq(x,x)"])
+        assert code == 0
+        assert capsys.readouterr().out == "no countermodel found\n"
+
+    def test_term_equality_countermodel(self, capsys):
+        code = main(["find-countermodel", "--size", "2", "--formula", "ALL x. ALL y. eq(x,y)"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["value"] == "0"
+        assert record["model"]["predicates"]["eq"]["table"] == {"a,a": "1", "a,b": "0", "b,a": "0", "b,b": "1"}
+
+    def test_replays_to_its_value(self, capsys):
+        formula = "INT P(x) dx -> INT Q(x) dx"
+        assert main(["find-countermodel", "--size", "2", "--formula", formula]) == 1
+        record = json.loads(capsys.readouterr().out)
+        model = model_from_json(record["model"])
+        value = evaluate_closed(parse_formula(formula, model.vocabulary()), model)
+        assert value == Fraction(record["value"]) < 1
+
 
 class TestOtherCommands:
     def test_validate_integral_laws_on_model(self, model_path, capsys):
@@ -208,6 +231,14 @@ class TestOtherCommands:
         code = main(["check-closure", "--pool", str(pool_path), "--size", "2",
                      "--seed", "3", "--count", "10"])
         assert code == 0
+
+    def test_gen_models_identity_only_with_eq(self, tmp_path, capsys):
+        pool_path = tmp_path / "pool.json"
+        for pool, has_eq in ((["P(k)"], False), (["eq(k,k) -> P(k)"], True)):
+            pool_path.write_text(json.dumps(pool))
+            assert main(["gen-models", "--pool", str(pool_path), "--size", "2", "--count", "2"]) == 0
+            for line in capsys.readouterr().out.splitlines():
+                assert ("eq" in json.loads(line)["predicates"]) == has_eq
 
     def test_gen_models_deterministic(self, capsys):
         argv = ["gen-models", "--size", "2", "--seed", "9", "--count", "3"]
@@ -250,6 +281,14 @@ class TestOtherCommands:
         code = main(["check-substructure", "--model", str(small_path), "--model", str(large_path),
                      "--pool", str(pool_path)])
         assert code == 1
+
+        capsys.readouterr()
+        sys_path = tmp_path / "sys.json"
+        sys_path.write_text(json.dumps({"sentences": ["P(a)"], "rel": [[0, 0]]}))
+        code = main(["check-substructure", "--model", str(small_path), "--model", str(large_path),
+                     "--pool", str(pool_path), "--approx-system", str(sys_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: sentence not in the pool: ALL x. P(x)\n"
 
     def test_check_weak_negation(self, model_path, tmp_path, capsys):
         sys_doc = {"sentences": ["P(c)", "~P(c)", "~~P(c)"], "rel": [[0, 0], [1, 1], [2, 2]]}
@@ -317,6 +356,17 @@ def test_byte_identical_reruns(ex2_path, capsys):
     first = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_internal_error_exits_3_with_one_line(model_path, monkeypatch, capsys):
+    def broken(args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setitem(cli._HANDLERS, "eval", broken)
+    assert main(["eval", "--model", model_path, "--formula", "P(c)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ZeroDivisionError: division by zero\n"
 
 
 def exits_2_with_one_line(argv, capsys):

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import intlogic as il
 from intlogic import errors
 from intlogic.evaluate import evaluate, evaluate_closed, value_matrix
 from intlogic.model import WeakProbModel, reduct, relabel_universe, rename
@@ -25,6 +27,7 @@ from intlogic.syntax import (
 )
 
 import gen
+import oracle
 
 F = Fraction
 HALF = F(1, 2)
@@ -195,3 +198,111 @@ def test_value_matrix_shape():
     model = two_element_model(F(3, 4), F(1, 4))
     matrix = value_matrix(Atom("P", (Variable("x"),)), "x", model)
     assert matrix.values == {("a",): F(3, 4), ("b",): F(1, 4)}
+
+
+# ---------------------------------------------------------------------------
+# Differential: the compiled evaluator against the recursive oracle
+
+DIFF = settings(max_examples=150, deadline=None)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+sizes = st.integers(min_value=1, max_value=3)
+
+#: Values and weights with denominators 1, 2, 3 and 6: D and M are then lcms
+#: of several denominators, and every INT level rescales by M.
+MIXED_GRID = (F(0), F(1, 3), F(1, 2), F(5, 6), F(1))
+
+
+def outcome(thunk):
+    try:
+        return ("value", thunk())
+    except Exception as exc:  # the error class is the datum compared
+        return ("error", type(exc).__name__)
+
+
+def mixed_model(rng, size):
+    spec = il.ModelGenSpec(size=size, value_grid=MIXED_GRID, measure_grid=MIXED_GRID,
+                           seed=rng.randrange(2**32), count=1)
+    return next(il.generate_models(spec, gen.VOC))
+
+
+def assert_agree(formula, model, valuation=None):
+    if valuation is None:
+        new = outcome(lambda: evaluate_closed(formula, model))
+        old = outcome(lambda: oracle.evaluate_closed(formula, model))
+    else:
+        new = outcome(lambda: evaluate(formula, model, valuation))
+        old = outcome(lambda: oracle.evaluate(formula, model, valuation))
+    assert new == old, f"{il.print_formula(formula)} on {il.model_to_json(model)}"
+
+
+class TestDifferential:
+    @DIFF
+    @given(seed=seeds, size=sizes, depth=st.integers(min_value=1, max_value=4))
+    def test_toplevel_formulas(self, seed, size, depth):
+        rng = random.Random(seed)
+        model = gen.random_model(rng, size=size)
+        assert_agree(gen.random_toplevel(rng, depth), model, {})
+        assert_agree(gen.random_sentence(rng, depth), model)
+
+    @DIFF
+    @given(seed=seeds, size=sizes, depth=st.integers(min_value=1, max_value=4))
+    def test_quantifier_equalities(self, seed, size, depth):
+        rng = random.Random(seed)
+        model = gen.random_model(rng, size=size)
+        sentence = gen.random_toplevel(rng, depth)
+        while not isinstance(sentence, il.QuantEq):
+            sentence = gen.random_toplevel(rng, depth)
+        assert_agree(sentence, model)
+
+    @DIFF
+    @given(seed=seeds, size=sizes, depth=st.integers(min_value=0, max_value=3))
+    def test_mixed_denominators_and_nested_integrals(self, seed, size, depth):
+        rng = random.Random(seed)
+        model = mixed_model(rng, size)
+        inner = gen.random_formula(rng, depth, ("x", "y"))
+        other = gen.random_formula(rng, depth, ("x",))
+        connective = rng.choice((il.And, il.Or, il.StrongAnd, il.StrongOr, il.Implies))
+        nested = il.Integral("x", connective(il.Integral("y", inner), other))
+        assert_agree(nested, model, {})
+        assert_agree(il.Not(connective(nested, gen.random_sentence(rng, depth + 1))), model, {})
+        assert_agree(gen.random_sentence(rng, depth + 1), model)
+
+    @DIFF
+    @given(seed=seeds, size=sizes, depth=st.integers(min_value=0, max_value=4))
+    def test_open_formulas(self, seed, size, depth):
+        rng = random.Random(seed)
+        model = rng.choice((gen.random_model, mixed_model))(rng, size)
+        formula = gen.random_formula(rng, depth, ("x", "y"))
+        full = {name: rng.choice(model.universe) for name in gen.VAR_POOL}
+        assert_agree(formula, model, full)
+        missing = dict(full)
+        del missing[rng.choice(gen.VAR_POOL)]
+        assert_agree(formula, model, missing)
+        var = rng.choice(gen.VAR_POOL)
+        assert outcome(lambda: value_matrix(formula, var, model, missing)) == \
+            outcome(lambda: oracle.value_matrix(formula, var, model, missing))
+
+    @DIFF
+    @given(seed=seeds, size=sizes, depth=st.integers(min_value=1, max_value=4))
+    def test_reduct_lacking_a_symbol(self, seed, size, depth):
+        rng = random.Random(seed)
+        model = gen.random_model(rng, size=size)
+        voc = gen.VOC
+        dropped = rng.choice([("predicates", p) for p in voc.predicates]
+                             + [("functions", f) for f in voc.functions]
+                             + [("constants", c) for c in voc.constants])
+        kept = {key: tuple(s for s in getattr(voc, key) if (key, s) != dropped)
+                for key in ("predicates", "functions", "constants")}
+        small = reduct(model, il.Vocabulary(**kept, has_approx=rng.random() < 0.5))
+        assert_agree(gen.random_toplevel(rng, depth), small, {})
+        assert_agree(gen.random_sentence(rng, depth), small)
+
+
+def test_each_missing_symbol_kind_raises_unknown_symbol():
+    model = reduct(gen.random_model(random.Random(3)),
+                   il.Vocabulary(predicates=(("P", 1),), constants=("c",)))
+    for text in ("Q(c)", "P(f(c))", "P(d)", "ALL x. approx(x, x)", "INT P(x) & R(x, x) dx"):
+        formula = il.parse_formula(text, gen.VOC)
+        with pytest.raises(errors.UnknownSymbol):
+            evaluate_closed(formula, model)
+        assert_agree(formula, model)

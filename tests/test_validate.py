@@ -5,7 +5,9 @@ import pytest
 
 import intlogic as il
 from intlogic import errors
-from intlogic.model import model_from_json, model_to_json
+from intlogic.integrals import check_semantic_integral_laws, pointwise, slice_first, slice_second
+from intlogic.model import FuzzySubset, model_from_json, model_to_json
+from intlogic.rational import DEFAULT_GRID, implies, neg, strong_and, strong_or
 from intlogic.syntax import Atom, Constant, Implies, Integral, Not, Or, Variable, Vocabulary
 from intlogic.validate import (
     ModelGenSpec,
@@ -16,6 +18,7 @@ from intlogic.validate import (
     grid_measures,
     integral_law_suite,
     mu3_equality_gap,
+    random_fuzzy_subset,
     random_models,
     universe_names,
     validate_axiom,
@@ -152,10 +155,12 @@ class TestClosureProperties:
         assert report.checked == 20 * len(pool) * 4
 
     def test_programming_errors_are_not_outcomes(self, monkeypatch):
-        def broken(formula, model):
-            raise ZeroDivisionError
+        def broken(formula, free_names=()):
+            def value(elements=()):
+                raise ZeroDivisionError
+            return lambda model: value
 
-        monkeypatch.setattr("intlogic.validate.evaluate_closed", broken)
+        monkeypatch.setattr("intlogic.validate.compile_formula", broken)
         with pytest.raises(ZeroDivisionError):
             check_abstract_logic_properties(ModelGenSpec(size=2, seed=8, count=2), [P_c])
 
@@ -245,3 +250,58 @@ class TestGolden:
             }
             for mu_a, mu_b, p, approx, f_b, c in expected
         ]
+
+
+class TestReplay:
+    """Every record replays: its model reloads from JSON and re-evaluates to the recorded values."""
+
+    def test_mu3_equality_gap_witness(self):
+        witness = mu3_equality_gap(ModelGenSpec(size=2, exhaustive=True))
+        model = model_from_json(witness["model"])
+        sides = [il.parse_formula(text, model.vocabulary())
+                 for text in witness["instantiation"].split("  vs  ")]
+        replayed = [str(il.evaluate(side, model, witness["valuation"])) for side in sides]
+        assert replayed == [witness["lhs"], witness["rhs"]]
+
+    def test_countermodel(self):
+        formula = il.parse_formula("INT P(x) dx -> EX x. P(x) & Q(x)")
+        model = find_countermodel(formula, ModelGenSpec(size=2, exhaustive=True))
+        reloaded = model_from_json(model_to_json(model))
+        assert il.evaluate_closed(formula, reloaded) == il.evaluate_closed(formula, model) < 1
+
+    def test_integral_law_violations(self):
+        def squared_sup(f, model):  # deliberately not an integral
+            return max(f.values.values()) ** 2
+
+        model = next(il.generate_models(ModelGenSpec(size=2, seed=5, count=1), Vocabulary()))
+        rng = random.Random(5)
+        universe = model.universe
+        pairs = [(random_fuzzy_subset(universe, DEFAULT_GRID, rng),
+                  random_fuzzy_subset(universe, DEFAULT_GRID, rng)) for _ in range(20)]
+        bivariate = [random_fuzzy_subset(universe, DEFAULT_GRID, rng, arity=2) for _ in range(20)]
+        report = check_semantic_integral_laws(model, pairs, bivariate, integral=squared_sup)
+        assert {v["law"] for v in report.violations} == {
+            "constant", "complement", "implication", "additivity", "iteration"}
+
+        reloaded = model_from_json(model_to_json(model))
+        for record in report.violations:
+            lhs, rhs = _replay_law(record["law"], record["sample"], reloaded, squared_sup)
+            assert (str(lhs), str(rhs)) == (record["lhs"], record["rhs"])
+
+
+def _replay_law(law, sample, model, integral):
+    """Both sides of one law, recomputed from a violation record's sample."""
+    if law == "constant":
+        r = Fraction(sample["r"])
+        return integral(FuzzySubset.constant(model.universe, r), model), r
+    f, g, h = (FuzzySubset(model.universe, {tuple(k.split(",")): Fraction(v)
+                                            for k, v in sample[name].items()})
+               if name in sample else None for name in ("f", "g", "h"))
+    if law == "complement":
+        return integral(pointwise(neg, f), model), 1 - integral(f, model)
+    if law == "implication":
+        return integral(pointwise(implies, f, g), model), implies(integral(f, model), integral(g, model))
+    if law == "additivity":
+        return (integral(pointwise(strong_or, f, g), model),
+                integral(f, model) + integral(g, model) - integral(pointwise(strong_and, f, g), model))
+    return integral(slice_first(h, model), model), integral(slice_second(h, model), model)
