@@ -13,11 +13,13 @@ turns every node into a closure `(view, env) -> int`:
 - `env` is a positional environment: the free names take the first slots,
   and each binder the slot after those of the binders around it.
 - `view` is the model's integer view, built once per compiled formula and
-  model: one entry per table, constant, truth constant, scale and power the
-  closures read, at indices fixed when compiling.
+  model from the model's integer form (`model.integer_form`): one entry per
+  table, constant, truth constant, scale and power the closures read, at
+  indices fixed when compiling.
 - A subformula whose `INT` nesting height is `e` has the value `n / S_e`,
-  with `S_e = D * M**e`.  `D` is the lcm of the denominators of the tables
-  the formula reads and of its truth constants, and `M` the lcm of the
+  with `S_e = D * M**e`.  `D` is the form's common denominator of the
+  model's tables, raised to the lcm with the formula's truth-constant
+  denominators when those do not divide it, and `M` the lcm of the
   measure's denominators.  The connectives are integer min, max and clamps
   after aligning their operands by powers of `M`, and `INT` sums the body's
   numerators times the integer weights `mu(m) * M`.
@@ -32,7 +34,7 @@ from math import lcm
 from typing import Callable, Mapping, Sequence
 
 from .errors import NotASentence, UnboundVariable, UnknownSymbol
-from .model import FuzzySubset, WeakProbModel
+from .model import FuzzySubset, WeakProbModel, integer_form
 from .syntax import (
     And,
     Atom,
@@ -143,46 +145,44 @@ def _integral(body, slot, w):
 
 
 # The values of the view entries, each computed per model as
-# `build(key, model, den, m_den)`, where `den` is D and `m_den` is M.
+# `build(key, model, den, tables, form)`: `den` is D, `tables` the predicate
+# tables as integers over D, and `form` the model's integer form.
 
-def _predicate(name, model, den, m_den):
-    table = model.predicates.get(name)
-    if table is None:
-        return _Missing("predicate", name)
-    return {key: v.numerator * (den // v.denominator) for key, v in table.items()}
+def _predicate(name, model, den, tables, form):
+    table = tables.get(name)
+    return _Missing("predicate", name) if table is None else table
 
 
-def _function(name, model, den, m_den):
+def _function(name, model, den, tables, form):
     table = model.functions.get(name)
     return _Missing("function", name) if table is None else table
 
 
-def _constant(name, model, den, m_den):
+def _constant(name, model, den, tables, form):
     return model.constants.get(name)
 
 
-def _truth(value, model, den, m_den):
+def _truth(value, model, den, tables, form):
     return value.numerator * (den // value.denominator)
 
 
-def _scale(e, model, den, m_den):
-    return den * m_den ** e
+def _scale(e, model, den, tables, form):
+    return den * form.m_den ** e
 
 
-def _power(d, model, den, m_den):
-    return m_den ** d
+def _power(d, model, den, tables, form):
+    return form.m_den ** d
 
 
-def _universe(_, model, den, m_den):
+def _universe(_, model, den, tables, form):
     return model.universe
 
 
-def _weights(_, model, den, m_den):
-    measure = model.measure
-    return tuple((m, measure[m].numerator * (m_den // measure[m].denominator)) for m in model.universe)
+def _weights(_, model, den, tables, form):
+    return form.weights
 
 
-def _model(_, model, den, m_den):
+def _model(_, model, den, tables, form):
     return model
 
 
@@ -290,12 +290,21 @@ class _Compiler:
         return lambda view, env: view[k][tuple([a(view, env) for a in args])]
 
     def view(self, model: WeakProbModel) -> list:
-        """The model's integer view: the value of every entry, in index order."""
-        tables = model.predicates
-        den = lcm(self.truth_den, *{v.denominator for name in self.predicates if name in tables
-                                    for v in tables[name].values()})
-        m_den = lcm(*[w.denominator for w in model.measure.values()])
-        return [build(key, model, den, m_den) for build, key in self.entries]
+        """The model's integer view: the value of every entry, in index order.
+
+        It reads the model's integer form.  Only when a truth constant's
+        denominator does not divide the form's `D` are the tables the
+        formula reads rescaled, to the lcm of the two.
+        """
+        form = integer_form(model)
+        den, tables = form.den, form.tables
+        if den % self.truth_den:
+            scaled = lcm(den, self.truth_den)
+            factor = scaled // den
+            tables = {name: {key: v * factor for key, v in tables[name].items()}
+                      for name in self.predicates if name in tables}
+            den = scaled
+        return [build(key, model, den, tables, form) for build, key in self.entries]
 
 
 def compile_formula(formula: Formula, free_names: Sequence[str] = ()) -> Callable[[WeakProbModel], Bound]:

@@ -53,51 +53,64 @@ def set_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _partition_masks(n: int) -> tuple[tuple[int, ...], ...]:
+    """`set_partitions(n)` with each block as a bitmask over range(n)."""
+    return tuple(tuple(sum(1 << i for i in block) for block in partition) for partition in set_partitions(n))
+
+
+def _scaled(subset: FuzzySubset, model: WeakProbModel) -> tuple[list[int], list[int], int]:
+    """The values and weights in universe order as integers, and their common scale.
+
+    Value i is `values[i] / value_den` and weight i is `weights[i] /
+    weight_den`, so a sum of value-weight products is exact over
+    `value_den * weight_den`, the scale returned.
+    """
+    values = [subset.values[(m,)] for m in model.universe]
+    weights = [model.measure[m] for m in model.universe]
+    value_den = lcm(*[v.denominator for v in values])
+    weight_den = lcm(*[w.denominator for w in weights])
+    return ([v.numerator * (value_den // v.denominator) for v in values],
+            [w.numerator * (weight_den // w.denominator) for w in weights],
+            value_den * weight_den)
+
+
 def integral_dissection(subset: FuzzySubset, model: WeakProbModel,
                         max_size: int = DISSECTION_MAX_UNIVERSE) -> Fraction:
     """Supremum over all measurable dissections of sum(inf f on block * mu(block)).
 
     Enumerates every set partition of the universe (Bell-number many), so it
     is capped at small universes; it serves as the independent oracle for the
-    expectation form.  Values and weights are rescaled to shared integer
-    denominators so the partition loop runs on plain integers, exactly.
+    expectation form.  Each of the 2^n - 1 blocks is scored once, on values
+    and weights rescaled to shared integer denominators, so a partition's
+    total is a sum of its blocks' scores, exactly.
     """
     _require_unary(subset, model)
     n = len(model.universe)
     if n > max_size:
         raise UniverseTooLarge(f"dissection enumeration capped at |M| <= {max_size}")
-    values = [subset.values[(m,)] for m in model.universe]
-    weights = [model.measure[m] for m in model.universe]
-    value_den = lcm(*(v.denominator for v in values))
-    weight_den = lcm(*(w.denominator for w in weights))
-    scaled_values = [int(v * value_den) for v in values]
-    scaled_weights = [int(w * weight_den) for w in weights]
-    best = 0
-    for partition in set_partitions(n):
-        total = 0
-        for block in partition:
-            inf_value = min(scaled_values[i] for i in block)
-            if inf_value:
-                total += inf_value * sum(scaled_weights[i] for i in block)
-        if total > best:
-            best = total
-    return Fraction(best, value_den * weight_den)
+    values, weights, scale = _scaled(subset, model)
+    # a block is its lowest element i plus the smaller block `rest`
+    low, mass, score = [0] * (1 << n), [0] * (1 << n), [0] * (1 << n)
+    for block in range(1, 1 << n):
+        rest = block & (block - 1)
+        i = (block ^ rest).bit_length() - 1
+        low[block] = min(low[rest], values[i]) if rest else values[i]
+        mass[block] = mass[rest] + weights[i]
+        score[block] = low[block] * mass[block]
+    best = max(sum([score[block] for block in partition]) for partition in _partition_masks(n))
+    return Fraction(best, scale)
 
 
 def integral_layercake(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     """Sum over the distinct values 0 = v0 < v1 < ... of (vi - vi-1) * mu{f >= vi}."""
     _require_unary(subset, model)
-    levels = sorted(set(subset.values.values()) | {ZERO})
-    total = ZERO
-    previous = ZERO
-    for value in levels[1:]:
-        mass = ZERO
-        for m in model.universe:
-            if subset.values[(m,)] >= value:
-                mass += model.measure[m]
-        total += (value - previous) * mass
-        previous = value
-    return total
+    values, weights, scale = _scaled(subset, model)
+    total = previous = 0
+    for level in sorted(set(values) - {0}):
+        total += (level - previous) * sum([w for v, w in zip(values, weights) if v >= level])
+        previous = level
+    return Fraction(total, scale)
 
 
 def integral_dirac(subset: FuzzySubset, model: WeakProbModel) -> Fraction:

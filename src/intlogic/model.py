@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import lcm
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     FormatError,
@@ -32,6 +33,18 @@ def _element(value) -> str:
     if not isinstance(value, str):
         raise FormatError(f"{value!r} is not an element name")
     return value
+
+
+def _check_universe(universe: tuple[str, ...]) -> None:
+    if not universe:
+        raise FormatError("universe must be non-empty")
+    if len(set(universe)) != len(universe):
+        raise FormatError("universe elements must be distinct")
+    for element in universe:
+        # table keys join element names with ',' and strip around them
+        if not isinstance(element, str) or "," in element or element != element.strip():
+            raise FormatError(f"element name {element!r} must be a string without ','"
+                              " and without leading or trailing whitespace")
 
 
 def _checked_table(what: str, table: Mapping, universe: tuple[str, ...], convert) -> tuple[dict, int]:
@@ -68,15 +81,7 @@ class WeakProbModel:
 
     def __post_init__(self):
         object.__setattr__(self, "universe", tuple(self.universe))
-        if not self.universe:
-            raise FormatError("universe must be non-empty")
-        if len(set(self.universe)) != len(self.universe):
-            raise FormatError("universe elements must be distinct")
-        for element in self.universe:
-            # table keys join element names with ',' and strip around them
-            if not isinstance(element, str) or "," in element or element != element.strip():
-                raise FormatError(f"element name {element!r} must be a string without ','"
-                                  " and without leading or trailing whitespace")
+        _check_universe(self.universe)
         elements = set(self.universe)
 
         measure = {m: unit(w) for m, w in self.measure.items()}
@@ -109,6 +114,23 @@ class WeakProbModel:
                 raise FormatError(f"constant {cname!r} points at unknown element {target!r}")
         object.__setattr__(self, "constants", constants)
 
+    @classmethod
+    def _trusted(cls, universe: tuple[str, ...], measure: dict, predicates: dict, functions: dict,
+                 constants: dict, form: "IntegerForm | None" = None) -> "WeakProbModel":
+        """A model from parts that are valid by construction: no checks and no copies.
+
+        Only for callers that built every part themselves, over a checked
+        grid or from a model that is already valid.  The model shares the
+        dicts it is given, so they must not change afterwards.  `form`, when
+        given, is the model's integer form.
+        """
+        model = object.__new__(cls)
+        vars(model).update(universe=universe, measure=measure, predicates=predicates,
+                           functions=functions, constants=constants)
+        if form is not None:
+            vars(model)["_integer_form"] = form
+        return model
+
     # -- signature ---------------------------------------------------------
 
     def pred_arity(self, name: str) -> int:
@@ -128,6 +150,46 @@ class WeakProbModel:
             has_eq=True,
             has_approx=APPROX_PRED in self.predicates,
         )
+
+
+# ---------------------------------------------------------------------------
+# The integer form the evaluator computes on
+
+
+class IntegerForm(NamedTuple):
+    """A model's predicate tables and measure as integers over shared denominators."""
+
+    den: int  #: D, a common denominator of every predicate table value
+    tables: Mapping[str, Mapping[tuple[str, ...], int]]  #: predicate values times D
+    m_den: int  #: M, the lcm of the measure's denominators
+    weights: tuple[tuple[str, int], ...]  #: (m, mu(m) times M), in universe order
+
+
+def integer_table(table: PredTable, den: int) -> dict[tuple[str, ...], int]:
+    """`table`'s values times `den`, which every value's denominator must divide."""
+    return {key: v.numerator * (den // v.denominator) for key, v in table.items()}
+
+
+def integer_weights(universe: tuple[str, ...], measure: Mapping[str, Fraction]) -> tuple[int, tuple]:
+    """`(M, weights)` of an `IntegerForm` for this measure."""
+    m_den = lcm(*[w.denominator for w in measure.values()])
+    return m_den, tuple((m, measure[m].numerator * (m_den // measure[m].denominator)) for m in universe)
+
+
+def integer_form(model: WeakProbModel) -> IntegerForm:
+    """The model's integer form, with `D` the lcm of its table denominators.
+
+    It is computed at most once per model and kept on the model object;
+    model generators may hand in a form whose `D` is their value grid's lcm.
+    """
+    form = vars(model).get("_integer_form")
+    if form is None:
+        tables = model.predicates
+        den = lcm(*{v.denominator for table in tables.values() for v in table.values()})
+        form = IntegerForm(den, {name: integer_table(table, den) for name, table in tables.items()},
+                           *integer_weights(model.universe, model.measure))
+        vars(model)["_integer_form"] = form
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +287,7 @@ def reduct(model: WeakProbModel, voc: Vocabulary) -> WeakProbModel:
         if name not in model.constants:
             raise NotSubvocabulary(f"model does not interpret constant {name!r}")
         consts[name] = model.constants[name]
-    return WeakProbModel(model.universe, model.measure, preds, funcs, consts)
+    return WeakProbModel._trusted(model.universe, model.measure, preds, funcs, consts)
 
 
 def rename(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakProbModel:
@@ -247,6 +309,7 @@ def relabel_universe(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakPr
     if sorted(mapping) != sorted(model.universe) or len(set(mapping.values())) != len(model.universe):
         raise FormatError("relabeling must be a bijection on the universe")
     universe = tuple(mapping[m] for m in model.universe)
+    _check_universe(universe)
     measure = {mapping[m]: w for m, w in model.measure.items()}
     preds = {
         name: {tuple(mapping[e] for e in key): v for key, v in table.items()}
@@ -257,7 +320,7 @@ def relabel_universe(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakPr
         for name, table in model.functions.items()
     }
     consts = {name: mapping[e] for name, e in model.constants.items()}
-    return WeakProbModel(universe, measure, preds, funcs, consts)
+    return WeakProbModel._trusted(universe, measure, preds, funcs, consts)
 
 
 def isomorphic(left: WeakProbModel, right: WeakProbModel, max_size: int = 8) -> bool:

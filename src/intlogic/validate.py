@@ -12,12 +12,23 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
 from .errors import ContainmentViolated, IntlogicError, InvalidSpec, NotASentence, SearchSpaceTooLarge
 from .evaluate import compile_formula
 from .integrals import check_semantic_integral_laws
-from .model import FuzzySubset, WeakProbModel, model_to_json, reduct, relabel_universe, rename
+from .model import (
+    FuzzySubset,
+    IntegerForm,
+    WeakProbModel,
+    integer_table,
+    integer_weights,
+    model_to_json,
+    reduct,
+    relabel_universe,
+    rename,
+)
 from .parser import print_formula
 from .proofs import axiom_sides
 from .rational import DEFAULT_GRID, ONE, ZERO
@@ -63,6 +74,13 @@ class ModelGenSpec:
             raise InvalidSpec("grids must be non-empty")
         object.__setattr__(self, "value_grid", tuple(Fraction(v) for v in self.value_grid))
         object.__setattr__(self, "measure_grid", tuple(Fraction(v) for v in self.measure_grid))
+        # generated models skip the model checks, so the grids must make them valid
+        for v in self.value_grid:
+            if not ZERO <= v <= ONE:
+                raise InvalidSpec(f"value {v} is outside [0, 1]")
+        for v in self.measure_grid:
+            if v < ZERO:
+                raise InvalidSpec(f"measure grid value {v} is negative")
         if max(self.measure_grid) <= ZERO:
             # every measure draw would sum to 0, and measures are draws renormalized
             raise InvalidSpec("the measure grid needs a positive value")
@@ -124,7 +142,11 @@ def _fixed_tables(names: tuple[str, ...], eq: bool) -> dict:
 def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:
     """Every model over the grids, in a fixed deterministic order.
 
-    With `eq`, every model also interprets `eq` as the crisp identity.
+    With `eq`, every model also interprets `eq` as the crisp identity.  The
+    models are valid by construction and share their parts: each grid table
+    is converted to integers over the value grid's lcm once, each measure
+    once, and models that differ only in functions and constants share one
+    predicate dict and one integer form.
     """
     names = universe_names(gen.size)
     measures = grid_measures(gen.size, gen.measure_grid)
@@ -139,26 +161,31 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> I
     if space > EXHAUSTIVE_SPACE_CAP:
         raise SearchSpaceTooLarge(f"exhaustive space has {space} models (cap {EXHAUSTIVE_SPACE_CAP})")
 
-    pred_tables = [list(_all_tables(names, arity, sorted(gen.value_grid))) for _, arity in pred_symbols]
-    func_tables = [list(_all_tables(names, arity, names)) for _, arity in voc.functions]
-    const_choices = [names] * len(voc.constants)
-    fixed = _fixed_tables(names, eq)
+    # one factor per symbol, each a list of (name, choice); a fixed table is a factor of one choice
+    grid = sorted(gen.value_grid)
+    den = lcm(*[v.denominator for v in grid])
+    pred_factors = [[(name, table) for table in _all_tables(names, arity, grid)] for name, arity in pred_symbols]
+    pred_factors += [[(name, table)] for name, table in _fixed_tables(names, eq).items()]
+    int_factors = [[(name, integer_table(table, den)) for name, table in choices] for choices in pred_factors]
+    func_factors = [[(name, table) for table in _all_tables(names, arity, names)] for name, arity in voc.functions]
+    const_factors = [[(name, element) for element in names] for name in voc.constants]
 
     for measure in measures:
-        for preds in itertools.product(*pred_tables):
-            for funcs in itertools.product(*func_tables):
-                for consts in itertools.product(*const_choices):
-                    yield WeakProbModel(
-                        names,
-                        measure,
-                        {**{name: table for (name, _), table in zip(pred_symbols, preds)}, **fixed},
-                        {name: table for (name, _), table in zip(voc.functions, funcs)},
-                        dict(zip(voc.constants, consts)),
-                    )
+        m_den, weights = integer_weights(names, measure)
+        for preds, ints in zip(itertools.product(*pred_factors), itertools.product(*int_factors)):
+            predicates = dict(preds)
+            form = IntegerForm(den, dict(ints), m_den, weights)
+            for funcs in itertools.product(*func_factors):
+                functions = dict(funcs)
+                for consts in itertools.product(*const_factors):
+                    yield WeakProbModel._trusted(names, measure, predicates, functions, dict(consts), form)
 
 
 def random_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:
-    """`gen.count` models drawn reproducibly from the seed; `eq` as in `exhaustive_models`."""
+    """`gen.count` models drawn reproducibly from the seed; `eq` as in `exhaustive_models`.
+
+    The models are valid by construction; they share the `eq` table.
+    """
     names = universe_names(gen.size)
     rng = random.Random(gen.seed)
     grid = sorted(gen.value_grid)
@@ -171,7 +198,7 @@ def random_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Itera
         preds.update(fixed)
         funcs = {name: _random_table(names, arity, names, rng) for name, arity in voc.functions}
         consts = {name: rng.choice(names) for name in voc.constants}
-        yield WeakProbModel(names, measure, preds, funcs, consts)
+        yield WeakProbModel._trusted(names, measure, preds, funcs, consts)
 
 
 def generate_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:

@@ -385,6 +385,17 @@ class TestInputErrorsExit2:
     def test_bad_generation_or_vocabulary(self, argv, capsys):
         exits_2_with_one_line(argv, capsys)
 
+    @pytest.mark.parametrize("grid", ["0,1/2,3/2", "-1/2,1"])
+    @pytest.mark.parametrize("command", [
+        ["gen-models", "--size", "2", "--count", "50"],
+        ["gen-models", "--size", "2", "--exhaustive"],
+        ["find-countermodel", "--size", "2", "--count", "50", "--formula", "P(c) \\/ ~P(c)"],
+        ["find-countermodel", "--size", "2", "--exhaustive", "--formula", "P(c) \\/ ~P(c)"],
+    ])
+    def test_grid_out_of_range_prints_no_model(self, command, grid, capsys):
+        # the grid is checked before the first model is drawn, not per model
+        exits_2_with_one_line([*command, f"--grid={grid}"], capsys)
+
     @pytest.mark.parametrize("command", [
         lambda path, model: ["eval", "--model", path, "--formula", "P(c)"],
         lambda path, model: ["check-proof", "--proof", path],

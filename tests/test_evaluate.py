@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,8 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 import intlogic as il
 from intlogic import errors
-from intlogic.evaluate import evaluate, evaluate_closed, value_matrix
-from intlogic.model import WeakProbModel, reduct, relabel_universe, rename
+from intlogic.evaluate import compile_formula, evaluate, evaluate_closed, value_matrix
+from intlogic.model import (
+    WeakProbModel,
+    integer_form,
+    model_from_json,
+    model_to_json,
+    reduct,
+    relabel_universe,
+    rename,
+)
+from intlogic.validate import exhaustive_models
 from intlogic.syntax import (
     And,
     Atom,
@@ -296,6 +306,42 @@ class TestDifferential:
         small = reduct(model, il.Vocabulary(**kept, has_approx=rng.random() < 0.5))
         assert_agree(gen.random_toplevel(rng, depth), small, {})
         assert_agree(gen.random_sentence(rng, depth), small)
+
+
+    @DIFF
+    @given(seed=seeds, size=sizes, depth=st.integers(min_value=0, max_value=3))
+    def test_generated_models_and_truth_constants_off_their_grid(self, seed, size, depth):
+        # 1/3 and 2/7 divide neither the default grid's lcm nor the mixed grid's, so the
+        # tables the formula reads are rescaled when binding
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            model = rng.choice((gen.random_model, mixed_model))(rng, size)
+        else:
+            spec = il.ModelGenSpec(size=1, value_grid=rng.choice((il.DEFAULT_GRID, MIXED_GRID)),
+                                   exhaustive=True)
+            models = exhaustive_models(spec, gen.VOC, eq=True)
+            model = next(itertools.islice(models, rng.randrange(625), None))
+        constant = il.TruthConst(rng.choice((F(1, 3), F(2, 7))))
+        connective = rng.choice((il.And, il.Or, il.StrongAnd, il.StrongOr, il.Implies))
+        body = gen.random_formula(rng, depth, ("x",))
+        assert_agree(il.Integral("x", connective(constant, body)), model, {})
+        assert_agree(connective(gen.random_sentence(rng, depth), constant), model)
+        assert_agree(gen.random_sentence(rng, depth + 1), model)
+
+
+def test_binding_a_model_twice():
+    # a model loaded from JSON is built by the checking constructor; its integer form
+    # is computed on the first binding, and the rescaling of an off-grid constant
+    # must leave it untouched
+    model = model_from_json(model_to_json(gen.random_model(random.Random(11), size=3)))
+    formulas = [il.parse_formula(text, gen.VOC) for text in
+                ("INT (rat(1/3) -> P(x)) & R(x, c) dx", "ALL x. EX y. R(x, y) -> P(f(y))")]
+    compiled = [compile_formula(f) for f in formulas]
+    first = [bound(model)() for bound in compiled]
+    form = integer_form(model)
+    assert [bound(model)() for bound in compiled] == first
+    assert integer_form(model) is form
+    assert first == [oracle.evaluate_closed(f, model) for f in formulas]
 
 
 def test_each_missing_symbol_kind_raises_unknown_symbol():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 import intlogic as il
 from intlogic import errors
 from intlogic.integrals import check_semantic_integral_laws, pointwise, slice_first, slice_second
-from intlogic.model import FuzzySubset, model_from_json, model_to_json
+from intlogic.model import FuzzySubset, WeakProbModel, integer_form, model_from_json, model_to_json
 from intlogic.rational import DEFAULT_GRID, implies, neg, strong_and, strong_or
 from intlogic.syntax import Atom, Constant, Implies, Integral, Not, Or, Variable, Vocabulary
 from intlogic.validate import (
@@ -67,9 +68,16 @@ class TestModelGeneration:
             assert sum(model.measure.values()) == 1
             assert "approx" in model.predicates
 
-    @pytest.mark.parametrize("kwargs", [dict(size=0), dict(measure_grid=(F(0),)), dict(measure_grid=())])
+    @pytest.mark.parametrize("kwargs", [
+        dict(size=0),
+        dict(measure_grid=(F(0),)),  # no positive value, so no measure to renormalize to
+        dict(measure_grid=()),
+        dict(value_grid=(F(0), HALF, F(3, 2))),
+        dict(value_grid=(F(-1, 2), F(1)), exhaustive=True),
+        # the draw (-1, -1) would renormalize to the uniform measure
+        dict(size=2, measure_grid=(-1, 1), exhaustive=True),
+    ])
     def test_bad_spec_rejected(self, kwargs):
-        # a measure grid without a positive value has no measure to renormalize to
         with pytest.raises(errors.InvalidSpec):
             ModelGenSpec(**kwargs)
 
@@ -190,6 +198,59 @@ class TestIntegralLawSuite:
         model = il.WeakProbModel(names, {n: F(1, 8) for n in names}, {}, {}, {})
         with pytest.raises(errors.SearchSpaceTooLarge):
             integral_law_suite(model, ModelGenSpec(size=8, exhaustive=True))
+
+
+MIXED_GRID = (F(0), F(1, 3), HALF, F(5, 6), F(1))
+FULL_VOC = Vocabulary(predicates=(("P", 1), ("R", 2)), functions=(("f", 1),), constants=("c",),
+                      has_approx=True)
+
+
+class TestTrustedGeneration:
+    """Generated models skip the model checks; they must be what the checking constructor builds."""
+
+    @staticmethod
+    def assert_valid_with_its_form(model):
+        rebuilt = WeakProbModel(model.universe, model.measure, model.predicates, model.functions,
+                                model.constants)
+        assert model == rebuilt
+        assert model_to_json(model) == model_to_json(rebuilt)
+        # the shared integer form must belong to this model's own tables and measure
+        form = integer_form(model)
+        assert set(form.tables) == set(model.predicates)
+        for name, table in model.predicates.items():
+            assert {key: F(v, form.den) for key, v in form.tables[name].items()} == table
+        assert [(m, F(w, form.m_den)) for m, w in form.weights] == \
+            [(m, model.measure[m]) for m in model.universe]
+
+    @pytest.mark.parametrize("size, voc, eq, stride", [
+        (1, FULL_VOC, True, 1),
+        (2, Vocabulary(predicates=(("P", 1),), functions=(("f", 1),), constants=("c",)), True, 7),
+        (2, Vocabulary(predicates=(("R", 2),)), False, 97),
+    ])
+    def test_exhaustive_models(self, size, voc, eq, stride):
+        spec = ModelGenSpec(size=size, value_grid=MIXED_GRID, measure_grid=MIXED_GRID, exhaustive=True)
+        models = list(itertools.islice(exhaustive_models(spec, voc, eq), 0, None, stride))
+        assert len(models) > 20
+        for model in models:
+            self.assert_valid_with_its_form(model)
+            assert ("eq" in model.predicates) == eq
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("eq", [False, True])
+    def test_random_models(self, size, eq):
+        spec = ModelGenSpec(size=size, value_grid=MIXED_GRID, measure_grid=MIXED_GRID, seed=5, count=40)
+        for model in random_models(spec, FULL_VOC, eq):
+            self.assert_valid_with_its_form(model)
+
+    def test_sweeps_never_run_the_model_checks(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a generated model went through the model checks")
+
+        monkeypatch.setattr(WeakProbModel, "__post_init__", refuse)
+        assert validate_axiom("mu2", ModelGenSpec(size=2, exhaustive=True)).ok
+        formula = il.close_free_names(il.parse_formula("INT P(x) dx -> P(k)"))
+        assert find_countermodel(formula, ModelGenSpec(size=2, exhaustive=True)) is not None
+        assert find_countermodel(formula, ModelGenSpec(size=2, seed=1, count=50)) is not None
 
 
 def test_grid_fuzzy_subset_count():
