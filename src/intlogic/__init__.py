@@ -50,7 +50,6 @@ from .reporting import Report
 from .satisfaction import (
     ApproximationSystem,
     LevelConfig,
-    WeakNegation,
     check_elementary_substructure,
     check_weak_negation,
     default_level_config,

@@ -25,7 +25,6 @@ from .reporting import Report
 from .satisfaction import (
     ApproximationSystem,
     LevelConfig,
-    WeakNegation,
     check_elementary_substructure,
     check_weak_negation,
     hasat,
@@ -194,7 +193,7 @@ def _gen_spec(args) -> ModelGenSpec:
     grid = _parse_grid(args.grid)
     kwargs = dict(size=args.size, seed=args.seed)
     if grid is not None:
-        kwargs.update(value_grid=grid, measure_grid=grid)
+        kwargs.update(grid=grid)
     if args.exhaustive:
         kwargs.update(exhaustive=True)
     elif args.count is not None:
@@ -313,7 +312,7 @@ def _cmd_check_weak_negation(args) -> int:
     voc = _merged_vocabulary(models)
     system = files.load_approx_system(args.approx_system, voc)
     pool = files.load_pool(args.pool, voc)
-    report = check_weak_negation(WeakNegation(), pool, system, models)
+    report = check_weak_negation(pool, system, models)
     return _emit_report(report, args)
 
 
@@ -384,9 +383,8 @@ def _cmd_gen_models(args) -> int:
 def _cmd_congruence(args) -> int:
     model = _load_models(args)[0]
     voc = model.vocabulary()
-    if args.relation == "approx" and not voc.has_approx:
-        voc = Vocabulary(voc.predicates, voc.functions, voc.constants,
-                         has_eq=voc.has_eq, has_approx=True)
+    if args.relation == "approx":
+        voc = dataclasses.replace(voc, has_approx=True)
     for axiom in congruence_axioms(voc, args.relation):
         print(print_formula(axiom))
     return 0

@@ -112,7 +112,7 @@ def parse_justification(text: str) -> Justification:
     raise FormatError(f"unknown justification {text!r}")
 
 
-def load_proof(path, voc: Vocabulary | None = None) -> ProofScript:
+def load_proof(path) -> ProofScript:
     """Load a proof script (JSON array of line objects, or JSON lines)."""
     text = read_text(path)
     try:
@@ -124,12 +124,12 @@ def load_proof(path, voc: Vocabulary | None = None) -> ProofScript:
             data = [json.loads(line) for line in text.splitlines() if line.strip()]
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from None
-    builder = VocabBuilder() if voc is None else None
+    builder = VocabBuilder()
     lines = []
     for entry in data:
         if not (isinstance(entry, dict) and isinstance(entry.get("formula"), str)
                 and isinstance(entry.get("just"), str)):
             raise FormatError(f"{path}: each line must be {{'formula': str, 'just': str}}")
-        formula = parse_formula(entry["formula"], voc, builder)
+        formula = parse_formula(entry["formula"], builder=builder)
         lines.append(ProofLine(formula, parse_justification(entry["just"])))
     return ProofScript(tuple(lines))

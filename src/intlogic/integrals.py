@@ -19,6 +19,7 @@ from .errors import ArityMismatch, FormatError, NotCrisp, UniverseTooLarge
 from .rational import DEFAULT_GRID, ONE, ZERO, implies, neg, strong_and, strong_or
 from .reporting import Report
 from .model import FuzzySubset, WeakProbModel, mu_set, truth_set
+from .syntax import APPROX_PRED
 
 DISSECTION_MAX_UNIVERSE = 8
 
@@ -75,8 +76,7 @@ def _scaled(subset: FuzzySubset, model: WeakProbModel) -> tuple[list[int], list[
             value_den * weight_den)
 
 
-def integral_dissection(subset: FuzzySubset, model: WeakProbModel,
-                        max_size: int = DISSECTION_MAX_UNIVERSE) -> Fraction:
+def integral_dissection(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     """Supremum over all measurable dissections of sum(inf f on block * mu(block)).
 
     Enumerates every set partition of the universe (Bell-number many), so it
@@ -87,8 +87,8 @@ def integral_dissection(subset: FuzzySubset, model: WeakProbModel,
     """
     _require_unary(subset, model)
     n = len(model.universe)
-    if n > max_size:
-        raise UniverseTooLarge(f"dissection enumeration capped at |M| <= {max_size}")
+    if n > DISSECTION_MAX_UNIVERSE:
+        raise UniverseTooLarge(f"dissection enumeration capped at |M| <= {DISSECTION_MAX_UNIVERSE}")
     values, weights, scale = _scaled(subset, model)
     # a block is its lowest element i plus the smaller block `rest`
     low, mass, score = [0] * (1 << n), [0] * (1 << n), [0] * (1 << n)
@@ -237,16 +237,16 @@ def _sample(**subsets: FuzzySubset) -> dict:
 # Lipschitz validators for similarity-equipped models
 
 
-def check_similarity_lipschitz(model: WeakProbModel, approx_pred: str = "approx") -> Report:
+def check_similarity_lipschitz(model: WeakProbModel) -> Report:
     """Check the similarity compatibility of functions and predicates.
 
     For every function symbol: min_i sim(a_i, b_i) <= sim(f(a), f(b)).
     For every predicate symbol: |P(a) - P(b)| <= max_i (1 - sim(a_i, b_i)),
     the 1-Lipschitz condition under the distance d(x, y) = 1 - sim(x, y).
     """
-    if approx_pred not in model.predicates or model.pred_arity(approx_pred) != 2:
-        raise FormatError(f"{approx_pred!r} must be a binary predicate of the model")
-    sim = model.predicates[approx_pred]
+    if APPROX_PRED not in model.predicates or model.pred_arity(APPROX_PRED) != 2:
+        raise FormatError(f"{APPROX_PRED!r} must be a binary predicate of the model")
+    sim = model.predicates[APPROX_PRED]
     report = Report()
 
     for name, table in model.functions.items():
@@ -264,7 +264,7 @@ def check_similarity_lipschitz(model: WeakProbModel, approx_pred: str = "approx"
                     )
 
     for name, table in model.predicates.items():
-        if name == approx_pred:
+        if name == APPROX_PRED:
             continue
         arity = model.pred_arity(name)
         for xs in itertools.product(model.universe, repeat=arity):

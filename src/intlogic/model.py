@@ -147,7 +147,6 @@ class WeakProbModel:
             preds,
             funcs,
             tuple(sorted(self.constants)),
-            has_eq=True,
             has_approx=APPROX_PRED in self.predicates,
         )
 
@@ -180,7 +179,7 @@ def integer_form(model: WeakProbModel) -> IntegerForm:
     """The model's integer form, with `D` the lcm of its table denominators.
 
     It is computed at most once per model and kept on the model object;
-    model generators may hand in a form whose `D` is their value grid's lcm.
+    model generators may hand in a form whose `D` is their grid's lcm.
     """
     form = vars(model).get("_integer_form")
     if form is None:
@@ -231,17 +230,14 @@ class FuzzySubset:
 
     arity: int = field(init=False, repr=False, compare=False, default=0)
 
-    def __call__(self, *key: str) -> Fraction:
-        return self.values[key]
-
     def is_crisp(self) -> bool:
         return all(v == ZERO or v == ONE for v in self.values.values())
 
     @classmethod
-    def constant(cls, universe: Iterable[str], value, arity: int = 1) -> "FuzzySubset":
+    def constant(cls, universe: Iterable[str], value) -> "FuzzySubset":
         universe = tuple(universe)
         value = unit(value)
-        return cls(universe, {key: value for key in itertools.product(universe, repeat=arity)})
+        return cls(universe, {(m,): value for m in universe})
 
     @classmethod
     def from_predicate(cls, model: WeakProbModel, name: str) -> "FuzzySubset":
@@ -275,7 +271,7 @@ def reduct(model: WeakProbModel, voc: Vocabulary) -> WeakProbModel:
         if APPROX_PRED not in model.predicates:
             raise NotSubvocabulary("model does not interpret 'approx'")
         preds[APPROX_PRED] = model.predicates[APPROX_PRED]
-    if EQ_PRED in model.predicates and voc.has_eq:
+    if EQ_PRED in model.predicates:
         preds[EQ_PRED] = model.predicates[EQ_PRED]
     funcs = {}
     for name, arity in voc.functions:
@@ -323,12 +319,15 @@ def relabel_universe(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakPr
     return WeakProbModel._trusted(universe, measure, preds, funcs, consts)
 
 
-def isomorphic(left: WeakProbModel, right: WeakProbModel, max_size: int = 8) -> bool:
+ISOMORPHISM_MAX_UNIVERSE = 8
+
+
+def isomorphic(left: WeakProbModel, right: WeakProbModel) -> bool:
     """Brute-force search for a measure-preserving isomorphism."""
     if len(left.universe) != len(right.universe):
         return False
-    if len(left.universe) > max_size:
-        raise UniverseTooLarge(f"isomorphism search capped at |M| <= {max_size}")
+    if len(left.universe) > ISOMORPHISM_MAX_UNIVERSE:
+        raise UniverseTooLarge(f"isomorphism search capped at |M| <= {ISOMORPHISM_MAX_UNIVERSE}")
     if set(left.predicates) != set(right.predicates) or set(left.functions) != set(right.functions):
         return False
     if set(left.constants) != set(right.constants):

@@ -147,15 +147,6 @@ class VocabBuilder:
         if seen != arity:
             raise ArityMismatch(f"{kind} {name!r} used with arities {seen} and {arity}", span)
 
-    def vocabulary(self, has_eq: bool = True, has_approx: bool = True) -> Vocabulary:
-        return Vocabulary(
-            tuple(sorted(self.predicates.items())),
-            tuple(sorted(self.functions.items())),
-            (),
-            has_eq=has_eq,
-            has_approx=has_approx,
-        )
-
 
 class _Parser:
     def __init__(self, tokens: list[Token], voc: Vocabulary | None, builder: VocabBuilder | None):
@@ -196,8 +187,6 @@ class _Parser:
         first = self.parse_impl()
         if self.peek().kind == "EQUALS":
             eq_tok = self.advance()
-            if self.voc is not None and not self.voc.has_eq:
-                raise ParseError("quantifier equality ('=') is not enabled in this vocabulary", eq_tok.span)
             second = self.parse_impl()
             try:
                 result: Formula = QuantEq(first, second)

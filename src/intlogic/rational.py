@@ -13,7 +13,7 @@ from .errors import FormatError, ValueOutOfRange
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-#: Default five-point value grid used by generators and exhaustive checks.
+#: Default five-point grid used by generators and exhaustive checks.
 DEFAULT_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE)
 
 

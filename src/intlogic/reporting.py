@@ -14,8 +14,8 @@ class Report:
     def ok(self) -> bool:
         return not self.violations
 
-    def tally(self, n: int = 1) -> None:
-        self.checked += n
+    def tally(self) -> None:
+        self.checked += 1
 
     def add(self, kind: str, **record) -> None:
         self.violations.append({"kind": kind, **record})

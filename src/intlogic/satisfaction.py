@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     ContainmentViolated,
@@ -238,32 +238,21 @@ def hasat(
 # Weak negation
 
 
-@dataclass(frozen=True)
-class WeakNegation:
-    """A sentence-to-sentence negation map; the default is syntactic negation."""
-
-    fn: Callable[[Formula], Formula] = Not
-
-    def __call__(self, sentence: Formula) -> Formula:
-        return self.fn(sentence)
-
-
 def check_weak_negation(
-    neg: WeakNegation,
     pool: Sequence[Formula],
     system: ApproximationSystem,
     models: Sequence[WeakProbModel],
 ) -> Report:
-    """Check totality ("phi or weakly-not phi holds") and exclusion under approximation.
+    """Check totality ("phi or ~phi holds") and exclusion under approximation.
 
-    Totality fails for syntactic negation at any intermediate truth value;
-    the report distinguishes the two clauses so that expected failure
-    patterns stay visible.
+    The weak negation is the syntactic `~`.  Totality fails for it at any
+    intermediate truth value; the report distinguishes the two clauses so
+    that expected failure patterns stay visible.
     """
     report = Report()
     for m_index, model in enumerate(models):
         for sentence in pool:
-            negated = neg(sentence)
+            negated = Not(sentence)
             report.tally()
             if not (hsat(sentence, model) or hsat(negated, model)):
                 report.add(
@@ -275,7 +264,7 @@ def check_weak_negation(
             index = system.index_of(sentence)
             for j in system.approximations_of(index):
                 approx_sentence = system.sentences[j]
-                neg_approx = neg(approx_sentence)
+                neg_approx = Not(approx_sentence)
                 report.tally()
                 try:
                     system.index_of(neg_approx)

@@ -9,8 +9,8 @@ conjunction/disjunction (Lukasiewicz t-norm/t-conorm), Lukasiewicz
 implication, negation, rational truth constants, the three quantifiers
 ALL / EX / INT, and equality between two quantifier expressions.  Term
 equality `eq` and similarity `approx` are distinguished binary predicates,
-enabled per vocabulary by the `has_eq` / `has_approx` flags; they are not
-formula constructors of their own.
+not formula constructors of their own: `eq` (like '=') is in every
+vocabulary, `approx` only where the `has_approx` flag is set.
 """
 
 from __future__ import annotations
@@ -41,15 +41,14 @@ APPROX_PRED = "approx"
 class Vocabulary:
     """A signature: predicate and function symbols with arities, constants.
 
-    `has_eq` admits '=' between quantifier expressions (and the reserved
-    binary predicate `eq`); `has_approx` admits the reserved similarity
-    predicate `approx`.
+    Every vocabulary admits '=' between quantifier expressions and the
+    reserved binary predicate `eq`; `has_approx` admits the reserved
+    similarity predicate `approx`.
     """
 
     predicates: tuple[tuple[str, int], ...] = ()
     functions: tuple[tuple[str, int], ...] = ()
     constants: tuple[str, ...] = ()
-    has_eq: bool = True
     has_approx: bool = False
 
     def __post_init__(self):
@@ -69,7 +68,7 @@ class Vocabulary:
 
     def predicate_arity(self, name: str) -> int | None:
         if name == EQ_PRED:
-            return 2 if self.has_eq else None
+            return 2
         if name == APPROX_PRED:
             return 2 if self.has_approx else None
         for n, a in self.predicates:
@@ -89,16 +88,6 @@ class Vocabulary:
     def symbol_names(self) -> frozenset[str]:
         return frozenset(n for n, _ in self.predicates) | frozenset(n for n, _ in self.functions) | frozenset(self.constants)
 
-    def contains(self, other: "Vocabulary") -> bool:
-        """True when every symbol of `other` is declared here with the same arity."""
-        return (
-            set(other.predicates) <= set(self.predicates)
-            and set(other.functions) <= set(self.functions)
-            and set(other.constants) <= set(self.constants)
-            and (self.has_eq or not other.has_eq)
-            and (self.has_approx or not other.has_approx)
-        )
-
     def merged(self, other: "Vocabulary") -> "Vocabulary":
         """Union of two vocabularies; arities must agree on shared names."""
         preds = dict(self.predicates)
@@ -116,18 +105,7 @@ class Vocabulary:
             tuple(sorted(preds.items())),
             tuple(sorted(funcs.items())),
             tuple(consts),
-            has_eq=self.has_eq or other.has_eq,
             has_approx=self.has_approx or other.has_approx,
-        )
-
-    def renamed(self, mapping: Mapping[str, str]) -> "Vocabulary":
-        ren = lambda n: mapping.get(n, n)
-        return Vocabulary(
-            tuple((ren(n), a) for n, a in self.predicates),
-            tuple((ren(n), a) for n, a in self.functions),
-            tuple(ren(n) for n in self.constants),
-            has_eq=self.has_eq,
-            has_approx=self.has_approx,
         )
 
 
@@ -349,13 +327,12 @@ def _check_term(term: Term, voc: Vocabulary) -> None:
 def check_formula(formula: Formula, voc: Vocabulary, _top: bool = True) -> None:
     """Raise unless `formula` is well-formed over `voc`.
 
-    Quantifier equality is only admitted at the top level and only when
-    the vocabulary's `has_eq` flag is set.
+    Quantifier equality is only admitted at the top level.
     """
     if isinstance(formula, Atom):
         arity = voc.predicate_arity(formula.pred)
         if arity is None:
-            if formula.pred == EQ_PRED or formula.pred == APPROX_PRED:
+            if formula.pred == APPROX_PRED:
                 raise FlagMissing(f"predicate {formula.pred!r} is not enabled in this vocabulary")
             raise UnknownSymbol(formula.pred, message=f"predicate {formula.pred!r} is not declared")
         if arity != len(formula.args):
@@ -368,11 +345,8 @@ def check_formula(formula: Formula, voc: Vocabulary, _top: bool = True) -> None:
     if isinstance(formula, Not):
         check_formula(formula.body, voc, _top=False)
         return
-    if isinstance(formula, QuantEq):
-        if not _top:
-            raise NestedQuantEq("quantifier equality must be the top-level connective")
-        if not voc.has_eq:
-            raise FlagMissing("quantifier equality is not enabled in this vocabulary")
+    if isinstance(formula, QuantEq) and not _top:
+        raise NestedQuantEq("quantifier equality must be the top-level connective")
     if isinstance(formula, _BINARY):
         check_formula(formula.left, voc, _top=False)
         check_formula(formula.right, voc, _top=False)
@@ -436,12 +410,10 @@ def infer_vocabulary(formulas: Formula | Iterable[Formula]) -> Vocabulary:
                         )
                 for arg in sub.args:
                     _collect_term_symbols(arg, funcs, consts)
-    # quantifier equality is part of the language proper, so has_eq stays on
     return Vocabulary(
         tuple(sorted(preds.items())),
         tuple(sorted(funcs.items())),
         tuple(sorted(consts)),
-        has_eq=True,
         has_approx=has_approx,
     )
 
@@ -516,8 +488,6 @@ def congruence_axioms(voc: Vocabulary, relation: Literal["eq", "approx"]) -> lis
     their Lukasiewicz biresiduum.
     """
     if relation == "eq":
-        if not voc.has_eq:
-            raise FlagMissing("vocabulary does not enable '='")
         rel_pred = EQ_PRED
     elif relation == "approx":
         if not voc.has_approx:

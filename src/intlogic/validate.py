@@ -1,8 +1,8 @@
 """Model generation, axiom validity testing and countermodel search.
 
-Models are drawn over value/measure grids of exact rationals: measures are
-grid draws renormalized by exact division (all-zero draws redrawn), tables
-are grid draws.  Exhaustive mode enumerates every grid combination in a
+Models are drawn over one grid of exact rationals: measures are grid draws
+renormalized by exact division (all-zero draws redrawn), tables are grid
+draws.  Exhaustive mode enumerates every grid combination in a
 deterministic order; random mode is reproducible from the seed.
 """
 
@@ -58,11 +58,14 @@ EXHAUSTIVE_SPACE_CAP = 2_000_000
 
 @dataclass(frozen=True)
 class ModelGenSpec:
-    """How to draw models: universe size, value/measure grids, seed, count."""
+    """How to draw models: universe size, grid, seed, count.
+
+    The grid gives both the table values and the measure draws; repeated
+    values are dropped, keeping the first occurrence of each.
+    """
 
     size: int = 2
-    value_grid: tuple[Fraction, ...] = DEFAULT_GRID
-    measure_grid: tuple[Fraction, ...] = DEFAULT_GRID
+    grid: tuple[Fraction, ...] = DEFAULT_GRID
     seed: int = 0
     count: int = 100
     exhaustive: bool = False
@@ -70,20 +73,16 @@ class ModelGenSpec:
     def __post_init__(self):
         if self.size < 1:
             raise InvalidSpec("universe size must be >= 1")
-        if not self.value_grid or not self.measure_grid:
-            raise InvalidSpec("grids must be non-empty")
-        object.__setattr__(self, "value_grid", tuple(Fraction(v) for v in self.value_grid))
-        object.__setattr__(self, "measure_grid", tuple(Fraction(v) for v in self.measure_grid))
-        # generated models skip the model checks, so the grids must make them valid
-        for v in self.value_grid:
+        if not self.grid:
+            raise InvalidSpec("the grid must be non-empty")
+        object.__setattr__(self, "grid", tuple(dict.fromkeys(Fraction(v) for v in self.grid)))
+        # generated models skip the model checks, so the grid must make them valid
+        for v in self.grid:
             if not ZERO <= v <= ONE:
                 raise InvalidSpec(f"value {v} is outside [0, 1]")
-        for v in self.measure_grid:
-            if v < ZERO:
-                raise InvalidSpec(f"measure grid value {v} is negative")
-        if max(self.measure_grid) <= ZERO:
+        if max(self.grid) <= ZERO:
             # every measure draw would sum to 0, and measures are draws renormalized
-            raise InvalidSpec("the measure grid needs a positive value")
+            raise InvalidSpec("the grid needs a positive value")
 
 
 def universe_names(size: int) -> tuple[str, ...]:
@@ -140,21 +139,21 @@ def _fixed_tables(names: tuple[str, ...], eq: bool) -> dict:
 
 
 def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:
-    """Every model over the grids, in a fixed deterministic order.
+    """Every model over the grid, in a fixed deterministic order.
 
     With `eq`, every model also interprets `eq` as the crisp identity.  The
     models are valid by construction and share their parts: each grid table
-    is converted to integers over the value grid's lcm once, each measure
+    is converted to integers over the grid's lcm once, each measure
     once, and models that differ only in functions and constants share one
     predicate dict and one integer form.
     """
     names = universe_names(gen.size)
-    measures = grid_measures(gen.size, gen.measure_grid)
+    measures = grid_measures(gen.size, gen.grid)
     pred_symbols = _pred_symbols(voc)
 
     space = len(measures)
     for _, arity in pred_symbols:
-        space *= len(gen.value_grid) ** (gen.size ** arity)
+        space *= len(gen.grid) ** (gen.size ** arity)
     for _, arity in voc.functions:
         space *= gen.size ** (gen.size ** arity)
     space *= gen.size ** len(voc.constants)
@@ -162,7 +161,7 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> I
         raise SearchSpaceTooLarge(f"exhaustive space has {space} models (cap {EXHAUSTIVE_SPACE_CAP})")
 
     # one factor per symbol, each a list of (name, choice); a fixed table is a factor of one choice
-    grid = sorted(gen.value_grid)
+    grid = sorted(gen.grid)
     den = lcm(*[v.denominator for v in grid])
     pred_factors = [[(name, table) for table in _all_tables(names, arity, grid)] for name, arity in pred_symbols]
     pred_factors += [[(name, table)] for name, table in _fixed_tables(names, eq).items()]
@@ -188,12 +187,11 @@ def random_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Itera
     """
     names = universe_names(gen.size)
     rng = random.Random(gen.seed)
-    grid = sorted(gen.value_grid)
-    mgrid = sorted(gen.measure_grid)
+    grid = sorted(gen.grid)
     pred_symbols = _pred_symbols(voc)
     fixed = _fixed_tables(names, eq)
     for _ in range(gen.count):
-        measure = _random_measure(names, mgrid, rng)
+        measure = _random_measure(names, grid, rng)
         preds = {name: _random_table(names, arity, grid, rng) for name, arity in pred_symbols}
         preds.update(fixed)
         funcs = {name: _random_table(names, arity, names, rng) for name, arity in voc.functions}
@@ -235,30 +233,30 @@ def integral_law_suite(model: WeakProbModel, gen: ModelGenSpec) -> Report:
     """Run the five-law check over grid samples on one model.
 
     Exhaustive mode takes every (f, g) pair and every bivariate subset on
-    the value grid (guarded against blowup); random mode takes `gen.count`
+    the grid (guarded against blowup); random mode takes `gen.count`
     seeded samples of each shape.
     """
     universe = model.universe
     if gen.exhaustive:
-        unary_count = len(gen.value_grid) ** len(universe)
+        unary_count = len(gen.grid) ** len(universe)
         if unary_count ** 2 > 100_000:
             raise SearchSpaceTooLarge(
                 f"{unary_count}^2 sample pairs; use random sampling for this size")
-        unary = list(grid_fuzzy_subsets(universe, gen.value_grid, 1))
+        unary = list(grid_fuzzy_subsets(universe, gen.grid, 1))
         pairs = [(f, g) for f in unary for g in unary]
-        bivariate = list(grid_fuzzy_subsets(universe, gen.value_grid, 2))
+        bivariate = list(grid_fuzzy_subsets(universe, gen.grid, 2))
     else:
         rng = random.Random(gen.seed)
         pairs = [
-            (random_fuzzy_subset(universe, gen.value_grid, rng),
-             random_fuzzy_subset(universe, gen.value_grid, rng))
+            (random_fuzzy_subset(universe, gen.grid, rng),
+             random_fuzzy_subset(universe, gen.grid, rng))
             for _ in range(gen.count)
         ]
         bivariate = [
-            random_fuzzy_subset(universe, gen.value_grid, rng, arity=2)
+            random_fuzzy_subset(universe, gen.grid, rng, arity=2)
             for _ in range(gen.count)
         ]
-    return check_semantic_integral_laws(model, pairs, bivariate, constants=gen.value_grid)
+    return check_semantic_integral_laws(model, pairs, bivariate, constants=gen.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +269,7 @@ def _axiom_instantiations(axiom: str, gen: ModelGenSpec) -> list[dict]:
     r_xy = Atom("R", (Variable("x"), Variable("y")))
     if axiom == "mu1":
         bodies: list[Formula] = [Atom("P", (Variable("y"),))]
-        bodies += [TruthConst(r) for r in gen.value_grid]
+        bodies += [TruthConst(r) for r in gen.grid]
         return [{"v": body, "x": "x"} for body in bodies]
     if axiom == "mu2":
         return [
@@ -294,9 +292,9 @@ def _axiom_instantiations(axiom: str, gen: ModelGenSpec) -> list[dict]:
     raise ValueError(f"unknown axiom {axiom!r}")
 
 
-def _axiom_checks(axiom: str, gen: ModelGenSpec, instances: int | None = None) -> Iterator[tuple]:
+def _axiom_checks(axiom: str, gen: ModelGenSpec) -> Iterator[tuple]:
     """(model, left, right, valuation, lhs, rhs) for every instantiation, model and valuation."""
-    for inst in _axiom_instantiations(axiom, gen)[:instances]:
+    for inst in _axiom_instantiations(axiom, gen):
         left, right = axiom_sides(axiom, **inst)
         voc = infer_vocabulary([left, right])
         names = sorted(free_vars(left) | free_vars(right))
@@ -319,7 +317,7 @@ def _check_record(axiom, model, left, right, valuation, lhs, rhs) -> dict:
     }
 
 
-def validate_axiom(axiom: str, gen: ModelGenSpec, instances: int | None = None) -> Report:
+def validate_axiom(axiom: str, gen: ModelGenSpec) -> Report:
     """Check an axiom schema over generated models and instantiations.
 
     mu1, mu2, mu4 and mu5 are checked as exact equalities of the two sides;
@@ -328,7 +326,7 @@ def validate_axiom(axiom: str, gen: ModelGenSpec, instances: int | None = None) 
     instantiation and the two values, so it replays directly.
     """
     report = Report()
-    for check in _axiom_checks(axiom, gen, instances):
+    for check in _axiom_checks(axiom, gen):
         lhs, rhs = check[4:]
         report.tally()
         if not (lhs <= rhs if axiom == "mu3" else lhs == rhs):
@@ -358,7 +356,7 @@ def find_countermodel(formula: Formula, gen: ModelGenSpec) -> WeakProbModel | No
     free = free_vars(formula)
     if free:
         raise NotASentence(free)
-    if gen.exhaustive and (gen.size > 3 or len(gen.value_grid) > 5):
+    if gen.exhaustive and (gen.size > 3 or len(gen.grid) > 5):
         raise SearchSpaceTooLarge(
             "exhaustive countermodel search is bounded by size <= 3 and grid <= 5")
     value_in = compile_formula(formula)

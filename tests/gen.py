@@ -16,7 +16,6 @@ VOC = il.Vocabulary(
     predicates=(("P", 1), ("Q", 1), ("R", 2)),
     functions=(("f", 1), ("g", 2)),
     constants=("c", "d"),
-    has_eq=True,
     has_approx=True,
 )
 

@@ -125,6 +125,12 @@ class TestValidateAxioms:
                      "--grid", "0,1/2,1"])
         assert code == 0
 
+    def test_repeated_grid_value_checked_once(self, capsys):
+        code = main(["validate-axioms", "--axiom", "mu1", "--size", "1", "--exhaustive",
+                     "--grid", "0,0,1"])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "0 violations (4 checks)"
+
 
 class TestApproxSat:
     def test_weakening_system(self, model_path, tmp_path, capsys):
@@ -248,6 +254,12 @@ class TestOtherCommands:
         second = capsys.readouterr().out
         assert first == second
         assert len(first.strip().splitlines()) == 3
+
+    def test_gen_models_repeated_grid_value(self, capsys):
+        assert main(["gen-models", "--size", "1", "--exhaustive", "--grid", "0,0,1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert len(set(lines)) == 2
 
     def test_congruence(self, model_path, capsys):
         code = main(["congruence", "--model", model_path, "--relation", "approx"])

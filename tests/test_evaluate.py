@@ -230,8 +230,7 @@ def outcome(thunk):
 
 
 def mixed_model(rng, size):
-    spec = il.ModelGenSpec(size=size, value_grid=MIXED_GRID, measure_grid=MIXED_GRID,
-                           seed=rng.randrange(2**32), count=1)
+    spec = il.ModelGenSpec(size=size, grid=MIXED_GRID, seed=rng.randrange(2**32), count=1)
     return next(il.generate_models(spec, gen.VOC))
 
 
@@ -317,8 +316,7 @@ class TestDifferential:
         if rng.random() < 0.5:
             model = rng.choice((gen.random_model, mixed_model))(rng, size)
         else:
-            spec = il.ModelGenSpec(size=1, value_grid=rng.choice((il.DEFAULT_GRID, MIXED_GRID)),
-                                   exhaustive=True)
+            spec = il.ModelGenSpec(size=1, grid=rng.choice((il.DEFAULT_GRID, MIXED_GRID)), exhaustive=True)
             models = exhaustive_models(spec, gen.VOC, eq=True)
             model = next(itertools.islice(models, rng.randrange(625), None))
         constant = il.TruthConst(rng.choice((F(1, 3), F(2, 7))))

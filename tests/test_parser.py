@@ -30,7 +30,6 @@ VOC = Vocabulary(
     predicates=(("P", 1), ("Q", 1), ("Phi", 1), ("R", 2)),
     functions=(("f", 1),),
     constants=("c",),
-    has_eq=True,
     has_approx=True,
 )
 
@@ -144,11 +143,6 @@ class TestErrors:
     def test_declared_symbol_cannot_be_bound(self):
         with pytest.raises(errors.ParseError):
             parse_formula("ALL c. P(c)", VOC)
-
-    def test_eq_disabled_by_flag(self):
-        noeq = Vocabulary(predicates=(("P", 1),), has_eq=False)
-        with pytest.raises(errors.ParseError):
-            parse_formula("INT P(x) dx = INT P(y) dy", noeq)
 
 
 class TestPermissiveMode:

@@ -5,11 +5,11 @@ import pytest
 
 import intlogic as il
 from intlogic import errors
+from intlogic.evaluate import evaluate_closed
 from intlogic.model import FuzzySubset, WeakProbModel
 from intlogic.satisfaction import (
     ApproximationSystem,
     LevelConfig,
-    WeakNegation,
     check_elementary_substructure,
     check_weak_negation,
     default_level_config,
@@ -180,6 +180,29 @@ class TestHsatQeq:
         with pytest.raises(errors.ContainmentViolated):
             hsat_qeq(qexpr("P"), qexpr("Q"), model, cfg)
 
+    @staticmethod
+    def half_model():
+        # P = {a: 1/2, b: 0} and Q = {a: 1/2, b: 1/2}: INT P = 1/4, INT Q = 1/2
+        return WeakProbModel(
+            ("a", "b"), {"a": HALF, "b": HALF},
+            {"P": {("a",): HALF, ("b",): F(0)}, "Q": {("a",): HALF, ("b",): HALF}},
+            {}, {})
+
+    def test_level_sets_are_strict(self):
+        model = self.half_model()
+        # {P > 1/2} = {Q > 1/2} = {}; read as >=, {a, b} would not lie inside {a}
+        assert hsat_qeq(qexpr("P"), qexpr("Q"), model, LevelConfig((HALF,), ((0, 0),)))
+        with pytest.raises(errors.ContainmentViolated):
+            hsat_qeq(qexpr("P"), qexpr("Q"), model, LevelConfig((F(1, 4),), ((0, 0),)))
+
+    def test_auto_levels_skip_the_band_below_the_least_level(self):
+        # 1/2 is the only attained interior value, so the band (0, 1/2], where
+        # P and Q differ on b, is never compared: '=' holds with unequal integrals
+        model = self.half_model()
+        assert evaluate_closed(qexpr("P"), model) == F(1, 4)
+        assert evaluate_closed(qexpr("Q"), model) == HALF
+        assert hsat_qeq(qexpr("P"), qexpr("Q"), model)
+
     def test_crisp_default_agrees_with_dirac_and_half_level(self):
         rng = random.Random(77)
         universe = ("a", "b", "c")
@@ -315,14 +338,14 @@ class TestWeakNegation:
         # the system must also hold the negations of the approximations
         system = ApproximationSystem.diagonal((P_c, Not(P_c), Not(Not(P_c))))
         model = pq_model(F(1), F(0))
-        report = check_weak_negation(WeakNegation(), pool, system, [model])
+        report = check_weak_negation(pool, system, [model])
         assert report.ok
 
     def test_intermediate_value_violates_totality(self):
         pool = [P_c, Not(P_c)]
         system = ApproximationSystem.diagonal(tuple(pool))
         model = pq_model(HALF, F(0))
-        report = check_weak_negation(WeakNegation(), pool, system, [model])
+        report = check_weak_negation(pool, system, [model])
         kinds = {v["kind"] for v in report.violations}
         assert "totality-violation" in kinds
         assert "exclusion-violation" not in kinds
@@ -331,7 +354,7 @@ class TestWeakNegation:
         pool = [P_c]
         system = ApproximationSystem.diagonal((P_c,))
         model = pq_model(F(1), F(0))
-        report = check_weak_negation(WeakNegation(), pool, system, [model])
+        report = check_weak_negation(pool, system, [model])
         assert any(v["kind"] == "negation-missing-from-pool" for v in report.violations)
 
 

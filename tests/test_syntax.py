@@ -48,7 +48,7 @@ class TestVocabulary:
                 Vocabulary(constants=(name,))
 
     def test_reserved_predicates_behind_flags(self):
-        voc = Vocabulary(has_eq=True, has_approx=False)
+        voc = Vocabulary(has_approx=False)
         assert voc.predicate_arity("eq") == 2
         assert voc.predicate_arity("approx") is None
 
@@ -132,7 +132,7 @@ class TestCongruenceAxioms:
         )
 
     def test_eq_predicate_single_implication(self):
-        voc = Vocabulary(predicates=(("P", 2),), has_eq=True)
+        voc = Vocabulary(predicates=(("P", 2),))
         [axiom] = congruence_axioms(voc, "eq")
         antecedent = And(
             Atom("eq", (Variable("x1"), Variable("y1"))),
@@ -152,7 +152,7 @@ class TestCongruenceAxioms:
             congruence_axioms(Vocabulary(predicates=(("P", 1),)), "approx")
 
     def test_outputs_well_formed(self):
-        voc = Vocabulary(predicates=(("P", 2),), functions=(("f", 3),), has_eq=True, has_approx=True)
+        voc = Vocabulary(predicates=(("P", 2),), functions=(("f", 3),), has_approx=True)
         for relation in ("eq", "approx"):
             for axiom in congruence_axioms(voc, relation):
                 check_formula(axiom, voc)
@@ -191,14 +191,6 @@ class TestWellFormedness:
     def test_quant_eq_sides_must_be_quantifiers(self, left, right):
         with pytest.raises(ValueError):
             QuantEq(left, right)
-
-    def test_quant_eq_needs_flag(self):
-        qe = QuantEq(
-            Integral("x", P_x),
-            Integral("x", P_x),
-        )
-        with pytest.raises(errors.FlagMissing):
-            check_formula(qe, Vocabulary(predicates=(("P", 1),), has_eq=False))
 
 
 class TestInferVocabulary:

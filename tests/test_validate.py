@@ -70,16 +70,20 @@ class TestModelGeneration:
 
     @pytest.mark.parametrize("kwargs", [
         dict(size=0),
-        dict(measure_grid=(F(0),)),  # no positive value, so no measure to renormalize to
-        dict(measure_grid=()),
-        dict(value_grid=(F(0), HALF, F(3, 2))),
-        dict(value_grid=(F(-1, 2), F(1)), exhaustive=True),
+        dict(grid=(F(0),)),  # no positive value, so no measure to renormalize to
+        dict(grid=()),
+        dict(grid=(F(0), HALF, F(3, 2))),
+        dict(grid=(F(-1, 2), F(1)), exhaustive=True),
         # the draw (-1, -1) would renormalize to the uniform measure
-        dict(size=2, measure_grid=(-1, 1), exhaustive=True),
+        dict(size=2, grid=(-1, 1), exhaustive=True),
     ])
     def test_bad_spec_rejected(self, kwargs):
         with pytest.raises(errors.InvalidSpec):
             ModelGenSpec(**kwargs)
+
+    def test_repeated_grid_values_keep_first_occurrence(self):
+        # mu1's constant instantiations follow the grid's own order
+        assert ModelGenSpec(grid=(1, HALF, 0, HALF, 1)).grid == (F(1), HALF, F(0))
 
     def test_universe_names(self):
         assert universe_names(3) == ("a", "b", "c")
@@ -228,7 +232,7 @@ class TestTrustedGeneration:
         (2, Vocabulary(predicates=(("R", 2),)), False, 97),
     ])
     def test_exhaustive_models(self, size, voc, eq, stride):
-        spec = ModelGenSpec(size=size, value_grid=MIXED_GRID, measure_grid=MIXED_GRID, exhaustive=True)
+        spec = ModelGenSpec(size=size, grid=MIXED_GRID, exhaustive=True)
         models = list(itertools.islice(exhaustive_models(spec, voc, eq), 0, None, stride))
         assert len(models) > 20
         for model in models:
@@ -238,7 +242,7 @@ class TestTrustedGeneration:
     @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("eq", [False, True])
     def test_random_models(self, size, eq):
-        spec = ModelGenSpec(size=size, value_grid=MIXED_GRID, measure_grid=MIXED_GRID, seed=5, count=40)
+        spec = ModelGenSpec(size=size, grid=MIXED_GRID, seed=5, count=40)
         for model in random_models(spec, FULL_VOC, eq):
             self.assert_valid_with_its_form(model)
 
