@@ -1,10 +1,16 @@
 """Three interchangeable integral computations and the algebraic validators.
 
-`integral_expectation` is the working definition (the weighted sum used by
-the evaluator).  `integral_dissection` recomputes it from first principles
+`integral_expectation` is the working definition (the weighted sum the
+evaluator computes).  `integral_dissection` recomputes it from first principles
 as a supremum over all set partitions of the universe and exists purely as
 a brute-force oracle.  `integral_layercake` is the simple-function form
 built from level sets.  On finite models the three agree exactly.
+
+These three, the two slices and `double_sum` compute on integers: each
+reads the subset's integer form (`model.subset_integers`) and the model's
+integer weights (`model.integer_form`), both computed at most once per
+object, and makes a single `Fraction`, for its result.  The two oracles
+share only that conversion with the expectation form.
 """
 
 from __future__ import annotations
@@ -12,32 +18,47 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import ArityMismatch, FormatError, NotCrisp, UniverseTooLarge
-from .rational import DEFAULT_GRID, ONE, ZERO, implies, neg, strong_and, strong_or
+from .rational import DEFAULT_GRID, ONE, implies, neg, strong_and, strong_or, unit
 from .reporting import Report
-from .model import FuzzySubset, WeakProbModel, mu_set, truth_set
+from .model import FuzzySubset, WeakProbModel, integer_form, mu_set, subset_integers, truth_set
 from .syntax import APPROX_PRED
 
 DISSECTION_MAX_UNIVERSE = 8
 
 
+def _require(subset: FuzzySubset, universe: tuple[str, ...], arity: int) -> None:
+    if subset.arity != arity:
+        raise ArityMismatch(f"expected a fuzzy subset of arity {arity}, got arity {subset.arity}")
+    if subset.universe != universe:
+        raise FormatError(f"fuzzy subset over the universe {subset.universe}, expected {universe}")
+
+
 def _require_unary(subset: FuzzySubset, model: WeakProbModel) -> None:
-    if subset.arity != 1:
-        raise ArityMismatch(f"expected a unary fuzzy subset, got arity {subset.arity}")
-    if tuple(subset.universe) != tuple(model.universe):
-        raise FormatError("fuzzy subset and model disagree on the universe")
+    _require(subset, model.universe, 1)
+
+
+def _scaled(subset: FuzzySubset, model: WeakProbModel) -> tuple[tuple[int, ...], list[int], int]:
+    """The subset's values and the weights as integers, and their common scale.
+
+    Value i is `values[i] / den` (values in `subset_integers` order, so in
+    universe order for a unary subset) and weight i is `weights[i] / M`, so
+    a sum of value-weight products is exact over `den * M`, the scale
+    returned.
+    """
+    den, values = subset_integers(subset)
+    form = integer_form(model)
+    return values, [w for _, w in form.weights], den * form.m_den
 
 
 def integral_expectation(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     """Sum of f(m) * mu(m) over the universe."""
     _require_unary(subset, model)
-    total = ZERO
-    for m in model.universe:
-        total += subset.values[(m,)] * model.measure[m]
-    return total
+    values, weights, scale = _scaled(subset, model)
+    return Fraction(sum(map(mul, values, weights)), scale)
 
 
 @lru_cache(maxsize=None)
@@ -60,30 +81,14 @@ def _partition_masks(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sum(1 << i for i in block) for block in partition) for partition in set_partitions(n))
 
 
-def _scaled(subset: FuzzySubset, model: WeakProbModel) -> tuple[list[int], list[int], int]:
-    """The values and weights in universe order as integers, and their common scale.
-
-    Value i is `values[i] / value_den` and weight i is `weights[i] /
-    weight_den`, so a sum of value-weight products is exact over
-    `value_den * weight_den`, the scale returned.
-    """
-    values = [subset.values[(m,)] for m in model.universe]
-    weights = [model.measure[m] for m in model.universe]
-    value_den = lcm(*[v.denominator for v in values])
-    weight_den = lcm(*[w.denominator for w in weights])
-    return ([v.numerator * (value_den // v.denominator) for v in values],
-            [w.numerator * (weight_den // w.denominator) for w in weights],
-            value_den * weight_den)
-
-
 def integral_dissection(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     """Supremum over all measurable dissections of sum(inf f on block * mu(block)).
 
     Enumerates every set partition of the universe (Bell-number many), so it
     is capped at small universes; it serves as the independent oracle for the
     expectation form.  Each of the 2^n - 1 blocks is scored once, on values
-    and weights rescaled to shared integer denominators, so a partition's
-    total is a sum of its blocks' scores, exactly.
+    and weights over shared integer denominators, so a partition's total is
+    a sum of its blocks' scores, exactly.
     """
     _require_unary(subset, model)
     n = len(model.universe)
@@ -126,45 +131,50 @@ def integral_dirac(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
 
 
 def pointwise(op: Callable, *subsets: FuzzySubset) -> FuzzySubset:
+    """The subset x -> op(f1(x), f2(x), ...); every value `op` returns must lie in [0, 1]."""
     first = subsets[0]
-    values = {key: op(*(s.values[key] for s in subsets)) for key in first.values}
-    return FuzzySubset(first.universe, values)
+    for other in subsets[1:]:
+        _require(other, first.universe, first.arity)
+    values = {key: unit(op(*[s.values[key] for s in subsets])) for key in first.values}
+    return FuzzySubset._trusted(first.universe, values, first.arity)
+
+
+def _inner_sums(h: FuzzySubset, model: WeakProbModel, over_first: bool) -> tuple[list[int], list[int], int]:
+    """Numerators of h integrated over one argument, in universe order, as `_scaled` gives.
+
+    `h`'s integer row is in (a, b) order, so row a holds h(a, .); integrating
+    over the first argument sums its columns instead.
+    """
+    _require(h, model.universe, 2)
+    values, weights, scale = _scaled(h, model)
+    n = len(weights)
+    rows = [values[i * n:(i + 1) * n] for i in range(n)]
+    if over_first:
+        rows = zip(*rows)
+    return [sum(map(mul, row, weights)) for row in rows], weights, scale
+
+
+def _slice(h: FuzzySubset, model: WeakProbModel, over_first: bool) -> FuzzySubset:
+    sums, _, scale = _inner_sums(h, model, over_first)
+    # each value is a weighted mean of values in [0, 1], so it lies in [0, 1]
+    values = {(m,): Fraction(s, scale) for m, s in zip(model.universe, sums)}
+    return FuzzySubset._trusted(model.universe, values, 1)
 
 
 def slice_first(h: FuzzySubset, model: WeakProbModel) -> FuzzySubset:
     """Integrate a binary subset over its first argument: g(y) = sum_a h(a,y)mu(a)."""
-    if h.arity != 2:
-        raise ArityMismatch("expected a binary fuzzy subset")
-    values = {}
-    for b in model.universe:
-        total = ZERO
-        for a in model.universe:
-            total += h.values[(a, b)] * model.measure[a]
-        values[(b,)] = total
-    return FuzzySubset(model.universe, values)
+    return _slice(h, model, True)
 
 
 def slice_second(h: FuzzySubset, model: WeakProbModel) -> FuzzySubset:
     """Integrate a binary subset over its second argument: g(x) = sum_b h(x,b)mu(b)."""
-    if h.arity != 2:
-        raise ArityMismatch("expected a binary fuzzy subset")
-    values = {}
-    for a in model.universe:
-        total = ZERO
-        for b in model.universe:
-            total += h.values[(a, b)] * model.measure[b]
-        values[(a,)] = total
-    return FuzzySubset(model.universe, values)
+    return _slice(h, model, False)
 
 
 def double_sum(h: FuzzySubset, model: WeakProbModel) -> Fraction:
     """Product-measure double sum: sum over (a,b) of h(a,b)mu(a)mu(b)."""
-    if h.arity != 2:
-        raise ArityMismatch("expected a binary fuzzy subset")
-    total = ZERO
-    for (a, b), value in h.values.items():
-        total += value * model.measure[a] * model.measure[b]
-    return total
+    sums, weights, scale = _inner_sums(h, model, False)
+    return Fraction(sum(map(mul, sums, weights)), scale * integer_form(model).m_den)
 
 
 # ---------------------------------------------------------------------------

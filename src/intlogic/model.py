@@ -217,7 +217,12 @@ def mu_set(model: WeakProbModel, tuples: Iterable, k: int = 1) -> Fraction:
 
 @dataclass(frozen=True)
 class FuzzySubset:
-    """A total map |M|^k -> [0,1], the semantic value of a k-ary property."""
+    """A total map |M|^k -> [0,1], the semantic value of a k-ary property.
+
+    Like models, fuzzy subsets are treated as immutable after construction:
+    `values` must not change, because the subset's integer form (see
+    `subset_integers`) is computed at most once and kept on the object.
+    """
 
     universe: tuple[str, ...]
     values: Mapping[tuple[str, ...], Fraction]
@@ -229,6 +234,18 @@ class FuzzySubset:
         object.__setattr__(self, "arity", arity)
 
     arity: int = field(init=False, repr=False, compare=False, default=0)
+
+    @classmethod
+    def _trusted(cls, universe: tuple[str, ...], values: dict, arity: int) -> "FuzzySubset":
+        """A subset from a table that is valid by construction: no checks and no copy.
+
+        Only for callers that computed every value themselves and know it
+        lies in [0, 1], with one key per tuple of `universe` of this arity.
+        The subset shares `values`, so it must not change afterwards.
+        """
+        subset = object.__new__(cls)
+        vars(subset).update(universe=universe, values=values, arity=arity)
+        return subset
 
     def is_crisp(self) -> bool:
         return all(v == ZERO or v == ONE for v in self.values.values())
@@ -242,6 +259,23 @@ class FuzzySubset:
     @classmethod
     def from_predicate(cls, model: WeakProbModel, name: str) -> "FuzzySubset":
         return cls(model.universe, dict(model.predicates[name]))
+
+
+def subset_integers(subset: FuzzySubset) -> tuple[int, tuple[int, ...]]:
+    """The subset's integer form `(den, nums)`.
+
+    `den` is the lcm of the value denominators, and `nums` holds each value
+    times `den`, in `itertools.product(universe, repeat=arity)` order.  It is
+    computed at most once per subset and kept on the subset object.
+    """
+    form = vars(subset).get("_integers")
+    if form is None:
+        values = subset.values
+        row = [values[key] for key in itertools.product(subset.universe, repeat=subset.arity)]
+        den = lcm(*{v.denominator for v in row})
+        form = den, tuple([v.numerator * (den // v.denominator) for v in row])
+        vars(subset)["_integers"] = form
+    return form
 
 
 def level_set(subset: FuzzySubset, alpha: Fraction) -> frozenset[str]:

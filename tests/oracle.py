@@ -1,10 +1,12 @@
 """The recursive evaluator, kept as the test oracle for `intlogic.evaluate`.
 
 It follows the truth-value clauses node by node on `Fraction`s: a dict
-valuation copied per binder, and a `FuzzySubset` and `integral_expectation`
-for every `INT`.  Quantifier equality builds its matrices here too and
-applies the level-set condition through the satisfaction module's parts,
-so no value it returns comes from the compiled evaluator.
+valuation copied per binder, and a `FuzzySubset` summed as `Fraction`
+products for every `INT`, so it shares no integer form with the compiled
+evaluator or the integrals module.  Quantifier equality builds its
+matrices here too and applies the level-set condition through the
+satisfaction module's parts, so no value it returns comes from the
+compiled evaluator.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from intlogic.errors import ContainmentViolated, NotASentence, UnboundVariable, UnknownSymbol
-from intlogic.integrals import integral_expectation
 from intlogic.model import FuzzySubset, WeakProbModel, level_set, mu_set
 from intlogic.rational import ONE, ZERO, implies, neg, strong_and, strong_or, weak_and, weak_or
 from intlogic.satisfaction import default_level_config, hsat_qeq_dirac
@@ -123,7 +124,7 @@ def evaluate(formula: Formula, model: WeakProbModel, valuation=None) -> Fraction
         return max(values, default=ZERO)
     if isinstance(formula, Integral):
         matrix = value_matrix(formula.body, formula.var, model, v)
-        return integral_expectation(matrix, model)
+        return sum((matrix.values[(m,)] * model.measure[m] for m in model.universe), ZERO)
     if isinstance(formula, QuantEq):
         return ONE if hsat_qeq(formula.left, formula.right, model) else ZERO
     raise TypeError(f"not a formula: {formula!r}")

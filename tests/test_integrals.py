@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intlogic import errors
 from intlogic.integrals import (
@@ -18,7 +19,7 @@ from intlogic.integrals import (
     slice_first,
     slice_second,
 )
-from intlogic.model import FuzzySubset, WeakProbModel, mu_set, truth_set
+from intlogic.model import FuzzySubset, WeakProbModel, mu_set, subset_integers, truth_set
 from intlogic.rational import DEFAULT_GRID, implies
 from intlogic.validate import grid_fuzzy_subsets, grid_measures
 
@@ -159,6 +160,111 @@ class TestIntegralLaws:
             model, constants=(HALF,), integral=lambda f, m: F(0))
         assert not report.ok
         assert report.violations[0]["law"] == "constant"
+
+
+class TestSlices:
+    # h is not symmetric and the weights differ, so a swapped axis shows
+    H = {("a", "a"): F(1), ("a", "b"): HALF, ("b", "a"): F(0), ("b", "b"): F(1, 3)}
+
+    def test_slice_values(self):
+        model = model2(F(1, 4), F(3, 4))
+        h = FuzzySubset(model.universe, self.H)
+        # g(y) = h(a,y)/4 + h(b,y)*3/4 and g(x) = h(x,a)/4 + h(x,b)*3/4
+        assert slice_first(h, model).values == {("a",): F(1, 4), ("b",): F(3, 8)}
+        assert slice_second(h, model).values == {("a",): F(5, 8), ("b",): F(1, 4)}
+        assert double_sum(h, model) == F(11, 32)
+
+    def test_keys_out_of_universe_order(self):
+        model = model2(F(1, 4), F(3, 4))
+        h = FuzzySubset(model.universe, dict(reversed(self.H.items())))
+        assert slice_first(h, model).values == {("a",): F(1, 4), ("b",): F(3, 8)}
+        assert slice_second(h, model).values == {("a",): F(5, 8), ("b",): F(1, 4)}
+        f = FuzzySubset(model.universe, {("b",): F(1, 3), ("a",): HALF})
+        assert subset_integers(f) == (6, (3, 2))
+        for integral in (integral_expectation, integral_layercake, integral_dissection):
+            assert integral(f, model) == F(3, 8)
+
+
+class TestUniverseChecks:
+    MODEL = model2(F(1, 4), F(3, 4))
+
+    @staticmethod
+    def binary(universe):
+        return FuzzySubset(universe, {key: HALF for key in itertools.product(universe, repeat=2)})
+
+    @pytest.mark.parametrize("universe", [("a", "c"), ("b", "a")])
+    @pytest.mark.parametrize("integrate", [slice_first, slice_second, double_sum])
+    def test_bivariate_over_another_universe(self, integrate, universe):
+        with pytest.raises(errors.FormatError):
+            integrate(self.binary(universe), self.MODEL)
+
+    @pytest.mark.parametrize("universe", [("a", "c"), ("b", "a")])
+    def test_pointwise_over_another_universe(self, universe):
+        f = fs(a=F(1), b=F(0))
+        g = FuzzySubset(universe, {(m,): HALF for m in universe})
+        with pytest.raises(errors.FormatError):
+            pointwise(implies, f, g)
+
+    @pytest.mark.parametrize("integrate", [slice_first, slice_second, double_sum])
+    def test_bivariate_needs_arity_two(self, integrate):
+        with pytest.raises(errors.ArityMismatch):
+            integrate(fs(a=F(1), b=F(0)), self.MODEL)
+
+    def test_pointwise_needs_one_arity(self):
+        with pytest.raises(errors.ArityMismatch):
+            pointwise(implies, fs(a=F(1), b=F(0)), self.binary(("a", "b")))
+
+    def test_pointwise_checks_values(self):
+        with pytest.raises(errors.ValueOutOfRange):
+            pointwise(lambda x: x + 1, fs(a=HALF, b=F(0)))
+
+
+# values with many different denominators, for subsets and (divided by |M|) for measures
+MIXED = [F(0), F(1), HALF, F(1, 3), F(2, 5), F(5, 7), F(3, 4), F(1, 6), F(7, 9), F(4, 11)]
+
+
+@st.composite
+def measured_universes(draw):
+    """A model over 1-4 elements whose weights have differing denominators."""
+    names = ("a", "b", "c", "d")[:draw(st.integers(min_value=1, max_value=4))]
+    head = [v / len(names) for v in draw(st.lists(st.sampled_from(MIXED), min_size=len(names) - 1,
+                                                  max_size=len(names) - 1))]
+    measure = dict(zip(names, [*head, 1 - sum(head, F(0))]))
+    return WeakProbModel(names, measure, {}, {}, {})
+
+
+def drawn_subset(draw, universe, arity):
+    """A subset with values from MIXED and its dict keys in a drawn order."""
+    keys = draw(st.permutations(list(itertools.product(universe, repeat=arity))))
+    return FuzzySubset(universe, {key: draw(st.sampled_from(MIXED)) for key in keys})
+
+
+class TestAgainstFractionSums:
+    """The integer integrals against plain `Fraction` sums over the dict values."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), model=measured_universes())
+    def test_unary_integrals(self, data, model):
+        f = drawn_subset(data.draw, model.universe, 1)
+        expected = sum((f.values[(m,)] * model.measure[m] for m in model.universe), F(0))
+        assert integral_expectation(f, model) == expected
+        assert integral_layercake(f, model) == expected
+        assert integral_dissection(f, model) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), model=measured_universes())
+    def test_slices_and_double_sum(self, data, model):
+        universe, mu = model.universe, model.measure
+        h = drawn_subset(data.draw, universe, 2)
+        first = {(b,): sum((h.values[(a, b)] * mu[a] for a in universe), F(0)) for b in universe}
+        second = {(a,): sum((h.values[(a, b)] * mu[b] for b in universe), F(0)) for a in universe}
+        for computed, values in ((slice_first(h, model), first), (slice_second(h, model), second)):
+            assert computed.values == values
+            validated = FuzzySubset(universe, values)
+            assert computed == validated and computed.arity == validated.arity == 1
+            assert subset_integers(computed) == subset_integers(validated)
+        total = sum((v * mu[a] * mu[b] for (a, b), v in h.values.items()), F(0))
+        assert double_sum(h, model) == total
 
 
 class TestLipschitz:
