@@ -37,10 +37,6 @@ def _require(subset: FuzzySubset, universe: tuple[str, ...], arity: int) -> None
         raise FormatError(f"fuzzy subset over the universe {subset.universe}, expected {universe}")
 
 
-def _require_unary(subset: FuzzySubset, model: WeakProbModel) -> None:
-    _require(subset, model.universe, 1)
-
-
 def _scaled(subset: FuzzySubset, model: WeakProbModel) -> tuple[tuple[int, ...], list[int], int]:
     """The subset's values and the weights as integers, and their common scale.
 
@@ -56,7 +52,7 @@ def _scaled(subset: FuzzySubset, model: WeakProbModel) -> tuple[tuple[int, ...],
 
 def integral_expectation(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     """Sum of f(m) * mu(m) over the universe."""
-    _require_unary(subset, model)
+    _require(subset, model.universe, 1)
     values, weights, scale = _scaled(subset, model)
     return Fraction(sum(map(mul, values, weights)), scale)
 
@@ -90,7 +86,7 @@ def integral_dissection(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     and weights over shared integer denominators, so a partition's total is
     a sum of its blocks' scores, exactly.
     """
-    _require_unary(subset, model)
+    _require(subset, model.universe, 1)
     n = len(model.universe)
     if n > DISSECTION_MAX_UNIVERSE:
         raise UniverseTooLarge(f"dissection enumeration capped at |M| <= {DISSECTION_MAX_UNIVERSE}")
@@ -109,7 +105,7 @@ def integral_dissection(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
 
 def integral_layercake(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     """Sum over the distinct values 0 = v0 < v1 < ... of (vi - vi-1) * mu{f >= vi}."""
-    _require_unary(subset, model)
+    _require(subset, model.universe, 1)
     values, weights, scale = _scaled(subset, model)
     total = previous = 0
     for level in sorted(set(values) - {0}):
@@ -120,7 +116,7 @@ def integral_layercake(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
 
 def integral_dirac(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     """mu(f^-1(1)) for crisp f; the Dirac-style shortcut is only sound there."""
-    _require_unary(subset, model)
+    _require(subset, model.universe, 1)
     if not subset.is_crisp():
         raise NotCrisp("the Dirac integral is only defined for {0,1}-valued subsets")
     return mu_set(model, truth_set(subset), 1)
