@@ -259,7 +259,10 @@ def _sat_verdict(holds: bool, args, label="H-SAT") -> int:
 def _cmd_sat(args) -> int:
     model = _load_models(args)[0]
     formula = parse_formula(_formula_text(args), model.vocabulary())
-    return _sat_verdict(hsat(formula, model, _level_config(args)), args)
+    cfg = _level_config(args)
+    if cfg is not None and not isinstance(formula, QuantEq):
+        raise UsageError("--levels and --pairs apply only to a formula of the shape 'Q ... = Q ...'")
+    return _sat_verdict(hsat(formula, model, cfg), args)
 
 
 def _cmd_qeq(args) -> int:

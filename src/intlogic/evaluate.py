@@ -4,8 +4,8 @@ Connective clauses: negation 1-x, weak and/or min/max, strong and/or the
 Lukasiewicz t-norm/t-conorm, implication min(1, 1-x+y).  The universal and
 existential quantifiers take min/max over the universe, and the integral
 quantifier takes the expectation of the bound variable's values.
-Quantifier equality evaluates to a crisp 0 or 1 via the level-set condition
-in the satisfaction module.
+Quantifier equality evaluates to a crisp 0 or 1 via the level-set condition,
+decided here on the integer rows of its two sides (`_levels_agree`).
 
 There is one evaluator, `compile_formula`.  It walks the formula once and
 turns every node into a closure `(view, env) -> int`:
@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
-from .errors import NotASentence, UnboundVariable, UnknownSymbol
+from .errors import ContainmentViolated, NotASentence, UnboundVariable, UnknownSymbol
 from .model import FuzzySubset, WeakProbModel, integer_form
 from .syntax import (
     And,
@@ -144,6 +144,35 @@ def _integral(body, slot, w):
     return run
 
 
+def _levels_agree(f: list[int], g: list[int], weights, top: int, cfg) -> bool:
+    """The level-set condition of `=` on rows of numerators over `top`, weighted by `weights`.
+
+    The level set of `a` is `{n > a * top}`.  Levels and pairs come from `cfg`,
+    else from the Dirac rule (crisp rows) or the attained interior values.
+    """
+    if cfg is not None:
+        cuts = [a.numerator * top // a.denominator for a in cfg.levels]
+        pairs, level = cfg.pairs, cfg.levels.__getitem__
+    elif {*f, *g} <= {0, top}:
+        cuts, pairs, level = [0], [(0, 0)], None
+    else:
+        cuts = sorted({*f, *g} - {0, top})
+        pairs, level = [(i, i) for i in range(len(cuts))], lambda i: Fraction(cuts[i], top)
+    mass = 0
+    for i, j in pairs:
+        a, b = cuts[i], cuts[j]
+        for x, y, (_, weight) in zip(f, g, weights):
+            if x > a and y <= b:
+                mass += weight
+            elif y > b and x <= a:
+                if level is None:
+                    raise ContainmentViolated(
+                        None, "the right truth set must be contained in the left truth set")
+                raise ContainmentViolated(
+                    (i, j), f"level pair ({level(i)}, {level(j)}) violates containment")
+    return mass == 0
+
+
 # The values of the view entries, each computed per model as
 # `build(key, model, den, tables, form)`: `den` is D, `tables` the predicate
 # tables as integers over D, and `form` the model's integer form.
@@ -182,15 +211,13 @@ def _weights(_, model, den, tables, form):
     return form.weights
 
 
-def _model(_, model, den, tables, form):
-    return model
-
-
 class _Compiler:
     """One walk over a formula: its closures, its slots and the entries of its view."""
 
-    def __init__(self, free_names: Sequence[str]):
-        self.depth = self.width = len(free_names)
+    def __init__(self, free_names: Sequence[str], cfg=None):
+        self.names = tuple(free_names)
+        self.depth = self.width = len(self.names)
+        self.cfg = cfg  #: the levels and pairs of every `=` node; None for automatic ones
         self.entries: list[tuple[Callable, object]] = []
         self.index: dict[tuple[Callable, object], int] = {}
         self.predicates: list[str] = []
@@ -230,22 +257,41 @@ class _Compiler:
             return combine(self.aligned(left, e - e_left), self.aligned(right, e - e_right),
                            self.entry(_scale, e)), e
         if isinstance(formula, (Forall, Exists, Integral)):
-            slot = self.depth
-            self.depth += 1
-            self.width = max(self.width, self.depth)
-            body, e = self.node(formula.body, {**scope, formula.var: slot})
-            self.depth -= 1
+            body, e, slot = self.bound(formula, scope)
             if isinstance(formula, Integral):
                 return _integral(body, slot, self.entry(_weights)), e + 1
             pick = min if isinstance(formula, Forall) else max
             return _over_universe(pick, body, slot, self.entry(_universe)), e
         if isinstance(formula, QuantEq):
-            from .satisfaction import hsat_qeq  # deferred: satisfaction evaluates bodies through us
-
-            s, m = self.entry(_scale, 0), self.entry(_model)
-            left, right = formula.left, formula.right
-            return (lambda view, env: view[s] if hsat_qeq(left, right, view[m]) else 0), 0
+            return self.quant_eq(formula)
         raise TypeError(f"not a formula: {formula!r}")
+
+    def bound(self, formula, scope: dict[str, int]):
+        """`(body, e, slot)`: a binder's body compiled with its variable in a fresh slot."""
+        slot = self.depth
+        self.depth += 1
+        self.width = max(self.width, self.depth)
+        body, e = self.node(formula.body, {**scope, formula.var: slot})
+        self.depth -= 1
+        return body, e, slot
+
+    def quant_eq(self, formula: QuantEq):
+        """`(closure, e)` for `=`: S_e when the sides' rows, aligned to S_e, meet the condition."""
+        sides = [(free_vars(side), *self.bound(side, {})) for side in (formula.left, formula.right)]
+        e = max(e_side for _, _, e_side, _ in sides)
+        rows = [(free, self.aligned(body, e - e_side), slot) for free, body, e_side, slot in sides]
+        s, w, cfg = self.entry(_scale, e), self.entry(_weights), self.cfg
+
+        def run(view, env):
+            f, g = [], []
+            for row, (free, body, slot) in zip((f, g), rows):
+                if free:
+                    raise NotASentence(free)
+                for m, _ in view[w]:
+                    env[slot] = m
+                    row.append(body(view, env))
+            return view[s] if _levels_agree(f, g, view[w], view[s], cfg) else 0
+        return run, e
 
     def aligned(self, closure, d: int):
         """`closure` moved from S_e to S_(e+d), by a factor M**d."""
@@ -289,6 +335,21 @@ class _Compiler:
         args = [self.term(a, scope) for a in term.args]
         return lambda view, env: view[k][tuple([a(view, env) for a in args])]
 
+    def compile(self, formula: Formula) -> Callable[[WeakProbModel], Bound]:
+        """`formula` compiled over this compiler's free names (see `compile_formula`)."""
+        root, e = self.node(formula, {name: slot for slot, name in enumerate(self.names)})
+        top = self.entry(_scale, e)
+        pad = [None] * (self.width - len(self.names))
+
+        def bind(model: WeakProbModel) -> Bound:
+            view = self.view(model)
+            den = view[top]
+
+            def value(elements: Sequence[str] = ()) -> Fraction:
+                return Fraction(root(view, [*elements, *pad]), den)
+            return value
+        return bind
+
     def view(self, model: WeakProbModel) -> list:
         """The model's integer view: the value of every entry, in index order.
 
@@ -317,19 +378,7 @@ def compile_formula(formula: Formula, free_names: Sequence[str] = ()) -> Callabl
     binder binds raises `UnboundVariable`, a symbol the model lacks
     `UnknownSymbol`.
     """
-    compiler = _Compiler(free_names)
-    root, e = compiler.node(formula, {name: slot for slot, name in enumerate(free_names)})
-    top = compiler.entry(_scale, e)
-    pad = [None] * (compiler.width - len(free_names))
-
-    def bind(model: WeakProbModel) -> Bound:
-        view = compiler.view(model)
-        den = view[top]
-
-        def value(elements: Sequence[str] = ()) -> Fraction:
-            return Fraction(root(view, [*elements, *pad]), den)
-        return value
-    return bind
+    return _Compiler(free_names).compile(formula)
 
 
 def value_matrix(

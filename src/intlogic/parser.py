@@ -50,6 +50,7 @@ from .syntax import (
     Variable,
     Vocabulary,
     free_vars,
+    substitute,
 )
 
 
@@ -381,8 +382,6 @@ def close_free_names(formula: Formula) -> Formula:
     Binding is explicit in the syntax, so a name that stays free across the
     whole formula can only have been meant as a constant.
     """
-    from .syntax import substitute
-
     out = formula
     for name in sorted(free_vars(formula)):
         out = substitute(out, name, Constant(name))

@@ -6,7 +6,8 @@ configured pair of thresholds, the right side's level set must be contained
 in the left side's, and the summed measure of the differences must be
 exactly zero (on finite rational models "smaller than every epsilon"
 collapses to zero).  Crisp bodies are routed through the Dirac-case check,
-where the level sets degenerate to truth sets.
+where the level sets degenerate to truth sets.  The compiled evaluator decides
+'=' on integers; `hsat_qeq` runs it, with explicit levels when given.
 """
 
 from __future__ import annotations
@@ -24,15 +25,9 @@ from .errors import (
     NotCrisp,
     SentenceNotInSystem,
 )
-from .evaluate import evaluate_closed, value_matrix
-from .model import (
-    FuzzySubset,
-    WeakProbModel,
-    expand_by_constants,
-    level_set,
-    mu_set,
-    truth_set,
-)
+from .evaluate import _Compiler, evaluate_closed
+from .model import FuzzySubset, WeakProbModel, expand_by_constants, mu_set, truth_set
+from .parser import print_formula
 from .rational import ONE, ZERO
 from .reporting import Report
 from .syntax import (
@@ -107,13 +102,6 @@ def hsat_qeq_dirac(f: FuzzySubset, g: FuzzySubset, model: WeakProbModel) -> bool
     return mu_set(model, f_true - g_true, 1) == ZERO
 
 
-def _qeq_matrix(side: Formula, model: WeakProbModel) -> FuzzySubset:
-    extra = free_vars(side)
-    if extra:
-        raise NotASentence(extra)
-    return value_matrix(side.body, side.var, model)
-
-
 def hsat_qeq(
     left: Formula,
     right: Formula,
@@ -127,23 +115,7 @@ def hsat_qeq(
     used.  Containment failures raise rather than answer False; they break
     the condition's preconditions.
     """
-    f = _qeq_matrix(left, model)
-    g = _qeq_matrix(right, model)
-    if cfg is None:
-        if f.is_crisp() and g.is_crisp():
-            return hsat_qeq_dirac(f, g, model)
-        cfg = default_level_config(f, g)
-    total = ZERO
-    for i, j in cfg.pairs:
-        f_level = level_set(f, cfg.levels[i])
-        g_level = level_set(g, cfg.levels[j])
-        if not g_level <= f_level:
-            raise ContainmentViolated(
-                (i, j),
-                f"level pair ({cfg.levels[i]}, {cfg.levels[j]}) violates containment",
-            )
-        total += mu_set(model, f_level - g_level, 1)
-    return total == ZERO
+    return _Compiler((), cfg).compile(QuantEq(left, right))(model)() == ONE
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +258,6 @@ def check_weak_negation(
 
 
 def _name(sentence: Formula) -> str:
-    from .parser import print_formula
-
     try:
         return print_formula(sentence)
     except IntlogicError:

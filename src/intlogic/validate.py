@@ -54,6 +54,7 @@ from .syntax import (
 _ELEMENT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 EXHAUSTIVE_SPACE_CAP = 2_000_000
+LAW_SUITE_CAP = 100_000  #: the most unary pairs, and bivariate subsets, of an exhaustive law suite
 
 
 @dataclass(frozen=True)
@@ -239,9 +240,11 @@ def integral_law_suite(model: WeakProbModel, gen: ModelGenSpec) -> Report:
     universe = model.universe
     if gen.exhaustive:
         unary_count = len(gen.grid) ** len(universe)
-        if unary_count ** 2 > 100_000:
+        bivariate_count = len(gen.grid) ** len(universe) ** 2
+        if max(unary_count ** 2, bivariate_count) > LAW_SUITE_CAP:
             raise SearchSpaceTooLarge(
-                f"{unary_count}^2 sample pairs; use random sampling for this size")
+                f"{unary_count}^2 sample pairs and {bivariate_count} bivariate subsets"
+                f" (cap {LAW_SUITE_CAP} each); use random sampling for this size")
         unary = list(grid_fuzzy_subsets(universe, gen.grid, 1))
         pairs = [(f, g) for f in unary for g in unary]
         bivariate = list(grid_fuzzy_subsets(universe, gen.grid, 2))

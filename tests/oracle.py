@@ -16,7 +16,7 @@ from fractions import Fraction
 from intlogic.errors import ContainmentViolated, NotASentence, UnboundVariable, UnknownSymbol
 from intlogic.model import FuzzySubset, WeakProbModel, level_set, mu_set
 from intlogic.rational import ONE, ZERO, implies, neg, strong_and, strong_or, weak_and, weak_or
-from intlogic.satisfaction import default_level_config, hsat_qeq_dirac
+from intlogic.satisfaction import LevelConfig, default_level_config, hsat_qeq_dirac
 from intlogic.syntax import (
     And,
     Atom,
@@ -72,13 +72,14 @@ def _side_matrix(side: Formula, model: WeakProbModel) -> FuzzySubset:
     return value_matrix(side.body, side.var, model)
 
 
-def hsat_qeq(left: Formula, right: Formula, model: WeakProbModel) -> bool:
-    """`satisfaction.hsat_qeq` with the default levels, on matrices built here."""
+def hsat_qeq(left: Formula, right: Formula, model: WeakProbModel, cfg: LevelConfig | None = None) -> bool:
+    """`satisfaction.hsat_qeq`, on matrices built here and level sets of `Fraction`s."""
     f = _side_matrix(left, model)
     g = _side_matrix(right, model)
-    if f.is_crisp() and g.is_crisp():
-        return hsat_qeq_dirac(f, g, model)
-    cfg = default_level_config(f, g)
+    if cfg is None:
+        if f.is_crisp() and g.is_crisp():
+            return hsat_qeq_dirac(f, g, model)
+        cfg = default_level_config(f, g)
     total = ZERO
     for i, j in cfg.pairs:
         f_level = level_set(f, cfg.levels[i])

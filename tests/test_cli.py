@@ -90,6 +90,11 @@ class TestSat:
         code = main(["sat", "--model", model_path, "--formula", "INT P(x) dx = INT P(y) dy"])
         assert code == 0
 
+    def test_levels_only_for_quantifier_equality(self, ex2_path, capsys):
+        # levels configure '=' alone; on any other sentence they would go unread
+        exits_2_with_one_line(["sat", "--model", ex2_path, "--formula", "EX x. Phi(x)",
+                               "--levels", "1/2"], capsys)
+
 
 class TestQeq:
     def test_reflexive(self, model_path, capsys):
@@ -396,6 +401,10 @@ class TestInputErrorsExit2:
     ])
     def test_bad_generation_or_vocabulary(self, argv, capsys):
         exits_2_with_one_line(argv, capsys)
+
+    def test_exhaustive_law_suite_over_the_cap(self, capsys):
+        # 125^2 unary pairs at |M| = 3 pass the cap; 5^9 bivariate subsets do not
+        exits_2_with_one_line(["validate-integral-laws", "--exhaustive", "--size", "3"], capsys)
 
     @pytest.mark.parametrize("grid", ["0,1/2,3/2", "-1/2,1"])
     @pytest.mark.parametrize("command", [

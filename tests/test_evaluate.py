@@ -17,6 +17,7 @@ from intlogic.model import (
     relabel_universe,
     rename,
 )
+from intlogic.satisfaction import LevelConfig, hsat_qeq
 from intlogic.validate import exhaustive_models
 from intlogic.syntax import (
     And,
@@ -275,6 +276,32 @@ class TestDifferential:
         assert_agree(nested, model, {})
         assert_agree(il.Not(connective(nested, gen.random_sentence(rng, depth + 1))), model, {})
         assert_agree(gen.random_sentence(rng, depth + 1), model)
+        sides = [nested, rng.choice((il.Forall, il.Exists, il.Integral))("x", other)]
+        rng.shuffle(sides)  # '=' between sides of different INT heights
+        assert_agree(il.QuantEq(*sides), model)
+
+    @DIFF
+    @given(seed=seeds, size=sizes, depth=st.integers(min_value=1, max_value=4))
+    def test_quantifier_equalities_at_explicit_levels(self, seed, size, depth):
+        rng = random.Random(seed)
+        model = rng.choice((gen.random_model, mixed_model))(rng, size)
+        sentence = gen.random_toplevel(rng, depth)
+        while not isinstance(sentence, il.QuantEq):
+            sentence = gen.random_toplevel(rng, depth)
+        left, right = sentence.left, sentence.right
+        attained = sorted({v for side in (left, right)
+                           for v in oracle.value_matrix(side.body, side.var, model).values.values()
+                           if 0 < v < 1})
+        # levels attained by a side or not, with denominators that need not divide the scale
+        levels = sorted({rng.choice(attained) if attained and rng.random() < 0.5
+                         else F(rng.randint(1, d - 1), d)
+                         for d in rng.choices((2, 3, 5, 7, 12), k=rng.randint(1, 4))})
+        pairs = [(rng.randrange(len(levels)), rng.randrange(len(levels)))
+                 for _ in range(rng.randint(1, 4))]
+        cfg = LevelConfig(tuple(levels), tuple(pairs))
+        assert outcome(lambda: hsat_qeq(left, right, model, cfg)) == \
+            outcome(lambda: oracle.hsat_qeq(left, right, model, cfg)), \
+            f"{il.print_formula(sentence)} at {cfg} on {il.model_to_json(model)}"
 
     @DIFF
     @given(seed=seeds, size=sizes, depth=st.integers(min_value=0, max_value=4))

@@ -1,0 +1,48 @@
+"""The package's import graph: every relative import at module level, and no cycle.
+
+The modules import each other only relatively (`from .model import ...`).
+"""
+
+import ast
+from pathlib import Path
+
+import intlogic
+
+PACKAGE = Path(intlogic.__file__).parent
+
+
+def intra_package_imports():
+    """`(module, imported module, node, is module level)` for every import of a package module."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        top = set(map(id, tree.body))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for target in [node.module] if node.module else [alias.name for alias in node.names]:
+                    yield path.stem, target, node, id(node) in top
+
+
+def test_every_intra_package_import_is_at_module_level():
+    nested = [f"{module}.py:{node.lineno} imports {target}"
+              for module, target, node, at_top in intra_package_imports() if not at_top]
+    assert nested == []
+
+
+def test_no_import_cycle():
+    graph = {}
+    for module, target, _, _ in intra_package_imports():
+        graph.setdefault(module, set()).add(target)
+    done, path = set(), []
+
+    def visit(module):
+        assert module not in path, " -> ".join([*path[path.index(module):], module])
+        if module in done:
+            return
+        path.append(module)
+        for target in sorted(graph.get(module, ())):
+            visit(target)
+        path.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import intlogic as il
-from intlogic import errors
+from intlogic import errors, validate
 from intlogic.integrals import check_semantic_integral_laws, pointwise, slice_first, slice_second
 from intlogic.model import FuzzySubset, WeakProbModel, integer_form, model_from_json, model_to_json
 from intlogic.rational import DEFAULT_GRID, implies, neg, strong_and, strong_or
@@ -202,6 +202,17 @@ class TestIntegralLawSuite:
         model = il.WeakProbModel(names, {n: F(1, 8) for n in names}, {}, {}, {})
         with pytest.raises(errors.SearchSpaceTooLarge):
             integral_law_suite(model, ModelGenSpec(size=8, exhaustive=True))
+
+    def test_exhaustive_guard_counts_bivariate_subsets(self, monkeypatch):
+        # 125^2 unary pairs at |M| = 3 pass the cap; 5^9 bivariate subsets do
+        # not, and the guard fires before any subset is built
+        def unbuilt(*args):
+            raise AssertionError("a grid subset was built")
+        monkeypatch.setattr(validate, "grid_fuzzy_subsets", unbuilt)
+        names = universe_names(3)
+        model = il.WeakProbModel(names, {n: F(1, 3) for n in names}, {}, {}, {})
+        with pytest.raises(errors.SearchSpaceTooLarge):
+            integral_law_suite(model, ModelGenSpec(size=3, exhaustive=True))
 
 
 MIXED_GRID = (F(0), F(1, 3), HALF, F(5, 6), F(1))
