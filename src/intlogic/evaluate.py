@@ -15,7 +15,12 @@ turns every node into a closure `(view, env) -> int`:
 - `view` is the model's integer view, built once per compiled formula and
   model from the model's integer form (`model.integer_form`): one entry per
   table, constant, truth constant, scale and power the closures read, at
-  indices fixed when compiling.
+  indices fixed when compiling.  The view is staged.  The universe, truth
+  constants, scales and powers depend on the model only through the
+  universe, `D` and `M`; tables, constants and weights change per model.
+  A compiled formula keeps the last view it built, and binding it to a
+  model with the same universe, `D` and `M` copies that view and fills in
+  only the per-model entries.  Every bound formula keeps its own list.
 - A subformula whose `INT` nesting height is `e` has the value `n / S_e`,
   with `S_e = D * M**e`.  `D` is the form's common denominator of the
   model's tables, raised to the lcm with the formula's truth-constant
@@ -24,7 +29,9 @@ turns every node into a closure `(view, env) -> int`:
   after aligning their operands by powers of `M`, and `INT` sums the body's
   numerators times the integer weights `mu(m) * M`.
 
-A `Fraction` is made only for the result.
+`compile_integers` gives a bound formula's root numerator and its scale
+`S`, so a sweep decides a verdict on integers; `compile_formula` makes
+one `Fraction` from them for the result.
 """
 
 from __future__ import annotations
@@ -59,6 +66,10 @@ Valuation = Mapping[str, str]
 
 #: A compiled formula bound to one model: elements for its free names -> value.
 Bound = Callable[[Sequence[str]], Fraction]
+
+#: `(numerator, S)` of a compiled formula bound to one model: the value at
+#: `elements` is `numerator(elements) / S`.
+BoundIntegers = tuple[Callable[[Sequence[str]], int], int]
 
 
 class _Missing:
@@ -173,42 +184,29 @@ def _levels_agree(f: list[int], g: list[int], weights, top: int, cfg) -> bool:
     return mass == 0
 
 
-# The values of the view entries, each computed per model as
-# `build(key, model, den, tables, form)`: `den` is D, `tables` the predicate
-# tables as integers over D, and `form` the model's integer form.
+# The view entries that depend on the model only through its universe, D
+# and M, each computed as `build(key, universe, den, m_den)`.
 
-def _predicate(name, model, den, tables, form):
-    table = tables.get(name)
-    return _Missing("predicate", name) if table is None else table
-
-
-def _function(name, model, den, tables, form):
-    table = model.functions.get(name)
-    return _Missing("function", name) if table is None else table
-
-
-def _constant(name, model, den, tables, form):
-    return model.constants.get(name)
-
-
-def _truth(value, model, den, tables, form):
+def _truth(value, universe, den, m_den):
     return value.numerator * (den // value.denominator)
 
 
-def _scale(e, model, den, tables, form):
-    return den * form.m_den ** e
+def _scale(e, universe, den, m_den):
+    return den * m_den ** e
 
 
-def _power(d, model, den, tables, form):
-    return form.m_den ** d
+def _power(d, universe, den, m_den):
+    return m_den ** d
 
 
-def _universe(_, model, den, tables, form):
-    return model.universe
+def _universe(_, universe, den, m_den):
+    return universe
 
 
-def _weights(_, model, den, tables, form):
-    return form.weights
+#: The kinds of per-model entry: a predicate table (as integers over D), a
+#: function table, a constant, and the measure's integer weights.
+_PREDICATE, _FUNCTION, _CONSTANT, _WEIGHTS = range(4)
+_TABLE_KINDS = {_PREDICATE: "predicate", _FUNCTION: "function"}
 
 
 class _Compiler:
@@ -218,21 +216,36 @@ class _Compiler:
         self.names = tuple(free_names)
         self.depth = self.width = len(self.names)
         self.cfg = cfg  #: the levels and pairs of every `=` node; None for automatic ones
-        self.entries: list[tuple[Callable, object]] = []
-        self.index: dict[tuple[Callable, object], int] = {}
+        self.entries: list[tuple[Callable | None, object]] = []  #: a per-model entry has no `build`
+        self.index: dict[tuple, int] = {}
+        self.per_model: list[tuple[int, int, str, object]] = []  #: (index, kind, name, value if absent)
+        self.weights: int | None = None  #: the index of the weights entry
+        self.staged = None  #: `((universe, D, M), view)` of the last view built in full
         self.predicates: list[str] = []
         self.truth_den = 1
 
     def entry(self, build: Callable, key=None) -> int:
-        """The view index of the per-model value `build(key, ...)`."""
+        """The view index of `build(key, universe, D, M)`, the same for every model with those."""
         if (build, key) not in self.index:
             self.index[(build, key)] = len(self.entries)
             self.entries.append((build, key))
-            if build is _predicate:
-                self.predicates.append(key)
-            elif build is _truth:
+            if build is _truth:
                 self.truth_den = lcm(self.truth_den, key.denominator)
         return self.index[(build, key)]
+
+    def slot(self, kind: int, name: str | None = None) -> int:
+        """The view index of a per-model entry: the model's `name` of this kind, or its weights."""
+        if (kind, name) not in self.index:
+            i = self.index[(kind, name)] = len(self.entries)
+            self.entries.append((None, None))
+            if kind == _WEIGHTS:
+                self.weights = i
+                return i
+            absent = None if kind == _CONSTANT else _Missing(_TABLE_KINDS[kind], name)
+            self.per_model.append((i, kind, name, absent))
+            if kind == _PREDICATE:
+                self.predicates.append(name)
+        return self.index[(kind, name)]
 
     def node(self, formula: Formula, scope: dict[str, int]):
         """`(closure, e)`: the value of `formula` is `closure(view, env) / S_e`.
@@ -259,7 +272,7 @@ class _Compiler:
         if isinstance(formula, (Forall, Exists, Integral)):
             body, e, slot = self.bound(formula, scope)
             if isinstance(formula, Integral):
-                return _integral(body, slot, self.entry(_weights)), e + 1
+                return _integral(body, slot, self.slot(_WEIGHTS)), e + 1
             pick = min if isinstance(formula, Forall) else max
             return _over_universe(pick, body, slot, self.entry(_universe)), e
         if isinstance(formula, QuantEq):
@@ -280,7 +293,7 @@ class _Compiler:
         sides = [(free_vars(side), *self.bound(side, {})) for side in (formula.left, formula.right)]
         e = max(e_side for _, _, e_side, _ in sides)
         rows = [(free, self.aligned(body, e - e_side), slot) for free, body, e_side, slot in sides]
-        s, w, cfg = self.entry(_scale, e), self.entry(_weights), self.cfg
+        s, w, cfg = self.entry(_scale, e), self.slot(_WEIGHTS), self.cfg
 
         def run(view, env):
             f, g = [], []
@@ -301,7 +314,7 @@ class _Compiler:
         return lambda view, env: closure(view, env) * view[p]
 
     def atom(self, atom: Atom, scope: dict[str, int]):
-        k = self.entry(_predicate, atom.pred)
+        k = self.slot(_PREDICATE, atom.pred)
         slots = [scope.get(t.name) if isinstance(t, Variable) else None for t in atom.args]
         if len(slots) == 1 and slots[0] is not None:
             s = slots[0]
@@ -324,30 +337,29 @@ class _Compiler:
             s = scope[term.name]
             return lambda view, env: env[s]
         if isinstance(term, Constant):
-            k, name = self.entry(_constant, term.name), term.name
+            k, name = self.slot(_CONSTANT, term.name), term.name
 
             def constant(view, env):
                 if view[k] is None:
                     raise UnknownSymbol(name, message=f"constant {name!r} is not interpreted")
                 return view[k]
             return constant
-        k = self.entry(_function, term.func)
+        k = self.slot(_FUNCTION, term.func)
         args = [self.term(a, scope) for a in term.args]
         return lambda view, env: view[k][tuple([a(view, env) for a in args])]
 
-    def compile(self, formula: Formula) -> Callable[[WeakProbModel], Bound]:
-        """`formula` compiled over this compiler's free names (see `compile_formula`)."""
+    def compile(self, formula: Formula) -> Callable[[WeakProbModel], BoundIntegers]:
+        """`formula` compiled over this compiler's free names (see `compile_integers`)."""
         root, e = self.node(formula, {name: slot for slot, name in enumerate(self.names)})
         top = self.entry(_scale, e)
         pad = [None] * (self.width - len(self.names))
 
-        def bind(model: WeakProbModel) -> Bound:
+        def bind(model: WeakProbModel) -> BoundIntegers:
             view = self.view(model)
-            den = view[top]
 
-            def value(elements: Sequence[str] = ()) -> Fraction:
-                return Fraction(root(view, [*elements, *pad]), den)
-            return value
+            def numerator(elements: Sequence[str] = ()) -> int:
+                return root(view, [*elements, *pad])
+            return numerator, view[top]
         return bind
 
     def view(self, model: WeakProbModel) -> list:
@@ -355,7 +367,10 @@ class _Compiler:
 
         It reads the model's integer form.  Only when a truth constant's
         denominator does not divide the form's `D` are the tables the
-        formula reads rescaled, to the lcm of the two.
+        formula reads rescaled, to the lcm of the two.  When the last view
+        built in full has this model's universe, `D` and `M`, the view is a
+        copy of it with the per-model entries filled in; that view is never
+        changed, since a formula bound earlier still reads it.
         """
         form = integer_form(model)
         den, tables = form.den, form.tables
@@ -365,20 +380,47 @@ class _Compiler:
             tables = {name: {key: v * factor for key, v in tables[name].items()}
                       for name in self.predicates if name in tables}
             den = scaled
-        return [build(key, model, den, tables, form) for build, key in self.entries]
+        stage = (model.universe, den, form.m_den)
+        if self.staged is not None and self.staged[0] == stage:
+            view = self.staged[1].copy()
+        else:
+            view = [build and build(key, *stage) for build, key in self.entries]
+            self.staged = (stage, view)
+        sources = (tables, model.functions, model.constants)
+        for i, kind, name, absent in self.per_model:
+            view[i] = sources[kind].get(name, absent)
+        if self.weights is not None:
+            view[self.weights] = form.weights
+        return view
+
+
+def compile_integers(formula: Formula,
+                     free_names: Sequence[str] = ()) -> Callable[[WeakProbModel], BoundIntegers]:
+    """Compile `formula` once; `compile_integers(f, names)(model)` is `(numerator, S)`.
+
+    The value at `elements` is `numerator(elements) / S`: `elements` gives,
+    in order, the elements bound to `free_names`, and `S` is the scale of
+    the formula's `INT` height on this model.  Binding to a model builds
+    its integer view once, so one bound formula serves every valuation.
+    Errors surface when running, in the order the recursive clauses meet
+    them: a variable that neither `free_names` nor a binder binds raises
+    `UnboundVariable`, a symbol the model lacks `UnknownSymbol`.
+    """
+    return _Compiler(free_names).compile(formula)
 
 
 def compile_formula(formula: Formula, free_names: Sequence[str] = ()) -> Callable[[WeakProbModel], Bound]:
     """Compile `formula` once; `compile_formula(f, names)(model)(elements)` is its value.
 
-    `elements` gives, in order, the elements bound to `free_names`.  Binding
-    to a model builds its integer view once, so one bound formula serves
-    every valuation.  Errors surface when running, in the order the
-    recursive clauses meet them: a variable that neither `free_names` nor a
-    binder binds raises `UnboundVariable`, a symbol the model lacks
-    `UnknownSymbol`.
+    The value is the `Fraction` of `compile_integers`' numerator over its
+    scale; binding and errors are as there.
     """
-    return _Compiler(free_names).compile(formula)
+    bind_integers = compile_integers(formula, free_names)
+
+    def bind(model: WeakProbModel) -> Bound:
+        numerator, scale = bind_integers(model)
+        return lambda elements=(): Fraction(numerator(elements), scale)
+    return bind
 
 
 def value_matrix(

@@ -115,7 +115,8 @@ def hsat_qeq(
     used.  Containment failures raise rather than answer False; they break
     the condition's preconditions.
     """
-    return _Compiler((), cfg).compile(QuantEq(left, right))(model)() == ONE
+    numerator, scale = _Compiler((), cfg).compile(QuantEq(left, right))(model)
+    return numerator() == scale
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ Models are drawn over one grid of exact rationals: measures are grid draws
 renormalized by exact division (all-zero draws redrawn), tables are grid
 draws.  Exhaustive mode enumerates every grid combination in a
 deterministic order; random mode is reproducible from the seed.
+Countermodel search enumerates only the models that are least in their
+orbit under relabellings of the universe (`exhaustive_models`).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +19,7 @@ from math import lcm
 from typing import Iterator, Sequence
 
 from .errors import ContainmentViolated, IntlogicError, InvalidSpec, NotASentence, SearchSpaceTooLarge
-from .evaluate import compile_formula
+from .evaluate import compile_formula, compile_integers
 from .integrals import check_semantic_integral_laws
 from .model import (
     FuzzySubset,
@@ -74,6 +77,8 @@ class ModelGenSpec:
     def __post_init__(self):
         if self.size < 1:
             raise InvalidSpec("universe size must be >= 1")
+        if self.count < 1:
+            raise InvalidSpec("model count must be >= 1")
         if not self.grid:
             raise InvalidSpec("the grid must be non-empty")
         object.__setattr__(self, "grid", tuple(dict.fromkeys(Fraction(v) for v in self.grid)))
@@ -139,7 +144,62 @@ def _fixed_tables(names: tuple[str, ...], eq: bool) -> dict:
     return {EQ_PRED: {(a, b): ONE if a == b else ZERO for a in names for b in names}}
 
 
-def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:
+def _table_images(sigma: tuple[int, ...], arity: int, values: Sequence[int]) -> list[int]:
+    """The index of each table's image under the relabelling `sigma`, by table index.
+
+    A table is a mixed-radix number: one digit per key, in `_all_tables`'
+    key order with the first key the most significant, and `len(values)`
+    digit values.  The image moves the digit at key `k` to key `sigma(k)`
+    and turns digit `d` into `values[d]`.
+    """
+    keys = list(itertools.product(range(len(sigma)), repeat=arity))
+    position = {key: i for i, key in enumerate(keys)}
+    base, last = len(values), len(keys) - 1
+    weights = [base ** (last - position[tuple(sigma[e] for e in key)]) for key in keys]
+    return [sum(map(operator.mul, digits, weights)) for digits in itertools.product(values, repeat=len(keys))]
+
+
+def _relabellings(measures: list[dict], grid_size: int, pred_arities: Sequence[int | None],
+                  func_arities: Sequence[int], constants: int) -> list[tuple]:
+    """The images of every factor choice under each relabelling of the universe but the identity.
+
+    A relabelling `sigma` maps element `j` to element `sigma[j]`.  Its
+    images hold one list per factor level (measures, predicates, functions,
+    constants) and in it, per factor, the index of each choice's image.  A
+    predicate arity of None is a fixed table, which every relabelling maps
+    to itself.
+    """
+    size = len(measures[0])
+    measure_index = {tuple(measure.values()): i for i, measure in enumerate(measures)}
+    out = []
+    for sigma in itertools.islice(itertools.permutations(range(size)), 1, None):
+        moved = []
+        for measure in measures:
+            image = [None] * size
+            for j, weight in zip(sigma, measure.values()):
+                image[j] = weight
+            moved.append(measure_index[tuple(image)])
+        preds = [[0] if arity is None else _table_images(sigma, arity, range(grid_size))
+                 for arity in pred_arities]
+        funcs = [_table_images(sigma, arity, sigma) for arity in func_arities]
+        out.append(([moved], preds, funcs, [sigma] * constants))
+    return out
+
+
+def _ties(relabellings: list, level: int, indices: tuple[int, ...]) -> list | None:
+    """The relabellings that map `indices` at `level` to themselves; None when one maps them lower."""
+    ties = []
+    for images in relabellings:
+        image = tuple([choices[i] for choices, i in zip(images[level], indices)])
+        if image < indices:
+            return None
+        if image == indices:
+            ties.append(images)
+    return ties
+
+
+def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
+                      orbit_least: bool = False) -> Iterator[WeakProbModel]:
     """Every model over the grid, in a fixed deterministic order.
 
     With `eq`, every model also interprets `eq` as the crisp identity.  The
@@ -147,6 +207,16 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> I
     is converted to integers over the grid's lcm once, each measure
     once, and models that differ only in functions and constants share one
     predicate dict and one integer form.
+
+    The order is lexicographic on the factor indices: the measure's, each
+    predicate table's, each function table's and each constant's.  With
+    `orbit_least`, only the models that are least in their orbit under
+    relabellings of the universe are yielded, those that no relabelling
+    maps to a model with smaller indices.  A sentence has the same value
+    on every relabelling of a model, so the first model with some value is
+    orbit-least and is found either way.  A measure that a relabelling
+    maps lower skips its whole block; per model, only the relabellings
+    that fix the measure are tried, level by level.
     """
     names = universe_names(gen.size)
     measures = grid_measures(gen.size, gen.grid)
@@ -165,19 +235,43 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> I
     grid = sorted(gen.grid)
     den = lcm(*[v.denominator for v in grid])
     pred_factors = [[(name, table) for table in _all_tables(names, arity, grid)] for name, arity in pred_symbols]
-    pred_factors += [[(name, table)] for name, table in _fixed_tables(names, eq).items()]
+    fixed = _fixed_tables(names, eq)
+    pred_factors += [[(name, table)] for name, table in fixed.items()]
     int_factors = [[(name, integer_table(table, den)) for name, table in choices] for choices in pred_factors]
     func_factors = [[(name, table) for table in _all_tables(names, arity, names)] for name, arity in voc.functions]
     const_factors = [[(name, element) for element in names] for name in voc.constants]
 
-    for measure in measures:
+    # the relabellings not yet known to map the model higher; they are tried level by level
+    ties = []
+    if orbit_least:
+        ties = _relabellings(measures, len(grid), [a for _, a in pred_symbols] + [None] * len(fixed),
+                             [a for _, a in voc.functions], len(voc.constants))
+    pred_indices = [range(len(choices)) for choices in pred_factors]
+    # (indices, choice) of every combination of function tables, and of constants
+    func_choices, const_choices = (
+        list(zip(itertools.product(*[range(len(choices)) for choices in factors]), itertools.product(*factors)))
+        for factors in (func_factors, const_factors))
+
+    for m_index, measure in enumerate(measures):
+        m_ties = _ties(ties, 0, (m_index,)) if ties else ties
+        if m_ties is None:
+            continue
         m_den, weights = integer_weights(names, measure)
-        for preds, ints in zip(itertools.product(*pred_factors), itertools.product(*int_factors)):
+        for p_indices, preds, ints in zip(itertools.product(*pred_indices), itertools.product(*pred_factors),
+                                          itertools.product(*int_factors)):
+            p_ties = _ties(m_ties, 1, p_indices) if m_ties else m_ties
+            if p_ties is None:
+                continue
             predicates = dict(preds)
             form = IntegerForm(den, dict(ints), m_den, weights)
-            for funcs in itertools.product(*func_factors):
+            for f_indices, funcs in func_choices:
+                f_ties = _ties(p_ties, 2, f_indices) if p_ties else p_ties
+                if f_ties is None:
+                    continue
                 functions = dict(funcs)
-                for consts in itertools.product(*const_factors):
+                for c_indices, consts in const_choices:
+                    if f_ties and _ties(f_ties, 3, c_indices) is None:
+                        continue
                     yield WeakProbModel._trusted(names, measure, predicates, functions, dict(consts), form)
 
 
@@ -200,15 +294,17 @@ def random_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Itera
         yield WeakProbModel._trusted(names, measure, preds, funcs, consts)
 
 
-def generate_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:
+def generate_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
+                    orbit_least: bool = False) -> Iterator[WeakProbModel]:
     """The one place that chooses between exhaustive and seeded-random enumeration.
 
     Pass `eq=mentions_eq(formulas)`: term equality `eq` is then read as the
     crisp identity, which no draw changes, and models for formulas without
-    `eq` carry no table for it.
+    `eq` carry no table for it.  `orbit_least` goes to `exhaustive_models`;
+    random draws are the same either way.
     """
     if gen.exhaustive:
-        return exhaustive_models(gen, voc, eq)
+        return exhaustive_models(gen, voc, eq, orbit_least=orbit_least)
     return random_models(gen, voc, eq)
 
 
@@ -296,27 +392,32 @@ def _axiom_instantiations(axiom: str, gen: ModelGenSpec) -> list[dict]:
 
 
 def _axiom_checks(axiom: str, gen: ModelGenSpec) -> Iterator[tuple]:
-    """(model, left, right, valuation, lhs, rhs) for every instantiation, model and valuation."""
+    """(model, left, right, names, elements, lhs, rhs, scale) per instantiation, model and valuation.
+
+    The valuation binds `names` to `elements`; the sides' values are
+    `lhs / scale` and `rhs / scale`.
+    """
     for inst in _axiom_instantiations(axiom, gen):
         left, right = axiom_sides(axiom, **inst)
         voc = infer_vocabulary([left, right])
         names = sorted(free_vars(left) | free_vars(right))
-        left_in, right_in = compile_formula(left, names), compile_formula(right, names)
+        left_in, right_in = compile_integers(left, names), compile_integers(right, names)
         for model in generate_models(gen, voc):
-            lhs, rhs = left_in(model), right_in(model)
+            (lhs, left_scale), (rhs, right_scale) = left_in(model), right_in(model)
+            scale = left_scale * right_scale
             for combo in itertools.product(model.universe, repeat=len(names)):
-                yield model, left, right, dict(zip(names, combo)), lhs(combo), rhs(combo)
+                yield model, left, right, names, combo, lhs(combo) * right_scale, rhs(combo) * left_scale, scale
 
 
-def _check_record(axiom, model, left, right, valuation, lhs, rhs) -> dict:
+def _check_record(axiom, model, left, right, names, elements, lhs, rhs, scale) -> dict:
     """A replayable record of one check: the model inline, both sides and both values."""
     return {
         "axiom": axiom,
         "model": model_to_json(model),
         "instantiation": f"{print_formula(left)}  vs  {print_formula(right)}",
-        "valuation": dict(valuation),
-        "lhs": str(lhs),
-        "rhs": str(rhs),
+        "valuation": dict(zip(names, elements)),
+        "lhs": str(Fraction(lhs, scale)),
+        "rhs": str(Fraction(rhs, scale)),
     }
 
 
@@ -330,7 +431,7 @@ def validate_axiom(axiom: str, gen: ModelGenSpec) -> Report:
     """
     report = Report()
     for check in _axiom_checks(axiom, gen):
-        lhs, rhs = check[4:]
+        lhs, rhs = check[5:7]
         report.tally()
         if not (lhs <= rhs if axiom == "mu3" else lhs == rhs):
             report.add("axiom-violation", **_check_record(axiom, *check))
@@ -340,7 +441,7 @@ def validate_axiom(axiom: str, gen: ModelGenSpec) -> Report:
 def mu3_equality_gap(gen: ModelGenSpec) -> dict | None:
     """A witness where mu3 read as an equality fails (the law is only <=)."""
     for check in _axiom_checks("mu3", gen):
-        if check[4] != check[5]:
+        if check[5] != check[6]:
             return _check_record("mu3", *check)
     return None
 
@@ -353,8 +454,9 @@ def find_countermodel(formula: Formula, gen: ModelGenSpec) -> WeakProbModel | No
     """First generated model (deterministic order) whose value for the sentence is < 1.
 
     `gen.exhaustive` chooses between the whole grid and `gen.count` seeded
-    draws.  Models on which a quantifier-equality precondition fails are
-    skipped.
+    draws.  The grid is searched up to relabelling: only orbit-least models
+    are tried, and the first hit is the same model.  Models on which a
+    quantifier-equality precondition fails are skipped.
     """
     free = free_vars(formula)
     if free:
@@ -362,13 +464,14 @@ def find_countermodel(formula: Formula, gen: ModelGenSpec) -> WeakProbModel | No
     if gen.exhaustive and (gen.size > 3 or len(gen.grid) > 5):
         raise SearchSpaceTooLarge(
             "exhaustive countermodel search is bounded by size <= 3 and grid <= 5")
-    value_in = compile_formula(formula)
-    for model in generate_models(gen, infer_vocabulary(formula), eq=mentions_eq(formula)):
+    bind = compile_integers(formula)
+    for model in generate_models(gen, infer_vocabulary(formula), eq=mentions_eq(formula), orbit_least=True):
+        numerator, scale = bind(model)
         try:
-            value = value_in(model)()
+            value = numerator()
         except ContainmentViolated:
             continue
-        if value < ONE:
+        if value < scale:
             return model
     return None
 

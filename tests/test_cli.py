@@ -398,6 +398,9 @@ class TestInputErrorsExit2:
         ["gen-models", "--size", "0"],
         ["find-countermodel", "--size", "1", "--formula", "P(eq(x))"],
         ["find-countermodel", "--size", "1", "--formula", "P(x) -> Q(P(x))"],
+        # no model to draw, so an empty run must not report success
+        ["validate-axioms", "--axiom", "mu1", "--count", "-3"],
+        ["find-countermodel", "--formula", "P(c) & ~P(c)", "--count", "0"],
     ])
     def test_bad_generation_or_vocabulary(self, argv, capsys):
         exits_2_with_one_line(argv, capsys)

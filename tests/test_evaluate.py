@@ -354,6 +354,32 @@ class TestDifferential:
         assert_agree(gen.random_sentence(rng, depth + 1), model)
 
 
+@DIFF
+@given(seed=seeds, depth=st.integers(min_value=0, max_value=3))
+def test_every_bound_formula_keeps_its_own_view(seed, depth):
+    # one compiled formula bound to models that share their universe, D and M and to
+    # models that do not; every value is read again after all the binds
+    rng = random.Random(seed)
+    names = rng.choice(((), ("x",), ("x", "y")))
+    formula = gen.random_toplevel(rng, depth) if rng.random() < 0.3 else gen.random_formula(rng, depth, names)
+    if rng.random() < 0.3:  # a truth constant off the grids rescales the tables when binding
+        formula = il.StrongOr(formula, il.TruthConst(rng.choice((F(1, 3), F(2, 7)))))
+    size = rng.randint(1, 3)
+    models = []
+    for grid in (il.DEFAULT_GRID, MIXED_GRID, (F(0), F(1))):
+        spec = il.ModelGenSpec(size=size, grid=grid, seed=rng.randrange(2**32), count=rng.randint(1, 4))
+        models += il.generate_models(spec, gen.VOC, eq=True)
+    models.append(gen.random_model(rng, size=rng.randint(1, 3)))
+    rng.shuffle(models)
+    compiled = compile_formula(formula, names)
+    bound = [(model, compiled(model)) for model in models]
+    for model, value in bound:
+        for elements in itertools.product(model.universe, repeat=len(names)):
+            valuation = dict(zip(names, elements))
+            assert outcome(lambda: value(elements)) == outcome(lambda: oracle.evaluate(formula, model, valuation)), \
+                f"{il.print_formula(formula)} at {valuation} on {il.model_to_json(model)}"
+
+
 def test_binding_a_model_twice():
     # a model loaded from JSON is built by the checking constructor; its integer form
     # is computed on the first binding, and the rescaling of an off-grid constant

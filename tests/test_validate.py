@@ -3,13 +3,40 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import intlogic as il
 from intlogic import errors, validate
+from intlogic.evaluate import compile_formula
 from intlogic.integrals import check_semantic_integral_laws, pointwise, slice_first, slice_second
-from intlogic.model import FuzzySubset, WeakProbModel, integer_form, model_from_json, model_to_json
+from intlogic.model import (
+    FuzzySubset,
+    WeakProbModel,
+    integer_form,
+    model_from_json,
+    model_to_json,
+    relabel_universe,
+)
 from intlogic.rational import DEFAULT_GRID, implies, neg, strong_and, strong_or
-from intlogic.syntax import Atom, Constant, Implies, Integral, Not, Or, Variable, Vocabulary
+from intlogic.syntax import (
+    And,
+    Atom,
+    Constant,
+    Exists,
+    Forall,
+    FuncApp,
+    Implies,
+    Integral,
+    Not,
+    Or,
+    QuantEq,
+    StrongAnd,
+    TruthConst,
+    Variable,
+    Vocabulary,
+    infer_vocabulary,
+    mentions_eq,
+)
 from intlogic.validate import (
     ModelGenSpec,
     check_abstract_logic_properties,
@@ -76,6 +103,9 @@ class TestModelGeneration:
         dict(grid=(F(-1, 2), F(1)), exhaustive=True),
         # the draw (-1, -1) would renormalize to the uniform measure
         dict(size=2, grid=(-1, 1), exhaustive=True),
+        # no model to draw: an empty run would report success
+        dict(count=0),
+        dict(count=-3),
     ])
     def test_bad_spec_rejected(self, kwargs):
         with pytest.raises(errors.InvalidSpec):
@@ -154,6 +184,108 @@ class TestFindCountermodel:
     def test_requires_sentence(self):
         with pytest.raises(errors.NotASentence):
             find_countermodel(Atom("P", (Variable("x"),)), ModelGenSpec(size=1))
+
+
+def _key(model):
+    """The model as a hashable value that does not depend on the order of its universe tuple."""
+    parts = (model.measure, model.constants, *(model.predicates[name] for name in sorted(model.predicates)),
+             *(model.functions[name] for name in sorted(model.functions)))
+    return tuple(tuple(sorted(part.items())) for part in parts)
+
+
+def _orbit_least(models):
+    """The models that no relabelling of the universe maps to an earlier one, found by brute force."""
+    position = {_key(model): i for i, model in enumerate(models)}
+    names = models[0].universe
+    relabellings = [dict(zip(names, image)) for image in itertools.permutations(names)]
+    return [model for i, model in enumerate(models)
+            if all(position[_key(relabel_universe(model, r))] >= i for r in relabellings)]
+
+
+def _space(size, grid, voc):
+    """The number of models `exhaustive_models` enumerates for this size, grid and vocabulary."""
+    space = len(grid_measures(size, grid)) * size ** len(voc.constants)
+    for _, arity in validate._pred_symbols(voc):
+        space *= len(grid) ** size ** arity
+    for _, arity in voc.functions:
+        space *= size ** size ** arity
+    return space
+
+
+def _pruning_sentence(rng, depth, scope=()):
+    """A formula over P, f, c, eq and approx; with no scope, a closed one, now and then an `=`."""
+    def term(d):
+        kind = rng.choice(("var", "const", "func") if d else ("var", "const"))
+        if kind == "var" and scope:
+            return Variable(rng.choice(scope))
+        if kind == "func":
+            return FuncApp("f", (term(d - 1),))
+        return Constant("c")
+
+    def quantified(cls):
+        var = rng.choice(("x", "y"))
+        return cls(var, _pruning_sentence(rng, depth - 1, (*scope, var)))
+
+    kinds = ("P", "eq", "approx", "rat")
+    if depth > 0:
+        kinds += ("not", "and", "sand", "implies", "all", "ex", "int") + (("qeq",) if not scope else ())
+    kind = rng.choice(kinds)
+    if kind == "P":
+        return Atom("P", (term(1),))
+    if kind in ("eq", "approx"):
+        return Atom(kind, (term(1), term(1)))
+    if kind == "rat":
+        return TruthConst(rng.choice((F(0), HALF, F(1))))
+    if kind == "not":
+        return Not(_pruning_sentence(rng, depth - 1, scope))
+    if kind in ("and", "sand", "implies"):
+        cls = {"and": And, "sand": StrongAnd, "implies": Implies}[kind]
+        return cls(_pruning_sentence(rng, depth - 1, scope), _pruning_sentence(rng, depth - 1, scope))
+    if kind == "qeq":
+        return QuantEq(quantified(rng.choice((Forall, Exists, Integral))),
+                       quantified(rng.choice((Forall, Exists, Integral))))
+    return quantified({"all": Forall, "ex": Exists, "int": Integral}[kind])
+
+
+class TestOrbitLeastEnumeration:
+    """Countermodel search enumerates one model per orbit under relabelling and finds the same first model."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), depth=st.integers(min_value=1, max_value=3))
+    def test_same_first_countermodel_as_the_full_enumeration(self, seed, depth):
+        rng = random.Random(seed)
+        sentence = _pruning_sentence(rng, depth)
+        voc, eq = infer_vocabulary(sentence), mentions_eq(sentence)
+        configs = [(size, grid) for size in (3, 2) for grid in ((F(0), F(1)), (F(0), HALF, F(1)))]
+        rng.shuffle(configs)
+        size, grid = next(((size, grid) for size, grid in configs if _space(size, grid, voc) <= 1500),
+                          (2, (F(0), F(1))))
+        spec = ModelGenSpec(size=size, grid=grid, exhaustive=True)
+        models = list(exhaustive_models(spec, voc, eq))
+        pruned = list(exhaustive_models(spec, voc, eq, orbit_least=True))
+        assert [_key(m) for m in pruned] == [_key(m) for m in _orbit_least(models)]
+
+        value_in = compile_formula(sentence)
+        first = None
+        for model in models:
+            try:
+                if value_in(model)() < 1:
+                    first = model
+                    break
+            except errors.ContainmentViolated:
+                continue
+        found = find_countermodel(sentence, spec)
+        assert (found and model_to_json(found)) == (first and model_to_json(first)), il.print_formula(sentence)
+
+    def test_orbit_least_count_of_the_size_3_row(self):
+        # an exact count, so it holds on a machine of any speed
+        formula = il.parse_formula("INT (P(x) -> Q(x)) dx -> (INT P(x) dx -> INT Q(x) dx)")
+        voc = infer_vocabulary(formula)
+        size2 = ModelGenSpec(size=2, exhaustive=True)
+        pruned = sum(1 for _ in exhaustive_models(size2, voc, orbit_least=True))
+        assert pruned == len(_orbit_least(list(exhaustive_models(size2, voc)))) == 4075
+        size3 = ModelGenSpec(size=3, exhaustive=True)
+        assert sum(1 for _ in exhaustive_models(size3, voc, orbit_least=True)) == 241_050  # of 1 421 875
 
 
 class TestClosureProperties:
