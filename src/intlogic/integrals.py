@@ -10,7 +10,10 @@ These three, the two slices and `double_sum` compute on integers: each
 reads the subset's integer form (`model.subset_integers`) and the model's
 integer weights (`model.integer_form`), both computed at most once per
 object, and makes a single `Fraction`, for its result.  The two oracles
-share only that conversion with the expectation form.
+share only that conversion with the expectation form.  The subsets this
+module builds, the slices and the connectives of the law checker, are
+computed on integer rows and handed their integer form already reduced
+(`_from_row`), so integrating them converts nothing.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Sequence
 
 from .errors import ArityMismatch, FormatError, NotCrisp, UniverseTooLarge
-from .rational import DEFAULT_GRID, ONE, implies, neg, strong_and, strong_or, unit
+from .rational import DEFAULT_GRID, ONE, implies, unit
 from .reporting import Report
 from .model import FuzzySubset, WeakProbModel, integer_form, mu_set, subset_integers, truth_set
 from .syntax import APPROX_PRED
@@ -150,11 +154,25 @@ def _inner_sums(h: FuzzySubset, model: WeakProbModel, over_first: bool) -> tuple
     return [sum(map(mul, row, weights)) for row in rows], weights, scale
 
 
+def _from_row(universe: tuple[str, ...], den: int, row: Sequence[int], arity: int = 1) -> FuzzySubset:
+    """The subset whose value i is `row[i] / den`, in `subset_integers` order.
+
+    Every value must lie in [0, 1].  The subset carries its integer form:
+    dividing `den` and the row by their gcd makes `den` the lcm of the
+    values' denominators, which is what `subset_integers` computes.
+    """
+    common = gcd(den, *row)
+    den //= common
+    row = tuple([n // common for n in row])
+    keys = itertools.product(universe, repeat=arity)
+    return FuzzySubset._trusted(universe, {key: Fraction(n, den) for key, n in zip(keys, row)}, arity,
+                                (den, row))
+
+
 def _slice(h: FuzzySubset, model: WeakProbModel, over_first: bool) -> FuzzySubset:
     sums, _, scale = _inner_sums(h, model, over_first)
     # each value is a weighted mean of values in [0, 1], so it lies in [0, 1]
-    values = {(m,): Fraction(s, scale) for m, s in zip(model.universe, sums)}
-    return FuzzySubset._trusted(model.universe, values, 1)
+    return _from_row(model.universe, scale, sums)
 
 
 def slice_first(h: FuzzySubset, model: WeakProbModel) -> FuzzySubset:
@@ -189,6 +207,12 @@ def check_semantic_integral_laws(
     Violations are report entries carrying the offending sample, never
     exceptions.  The implication law is an inequality; the other four are
     exact equalities.
+
+    Within one call, `integral` sees each distinct unary subset of `pairs`
+    once, and its complement once, when it is first the left of a pair;
+    each pair then costs three calls, on `f -> g`, `f (+) g` and `f (x) g`.
+    These are computed on the two subsets' integer rows over the lcm of
+    their denominators, never on `Fraction`s.
     """
     report = Report()
 
@@ -201,23 +225,48 @@ def check_semantic_integral_laws(
         if lhs != r:
             record("constant", lhs, r, {"r": str(r)})
 
+    # by id: the subset, which keeps its id from being reused, its integer form and its integral
+    seen: dict[int, tuple] = {}
+    complements: dict[int, tuple] = {}  #: by id, both sides of the complement law
+
+    def integrated(f):
+        entry = seen.get(id(f))
+        if entry is None:
+            int_f = integral(f, model)
+            entry = seen[id(f)] = (f, *subset_integers(f), int_f)
+        return entry
+
     for f, g in pairs:
-        int_f = integral(f, model)
-        int_g = integral(g, model)
+        _, den_f, row_f, int_f = integrated(f)
+        _, den_g, row_g, int_g = integrated(g)
+        universe, arity = f.universe, f.arity
+        _require(g, universe, arity)
 
-        lhs = integral(pointwise(neg, f), model)
+        complement = complements.get(id(f))
+        if complement is None:
+            not_f = _from_row(universe, den_f, [den_f - x for x in row_f], arity)
+            complement = complements[id(f)] = (integral(not_f, model), ONE - int_f)
+        lhs, rhs = complement
         report.tally()
-        if lhs != ONE - int_f:
-            record("complement", lhs, ONE - int_f, _sample(f=f))
+        if lhs != rhs:
+            record("complement", lhs, rhs, _sample(f=f))
 
-        lhs = integral(pointwise(implies, f, g), model)
+        # both rows over the lcm of their denominators
+        den = lcm(den_f, den_g)
+        a = row_f if den == den_f else [x * (den // den_f) for x in row_f]
+        b = row_g if den == den_g else [y * (den // den_g) for y in row_g]
+
+        f_implies_g = _from_row(universe, den, [min(den, den - x + y) for x, y in zip(a, b)], arity)
+        lhs = integral(f_implies_g, model)
         rhs = implies(int_f, int_g)
         report.tally()
         if lhs > rhs:
             record("implication", lhs, rhs, _sample(f=f, g=g))
 
-        lhs = integral(pointwise(strong_or, f, g), model)
-        rhs = int_f + int_g - integral(pointwise(strong_and, f, g), model)
+        f_or_g = _from_row(universe, den, [min(den, x + y) for x, y in zip(a, b)], arity)
+        f_and_g = _from_row(universe, den, [max(0, x + y - den) for x, y in zip(a, b)], arity)
+        lhs = integral(f_or_g, model)
+        rhs = int_f + int_g - integral(f_and_g, model)
         report.tally()
         if lhs != rhs:
             record("additivity", lhs, rhs, _sample(f=f, g=g))

@@ -236,15 +236,20 @@ class FuzzySubset:
     arity: int = field(init=False, repr=False, compare=False, default=0)
 
     @classmethod
-    def _trusted(cls, universe: tuple[str, ...], values: dict, arity: int) -> "FuzzySubset":
+    def _trusted(cls, universe: tuple[str, ...], values: dict, arity: int,
+                 integers: "tuple[int, tuple[int, ...]] | None" = None) -> "FuzzySubset":
         """A subset from a table that is valid by construction: no checks and no copy.
 
         Only for callers that computed every value themselves and know it
         lies in [0, 1], with one key per tuple of `universe` of this arity.
         The subset shares `values`, so it must not change afterwards.
+        `integers`, when given, is the subset's integer form, as
+        `subset_integers` would compute it.
         """
         subset = object.__new__(cls)
         vars(subset).update(universe=universe, values=values, arity=arity)
+        if integers is not None:
+            vars(subset)["_integers"] = integers
         return subset
 
     def is_crisp(self) -> bool:
@@ -266,7 +271,9 @@ def subset_integers(subset: FuzzySubset) -> tuple[int, tuple[int, ...]]:
 
     `den` is the lcm of the value denominators, and `nums` holds each value
     times `den`, in `itertools.product(universe, repeat=arity)` order.  It is
-    computed at most once per subset and kept on the subset object.
+    computed at most once per subset and kept on the subset object; the
+    subsets the integrals module builds (connectives in the law checker,
+    slices) are handed theirs already reduced, so it computes nothing.
     """
     form = vars(subset).get("_integers")
     if form is None:

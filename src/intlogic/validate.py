@@ -18,7 +18,15 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Sequence
 
-from .errors import ContainmentViolated, IntlogicError, InvalidSpec, NotASentence, SearchSpaceTooLarge
+from .errors import (
+    ContainmentViolated,
+    FormatError,
+    IntlogicError,
+    InvalidSpec,
+    NotASentence,
+    SearchSpaceTooLarge,
+    TableIncomplete,
+)
 from .evaluate import compile_formula, compile_integers
 from .integrals import check_semantic_integral_laws
 from .model import (
@@ -34,7 +42,7 @@ from .model import (
 )
 from .parser import print_formula
 from .proofs import axiom_sides
-from .rational import DEFAULT_GRID, ONE, ZERO
+from .rational import DEFAULT_GRID, ONE, ZERO, unit
 from .reporting import Report
 from .syntax import (
     APPROX_PRED,
@@ -312,18 +320,35 @@ def generate_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
 # Fuzzy-subset samples for the integral-law suite
 
 
+def _subset_grid(universe: tuple[str, ...], grid: Sequence[Fraction], arity: int) -> list[Fraction]:
+    """The sorted grid as checked values, once the universe and arity are checked too.
+
+    Every table over them is then a valid fuzzy subset, so the callers
+    build their subsets without the per-value checks.  The errors are those
+    the `FuzzySubset` constructor raises for the same input.
+    """
+    if not universe:
+        raise FormatError("universe must be non-empty")
+    if len(set(universe)) != len(universe):
+        raise TableIncomplete("a universe with repeated elements has too few distinct tuples")
+    if arity < 1:
+        raise FormatError("fuzzy subset must have arity >= 1")
+    return [unit(v) for v in sorted(grid)]
+
+
 def grid_fuzzy_subsets(universe: Sequence[str], grid: Sequence[Fraction],
                        arity: int = 1) -> Iterator[FuzzySubset]:
     """Every fuzzy subset of the given arity with values on the grid."""
     universe = tuple(universe)
-    for table in _all_tables(universe, arity, sorted(grid)):
-        yield FuzzySubset(universe, table)
+    for table in _all_tables(universe, arity, _subset_grid(universe, grid, arity)):
+        yield FuzzySubset._trusted(universe, table, arity)
 
 
 def random_fuzzy_subset(universe: Sequence[str], grid: Sequence[Fraction],
                         rng: random.Random, arity: int = 1) -> FuzzySubset:
     universe = tuple(universe)
-    return FuzzySubset(universe, _random_table(universe, arity, sorted(grid), rng))
+    values = _subset_grid(universe, grid, arity)
+    return FuzzySubset._trusted(universe, _random_table(universe, arity, values, rng), arity)
 
 
 def integral_law_suite(model: WeakProbModel, gen: ModelGenSpec) -> Report:

@@ -7,6 +7,9 @@ evaluator or the integrals module.  Quantifier equality builds its
 matrices here too and applies the level-set condition through the
 satisfaction module's parts, so no value it returns comes from the
 compiled evaluator.
+
+`law_report` is the same kind of oracle for
+`integrals.check_semantic_integral_laws`.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from intlogic.errors import ContainmentViolated, NotASentence, UnboundVariable, UnknownSymbol
+from intlogic.integrals import pointwise
 from intlogic.model import FuzzySubset, WeakProbModel, level_set, mu_set
-from intlogic.rational import ONE, ZERO, implies, neg, strong_and, strong_or, weak_and, weak_or
+from intlogic.rational import DEFAULT_GRID, ONE, ZERO, implies, neg, strong_and, strong_or, weak_and, weak_or
+from intlogic.reporting import Report
 from intlogic.satisfaction import LevelConfig, default_level_config, hsat_qeq_dirac
 from intlogic.syntax import (
     And,
@@ -136,3 +141,54 @@ def evaluate_closed(formula: Formula, model: WeakProbModel) -> Fraction:
     if free:
         raise NotASentence(free)
     return evaluate(formula, model, {})
+
+
+def law_report(model: WeakProbModel, pairs=(), bivariate=(), constants=DEFAULT_GRID, *, integral) -> Report:
+    """`check_semantic_integral_laws`, one `Fraction` loop with no integer rows and no sharing.
+
+    Every derived subset is built by `pointwise` with the `rational`
+    connectives, and slices as `Fraction` sums; `integral` is called afresh
+    for every side of every law.
+    """
+    report = Report()
+
+    def record(law, lhs, rhs, **subsets):
+        sample = {name: {",".join(k): str(v) for k, v in sorted(s.values.items())} for name, s in subsets.items()}
+        report.add("integral-law-violation", law=law, lhs=str(lhs), rhs=str(rhs), sample=sample)
+
+    def sliced(h, over_first):
+        universe, mu = model.universe, model.measure
+        if over_first:
+            return FuzzySubset(universe, {(b,): sum((h.values[(a, b)] * mu[a] for a in universe), ZERO)
+                                          for b in universe})
+        return FuzzySubset(universe, {(a,): sum((h.values[(a, b)] * mu[b] for b in universe), ZERO)
+                                      for a in universe})
+
+    for r in constants:
+        lhs = integral(FuzzySubset.constant(model.universe, r), model)
+        report.tally()
+        if lhs != r:
+            report.add("integral-law-violation", law="constant", lhs=str(lhs), rhs=str(r), sample={"r": str(r)})
+
+    for f, g in pairs:
+        int_f, int_g = integral(f, model), integral(g, model)
+        lhs = integral(pointwise(neg, f), model)
+        report.tally()
+        if lhs != ONE - int_f:
+            record("complement", lhs, ONE - int_f, f=f)
+        lhs = integral(pointwise(implies, f, g), model)
+        report.tally()
+        if lhs > implies(int_f, int_g):
+            record("implication", lhs, implies(int_f, int_g), f=f, g=g)
+        lhs = integral(pointwise(strong_or, f, g), model)
+        rhs = int_f + int_g - integral(pointwise(strong_and, f, g), model)
+        report.tally()
+        if lhs != rhs:
+            record("additivity", lhs, rhs, f=f, g=g)
+
+    for h in bivariate:
+        lhs, rhs = integral(sliced(h, True), model), integral(sliced(h, False), model)
+        report.tally()
+        if lhs != rhs:
+            record("iteration", lhs, rhs, h=h)
+    return report

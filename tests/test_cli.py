@@ -229,12 +229,20 @@ class TestOtherCommands:
     def test_validate_integral_laws_on_model(self, model_path, capsys):
         code = main(["validate-integral-laws", "--model", model_path, "--exhaustive"])
         assert code == 0
-        assert "0 violations" in capsys.readouterr().out
+        assert capsys.readouterr().out == "0 violations (2505 checks)\n"
 
     def test_validate_integral_laws_generated_models(self, capsys):
         code = main(["validate-integral-laws", "--size", "2", "--seed", "6", "--count", "20"])
         assert code == 0
-        assert "0 violations" in capsys.readouterr().out
+        assert capsys.readouterr().out == "0 violations (1700 checks)\n"
+
+    @pytest.mark.parametrize("output, expected", [("text", "0 violations (32565 checks)\n"), ("json", "")],
+                             ids=["text", "json"])
+    def test_validate_integral_laws_exhaustive(self, output, expected, capsys):
+        # 13 grid measures, each with 5 constants, 3 laws on 625 pairs and 625 bivariate subsets
+        code = main(["validate-integral-laws", "--exhaustive", "--size", "2", "--output", output])
+        assert code == 0
+        assert capsys.readouterr().out == expected
 
     def test_check_closure(self, tmp_path, capsys):
         pool_path = tmp_path / "pool.json"

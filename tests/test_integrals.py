@@ -23,6 +23,8 @@ from intlogic.model import FuzzySubset, WeakProbModel, mu_set, subset_integers, 
 from intlogic.rational import DEFAULT_GRID, implies
 from intlogic.validate import grid_fuzzy_subsets, grid_measures
 
+import oracle
+
 F = Fraction
 HALF = F(1, 2)
 
@@ -265,6 +267,79 @@ class TestAgainstFractionSums:
             assert subset_integers(computed) == subset_integers(validated)
         total = sum((v * mu[a] * mu[b] for (a, b), v in h.values.items()), F(0))
         assert double_sum(h, model) == total
+
+
+def squared_sup(f, model):  # deliberately not an integral: it breaks all five laws
+    return max(f.values.values()) ** 2
+
+
+@st.composite
+def law_inputs(draw):
+    """A model, pairs over a small pool of unary subsets and bivariate subsets.
+
+    Each pool subset takes its values either from MIXED or as k/d for one
+    drawn d, so the two subsets of a pair often have different
+    denominators.  Pairs repeat pool subsets, and a subset may be a pair's
+    left side, its right side or both.
+    """
+    model = draw(measured_universes())
+    universe = model.universe
+    pool = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if draw(st.booleans()):
+            pool.append(drawn_subset(draw, universe, 1))
+        else:
+            den = draw(st.sampled_from((1, 2, 3, 4, 6, 10)))
+            pool.append(FuzzySubset(universe, {(m,): F(draw(st.integers(0, den)), den) for m in universe}))
+    index = st.integers(min_value=0, max_value=len(pool) - 1)
+    pairs = [(pool[i], pool[j]) for i, j in draw(st.lists(st.tuples(index, index), max_size=8))]
+    bivariate = [drawn_subset(draw, universe, 2) for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+    return model, pairs, bivariate
+
+
+class TestLawsAgainstFractionLoop:
+    """`check_semantic_integral_laws` on integer rows against the `Fraction` loop in `oracle.law_report`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=law_inputs(), integral=st.sampled_from([integral_expectation, squared_sup]))
+    def test_same_report(self, inputs, integral):
+        model, pairs, bivariate = inputs
+        received = []
+
+        def recording(f, model):
+            received.append(f)
+            return integral(f, model)
+
+        constants = (F(0), F(1, 3), F(1))
+        report = check_semantic_integral_laws(model, pairs, bivariate, constants, integral=recording)
+        expected = oracle.law_report(model, pairs, bivariate, constants, integral=integral)
+        assert report.checked == expected.checked
+        assert report.violations == expected.violations
+        for f in received:
+            validated = FuzzySubset(f.universe, dict(f.values))
+            assert f == validated and f.arity == validated.arity
+            assert subset_integers(f) == subset_integers(validated)
+        if integral is integral_expectation:
+            assert report.ok
+
+    def test_integral_calls_per_distinct_subset(self):
+        model = model2(F(1, 4), F(3, 4))
+        unary = list(grid_fuzzy_subsets(model.universe, DEFAULT_GRID))
+        pairs = [(f, g) for f in unary for g in unary]
+        calls = []
+        check_semantic_integral_laws(model, pairs, constants=(), integral=lambda f, m: calls.append(f) or F(0))
+        # f and ~f once per distinct subset, then f -> g, f (+) g and f (x) g per pair
+        assert len(calls) == 2 * len(unary) + 3 * len(pairs)
+
+    @pytest.mark.parametrize("g, error", [
+        (FuzzySubset(("a", "c"), {("a",): HALF, ("c",): HALF}), errors.FormatError),
+        (FuzzySubset(("b", "a"), {("a",): HALF, ("b",): HALF}), errors.FormatError),
+        (TestUniverseChecks.binary(("a", "b")), errors.ArityMismatch),
+    ])
+    def test_pair_that_does_not_match(self, g, error):
+        # this integral checks nothing; the two sides of a pair must still agree, as `pointwise` requires
+        with pytest.raises(error):
+            check_semantic_integral_laws(model2(), [(fs(a=F(1), b=F(0)), g)], integral=lambda f, m: F(0))
 
 
 class TestLipschitz:

@@ -16,6 +16,7 @@ from intlogic.model import (
     model_from_json,
     model_to_json,
     relabel_universe,
+    subset_integers,
 )
 from intlogic.rational import DEFAULT_GRID, implies, neg, strong_and, strong_or
 from intlogic.syntax import (
@@ -404,6 +405,34 @@ def test_grid_fuzzy_subset_count():
     subsets = list(grid_fuzzy_subsets(("a", "b"), (F(0), HALF, F(1))))
     assert len(subsets) == 9
     assert len(list(grid_fuzzy_subsets(("a",), (F(0), F(1)), arity=2))) == 2
+
+
+class TestGridSubsets:
+    """Grid subsets skip the subset checks; the universe, arity and grid are checked once per call."""
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_subsets_are_what_the_checks_build(self, arity):
+        grid = (1, F(1, 3), 0, HALF)  # unsorted, and not all Fractions
+        rng = random.Random(2)
+        subsets = list(grid_fuzzy_subsets(("a", "b"), grid, arity))
+        subsets += [random_fuzzy_subset(("a", "b"), grid, rng, arity) for _ in range(10)]
+        for subset in subsets:
+            validated = FuzzySubset(subset.universe, subset.values)
+            assert subset == validated and subset.arity == validated.arity == arity
+            assert all(type(v) is Fraction for v in subset.values.values())
+            assert subset_integers(subset) == subset_integers(validated)
+
+    @pytest.mark.parametrize("universe, grid, arity, error", [
+        (("a", "b"), (F(0), F(3, 2)), 1, errors.ValueOutOfRange),
+        (("a", "b"), (F(0), F(1)), 0, errors.FormatError),
+        (("a", "a"), (F(0), F(1)), 1, errors.TableIncomplete),
+        ((), (F(0), F(1)), 1, errors.FormatError),
+    ])
+    def test_bad_input(self, universe, grid, arity, error):
+        with pytest.raises(error):
+            list(grid_fuzzy_subsets(universe, grid, arity))
+        with pytest.raises(error):
+            random_fuzzy_subset(universe, grid, random.Random(0), arity)
 
 
 def _table(arity, **values):
