@@ -21,6 +21,11 @@ turns every node into a closure `(view, env) -> int`:
   A compiled formula keeps the last view it built, and binding it to a
   model with the same universe, `D` and `M` copies that view and fills in
   only the per-model entries.  Every bound formula keeps its own list.
+  An exhaustive sweep instead gives each formula one private view for the
+  whole sweep (`SweepView`), built by the same builder: it is rebuilt once
+  per measure and its per-model slots are rewritten in place, only when
+  their part of the model changes.  Nothing but the sweep reads it, so no
+  bound formula sees it change.
 - A subformula whose `INT` nesting height is `e` has the value `n / S_e`,
   with `S_e = D * M**e`.  `D` is the form's common denominator of the
   model's tables, raised to the lcm with the formula's truth-constant
@@ -30,7 +35,8 @@ turns every node into a closure `(view, env) -> int`:
   numerators times the integer weights `mu(m) * M`.
 
 `compile_integers` gives a bound formula's root numerator and its scale
-`S`, so a sweep decides a verdict on integers; `compile_formula` makes
+`S` on one model, and a `SweepView` the same on the model a sweep last
+wrote, so a sweep decides a verdict on integers; `compile_formula` makes
 one `Fraction` from them for the result.
 """
 
@@ -205,8 +211,7 @@ def _universe(_, universe, den, m_den):
 
 #: The kinds of per-model entry: a predicate table (as integers over D), a
 #: function table, a constant, and the measure's integer weights.
-_PREDICATE, _FUNCTION, _CONSTANT, _WEIGHTS = range(4)
-_TABLE_KINDS = {_PREDICATE: "predicate", _FUNCTION: "function"}
+_PREDICATE, _FUNCTION, _CONSTANT, _WEIGHTS = "predicate", "function", "constant", "weights"
 
 
 class _Compiler:
@@ -241,7 +246,7 @@ class _Compiler:
             if kind == _WEIGHTS:
                 self.weights = i
                 return i
-            absent = None if kind == _CONSTANT else _Missing(_TABLE_KINDS[kind], name)
+            absent = None if kind == _CONSTANT else _Missing(kind, name)
             self.per_model.append((i, kind, name, absent))
             if kind == _PREDICATE:
                 self.predicates.append(name)
@@ -349,49 +354,108 @@ class _Compiler:
         return lambda view, env: view[k][tuple([a(view, env) for a in args])]
 
     def compile(self, formula: Formula) -> Callable[[WeakProbModel], BoundIntegers]:
-        """`formula` compiled over this compiler's free names (see `compile_integers`)."""
-        root, e = self.node(formula, {name: slot for slot, name in enumerate(self.names)})
-        top = self.entry(_scale, e)
-        pad = [None] * (self.width - len(self.names))
+        """`formula` compiled over this compiler's free names (see `compile_integers`).
+
+        It also keeps the root closure and the view index of its scale.
+        """
+        self.root, e = self.node(formula, {name: slot for slot, name in enumerate(self.names)})
+        self.top = self.entry(_scale, e)
 
         def bind(model: WeakProbModel) -> BoundIntegers:
             view = self.view(model)
-
-            def numerator(elements: Sequence[str] = ()) -> int:
-                return root(view, [*elements, *pad])
-            return numerator, view[top]
+            return self.numerator(view), view[self.top]
         return bind
+
+    def numerator(self, view: list) -> Callable[[Sequence[str]], int]:
+        """The root's numerator on `view`, with `elements` bound to the free names in order."""
+        root, pad = self.root, [None] * (self.width - len(self.names))
+
+        def numerator(elements: Sequence[str] = ()) -> int:
+            return root(view, [*elements, *pad])
+        return numerator
+
+    def den(self, den: int) -> int:
+        """The `D` of a view over tables whose common denominator is `den`.
+
+        Only when a truth constant's denominator does not divide `den` is it
+        raised, to the lcm of the two, and the tables rescaled to it.
+        """
+        return den if den % self.truth_den == 0 else lcm(den, self.truth_den)
+
+    def blank(self, universe: tuple[str, ...], den: int, m_den: int) -> list:
+        """A new view for the models over `universe` with this `D` and `M`.
+
+        The entries that depend on the model only through those are built;
+        every per-model entry holds its value for a model that lacks it.
+        """
+        view = [build and build(key, universe, den, m_den) for build, key in self.entries]
+        for i, _, _, absent in self.per_model:
+            view[i] = absent
+        return view
 
     def view(self, model: WeakProbModel) -> list:
         """The model's integer view: the value of every entry, in index order.
 
-        It reads the model's integer form.  Only when a truth constant's
-        denominator does not divide the form's `D` are the tables the
-        formula reads rescaled, to the lcm of the two.  When the last view
-        built in full has this model's universe, `D` and `M`, the view is a
-        copy of it with the per-model entries filled in; that view is never
-        changed, since a formula bound earlier still reads it.
+        It reads the model's integer form, with the tables the formula reads
+        rescaled when `self.den` raises the form's `D`.  When the last view built in full has
+        this model's universe, `D` and `M`, the view is a copy of it with the
+        per-model entries filled in; that view is never changed, since a
+        formula bound earlier still reads it.
         """
         form = integer_form(model)
-        den, tables = form.den, form.tables
-        if den % self.truth_den:
-            scaled = lcm(den, self.truth_den)
-            factor = scaled // den
+        den, tables = self.den(form.den), form.tables
+        if den != form.den:
+            factor = den // form.den
             tables = {name: {key: v * factor for key, v in tables[name].items()}
                       for name in self.predicates if name in tables}
-            den = scaled
         stage = (model.universe, den, form.m_den)
         if self.staged is not None and self.staged[0] == stage:
             view = self.staged[1].copy()
         else:
-            view = [build and build(key, *stage) for build, key in self.entries]
+            view = self.blank(*stage)
             self.staged = (stage, view)
-        sources = (tables, model.functions, model.constants)
+        sources = {_PREDICATE: tables, _FUNCTION: model.functions, _CONSTANT: model.constants}
         for i, kind, name, absent in self.per_model:
             view[i] = sources[kind].get(name, absent)
         if self.weights is not None:
             view[self.weights] = form.weights
         return view
+
+
+class SweepView:
+    """A compiled formula's own view for a sweep over the models of one universe and grid.
+
+    A sweep makes one per formula, and nothing else reads it.  `stage(M,
+    weights)` rebuilds, in place, the entries that depend on the measure,
+    and resets every per-model entry to its value for a model that lacks
+    it.  The sweep then writes each model's tables, functions and constants
+    into `values` at the indices `slots` gives, keyed by `(kind, name)`
+    with `kind` one of "predicate", "function" and "constant", and only
+    rewrites a slot when its part of the model changes.  The predicate
+    tables it writes are integers over `den`.  On the model written,
+    `numerator(elements) / scale` is the formula's value, as
+    `compile_integers` gives it.
+    """
+
+    def __init__(self, formula: Formula, free_names: Sequence[str], universe: tuple[str, ...], den: int):
+        self._compiler = compiler = _Compiler(free_names)
+        compiler.compile(formula)
+        self._universe = universe
+        self.den = compiler.den(den)  #: the grid's `den`, raised as `compile_integers` raises it
+        self.values: list = []
+        self.numerator = compiler.numerator(self.values)
+        self.slots = {(kind, name): i for i, kind, name, _ in compiler.per_model}
+
+    def stage(self, m_den: int, weights: tuple[tuple[str, int], ...]) -> None:
+        """Rebuild the view for a measure with this `M` and integer weights."""
+        compiler = self._compiler
+        self.values[:] = compiler.blank(self._universe, self.den, m_den)
+        if compiler.weights is not None:
+            self.values[compiler.weights] = weights
+
+    @property
+    def scale(self) -> int:
+        return self.values[self._compiler.top]
 
 
 def compile_integers(formula: Formula,

@@ -6,10 +6,21 @@ draws.  Exhaustive mode enumerates every grid combination in a
 deterministic order; random mode is reproducible from the seed.
 Countermodel search enumerates only the models that are least in their
 orbit under relabellings of the universe (`exhaustive_models`).
+
+Exhaustive mode has one enumeration path, an odometer over factor indices
+(`_Odometer`): one factor for the measure and one per predicate table,
+function table and constant.  `exhaustive_models` builds a model per step.
+Axiom checks and countermodel search run on the same odometer without
+building models (`_bound_models`): each formula has its own integer view
+(`evaluate.SweepView`), restaged once per measure, whose slots are
+rewritten in place only for the factors that changed.  Verdicts are
+decided on the views' integers, and a `WeakProbModel` is built from the
+indices only for a violation record, a gap witness or a countermodel.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -27,7 +38,7 @@ from .errors import (
     SearchSpaceTooLarge,
     TableIncomplete,
 )
-from .evaluate import compile_formula, compile_integers
+from .evaluate import SweepView, compile_formula, compile_integers
 from .integrals import check_semantic_integral_laws
 from .model import (
     FuzzySubset,
@@ -206,15 +217,164 @@ def _ties(relabellings: list, level: int, indices: tuple[int, ...]) -> list | No
     return ties
 
 
+class _Odometer:
+    """The exhaustive enumeration over the grid: one factor per part of a model.
+
+    Position 0 is the measure, then come one position per predicate table
+    (the vocabulary's, `approx`, then the fixed ones), per function table
+    and per constant.  A model is a list of indices, one choice per factor,
+    and models come in lexicographic order on those lists.  The positions
+    make up four levels, measure, predicates, functions and constants, on
+    which orbit pruning works (`_ties`).
+
+    The choices are shared by every model: each grid table is converted to
+    integers over the grid's lcm `den` once, and each measure once.
+    """
+
+    def __init__(self, gen: ModelGenSpec, voc: Vocabulary, eq: bool, orbit_least: bool):
+        names = self.names = universe_names(gen.size)
+        measures = grid_measures(gen.size, gen.grid)
+        pred_symbols = _pred_symbols(voc)
+
+        space = len(measures)
+        for _, arity in pred_symbols:
+            space *= len(gen.grid) ** (gen.size ** arity)
+        for _, arity in voc.functions:
+            space *= gen.size ** (gen.size ** arity)
+        space *= gen.size ** len(voc.constants)
+        if space > EXHAUSTIVE_SPACE_CAP:
+            raise SearchSpaceTooLarge(f"exhaustive space has {space} models (cap {EXHAUSTIVE_SPACE_CAP})")
+
+        grid = sorted(gen.grid)
+        den = self.den = lcm(*[v.denominator for v in grid])
+        self.measures = [(measure, *integer_weights(names, measure)) for measure in measures]
+        # a fixed table is a factor of one choice
+        fixed = _fixed_tables(names, eq)
+        self.tables = [(name, list(_all_tables(names, arity, grid))) for name, arity in pred_symbols]
+        self.tables += [(name, [table]) for name, table in fixed.items()]
+        self.integers = [(name, [integer_table(table, den) for table in choices]) for name, choices in self.tables]
+        self.functions = [(name, list(_all_tables(names, arity, names))) for name, arity in voc.functions]
+        self.constants = [(name, names) for name in voc.constants]
+        #: (kind, name, choices as a view holds them) of every factor after the measure
+        self.factors = [("predicate", name, choices) for name, choices in self.integers]
+        self.factors += [("function", name, choices) for name, choices in self.functions]
+        self.factors += [("constant", name, choices) for name, choices in self.constants]
+        self.radices = [len(measures), *[len(choices) for _, _, choices in self.factors]]
+        #: the first position of each level, and the position after its last
+        self.ends = list(itertools.accumulate((1, len(self.tables), len(self.functions), len(self.constants))))
+        self.starts = [0, *self.ends[:3]]
+
+        # the relabellings not yet known to map the model higher; they are tried level by level
+        self.relabellings = []
+        if orbit_least:
+            self.relabellings = _relabellings(measures, len(grid), [a for _, a in pred_symbols] + [None] * len(fixed),
+                                              [a for _, a in voc.functions], len(voc.constants))
+
+    def sweep(self, views: Sequence[SweepView] = ()) -> Iterator[tuple[list[int], int]]:
+        """`(indices, changed)` of every model in order; with orbit pruning, of the orbit-least ones.
+
+        `indices` is the odometer's own list, which the next step changes in
+        place; `changed` is the least position whose index changed since
+        the model before (0 for the first model).  Before each model, every
+        view is staged for a new measure and then gets the slots of the
+        changed factors rewritten.  For a view whose `den` is not the grid's,
+        each predicate table it reads is rescaled once per sweep.
+        """
+        radices, ends, relabellings, n = self.radices, self.ends, self.relabellings, len(self.radices)
+        writes = [[] for _ in range(n)]  #: per position, (view list, slot, choices) of each view reading it
+        scaled = {}
+        for view in views:
+            factor = view.den // self.den
+            for position, (kind, name, choices) in enumerate(self.factors, 1):
+                slot = view.slots.get((kind, name))
+                if slot is None:
+                    continue
+                if kind == "predicate" and factor != 1:
+                    if (position, factor) not in scaled:
+                        scaled[position, factor] = [{key: v * factor for key, v in table.items()}
+                                                    for table in choices]
+                    choices = scaled[position, factor]
+                writes[position].append((view.values, slot, choices))
+        level_of = [level for level, (start, end) in enumerate(zip(self.starts, ends)) for _ in range(start, end)]
+        ties = [relabellings, None, None, None, None]  #: per level, the relabellings tying the levels before
+
+        indices = [0] * n
+
+        def step(position: int) -> int:
+            """Count `indices` up by one at `position`; the position changed, or -1 past the last model."""
+            while indices[position] + 1 == radices[position]:
+                indices[position] = 0
+                position -= 1
+                if position < 0:
+                    return -1
+            indices[position] += 1
+            return position
+
+        changed = position = 0
+        while position >= 0:
+            if relabellings:
+                level = self._pruned(indices, level_of[position], ties)
+                if level is not None:
+                    # no model of this block is orbit-least: skip to the block after it
+                    position = step(ends[level] - 1)
+                    changed = min(changed, position)
+                    continue
+            if not changed:
+                _, m_den, weights = self.measures[indices[0]]
+                for view in views:
+                    view.stage(m_den, weights)
+            for p in range(changed, n):
+                i = indices[p]
+                for values, slot, choices in writes[p]:
+                    values[slot] = choices[i]
+            yield indices, changed
+            position = changed = step(n - 1)
+
+    def _pruned(self, indices: list[int], level: int, ties: list) -> int | None:
+        """The first level from `level` on at which a relabelling maps `indices` lower, or None.
+
+        `ties[l + 1]` becomes the relabellings that tie `indices` at the
+        levels up to `l`.
+        """
+        for level in range(level, 4):
+            tied, start, end = ties[level], self.starts[level], self.ends[level]
+            if tied and start < end:
+                tied = _ties(tied, level, tuple(indices[start:end]))
+                if tied is None:
+                    return level
+            ties[level + 1] = tied
+        return None
+
+    def predicates(self, indices: Sequence[int]) -> tuple[dict, IntegerForm]:
+        """The predicate dict and the integer form of the model at `indices`."""
+        _, m_den, weights = self.measures[indices[0]]
+        chosen = indices[1:self.starts[2]]
+        predicates = {name: choices[i] for (name, choices), i in zip(self.tables, chosen)}
+        tables = {name: choices[i] for (name, choices), i in zip(self.integers, chosen)}
+        return predicates, IntegerForm(self.den, tables, m_den, weights)
+
+    def function_tables(self, indices: Sequence[int]) -> dict:
+        return {name: choices[i] for (name, choices), i in zip(self.functions, indices[self.starts[2]:self.starts[3]])}
+
+    def constant_values(self, indices: Sequence[int]) -> dict:
+        return {name: choices[i] for (name, choices), i in zip(self.constants, indices[self.starts[3]:])}
+
+    def model(self, indices: Sequence[int]) -> WeakProbModel:
+        """The model at `indices`; it shares the odometer's tables and measure."""
+        predicates, form = self.predicates(indices)
+        return WeakProbModel._trusted(self.names, self.measures[indices[0]][0], predicates,
+                                      self.function_tables(indices), self.constant_values(indices), form)
+
+
 def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
                       orbit_least: bool = False) -> Iterator[WeakProbModel]:
     """Every model over the grid, in a fixed deterministic order.
 
     With `eq`, every model also interprets `eq` as the crisp identity.  The
-    models are valid by construction and share their parts: each grid table
-    is converted to integers over the grid's lcm once, each measure
-    once, and models that differ only in functions and constants share one
-    predicate dict and one integer form.
+    models are valid by construction and share their parts (`_Odometer`):
+    models that differ only in functions and constants share one predicate
+    dict and one integer form, and models that differ only in constants
+    one function dict.
 
     The order is lexicographic on the factor indices: the measure's, each
     predicate table's, each function table's and each constant's.  With
@@ -226,61 +386,15 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
     maps lower skips its whole block; per model, only the relabellings
     that fix the measure are tried, level by level.
     """
-    names = universe_names(gen.size)
-    measures = grid_measures(gen.size, gen.grid)
-    pred_symbols = _pred_symbols(voc)
-
-    space = len(measures)
-    for _, arity in pred_symbols:
-        space *= len(gen.grid) ** (gen.size ** arity)
-    for _, arity in voc.functions:
-        space *= gen.size ** (gen.size ** arity)
-    space *= gen.size ** len(voc.constants)
-    if space > EXHAUSTIVE_SPACE_CAP:
-        raise SearchSpaceTooLarge(f"exhaustive space has {space} models (cap {EXHAUSTIVE_SPACE_CAP})")
-
-    # one factor per symbol, each a list of (name, choice); a fixed table is a factor of one choice
-    grid = sorted(gen.grid)
-    den = lcm(*[v.denominator for v in grid])
-    pred_factors = [[(name, table) for table in _all_tables(names, arity, grid)] for name, arity in pred_symbols]
-    fixed = _fixed_tables(names, eq)
-    pred_factors += [[(name, table)] for name, table in fixed.items()]
-    int_factors = [[(name, integer_table(table, den)) for name, table in choices] for choices in pred_factors]
-    func_factors = [[(name, table) for table in _all_tables(names, arity, names)] for name, arity in voc.functions]
-    const_factors = [[(name, element) for element in names] for name in voc.constants]
-
-    # the relabellings not yet known to map the model higher; they are tried level by level
-    ties = []
-    if orbit_least:
-        ties = _relabellings(measures, len(grid), [a for _, a in pred_symbols] + [None] * len(fixed),
-                             [a for _, a in voc.functions], len(voc.constants))
-    pred_indices = [range(len(choices)) for choices in pred_factors]
-    # (indices, choice) of every combination of function tables, and of constants
-    func_choices, const_choices = (
-        list(zip(itertools.product(*[range(len(choices)) for choices in factors]), itertools.product(*factors)))
-        for factors in (func_factors, const_factors))
-
-    for m_index, measure in enumerate(measures):
-        m_ties = _ties(ties, 0, (m_index,)) if ties else ties
-        if m_ties is None:
-            continue
-        m_den, weights = integer_weights(names, measure)
-        for p_indices, preds, ints in zip(itertools.product(*pred_indices), itertools.product(*pred_factors),
-                                          itertools.product(*int_factors)):
-            p_ties = _ties(m_ties, 1, p_indices) if m_ties else m_ties
-            if p_ties is None:
-                continue
-            predicates = dict(preds)
-            form = IntegerForm(den, dict(ints), m_den, weights)
-            for f_indices, funcs in func_choices:
-                f_ties = _ties(p_ties, 2, f_indices) if p_ties else p_ties
-                if f_ties is None:
-                    continue
-                functions = dict(funcs)
-                for c_indices, consts in const_choices:
-                    if f_ties and _ties(f_ties, 3, c_indices) is None:
-                        continue
-                    yield WeakProbModel._trusted(names, measure, predicates, functions, dict(consts), form)
+    odometer = _Odometer(gen, voc, eq, orbit_least)
+    pred_end, func_end = odometer.ends[1:3]
+    for indices, changed in odometer.sweep():
+        if changed < pred_end:
+            predicates, form = odometer.predicates(indices)
+        if changed < func_end:
+            functions = odometer.function_tables(indices)
+        yield WeakProbModel._trusted(odometer.names, odometer.measures[indices[0]][0], predicates, functions,
+                                     odometer.constant_values(indices), form)
 
 
 def random_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:
@@ -416,29 +530,55 @@ def _axiom_instantiations(axiom: str, gen: ModelGenSpec) -> list[dict]:
     raise ValueError(f"unknown axiom {axiom!r}")
 
 
+def _bound_models(formulas: Sequence[Formula], names: Sequence[str], gen: ModelGenSpec, voc: Vocabulary,
+                  eq: bool = False, *, orbit_least: bool = False) -> Iterator[tuple]:
+    """`(model_at, bound)` per model `generate_models` gives, in its order.
+
+    `bound` holds each formula's `(numerator, S)` on the model, as
+    `compile_integers(formula, names)` binds it, and `model_at()` builds
+    the model; both hold only until the next item.  An exhaustive sweep
+    gives each formula one `SweepView`, rewritten in place per model, and
+    builds a model only when `model_at` is called.  Random mode binds each
+    drawn model.
+    """
+    if not gen.exhaustive:
+        binds = [compile_integers(formula, names) for formula in formulas]
+        for model in random_models(gen, voc, eq):
+            yield (lambda model=model: model), [bind(model) for bind in binds]
+        return
+    odometer = _Odometer(gen, voc, eq, orbit_least)
+    views = [SweepView(formula, names, odometer.names, odometer.den) for formula in formulas]
+    for indices, changed in odometer.sweep(views):
+        if not changed:  # a new measure: new scales
+            bound = [(view.numerator, view.scale) for view in views]
+            model_at = functools.partial(odometer.model, indices)
+        yield model_at, bound
+
+
 def _axiom_checks(axiom: str, gen: ModelGenSpec) -> Iterator[tuple]:
-    """(model, left, right, names, elements, lhs, rhs, scale) per instantiation, model and valuation.
+    """(model_at, left, right, names, elements, lhs, rhs, scale) per instantiation, model and valuation.
 
     The valuation binds `names` to `elements`; the sides' values are
-    `lhs / scale` and `rhs / scale`.
+    `lhs / scale` and `rhs / scale`.  `model_at()` builds the model, and
+    only until the next check.
     """
+    universe = universe_names(gen.size)
     for inst in _axiom_instantiations(axiom, gen):
         left, right = axiom_sides(axiom, **inst)
         voc = infer_vocabulary([left, right])
         names = sorted(free_vars(left) | free_vars(right))
-        left_in, right_in = compile_integers(left, names), compile_integers(right, names)
-        for model in generate_models(gen, voc):
-            (lhs, left_scale), (rhs, right_scale) = left_in(model), right_in(model)
+        valuations = list(itertools.product(universe, repeat=len(names)))
+        for model_at, ((lhs, left_scale), (rhs, right_scale)) in _bound_models((left, right), names, gen, voc):
             scale = left_scale * right_scale
-            for combo in itertools.product(model.universe, repeat=len(names)):
-                yield model, left, right, names, combo, lhs(combo) * right_scale, rhs(combo) * left_scale, scale
+            for combo in valuations:
+                yield model_at, left, right, names, combo, lhs(combo) * right_scale, rhs(combo) * left_scale, scale
 
 
-def _check_record(axiom, model, left, right, names, elements, lhs, rhs, scale) -> dict:
+def _check_record(axiom, model_at, left, right, names, elements, lhs, rhs, scale) -> dict:
     """A replayable record of one check: the model inline, both sides and both values."""
     return {
         "axiom": axiom,
-        "model": model_to_json(model),
+        "model": model_to_json(model_at()),
         "instantiation": f"{print_formula(left)}  vs  {print_formula(right)}",
         "valuation": dict(zip(names, elements)),
         "lhs": str(Fraction(lhs, scale)),
@@ -489,15 +629,14 @@ def find_countermodel(formula: Formula, gen: ModelGenSpec) -> WeakProbModel | No
     if gen.exhaustive and (gen.size > 3 or len(gen.grid) > 5):
         raise SearchSpaceTooLarge(
             "exhaustive countermodel search is bounded by size <= 3 and grid <= 5")
-    bind = compile_integers(formula)
-    for model in generate_models(gen, infer_vocabulary(formula), eq=mentions_eq(formula), orbit_least=True):
-        numerator, scale = bind(model)
+    for model_at, ((numerator, scale),) in _bound_models((formula,), (), gen, infer_vocabulary(formula),
+                                                         mentions_eq(formula), orbit_least=True):
         try:
             value = numerator()
         except ContainmentViolated:
             continue
         if value < scale:
-            return model
+            return model_at()
     return None
 
 

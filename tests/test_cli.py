@@ -383,6 +383,30 @@ def test_byte_identical_reruns(ex2_path, capsys):
     assert capsys.readouterr().out == first
 
 
+class TestRepeatedCalls:
+    """A call to `main` leaves nothing behind for the next one in the same process."""
+
+    def test_model_flags_do_not_accumulate(self, model_path, tmp_path, capsys):
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**MODEL_DOC, "measure": {"a": "1/4", "b": "3/4"}}))
+        assert main(["eval", "--model", model_path, "--formula", "INT P(x) dx"]) == 0
+        assert main(["eval", "--model", str(other), "--formula", "INT P(x) dx"]) == 0
+        assert capsys.readouterr().out == "1/2\n1/4\n"
+
+    def test_usage_error_after_a_good_call(self, model_path, capsys):
+        bad = ["eval", "--model", model_path, "--formula", "P(c)", "--bogus"]
+        with pytest.raises(SystemExit) as fresh:
+            cli.build_parser().parse_args(bad)
+        expected = capsys.readouterr()
+        assert main(["eval", "--model", model_path, "--formula", "P(c)"]) == 0
+        assert capsys.readouterr().out == "1\n"
+        for _ in range(2):
+            with pytest.raises(SystemExit) as reused:
+                main(bad)
+            assert reused.value.code == fresh.value.code == 2
+            assert capsys.readouterr() == expected
+
+
 def test_internal_error_exits_3_with_one_line(model_path, monkeypatch, capsys):
     def broken(args):
         raise ZeroDivisionError("division by zero")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import intlogic as il
 from intlogic import errors, validate
-from intlogic.evaluate import compile_formula
+from intlogic.evaluate import compile_formula, compile_integers
 from intlogic.integrals import check_semantic_integral_laws, pointwise, slice_first, slice_second
 from intlogic.model import (
     FuzzySubset,
@@ -43,6 +44,7 @@ from intlogic.validate import (
     check_abstract_logic_properties,
     exhaustive_models,
     find_countermodel,
+    generate_models,
     grid_fuzzy_subsets,
     grid_measures,
     integral_law_suite,
@@ -399,6 +401,164 @@ class TestTrustedGeneration:
         formula = il.close_free_names(il.parse_formula("INT P(x) dx -> P(k)"))
         assert find_countermodel(formula, ModelGenSpec(size=2, exhaustive=True)) is not None
         assert find_countermodel(formula, ModelGenSpec(size=2, seed=1, count=50)) is not None
+
+
+SIZE2 = ModelGenSpec(size=2, exhaustive=True)
+#: `checked` of each schema on every size-2 model of the default grid: instantiations x models x valuations
+AXIOM_CHECKS = {"mu1": 715, "mu2": 16900, "mu3": 16575, "mu4": 16575, "mu5": 16250}
+#: `mu3_equality_gap(SIZE2)` as JSON, as computed before sweeps ran on factor indices
+MU3_GAP_JSON = (
+    '{"axiom": "mu3", "model": {"universe": ["a", "b"], "measure": {"a": "1/2", "b": "1/2"}, '
+    '"predicates": {"P": {"arity": 1, "table": {"a": "0", "b": "1/4"}}, '
+    '"Q": {"arity": 1, "table": {"a": "1/4", "b": "0"}}}, "functions": {}, "constants": {}}, '
+    '"instantiation": "INT P(x) -> Q(x) dx  vs  INT P(x) dx -> INT Q(x) dx", "valuation": {}, '
+    '"lhs": "7/8", "rhs": "1"}')
+
+
+def _sweep_formula(rng, depth, scope=()):
+    """A formula over P, Q, R, f, c, eq, approx and `=`, with truth constants off the grids' lcms.
+
+    Its free variables are among `scope`; now and then it reads a variable
+    nothing binds, so that evaluation raises.
+    """
+    def term(d):
+        kind = rng.choice(("var", "var", "const", "func") if d else ("var", "const"))
+        if kind == "var" and (scope or rng.random() < 0.1):
+            return Variable(rng.choice(scope) if scope and rng.random() < 0.97 else "z")
+        if kind == "func":
+            return FuncApp("f", (term(d - 1),))
+        return Constant("c")
+
+    def quantified(cls, inner_scope):
+        var = rng.choice(("x", "y"))
+        return cls(var, _sweep_formula(rng, depth - 1, (*inner_scope, var)))
+
+    kinds = ("P", "Q", "R", "eq", "approx", "rat")
+    if depth > 0:
+        kinds += ("not", "and", "or", "sand", "implies", "all", "ex", "int", "int", "qeq", "qeq")
+    kind = rng.choice(kinds)
+    if kind in ("P", "Q"):
+        return Atom(kind, (term(1),))
+    if kind in ("R", "eq", "approx"):
+        return Atom(kind, (term(1), term(1)))
+    if kind == "rat":
+        return TruthConst(rng.choice((F(0), F(1, 3), HALF, F(2, 7), F(1))))
+    if kind == "not":
+        return Not(_sweep_formula(rng, depth - 1, scope))
+    if kind in ("and", "or", "sand", "implies"):
+        cls = {"and": And, "or": Or, "sand": StrongAnd, "implies": Implies}[kind]
+        return cls(_sweep_formula(rng, depth - 1, scope), _sweep_formula(rng, depth - 1, scope))
+    if kind == "qeq":
+        # both sides closed but now and then, so that `=` raises NotASentence
+        sides = [quantified(rng.choice((Forall, Exists, Integral)), () if rng.random() < 0.9 else ("z",))
+                 for _ in range(2)]
+        return QuantEq(*sides)
+    return quantified({"all": Forall, "ex": Exists, "int": Integral}[kind], scope)
+
+
+def _outcomes(bound, valuations):
+    """The value, as `(numerator, S)`, or the error class of a bound formula at each valuation."""
+    numerator, scale = bound
+    out = []
+    for elements in valuations:
+        try:
+            out.append((numerator(elements), scale))
+        except errors.IntlogicError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def _small_spec(rng, voc, limit):
+    configs = [(size, grid) for size in (1, 2, 3) for grid in ((F(0), F(1)), (F(0), HALF, F(1)),
+                                                                 (F(0), F(1, 3), F(1)))]
+    rng.shuffle(configs)
+    size, grid = next(((size, grid) for size, grid in configs if _space(size, grid, voc) <= limit),
+                      (1, (F(0), F(1))))
+    return ModelGenSpec(size=size, grid=grid, exhaustive=True)
+
+
+class TestSweepDifferential:
+    """Sweeps on factor indices against the reference: `generate_models` plus `compile_integers` per model."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), orbit_least=st.booleans())
+    def test_per_model_outcomes(self, seed, orbit_least):
+        rng = random.Random(seed)
+        names = rng.choice(((), ("x",), ("x", "y")))
+        formulas = [_sweep_formula(rng, rng.randint(0, 3), names) for _ in range(rng.choice((1, 2, 3)))]
+        voc = infer_vocabulary(formulas)
+        if voc.predicates and rng.random() < 0.2:  # a symbol the models lack
+            voc = Vocabulary(voc.predicates[1:], voc.functions, voc.constants, voc.has_approx)
+        eq = mentions_eq(formulas) and rng.random() < 0.8
+        spec = _small_spec(rng, voc, 1500)
+        valuations = list(itertools.product(universe_names(spec.size), repeat=len(names)))
+
+        binds = [compile_integers(formula, names) for formula in formulas]
+        expected = [(model_to_json(model), [_outcomes(bind(model), valuations) for bind in binds])
+                    for model in generate_models(spec, voc, eq, orbit_least=orbit_least)]
+        swept = [(model_to_json(model_at()), [_outcomes(b, valuations) for b in bound])
+                 for model_at, bound in validate._bound_models(formulas, names, spec, voc, eq,
+                                                               orbit_least=orbit_least)]
+        assert swept == expected, [il.print_formula(f) for f in formulas]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_first_countermodel(self, seed):
+        rng = random.Random(seed)
+        sentence = il.close_free_names(_sweep_formula(rng, rng.randint(1, 3)))
+        voc = infer_vocabulary(sentence)
+        spec = _small_spec(rng, voc, 1500)
+        bind = compile_integers(sentence)
+        expected = None
+        try:
+            for model in generate_models(spec, voc, mentions_eq(sentence), orbit_least=True):
+                numerator, scale = bind(model)
+                try:
+                    if numerator() < scale:
+                        expected = model_to_json(model)
+                        break
+                except errors.ContainmentViolated:
+                    continue
+        except errors.IntlogicError as exc:
+            expected = type(exc).__name__
+        try:
+            found = find_countermodel(sentence, spec)
+            found = found and model_to_json(found)
+        except errors.IntlogicError as exc:
+            found = type(exc).__name__
+        assert found == expected, il.print_formula(sentence)
+
+
+class TestSweepResults:
+    """The exact results of the size-2 exhaustive sweeps."""
+
+    @pytest.mark.parametrize("axiom", sorted(AXIOM_CHECKS))
+    def test_checked(self, axiom):
+        report = validate_axiom(axiom, SIZE2)
+        assert (report.checked, report.violations) == (AXIOM_CHECKS[axiom], [])
+
+    def test_mu3_equality_gap_bytes(self):
+        assert json.dumps(mu3_equality_gap(SIZE2)) == MU3_GAP_JSON
+
+    @pytest.mark.parametrize("spec, voc, eq, orbit_least", [
+        (SIZE2, Vocabulary(predicates=(("P", 1), ("Q", 1))), False, False),
+        (ModelGenSpec(size=2, grid=MIXED_GRID, exhaustive=True),
+         Vocabulary(predicates=(("P", 1),), functions=(("f", 1),), constants=("c", "d")), True, False),
+        (ModelGenSpec(size=2, grid=(F(0), F(1)), exhaustive=True),
+         Vocabulary(predicates=(("R", 2),), constants=("c",), has_approx=True), False, True),
+        (ModelGenSpec(size=3, grid=(F(0), HALF, F(1)), exhaustive=True),
+         Vocabulary(predicates=(("P", 1),), functions=(("f", 1),), constants=("c",)), True, True),
+    ])
+    def test_models_from_indices(self, spec, voc, eq, orbit_least):
+        odometer = validate._Odometer(spec, voc, eq, orbit_least)
+        enumerated = list(exhaustive_models(spec, voc, eq, orbit_least=orbit_least))
+        built = [odometer.model(indices) for indices, _ in odometer.sweep()]
+        assert len(built) == len(enumerated) > 100
+        for model, expected in zip(built, enumerated):
+            assert model_to_json(model) == model_to_json(expected)
+            assert integer_form(model) == integer_form(expected)
+            assert model == WeakProbModel(model.universe, model.measure, model.predicates, model.functions,
+                                          model.constants)
 
 
 def test_grid_fuzzy_subset_count():
