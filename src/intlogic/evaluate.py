@@ -15,17 +15,15 @@ turns every node into a closure `(view, env) -> int`:
 - `view` is the model's integer view, built once per compiled formula and
   model from the model's integer form (`model.integer_form`): one entry per
   table, constant, truth constant, scale and power the closures read, at
-  indices fixed when compiling.  The view is staged.  The universe, truth
-  constants, scales and powers depend on the model only through the
-  universe, `D` and `M`; tables, constants and weights change per model.
-  A compiled formula keeps the last view it built, and binding it to a
-  model with the same universe, `D` and `M` copies that view and fills in
-  only the per-model entries.  Every bound formula keeps its own list.
-  An exhaustive sweep instead gives each formula one private view for the
-  whole sweep (`SweepView`), built by the same builder: it is rebuilt once
-  per measure and its per-model slots are rewritten in place, only when
-  their part of the model changes.  Nothing but the sweep reads it, so no
-  bound formula sees it change.
+  indices fixed when compiling.  The universe, truth constants, scales
+  and powers depend on the model only through the universe, `D` and `M`;
+  tables, constants and weights change per model.  Every bind builds a
+  new view, so every bound formula keeps its own list.  An exhaustive
+  sweep instead gives each formula one private view for the whole sweep
+  (`SweepView`), built by the same builder: it is rebuilt once per
+  measure and its per-model slots are rewritten in place, only when their
+  part of the model changes.  Nothing but the sweep reads it, so no bound
+  formula sees it change.
 - A subformula whose `INT` nesting height is `e` has the value `n / S_e`,
   with `S_e = D * M**e`.  `D` is the form's common denominator of the
   model's tables, raised to the lcm with the formula's truth-constant
@@ -37,7 +35,8 @@ turns every node into a closure `(view, env) -> int`:
 `compile_integers` gives a bound formula's root numerator and its scale
 `S` on one model, and a `SweepView` the same on the model a sweep last
 wrote, so a sweep decides a verdict on integers; `compile_formula` makes
-one `Fraction` from them for the result.
+one `Fraction` from them for the result, and `value_matrix` builds its
+fuzzy subset from the numerators over `S` (`FuzzySubset._trusted`).
 """
 
 from __future__ import annotations
@@ -225,7 +224,6 @@ class _Compiler:
         self.index: dict[tuple, int] = {}
         self.per_model: list[tuple[int, int, str, object]] = []  #: (index, kind, name, value if absent)
         self.weights: int | None = None  #: the index of the weights entry
-        self.staged = None  #: `((universe, D, M), view)` of the last view built in full
         self.predicates: list[str] = []
         self.truth_den = 1
 
@@ -397,10 +395,7 @@ class _Compiler:
         """The model's integer view: the value of every entry, in index order.
 
         It reads the model's integer form, with the tables the formula reads
-        rescaled when `self.den` raises the form's `D`.  When the last view built in full has
-        this model's universe, `D` and `M`, the view is a copy of it with the
-        per-model entries filled in; that view is never changed, since a
-        formula bound earlier still reads it.
+        rescaled when `self.den` raises the form's `D`.
         """
         form = integer_form(model)
         den, tables = self.den(form.den), form.tables
@@ -408,12 +403,7 @@ class _Compiler:
             factor = den // form.den
             tables = {name: {key: v * factor for key, v in tables[name].items()}
                       for name in self.predicates if name in tables}
-        stage = (model.universe, den, form.m_den)
-        if self.staged is not None and self.staged[0] == stage:
-            view = self.staged[1].copy()
-        else:
-            view = self.blank(*stage)
-            self.staged = (stage, view)
+        view = self.blank(model.universe, den, form.m_den)
         sources = {_PREDICATE: tables, _FUNCTION: model.functions, _CONSTANT: model.constants}
         for i, kind, name, absent in self.per_model:
             view[i] = sources[kind].get(name, absent)
@@ -495,9 +485,9 @@ def value_matrix(
 ) -> FuzzySubset:
     """The unary fuzzy subset m -> value of `body` with `var` bound to m."""
     base = {name: m for name, m in (valuation or {}).items() if name != var}
-    value = compile_formula(body, (*base, var))(model)
+    numerator, scale = compile_integers(body, (*base, var))(model)
     fixed = tuple(base.values())
-    return FuzzySubset(model.universe, {(m,): value((*fixed, m)) for m in model.universe})
+    return FuzzySubset._trusted(model.universe, 1, scale, [numerator((*fixed, m)) for m in model.universe])
 
 
 def evaluate(formula: Formula, model: WeakProbModel, valuation: Valuation | None = None) -> Fraction:

@@ -7,13 +7,14 @@ a brute-force oracle.  `integral_layercake` is the simple-function form
 built from level sets.  On finite models the three agree exactly.
 
 These three, the two slices and `double_sum` compute on integers: each
-reads the subset's integer form (`model.subset_integers`) and the model's
-integer weights (`model.integer_form`), both computed at most once per
-object, and makes a single `Fraction`, for its result.  The two oracles
-share only that conversion with the expectation form.  The subsets this
-module builds, the slices and the connectives of the law checker, are
-computed on integer rows and handed their integer form already reduced
-(`_from_row`), so integrating them converts nothing.
+reads the subset's integer form (`FuzzySubset.den` and `.row`) and the
+model's integer weights (`model.integer_form`), both computed at most once
+per object, and makes a single `Fraction`, for its result.  The two
+oracles share only that conversion with the expectation form.  The subsets
+this module builds, the slices and the connectives of the law checker, are
+computed on integer rows and built from them (`FuzzySubset._trusted`), so
+integrating them converts nothing and their `values` are made only when
+read.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Callable, Sequence
 
 from .errors import ArityMismatch, FormatError, NotCrisp, UniverseTooLarge
-from .rational import DEFAULT_GRID, ONE, implies, unit
+from .rational import DEFAULT_GRID, ONE, implies
 from .reporting import Report
-from .model import FuzzySubset, WeakProbModel, integer_form, mu_set, subset_integers, truth_set
+from .model import FuzzySubset, WeakProbModel, integer_form, mu_set, truth_set
 from .syntax import APPROX_PRED
 
 DISSECTION_MAX_UNIVERSE = 8
@@ -44,14 +45,12 @@ def _require(subset: FuzzySubset, universe: tuple[str, ...], arity: int) -> None
 def _scaled(subset: FuzzySubset, model: WeakProbModel) -> tuple[tuple[int, ...], list[int], int]:
     """The subset's values and the weights as integers, and their common scale.
 
-    Value i is `values[i] / den` (values in `subset_integers` order, so in
-    universe order for a unary subset) and weight i is `weights[i] / M`, so
-    a sum of value-weight products is exact over `den * M`, the scale
-    returned.
+    Value i is `row[i] / den` (in universe order for a unary subset) and
+    weight i is `weights[i] / M`, so a sum of value-weight products is
+    exact over `den * M`, the scale returned.
     """
-    den, values = subset_integers(subset)
     form = integer_form(model)
-    return values, [w for _, w in form.weights], den * form.m_den
+    return subset.row, [w for _, w in form.weights], subset.den * form.m_den
 
 
 def integral_expectation(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
@@ -135,8 +134,7 @@ def pointwise(op: Callable, *subsets: FuzzySubset) -> FuzzySubset:
     first = subsets[0]
     for other in subsets[1:]:
         _require(other, first.universe, first.arity)
-    values = {key: unit(op(*[s.values[key] for s in subsets])) for key in first.values}
-    return FuzzySubset._trusted(first.universe, values, first.arity)
+    return FuzzySubset(first.universe, {key: op(*[s.values[key] for s in subsets]) for key in first.values})
 
 
 def _inner_sums(h: FuzzySubset, model: WeakProbModel, over_first: bool) -> tuple[list[int], list[int], int]:
@@ -154,25 +152,10 @@ def _inner_sums(h: FuzzySubset, model: WeakProbModel, over_first: bool) -> tuple
     return [sum(map(mul, row, weights)) for row in rows], weights, scale
 
 
-def _from_row(universe: tuple[str, ...], den: int, row: Sequence[int], arity: int = 1) -> FuzzySubset:
-    """The subset whose value i is `row[i] / den`, in `subset_integers` order.
-
-    Every value must lie in [0, 1].  The subset carries its integer form:
-    dividing `den` and the row by their gcd makes `den` the lcm of the
-    values' denominators, which is what `subset_integers` computes.
-    """
-    common = gcd(den, *row)
-    den //= common
-    row = tuple([n // common for n in row])
-    keys = itertools.product(universe, repeat=arity)
-    return FuzzySubset._trusted(universe, {key: Fraction(n, den) for key, n in zip(keys, row)}, arity,
-                                (den, row))
-
-
 def _slice(h: FuzzySubset, model: WeakProbModel, over_first: bool) -> FuzzySubset:
     sums, _, scale = _inner_sums(h, model, over_first)
     # each value is a weighted mean of values in [0, 1], so it lies in [0, 1]
-    return _from_row(model.universe, scale, sums)
+    return FuzzySubset._trusted(model.universe, 1, scale, sums)
 
 
 def slice_first(h: FuzzySubset, model: WeakProbModel) -> FuzzySubset:
@@ -208,8 +191,9 @@ def check_semantic_integral_laws(
     exceptions.  The implication law is an inequality; the other four are
     exact equalities.
 
-    Within one call, `integral` sees each distinct unary subset of `pairs`
-    once, and its complement once, when it is first the left of a pair;
+    Within one call, `integral` sees each unary subset of `pairs` once,
+    subsets that are equal counting as one, and its complement once, when
+    it is first the left of a pair;
     each pair then costs three calls, on `f -> g`, `f (+) g` and `f (x) g`.
     These are computed on the two subsets' integer rows over the lcm of
     their denominators, never on `Fraction`s.
@@ -225,27 +209,24 @@ def check_semantic_integral_laws(
         if lhs != r:
             record("constant", lhs, r, {"r": str(r)})
 
-    # by id: the subset, which keeps its id from being reused, its integer form and its integral
-    seen: dict[int, tuple] = {}
-    complements: dict[int, tuple] = {}  #: by id, both sides of the complement law
+    integrals: dict[FuzzySubset, Fraction] = {}
+    complements: dict[FuzzySubset, tuple] = {}  #: both sides of the complement law
 
     def integrated(f):
-        entry = seen.get(id(f))
-        if entry is None:
-            int_f = integral(f, model)
-            entry = seen[id(f)] = (f, *subset_integers(f), int_f)
-        return entry
+        if f not in integrals:
+            integrals[f] = integral(f, model)
+        return f.den, f.row, integrals[f]
 
     for f, g in pairs:
-        _, den_f, row_f, int_f = integrated(f)
-        _, den_g, row_g, int_g = integrated(g)
+        den_f, row_f, int_f = integrated(f)
+        den_g, row_g, int_g = integrated(g)
         universe, arity = f.universe, f.arity
         _require(g, universe, arity)
 
-        complement = complements.get(id(f))
+        complement = complements.get(f)
         if complement is None:
-            not_f = _from_row(universe, den_f, [den_f - x for x in row_f], arity)
-            complement = complements[id(f)] = (integral(not_f, model), ONE - int_f)
+            not_f = FuzzySubset._trusted(universe, arity, den_f, [den_f - x for x in row_f])
+            complement = complements[f] = (integral(not_f, model), ONE - int_f)
         lhs, rhs = complement
         report.tally()
         if lhs != rhs:
@@ -256,15 +237,15 @@ def check_semantic_integral_laws(
         a = row_f if den == den_f else [x * (den // den_f) for x in row_f]
         b = row_g if den == den_g else [y * (den // den_g) for y in row_g]
 
-        f_implies_g = _from_row(universe, den, [min(den, den - x + y) for x, y in zip(a, b)], arity)
+        f_implies_g = FuzzySubset._trusted(universe, arity, den, [min(den, den - x + y) for x, y in zip(a, b)])
         lhs = integral(f_implies_g, model)
         rhs = implies(int_f, int_g)
         report.tally()
         if lhs > rhs:
             record("implication", lhs, rhs, _sample(f=f, g=g))
 
-        f_or_g = _from_row(universe, den, [min(den, x + y) for x, y in zip(a, b)], arity)
-        f_and_g = _from_row(universe, den, [max(0, x + y - den) for x, y in zip(a, b)], arity)
+        f_or_g = FuzzySubset._trusted(universe, arity, den, [min(den, x + y) for x, y in zip(a, b)])
+        f_and_g = FuzzySubset._trusted(universe, arity, den, [max(0, x + y - den) for x, y in zip(a, b)])
         lhs = integral(f_or_g, model)
         rhs = int_f + int_g - integral(f_and_g, model)
         report.tally()
@@ -355,19 +336,17 @@ def check_family_closure(
     if not family:
         raise FormatError("family must be non-empty")
     universe = family[0].universe
-    members = {tuple(sorted(s.values.items())) for s in family}
+    members = set(family)
 
     for r in constants:
         report.tally()
-        k_r = FuzzySubset.constant(universe, r)
-        if tuple(sorted(k_r.values.items())) not in members:
+        if FuzzySubset.constant(universe, r) not in members:
             report.add("missing-constant", value=str(r))
 
     for f in family:
         for g in family:
             report.tally()
-            h = pointwise(implies, f, g)
-            if tuple(sorted(h.values.items())) not in members:
+            if pointwise(implies, f, g) not in members:
                 report.add("not-closed-under-implication", sample=_sample(f=f, g=g))
 
     return report

@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Mapping, NamedTuple
+from math import gcd, lcm
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     FormatError,
@@ -219,13 +219,18 @@ def mu_set(model: WeakProbModel, tuples: Iterable, k: int = 1) -> Fraction:
 class FuzzySubset:
     """A total map |M|^k -> [0,1], the semantic value of a k-ary property.
 
-    Like models, fuzzy subsets are treated as immutable after construction:
-    `values` must not change, because the subset's integer form (see
-    `subset_integers`) is computed at most once and kept on the object.
+    A subset has two forms: `values`, its table of `Fraction`s, and the
+    integer form `den`, `row`.  `den` is the lcm of the value denominators
+    and `row` holds each value times `den`, in
+    `itertools.product(universe, repeat=arity)` order.  Equality and the
+    hash read the integer form.  The checking constructor keeps `values`
+    and `_trusted` keeps `den` and `row`; the other form is derived on
+    first read and kept on the object, so, like models, fuzzy subsets are
+    treated as immutable after construction.
     """
 
     universe: tuple[str, ...]
-    values: Mapping[tuple[str, ...], Fraction]
+    values: Mapping[tuple[str, ...], Fraction] = field(compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "universe", tuple(self.universe))
@@ -233,27 +238,45 @@ class FuzzySubset:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "arity", arity)
 
-    arity: int = field(init=False, repr=False, compare=False, default=0)
+    arity: int = field(init=False, repr=False, default=0)
+    den: int = field(init=False, repr=False)
+    row: tuple[int, ...] = field(init=False, repr=False)
+
+    def __getattr__(self, name: str):
+        # only for a form not yet derived; the name is checked first, since
+        # copying and unpickling look attributes up while `__dict__` is empty
+        if name == "values":
+            keys = itertools.product(self.universe, repeat=self.arity)
+            den = self.den
+            object.__setattr__(self, "values", {key: Fraction(n, den) for key, n in zip(keys, self.row)})
+        elif name in ("den", "row"):
+            values = self.values
+            row = [values[key] for key in itertools.product(self.universe, repeat=self.arity)]
+            den = lcm(*{v.denominator for v in row})
+            object.__setattr__(self, "den", den)
+            object.__setattr__(self, "row", tuple([v.numerator * (den // v.denominator) for v in row]))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return object.__getattribute__(self, name)
 
     @classmethod
-    def _trusted(cls, universe: tuple[str, ...], values: dict, arity: int,
-                 integers: "tuple[int, tuple[int, ...]] | None" = None) -> "FuzzySubset":
-        """A subset from a table that is valid by construction: no checks and no copy.
+    def _trusted(cls, universe: tuple[str, ...], arity: int, den: int, row: Sequence[int]) -> "FuzzySubset":
+        """The subset whose value i is `row[i] / den`, in integer-form order: no checks.
 
         Only for callers that computed every value themselves and know it
-        lies in [0, 1], with one key per tuple of `universe` of this arity.
-        The subset shares `values`, so it must not change afterwards.
-        `integers`, when given, is the subset's integer form, as
-        `subset_integers` would compute it.
+        lies in [0, 1], with one value per tuple of `universe` of this arity.
+        Dividing `den` and the row by their gcd gives the integer form.
         """
+        common = gcd(den, *row)
         subset = object.__new__(cls)
-        vars(subset).update(universe=universe, values=values, arity=arity)
-        if integers is not None:
-            vars(subset)["_integers"] = integers
+        object.__setattr__(subset, "universe", universe)
+        object.__setattr__(subset, "arity", arity)
+        object.__setattr__(subset, "den", den // common)
+        object.__setattr__(subset, "row", tuple([n // common for n in row]))
         return subset
 
     def is_crisp(self) -> bool:
-        return all(v == ZERO or v == ONE for v in self.values.values())
+        return self.den == 1
 
     @classmethod
     def constant(cls, universe: Iterable[str], value) -> "FuzzySubset":
@@ -264,25 +287,6 @@ class FuzzySubset:
     @classmethod
     def from_predicate(cls, model: WeakProbModel, name: str) -> "FuzzySubset":
         return cls(model.universe, dict(model.predicates[name]))
-
-
-def subset_integers(subset: FuzzySubset) -> tuple[int, tuple[int, ...]]:
-    """The subset's integer form `(den, nums)`.
-
-    `den` is the lcm of the value denominators, and `nums` holds each value
-    times `den`, in `itertools.product(universe, repeat=arity)` order.  It is
-    computed at most once per subset and kept on the subset object; the
-    subsets the integrals module builds (connectives in the law checker,
-    slices) are handed theirs already reduced, so it computes nothing.
-    """
-    form = vars(subset).get("_integers")
-    if form is None:
-        values = subset.values
-        row = [values[key] for key in itertools.product(subset.universe, repeat=subset.arity)]
-        den = lcm(*{v.denominator for v in row})
-        form = den, tuple([v.numerator * (den // v.denominator) for v in row])
-        vars(subset)["_integers"] = form
-    return form
 
 
 def level_set(subset: FuzzySubset, alpha: Fraction) -> frozenset[str]:

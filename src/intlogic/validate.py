@@ -416,17 +416,17 @@ def random_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Itera
         yield WeakProbModel._trusted(names, measure, preds, funcs, consts)
 
 
-def generate_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
-                    orbit_least: bool = False) -> Iterator[WeakProbModel]:
+def generate_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:
     """The one place that chooses between exhaustive and seeded-random enumeration.
 
     Pass `eq=mentions_eq(formulas)`: term equality `eq` is then read as the
     crisp identity, which no draw changes, and models for formulas without
-    `eq` carry no table for it.  `orbit_least` goes to `exhaustive_models`;
-    random draws are the same either way.
+    `eq` carry no table for it.  Exhaustive enumeration yields every model
+    (`exhaustive_models` without orbit pruning); the sweeps that prune by
+    orbit run on the odometer directly (`_bound_models`).
     """
     if gen.exhaustive:
-        return exhaustive_models(gen, voc, eq, orbit_least=orbit_least)
+        return exhaustive_models(gen, voc, eq)
     return random_models(gen, voc, eq)
 
 
@@ -434,12 +434,12 @@ def generate_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
 # Fuzzy-subset samples for the integral-law suite
 
 
-def _subset_grid(universe: tuple[str, ...], grid: Sequence[Fraction], arity: int) -> list[Fraction]:
-    """The sorted grid as checked values, once the universe and arity are checked too.
+def _subset_grid(universe: tuple[str, ...], grid: Sequence[Fraction], arity: int) -> tuple[int, list[int]]:
+    """The sorted grid as checked values over their lcm, once the universe and arity are checked too.
 
-    Every table over them is then a valid fuzzy subset, so the callers
-    build their subsets without the per-value checks.  The errors are those
-    the `FuzzySubset` constructor raises for the same input.
+    Every row over them is then a valid fuzzy subset, so the callers build
+    their subsets from rows without the per-value checks.  The errors are
+    those the `FuzzySubset` constructor raises for the same input.
     """
     if not universe:
         raise FormatError("universe must be non-empty")
@@ -447,22 +447,25 @@ def _subset_grid(universe: tuple[str, ...], grid: Sequence[Fraction], arity: int
         raise TableIncomplete("a universe with repeated elements has too few distinct tuples")
     if arity < 1:
         raise FormatError("fuzzy subset must have arity >= 1")
-    return [unit(v) for v in sorted(grid)]
+    values = [unit(v) for v in sorted(grid)]
+    den = lcm(*[v.denominator for v in values])
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def grid_fuzzy_subsets(universe: Sequence[str], grid: Sequence[Fraction],
                        arity: int = 1) -> Iterator[FuzzySubset]:
     """Every fuzzy subset of the given arity with values on the grid."""
     universe = tuple(universe)
-    for table in _all_tables(universe, arity, _subset_grid(universe, grid, arity)):
-        yield FuzzySubset._trusted(universe, table, arity)
+    den, values = _subset_grid(universe, grid, arity)
+    for row in itertools.product(values, repeat=len(universe) ** arity):
+        yield FuzzySubset._trusted(universe, arity, den, row)
 
 
 def random_fuzzy_subset(universe: Sequence[str], grid: Sequence[Fraction],
                         rng: random.Random, arity: int = 1) -> FuzzySubset:
     universe = tuple(universe)
-    values = _subset_grid(universe, grid, arity)
-    return FuzzySubset._trusted(universe, _random_table(universe, arity, values, rng), arity)
+    den, values = _subset_grid(universe, grid, arity)
+    return FuzzySubset._trusted(universe, arity, den, [rng.choice(values) for _ in range(len(universe) ** arity)])
 
 
 def integral_law_suite(model: WeakProbModel, gen: ModelGenSpec) -> Report:
@@ -532,7 +535,7 @@ def _axiom_instantiations(axiom: str, gen: ModelGenSpec) -> list[dict]:
 
 def _bound_models(formulas: Sequence[Formula], names: Sequence[str], gen: ModelGenSpec, voc: Vocabulary,
                   eq: bool = False, *, orbit_least: bool = False) -> Iterator[tuple]:
-    """`(model_at, bound)` per model `generate_models` gives, in its order.
+    """`(model_at, bound)` per model `random_models` or `exhaustive_models` gives, in its order.
 
     `bound` holds each formula's `(numerator, S)` on the model, as
     `compile_integers(formula, names)` binds it, and `model_at()` builds

@@ -19,7 +19,7 @@ from intlogic.integrals import (
     slice_first,
     slice_second,
 )
-from intlogic.model import FuzzySubset, WeakProbModel, mu_set, subset_integers, truth_set
+from intlogic.model import FuzzySubset, WeakProbModel, mu_set, truth_set
 from intlogic.rational import DEFAULT_GRID, implies
 from intlogic.validate import grid_fuzzy_subsets, grid_measures
 
@@ -182,7 +182,7 @@ class TestSlices:
         assert slice_first(h, model).values == {("a",): F(1, 4), ("b",): F(3, 8)}
         assert slice_second(h, model).values == {("a",): F(5, 8), ("b",): F(1, 4)}
         f = FuzzySubset(model.universe, {("b",): F(1, 3), ("a",): HALF})
-        assert subset_integers(f) == (6, (3, 2))
+        assert (f.den, f.row) == (6, (3, 2))
         for integral in (integral_expectation, integral_layercake, integral_dissection):
             assert integral(f, model) == F(3, 8)
 
@@ -264,7 +264,7 @@ class TestAgainstFractionSums:
             assert computed.values == values
             validated = FuzzySubset(universe, values)
             assert computed == validated and computed.arity == validated.arity == 1
-            assert subset_integers(computed) == subset_integers(validated)
+            assert (computed.den, computed.row) == (validated.den, validated.row)
         total = sum((v * mu[a] * mu[b] for (a, b), v in h.values.items()), F(0))
         assert double_sum(h, model) == total
 
@@ -318,7 +318,7 @@ class TestLawsAgainstFractionLoop:
         for f in received:
             validated = FuzzySubset(f.universe, dict(f.values))
             assert f == validated and f.arity == validated.arity
-            assert subset_integers(f) == subset_integers(validated)
+            assert (f.den, f.row) == (validated.den, validated.row)
         if integral is integral_expectation:
             assert report.ok
 
@@ -402,3 +402,35 @@ class TestFamilyClosure:
                   FuzzySubset(universe, {("a",): F(1, 4)})]
         report = check_family_closure(family, constants=())
         assert any(v["kind"] == "not-closed-under-implication" for v in report.violations)
+
+
+class TestValuesOnlyWhenRead:
+    """The subsets built on integer rows make their `Fraction` table only when it is read."""
+
+    def test_no_values_until_read(self, monkeypatch):
+        built = []
+        trusted = FuzzySubset._trusted
+
+        def recording(*args):
+            built.append(trusted(*args))
+            return built[-1]
+
+        monkeypatch.setattr(FuzzySubset, "_trusted", staticmethod(recording))
+        model = model2(F(1, 4), F(3, 4))
+        unary = list(grid_fuzzy_subsets(model.universe, DEFAULT_GRID))
+        binary = list(grid_fuzzy_subsets(model.universe, (F(0), HALF, F(1)), 2))
+        pairs = [(f, g) for f in unary for g in unary]
+        report = check_semantic_integral_laws(model, pairs, binary, integral=integral_expectation)
+        slices = [slice_first(h, model) for h in binary] + [slice_second(h, model) for h in binary]
+        assert report.ok
+        # the grids, then per unary subset its complement, per pair three connectives, per binary two slices
+        assert len(built) == len(unary) + len(binary) + len(unary) + 3 * len(pairs) + 4 * len(binary)
+        assert not any("values" in vars(subset) for subset in built)
+        for subset in unary + slices:
+            assert FuzzySubset(subset.universe, subset.values) == subset
+            assert "values" in vars(subset)
+
+        # members given in another key order than the constants and implications are built in
+        family = [FuzzySubset(model.universe, {("b",): y, ("a",): x}) for x in DEFAULT_GRID for y in DEFAULT_GRID]
+        report = check_family_closure(family, constants=DEFAULT_GRID)
+        assert report.ok and report.checked == len(DEFAULT_GRID) + len(family) ** 2

@@ -1,6 +1,10 @@
+import copy
+import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,6 +155,50 @@ class TestFuzzySubset:
         assert level_set(f, HALF) == {"b"}
         assert level_set(f, Fraction(0)) == {"a", "b"}
         assert level_set(f, Fraction(1)) == frozenset()
+
+
+@st.composite
+def integer_forms(draw):
+    """`(universe, arity, den, row)`: a row of numerators over a random denominator."""
+    universe = tuple(draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=3, unique=True)))
+    arity = draw(st.integers(min_value=1, max_value=2))
+    den = draw(st.integers(min_value=1, max_value=12))
+    size = len(universe) ** arity
+    row = draw(st.lists(st.integers(min_value=0, max_value=den), min_size=size, max_size=size))
+    return universe, arity, den, row
+
+
+class TestSubsetForms:
+    """`_trusted` keeps the integer form and the checking constructor `values`; each derives the other."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(form=integer_forms(), values_first=st.booleans(), data=st.data())
+    def test_both_constructors_agree(self, form, values_first, data):
+        universe, arity, den, row = form
+        keys = list(itertools.product(universe, repeat=arity))
+        table = {key: Fraction(n, den) for key, n in zip(keys, row)}
+        names = ("values", "den", "row") if values_first else ("row", "den", "values")
+
+        def pair():
+            shuffled = data.draw(st.permutations(keys))
+            return FuzzySubset._trusted(universe, arity, den, row), FuzzySubset(universe, {k: table[k] for k in shuffled})
+
+        trusted, checked = pair()
+        assert [getattr(trusted, name) for name in names] == [getattr(checked, name) for name in names]
+        assert trusted.values == table
+        assert list(trusted.values) == keys
+        assert trusted.den == lcm(*[v.denominator for v in table.values()])
+        assert trusted.row == tuple([v.numerator * (trusted.den // v.denominator) for v in table.values()])
+        assert trusted.is_crisp() == checked.is_crisp() == all(v in (0, 1) for v in table.values())
+
+        trusted, checked = pair()  # equality, hash and copies before either derives its other form
+        assert trusted == checked and hash(trusted) == hash(checked)
+        for subset in pair():
+            copies = copy.deepcopy(subset), pickle.loads(pickle.dumps(subset))
+            assert vars(copies[0]) == vars(copies[1]) == vars(subset)
+            for copied in copies:
+                assert copied == subset and hash(copied) == hash(subset)
+                assert copied.values == table and copied.arity == arity
 
 
 class TestStructureOps:

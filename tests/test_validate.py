@@ -17,7 +17,6 @@ from intlogic.model import (
     model_from_json,
     model_to_json,
     relabel_universe,
-    subset_integers,
 )
 from intlogic.rational import DEFAULT_GRID, implies, neg, strong_and, strong_or
 from intlogic.syntax import (
@@ -44,7 +43,6 @@ from intlogic.validate import (
     check_abstract_logic_properties,
     exhaustive_models,
     find_countermodel,
-    generate_models,
     grid_fuzzy_subsets,
     grid_measures,
     integral_law_suite,
@@ -478,7 +476,7 @@ def _small_spec(rng, voc, limit):
 
 
 class TestSweepDifferential:
-    """Sweeps on factor indices against the reference: `generate_models` plus `compile_integers` per model."""
+    """Sweeps on factor indices against the reference: `exhaustive_models` plus `compile_integers` per model."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1), orbit_least=st.booleans())
@@ -495,7 +493,7 @@ class TestSweepDifferential:
 
         binds = [compile_integers(formula, names) for formula in formulas]
         expected = [(model_to_json(model), [_outcomes(bind(model), valuations) for bind in binds])
-                    for model in generate_models(spec, voc, eq, orbit_least=orbit_least)]
+                    for model in exhaustive_models(spec, voc, eq, orbit_least=orbit_least)]
         swept = [(model_to_json(model_at()), [_outcomes(b, valuations) for b in bound])
                  for model_at, bound in validate._bound_models(formulas, names, spec, voc, eq,
                                                                orbit_least=orbit_least)]
@@ -511,7 +509,7 @@ class TestSweepDifferential:
         bind = compile_integers(sentence)
         expected = None
         try:
-            for model in generate_models(spec, voc, mentions_eq(sentence), orbit_least=True):
+            for model in exhaustive_models(spec, voc, mentions_eq(sentence), orbit_least=True):
                 numerator, scale = bind(model)
                 try:
                     if numerator() < scale:
@@ -580,7 +578,7 @@ class TestGridSubsets:
             validated = FuzzySubset(subset.universe, subset.values)
             assert subset == validated and subset.arity == validated.arity == arity
             assert all(type(v) is Fraction for v in subset.values.values())
-            assert subset_integers(subset) == subset_integers(validated)
+            assert (subset.den, subset.row) == (validated.den, validated.row)
 
     @pytest.mark.parametrize("universe, grid, arity, error", [
         (("a", "b"), (F(0), F(3, 2)), 1, errors.ValueOutOfRange),
