@@ -2,19 +2,21 @@
 
 `integral_expectation` is the working definition (the weighted sum the
 evaluator computes).  `integral_dissection` recomputes it from first principles
-as a supremum over all set partitions of the universe and exists purely as
-a brute-force oracle.  `integral_layercake` is the simple-function form
+as the exact supremum over all set partitions of the universe and exists
+purely as an oracle.  `integral_layercake` is the simple-function form
 built from level sets.  On finite models the three agree exactly.
 
 These three, the two slices and `double_sum` compute on integers: each
 reads the subset's integer form (`FuzzySubset.den` and `.row`) and the
-model's integer weights (`model.integer_form`), both computed at most once
-per object, and makes a single `Fraction`, for its result.  The two
-oracles share only that conversion with the expectation form.  The subsets
-this module builds, the slices and the connectives of the law checker, are
-computed on integer rows and built from them (`FuzzySubset._trusted`), so
-integrating them converts nothing and their `values` are made only when
-read.
+model's integer weights (`IntegerForm.weight_row` of `model.integer_form`),
+both computed at most once per object, and makes a single `Fraction`, for
+its result.  The two oracles share only that conversion with the
+expectation form.  The dissection also keeps the mass of every block per
+weight tuple, and finds its supremum by recursion over subsets rather
+than by scoring each partition.  The subsets this module builds, the
+slices and the connectives of the law checker, are computed on integer
+rows and built from them (`FuzzySubset._trusted`), so integrating them
+converts nothing and their `values` are made only when read.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def _require(subset: FuzzySubset, universe: tuple[str, ...], arity: int) -> None
         raise FormatError(f"fuzzy subset over the universe {subset.universe}, expected {universe}")
 
 
-def _scaled(subset: FuzzySubset, model: WeakProbModel) -> tuple[tuple[int, ...], list[int], int]:
+def _scaled(subset: FuzzySubset, model: WeakProbModel) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """The subset's values and the weights as integers, and their common scale.
 
     Value i is `row[i] / den` (in universe order for a unary subset) and
@@ -50,7 +52,7 @@ def _scaled(subset: FuzzySubset, model: WeakProbModel) -> tuple[tuple[int, ...],
     exact over `den * M`, the scale returned.
     """
     form = integer_form(model)
-    return subset.row, [w for _, w in form.weights], subset.den * form.m_den
+    return subset.row, form.weight_row, subset.den * form.m_den
 
 
 def integral_expectation(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
@@ -74,36 +76,67 @@ def set_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _partition_masks(n: int) -> tuple[tuple[int, ...], ...]:
-    """`set_partitions(n)` with each block as a bitmask over range(n)."""
-    return tuple(tuple(sum(1 << i for i in block) for block in partition) for partition in set_partitions(n))
+@lru_cache(maxsize=32)
+def _blocks(weights: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The mass and the lowest element of every block of range(n), indexed by the block as a bitmask."""
+    n = len(weights)
+    mass, lowest = [0] * (1 << n), [0] * (1 << n)
+    for block in range(1, 1 << n):
+        rest = block & (block - 1)
+        i = lowest[block] = (block ^ rest).bit_length() - 1
+        mass[block] = mass[rest] + weights[i]
+    return tuple(mass), tuple(lowest)
+
+
+def _best_dissection(score: Sequence[int], n: int) -> int:
+    """The maximum over the partitions of range(n) of the sum of their blocks' scores.
+
+    `score[block]` is indexed by the block as a bitmask.  Every partition of
+    a set S is a block B holding S's lowest element plus a partition of
+    S - B, so `best[S]`, the maximum over S's partitions, is the maximum of
+    `score[B] + best[S - B]` over those B.  Only range(n) and the sets
+    without element 0 arise as S; each is computed after the smaller sets
+    it reads, in increasing order.
+    """
+    full = (1 << n) - 1
+    best = [0] * (full + 1)
+    for s in [*range(2, full, 2), full] if n else ():
+        low = s & -s
+        rest = sub = s ^ low
+        top = score[s]
+        while sub:
+            sub = (sub - 1) & rest
+            total = score[low | sub] + best[rest ^ sub]
+            if total > top:
+                top = total
+        best[s] = top
+    return best[full]
 
 
 def integral_dissection(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     """Supremum over all measurable dissections of sum(inf f on block * mu(block)).
 
-    Enumerates every set partition of the universe (Bell-number many), so it
-    is capped at small universes; it serves as the independent oracle for the
-    expectation form.  Each of the 2^n - 1 blocks is scored once, on values
-    and weights over shared integer denominators, so a partition's total is
-    a sum of its blocks' scores, exactly.
+    The supremum is exact over every set partition of the universe, so it
+    is capped at small universes; it serves as the independent oracle for
+    the expectation form.  Each of the 2^n - 1 blocks is scored once, on
+    values and weights over shared integer denominators; the block masses
+    are kept per weight tuple.  The best partition is then found by
+    recursion over subsets (`_best_dissection`), not by scoring each of
+    the Bell(n) partitions.
     """
     _require(subset, model.universe, 1)
     n = len(model.universe)
     if n > DISSECTION_MAX_UNIVERSE:
         raise UniverseTooLarge(f"dissection enumeration capped at |M| <= {DISSECTION_MAX_UNIVERSE}")
     values, weights, scale = _scaled(subset, model)
-    # a block is its lowest element i plus the smaller block `rest`
-    low, mass, score = [0] * (1 << n), [0] * (1 << n), [0] * (1 << n)
+    mass, lowest = _blocks(weights)
+    # a block's infimum is the lesser of its lowest element's value and the
+    # infimum of the rest of the block; over the empty block it is 1, `den`
+    low = [subset.den] * (1 << n)
     for block in range(1, 1 << n):
-        rest = block & (block - 1)
-        i = (block ^ rest).bit_length() - 1
-        low[block] = min(low[rest], values[i]) if rest else values[i]
-        mass[block] = mass[rest] + weights[i]
-        score[block] = low[block] * mass[block]
-    best = max(sum([score[block] for block in partition]) for partition in _partition_masks(n))
-    return Fraction(best, scale)
+        value, rest = values[lowest[block]], low[block & (block - 1)]
+        low[block] = value if value < rest else rest
+    return Fraction(_best_dissection(list(map(mul, low, mass)), n), scale)
 
 
 def integral_layercake(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
@@ -137,7 +170,7 @@ def pointwise(op: Callable, *subsets: FuzzySubset) -> FuzzySubset:
     return FuzzySubset(first.universe, {key: op(*[s.values[key] for s in subsets]) for key in first.values})
 
 
-def _inner_sums(h: FuzzySubset, model: WeakProbModel, over_first: bool) -> tuple[list[int], list[int], int]:
+def _inner_sums(h: FuzzySubset, model: WeakProbModel, over_first: bool) -> tuple[list[int], tuple[int, ...], int]:
     """Numerators of h integrated over one argument, in universe order, as `_scaled` gives.
 
     `h`'s integer row is in (a, b) order, so row a holds h(a, .); integrating

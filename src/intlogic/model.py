@@ -162,6 +162,7 @@ class IntegerForm(NamedTuple):
     tables: Mapping[str, Mapping[tuple[str, ...], int]]  #: predicate values times D
     m_den: int  #: M, the lcm of the measure's denominators
     weights: tuple[tuple[str, int], ...]  #: (m, mu(m) times M), in universe order
+    weight_row: tuple[int, ...]  #: mu(m) times M alone, in universe order
 
 
 def integer_table(table: PredTable, den: int) -> dict[tuple[str, ...], int]:
@@ -169,10 +170,11 @@ def integer_table(table: PredTable, den: int) -> dict[tuple[str, ...], int]:
     return {key: v.numerator * (den // v.denominator) for key, v in table.items()}
 
 
-def integer_weights(universe: tuple[str, ...], measure: Mapping[str, Fraction]) -> tuple[int, tuple]:
-    """`(M, weights)` of an `IntegerForm` for this measure."""
+def integer_weights(universe: tuple[str, ...], measure: Mapping[str, Fraction]) -> tuple[int, tuple, tuple]:
+    """`(M, weights, weight_row)` of an `IntegerForm` for this measure."""
     m_den = lcm(*[w.denominator for w in measure.values()])
-    return m_den, tuple((m, measure[m].numerator * (m_den // measure[m].denominator)) for m in universe)
+    row = tuple([measure[m].numerator * (m_den // measure[m].denominator) for m in universe])
+    return m_den, tuple(zip(universe, row)), row
 
 
 def integer_form(model: WeakProbModel) -> IntegerForm:

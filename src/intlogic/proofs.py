@@ -13,7 +13,6 @@ appear as (L -> R) & (R -> L).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .reporting import Report
 from .syntax import (
@@ -68,7 +67,7 @@ class IntegralMono:
     var: str
 
 
-Justification = Union[Premise, AxiomInstance, ModusPonens, Generalization, IntegralIntro, IntegralMono]
+Justification = Premise | AxiomInstance | ModusPonens | Generalization | IntegralIntro | IntegralMono
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Literal, Mapping, Union
+from typing import Iterable, Iterator, Literal, Mapping
 
 from .errors import (
     ArityMismatch,
@@ -132,7 +132,7 @@ class FuncApp:
         object.__setattr__(self, "args", tuple(self.args))
 
 
-Term = Union[Variable, Constant, FuncApp]
+Term = Variable | Constant | FuncApp
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +226,10 @@ class QuantEq:
             raise ValueError("'=' may only relate quantifier expressions")
 
 
-Formula = Union[
-    Atom, TruthConst, Not, And, Or, StrongAnd, StrongOr, Implies,
-    Forall, Exists, Integral, QuantEq,
-]
+Formula = (
+    Atom | TruthConst | Not | And | Or | StrongAnd | StrongOr | Implies
+    | Forall | Exists | Integral | QuantEq
+)
 
 # QuantEq has the shape of a binary connective, so the walkers here treat it as
 # one; well-formedness adds its top-level rule, and parsing, printing and

@@ -320,7 +320,7 @@ class _Odometer:
                     changed = min(changed, position)
                     continue
             if not changed:
-                _, m_den, weights = self.measures[indices[0]]
+                _, m_den, weights, _ = self.measures[indices[0]]
                 for view in views:
                     view.stage(m_den, weights)
             for p in range(changed, n):
@@ -347,11 +347,10 @@ class _Odometer:
 
     def predicates(self, indices: Sequence[int]) -> tuple[dict, IntegerForm]:
         """The predicate dict and the integer form of the model at `indices`."""
-        _, m_den, weights = self.measures[indices[0]]
         chosen = indices[1:self.starts[2]]
         predicates = {name: choices[i] for (name, choices), i in zip(self.tables, chosen)}
         tables = {name: choices[i] for (name, choices), i in zip(self.integers, chosen)}
-        return predicates, IntegerForm(self.den, tables, m_den, weights)
+        return predicates, IntegerForm(self.den, tables, *self.measures[indices[0]][1:])
 
     def function_tables(self, indices: Sequence[int]) -> dict:
         return {name: choices[i] for (name, choices), i in zip(self.functions, indices[self.starts[2]:self.starts[3]])}

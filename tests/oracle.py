@@ -9,7 +9,8 @@ satisfaction module's parts, so no value it returns comes from the
 compiled evaluator.
 
 `law_report` is the same kind of oracle for
-`integrals.check_semantic_integral_laws`.
+`integrals.check_semantic_integral_laws`, and `dissection` for
+`integrals.integral_dissection`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from intlogic.errors import ContainmentViolated, NotASentence, UnboundVariable, UnknownSymbol
-from intlogic.integrals import pointwise
+from intlogic.integrals import pointwise, set_partitions
 from intlogic.model import FuzzySubset, WeakProbModel, level_set, mu_set
 from intlogic.rational import DEFAULT_GRID, ONE, ZERO, implies, neg, strong_and, strong_or, weak_and, weak_or
 from intlogic.reporting import Report
@@ -192,3 +193,11 @@ def law_report(model: WeakProbModel, pairs=(), bivariate=(), constants=DEFAULT_G
         if lhs != rhs:
             record("iteration", lhs, rhs, h=h)
     return report
+
+
+def dissection(f: FuzzySubset, model: WeakProbModel) -> Fraction:
+    """`integral_dissection` as a `Fraction` loop: the best partition's sum of inf f times mu(block)."""
+    universe, mu = model.universe, model.measure
+    return max(sum((min(f.values[(universe[i],)] for i in block) * sum(mu[universe[i]] for i in block)
+                    for block in partition), ZERO)
+               for partition in set_partitions(len(universe)))

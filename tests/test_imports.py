@@ -1,9 +1,14 @@
 """The package's import graph: every relative import at module level, and no cycle.
 
 The modules import each other only relatively (`from .model import ...`).
+A re-imported copy of the package leaves nothing of the old copy alive.
 """
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import intlogic
@@ -46,3 +51,31 @@ def test_no_import_cycle():
 
     for module in sorted(graph):
         visit(module)
+
+
+def test_no_typing_union():
+    """`typing` caches every `Union[...]` it builds, which keeps the module of its members alive
+    after a re-import; aliases are written `X | Y`."""
+    found = [f"{path.stem}.py:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Subscript)
+             and getattr(node.value, "id", getattr(node.value, "attr", None)) == "Union"]
+    assert found == []
+
+
+def test_reimport_frees_the_old_package():
+    script = textwrap.dedent("""
+        import gc, importlib, sys, weakref
+        import intlogic.proofs, intlogic.syntax
+        old = [weakref.ref(intlogic.syntax.Atom), weakref.ref(intlogic.proofs.Premise)]
+        for name in [n for n in sys.modules if n == "intlogic" or n.startswith("intlogic.")]:
+            del sys.modules[name]
+        del intlogic
+        importlib.import_module("intlogic")
+        gc.collect()
+        print([ref() is None for ref in old])
+    """)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert done.stdout.split("\n")[0] == "[True, True]", done.stderr

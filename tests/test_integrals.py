@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from intlogic import errors
 from intlogic.integrals import (
+    DISSECTION_MAX_UNIVERSE,
+    _best_dissection,
     check_family_closure,
     check_semantic_integral_laws,
     check_similarity_lipschitz,
@@ -81,6 +84,37 @@ class TestDissection:
             model = WeakProbModel(("a", "b"), measure, {}, {}, {})
             for f in grid_fuzzy_subsets(("a", "b"), grid):
                 assert integral_dissection(f, model) == integral_expectation(f, model)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=0, max_value=6))
+    def test_recursion_is_the_maximum_over_every_partition(self, data, n):
+        # arbitrary scores, negative and superadditive ones too, so no shortcut can match by chance
+        score = [0] + data.draw(st.lists(st.integers(min_value=-1000, max_value=1000),
+                                         min_size=(1 << n) - 1, max_size=(1 << n) - 1))
+        expected = max(sum(score[sum(1 << i for i in block)] for block in partition)
+                       for partition in set_partitions(n))
+        assert _best_dissection(score, n) == expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_fraction_oracle(self, n):
+        rng = random.Random(n)
+        names = tuple(f"e{i}" for i in range(n))
+        for zeros in range(n):
+            # `zeros` elements of weight 0, the rest weights with several denominators
+            weights = [F(0)] * zeros + [rng.choice(MIXED[1:]) for _ in range(n - zeros)]
+            rng.shuffle(weights)
+            total = sum(weights)
+            model = WeakProbModel(names, {m: w / total for m, w in zip(names, weights)}, {}, {}, {})
+            for _ in range(12):
+                f = FuzzySubset(names, {(m,): rng.choice(MIXED) for m in names})
+                assert integral_dissection(f, model) == oracle.dissection(f, model)
+
+    def test_matches_the_fraction_oracle_at_the_cap(self):
+        names = tuple(f"e{i}" for i in range(DISSECTION_MAX_UNIVERSE))
+        weights = [F(1, 3), F(0), F(1, 12), F(1, 5), F(1, 30), F(1, 7), F(0)]
+        model = WeakProbModel(names, dict(zip(names, [*weights, 1 - sum(weights)])), {}, {}, {})
+        f = FuzzySubset(names, {(m,): v for m, v in zip(names, MIXED)})
+        assert integral_dissection(f, model) == oracle.dissection(f, model) == integral_expectation(f, model)
 
     def test_universe_cap(self):
         names = tuple(f"e{i}" for i in range(9))

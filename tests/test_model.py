@@ -16,6 +16,7 @@ from intlogic.model import (
     FuzzySubset,
     WeakProbModel,
     expand_by_constants,
+    integer_form,
     isomorphic,
     level_set,
     model_from_json,
@@ -56,6 +57,14 @@ class TestLoading:
         path.write_text(json.dumps(MODEL_DOC))
         model = load_model(path)
         assert sum(model.measure.values()) == 1
+
+    def test_integer_weights(self, tmp_path):
+        from intlogic.files import load_model
+
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(MODEL_DOC, measure={"a": "1/6", "b": "5/6"})))
+        form = integer_form(load_model(path))
+        assert (form.m_den, form.weights, form.weight_row) == (6, (("a", 1), ("b", 5)), (1, 5))
 
     def test_unnormalized_measure(self):
         doc = dict(MODEL_DOC, measure={"a": "1/3", "b": "1/3"})

@@ -369,6 +369,7 @@ class TestTrustedGeneration:
             assert {key: F(v, form.den) for key, v in form.tables[name].items()} == table
         assert [(m, F(w, form.m_den)) for m, w in form.weights] == \
             [(m, model.measure[m]) for m in model.universe]
+        assert form.weight_row == tuple(w for _, w in form.weights)
 
     @pytest.mark.parametrize("size, voc, eq, stride", [
         (1, FULL_VOC, True, 1),
@@ -555,6 +556,7 @@ class TestSweepResults:
         for model, expected in zip(built, enumerated):
             assert model_to_json(model) == model_to_json(expected)
             assert integer_form(model) == integer_form(expected)
+            assert integer_form(model).weight_row == tuple(w for _, w in integer_form(model).weights)
             assert model == WeakProbModel(model.universe, model.measure, model.predicates, model.functions,
                                           model.constants)
 
