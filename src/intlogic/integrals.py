@@ -16,7 +16,7 @@ weight tuple, and finds its supremum by recursion over subsets rather
 than by scoring each partition.  The subsets this module builds, the
 slices and the connectives of the law checker, are computed on integer
 rows and built from them (`FuzzySubset._trusted`), so integrating them
-converts nothing and their `values` are made only when read.
+converts nothing; a subset's `values` are made only when read.
 """
 
 from __future__ import annotations
@@ -167,7 +167,8 @@ def pointwise(op: Callable, *subsets: FuzzySubset) -> FuzzySubset:
     first = subsets[0]
     for other in subsets[1:]:
         _require(other, first.universe, first.arity)
-    return FuzzySubset(first.universe, {key: op(*[s.values[key] for s in subsets]) for key in first.values})
+    tables = [s.values for s in subsets]
+    return FuzzySubset(first.universe, {key: op(*[table[key] for table in tables]) for key in tables[0]})
 
 
 def _inner_sums(h: FuzzySubset, model: WeakProbModel, over_first: bool) -> tuple[list[int], tuple[int, ...], int]:

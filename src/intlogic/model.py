@@ -10,7 +10,7 @@ return fresh models.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -217,49 +217,39 @@ def mu_set(model: WeakProbModel, tuples: Iterable, k: int = 1) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuzzySubset:
     """A total map |M|^k -> [0,1], the semantic value of a k-ary property.
 
-    A subset has two forms: `values`, its table of `Fraction`s, and the
-    integer form `den`, `row`.  `den` is the lcm of the value denominators
-    and `row` holds each value times `den`, in
-    `itertools.product(universe, repeat=arity)` order.  Equality and the
-    hash read the integer form.  The checking constructor keeps `values`
-    and `_trusted` keeps `den` and `row`; the other form is derived on
-    first read and kept on the object, so, like models, fuzzy subsets are
-    treated as immutable after construction.
+    A subset holds one form, its integer form `den`, `row`: `den` is the
+    lcm of the value denominators and `row` holds each value times `den`,
+    in `itertools.product(universe, repeat=arity)` order.  Equality and
+    the hash read it.  The checking constructor `FuzzySubset(universe,
+    table)` converts a table of values once; `_trusted` takes the integer
+    form as it is.  `values`, the table of `Fraction`s, is made afresh on
+    every read, so changing it leaves the subset as it was.
     """
 
     universe: tuple[str, ...]
-    values: Mapping[tuple[str, ...], Fraction] = field(compare=False)
+    table: InitVar[Mapping[tuple[str, ...], Fraction]]
+    arity: int = field(init=False)
+    den: int = field(init=False)
+    row: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "universe", tuple(self.universe))
-        values, arity = _checked_table("fuzzy subset", self.values, self.universe, unit)
-        object.__setattr__(self, "values", values)
+    def __post_init__(self, table):
+        universe = tuple(self.universe)
+        checked, arity = _checked_table("fuzzy subset", table, universe, unit)
+        values = [checked[key] for key in itertools.product(universe, repeat=arity)]
+        den = lcm(*{v.denominator for v in values})
+        object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "row", tuple([v.numerator * (den // v.denominator) for v in values]))
 
-    arity: int = field(init=False, repr=False, default=0)
-    den: int = field(init=False, repr=False)
-    row: tuple[int, ...] = field(init=False, repr=False)
-
-    def __getattr__(self, name: str):
-        # only for a form not yet derived; the name is checked first, since
-        # copying and unpickling look attributes up while `__dict__` is empty
-        if name == "values":
-            keys = itertools.product(self.universe, repeat=self.arity)
-            den = self.den
-            object.__setattr__(self, "values", {key: Fraction(n, den) for key, n in zip(keys, self.row)})
-        elif name in ("den", "row"):
-            values = self.values
-            row = [values[key] for key in itertools.product(self.universe, repeat=self.arity)]
-            den = lcm(*{v.denominator for v in row})
-            object.__setattr__(self, "den", den)
-            object.__setattr__(self, "row", tuple([v.numerator * (den // v.denominator) for v in row]))
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return object.__getattribute__(self, name)
+    @property
+    def values(self) -> dict[tuple[str, ...], Fraction]:
+        den = self.den
+        return {key: Fraction(n, den) for key, n in zip(itertools.product(self.universe, repeat=self.arity), self.row)}
 
     @classmethod
     def _trusted(cls, universe: tuple[str, ...], arity: int, den: int, row: Sequence[int]) -> "FuzzySubset":
@@ -288,7 +278,10 @@ class FuzzySubset:
 
     @classmethod
     def from_predicate(cls, model: WeakProbModel, name: str) -> "FuzzySubset":
-        return cls(model.universe, dict(model.predicates[name]))
+        form, arity = integer_form(model), model.pred_arity(name)
+        table = form.tables[name]
+        return cls._trusted(model.universe, arity, form.den,
+                            [table[key] for key in itertools.product(model.universe, repeat=arity)])
 
 
 def level_set(subset: FuzzySubset, alpha: Fraction) -> frozenset[str]:
@@ -370,45 +363,15 @@ ISOMORPHISM_MAX_UNIVERSE = 8
 
 
 def isomorphic(left: WeakProbModel, right: WeakProbModel) -> bool:
-    """Brute-force search for a measure-preserving isomorphism."""
+    """Brute-force search for a measure-preserving isomorphism: a relabelling of `left` that is `right`."""
     if len(left.universe) != len(right.universe):
         return False
     if len(left.universe) > ISOMORPHISM_MAX_UNIVERSE:
         raise UniverseTooLarge(f"isomorphism search capped at |M| <= {ISOMORPHISM_MAX_UNIVERSE}")
-    if set(left.predicates) != set(right.predicates) or set(left.functions) != set(right.functions):
-        return False
-    if set(left.constants) != set(right.constants):
-        return False
-    for name in left.predicates:
-        if left.pred_arity(name) != right.pred_arity(name):
-            return False
-    for name in left.functions:
-        if left.func_arity(name) != right.func_arity(name):
-            return False
-    if sorted(left.measure.values()) != sorted(right.measure.values()):
-        return False
-
-    for image in itertools.permutations(right.universe):
-        bij = dict(zip(left.universe, image))
-        if any(left.measure[m] != right.measure[bij[m]] for m in left.universe):
-            continue
-        if any(right.constants[c] != bij[e] for c, e in left.constants.items()):
-            continue
-        ok = True
-        for name, table in left.predicates.items():
-            rtable = right.predicates[name]
-            if any(rtable[tuple(bij[e] for e in key)] != v for key, v in table.items()):
-                ok = False
-                break
-        if ok:
-            for name, table in left.functions.items():
-                rtable = right.functions[name]
-                if any(rtable[tuple(bij[e] for e in key)] != bij[v] for key, v in table.items()):
-                    ok = False
-                    break
-        if ok:
-            return True
-    return False
+    parts = lambda model: (model.measure, model.predicates, model.functions, model.constants)
+    target = parts(right)
+    return any(parts(relabel_universe(left, dict(zip(left.universe, image)))) == target
+               for image in itertools.permutations(right.universe))
 
 
 def expand_by_constants(model: WeakProbModel, elements: Iterable[str] | None = None) -> WeakProbModel:

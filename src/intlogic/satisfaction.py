@@ -194,17 +194,10 @@ def validate_approximation_system(
     return report
 
 
-def hasat(
-    formula: Formula,
-    model: WeakProbModel,
-    system: ApproximationSystem,
-    cfg: LevelConfig | None = None,
-) -> bool:
+def hasat(formula: Formula, model: WeakProbModel, system: ApproximationSystem) -> bool:
     """Approximate satisfaction: every approximation of the sentence is H-satisfied."""
     index = system.index_of(formula)
-    return all(
-        hsat(system.sentences[j], model, cfg) for j in system.approximations_of(index)
-    )
+    return all(hsat(system.sentences[j], model) for j in system.approximations_of(index))
 
 
 # ---------------------------------------------------------------------------

@@ -370,10 +370,8 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
     """Every model over the grid, in a fixed deterministic order.
 
     With `eq`, every model also interprets `eq` as the crisp identity.  The
-    models are valid by construction and share their parts (`_Odometer`):
-    models that differ only in functions and constants share one predicate
-    dict and one integer form, and models that differ only in constants
-    one function dict.
+    models are valid by construction and share the odometer's tables and
+    measures (`_Odometer.model`).
 
     The order is lexicographic on the factor indices: the measure's, each
     predicate table's, each function table's and each constant's.  With
@@ -386,14 +384,8 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
     that fix the measure are tried, level by level.
     """
     odometer = _Odometer(gen, voc, eq, orbit_least)
-    pred_end, func_end = odometer.ends[1:3]
-    for indices, changed in odometer.sweep():
-        if changed < pred_end:
-            predicates, form = odometer.predicates(indices)
-        if changed < func_end:
-            functions = odometer.function_tables(indices)
-        yield WeakProbModel._trusted(odometer.names, odometer.measures[indices[0]][0], predicates, functions,
-                                     odometer.constant_values(indices), form)
+    for indices, _ in odometer.sweep():
+        yield odometer.model(indices)
 
 
 def random_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:

@@ -130,8 +130,8 @@ def evaluate(formula: Formula, model: WeakProbModel, valuation=None) -> Fraction
             return min(values, default=ONE)
         return max(values, default=ZERO)
     if isinstance(formula, Integral):
-        matrix = value_matrix(formula.body, formula.var, model, v)
-        return sum((matrix.values[(m,)] * model.measure[m] for m in model.universe), ZERO)
+        matrix = value_matrix(formula.body, formula.var, model, v).values
+        return sum((matrix[(m,)] * model.measure[m] for m in model.universe), ZERO)
     if isinstance(formula, QuantEq):
         return ONE if hsat_qeq(formula.left, formula.right, model) else ZERO
     raise TypeError(f"not a formula: {formula!r}")
@@ -158,11 +158,11 @@ def law_report(model: WeakProbModel, pairs=(), bivariate=(), constants=DEFAULT_G
         report.add("integral-law-violation", law=law, lhs=str(lhs), rhs=str(rhs), sample=sample)
 
     def sliced(h, over_first):
-        universe, mu = model.universe, model.measure
+        universe, mu, table = model.universe, model.measure, h.values
         if over_first:
-            return FuzzySubset(universe, {(b,): sum((h.values[(a, b)] * mu[a] for a in universe), ZERO)
+            return FuzzySubset(universe, {(b,): sum((table[(a, b)] * mu[a] for a in universe), ZERO)
                                           for b in universe})
-        return FuzzySubset(universe, {(a,): sum((h.values[(a, b)] * mu[b] for b in universe), ZERO)
+        return FuzzySubset(universe, {(a,): sum((table[(a, b)] * mu[b] for b in universe), ZERO)
                                       for a in universe})
 
     for r in constants:
@@ -197,7 +197,7 @@ def law_report(model: WeakProbModel, pairs=(), bivariate=(), constants=DEFAULT_G
 
 def dissection(f: FuzzySubset, model: WeakProbModel) -> Fraction:
     """`integral_dissection` as a `Fraction` loop: the best partition's sum of inf f times mu(block)."""
-    universe, mu = model.universe, model.measure
-    return max(sum((min(f.values[(universe[i],)] for i in block) * sum(mu[universe[i]] for i in block)
+    universe, mu, table = model.universe, model.measure, f.values
+    return max(sum((min(table[(universe[i],)] for i in block) * sum(mu[universe[i]] for i in block)
                     for block in partition), ZERO)
                for partition in set_partitions(len(universe)))

@@ -439,7 +439,7 @@ class TestFamilyClosure:
 
 
 class TestValuesOnlyWhenRead:
-    """The subsets built on integer rows make their `Fraction` table only when it is read."""
+    """A subset stores nothing but its integer form; its `Fraction` table is made when it is read."""
 
     def test_no_values_until_read(self, monkeypatch):
         built = []
@@ -459,12 +459,22 @@ class TestValuesOnlyWhenRead:
         assert report.ok
         # the grids, then per unary subset its complement, per pair three connectives, per binary two slices
         assert len(built) == len(unary) + len(binary) + len(unary) + 3 * len(pairs) + 4 * len(binary)
-        assert not any("values" in vars(subset) for subset in built)
         for subset in unary + slices:
             assert FuzzySubset(subset.universe, subset.values) == subset
-            assert "values" in vars(subset)
 
         # members given in another key order than the constants and implications are built in
         family = [FuzzySubset(model.universe, {("b",): y, ("a",): x}) for x in DEFAULT_GRID for y in DEFAULT_GRID]
         report = check_family_closure(family, constants=DEFAULT_GRID)
         assert report.ok and report.checked == len(DEFAULT_GRID) + len(family) ** 2
+
+        assert FuzzySubset.__slots__ == ("universe", "arity", "den", "row")
+        assert not any(hasattr(subset, "__dict__") for subset in built + family)
+
+    def test_changing_values_leaves_the_subset(self):
+        for subset in (FuzzySubset(("a", "b"), {("a",): F(1, 4), ("b",): HALF}),
+                       FuzzySubset._trusted(("a", "b"), 1, 4, [1, 2])):
+            same, before = FuzzySubset(subset.universe, subset.values), hash(subset)
+            subset.values[("a",)] = F(1)
+            subset.values.clear()
+            assert subset == same and hash(subset) == before and subset.row == (1, 2)
+            assert subset.values == {("a",): F(1, 4), ("b",): HALF}
