@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -76,6 +77,7 @@ def _add_output_flag(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh argparse tree for the 14 commands."""
     top = argparse.ArgumentParser(prog="intlogic", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -411,9 +413,18 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` reads: built on the first call, through the module global `build_parser`.
+
+    Parsing leaves the tree unchanged (`--model`'s `append` copies its default
+    list), so one tree serves every call in the process.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except ParseError as exc:

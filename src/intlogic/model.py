@@ -362,12 +362,25 @@ def relabel_universe(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakPr
 ISOMORPHISM_MAX_UNIVERSE = 8
 
 
+def _isomorphism_invariants(model: WeakProbModel) -> tuple:
+    """What every relabelling of `model` keeps: the measure's values, the signature
+    and each predicate's values, all as multisets."""
+    return (
+        sorted(model.measure.values()),
+        {name: (model.pred_arity(name), sorted(table.values())) for name, table in model.predicates.items()},
+        {name: model.func_arity(name) for name in model.functions},
+        set(model.constants),
+    )
+
+
 def isomorphic(left: WeakProbModel, right: WeakProbModel) -> bool:
     """Brute-force search for a measure-preserving isomorphism: a relabelling of `left` that is `right`."""
     if len(left.universe) != len(right.universe):
         return False
     if len(left.universe) > ISOMORPHISM_MAX_UNIVERSE:
         raise UniverseTooLarge(f"isomorphism search capped at |M| <= {ISOMORPHISM_MAX_UNIVERSE}")
+    if _isomorphism_invariants(left) != _isomorphism_invariants(right):
+        return False
     parts = lambda model: (model.measure, model.predicates, model.functions, model.constants)
     target = parts(right)
     return any(parts(relabel_universe(left, dict(zip(left.universe, image)))) == target

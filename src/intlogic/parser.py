@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ArityMismatch, NestedQuantEq, ParseError, UnknownSymbol, ValueOutOfRange
 from .rational import unit
@@ -69,11 +70,19 @@ class SourceSpan:
         return f"line {self.line}, column {self.column}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One lexeme and its place in the text; its `SourceSpan` is built only when read."""
+
     kind: str
     text: str
-    span: SourceSpan
+    start: int
+    end: int
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.start, self.end, self.line, self.column)
 
 
 _TOKEN_RE = re.compile(
@@ -114,16 +123,16 @@ def tokenize(text: str) -> list[Token]:
             raise ParseError(f"unexpected character {text[pos]!r}", span)
         kind = match.lastgroup
         chunk = match.group()
+        end = match.end()
         if kind == "WS":
-            for i, ch in enumerate(chunk):
-                if ch == "\n":
-                    line += 1
-                    line_start = pos + i + 1
+            newlines = chunk.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + chunk.rindex("\n") + 1
         else:
-            span = SourceSpan(pos, match.end(), line, pos - line_start + 1)
-            tokens.append(Token(kind, chunk, span))
-        pos = match.end()
-    tokens.append(Token("EOF", "", SourceSpan(pos, pos, line, pos - line_start + 1)))
+            tokens.append(Token(kind, chunk, pos, end, line, pos - line_start + 1))
+        pos = end
+    tokens.append(Token("EOF", "", pos, pos, line, pos - line_start + 1))
     return tokens
 
 
@@ -134,19 +143,20 @@ class VocabBuilder:
         self.predicates: dict[str, int] = {}
         self.functions: dict[str, int] = {}
 
-    def predicate(self, name: str, arity: int, span: SourceSpan) -> None:
-        self._record(self.predicates, self.functions, "predicate", name, arity, span)
+    def predicate(self, name: str, arity: int, token: Token) -> None:
+        self._record(self.predicates, self.functions, "predicate", name, arity, token)
 
-    def function(self, name: str, arity: int, span: SourceSpan) -> None:
-        self._record(self.functions, self.predicates, "function", name, arity, span)
+    def function(self, name: str, arity: int, token: Token) -> None:
+        self._record(self.functions, self.predicates, "function", name, arity, token)
 
     @staticmethod
-    def _record(table, other, kind, name, arity, span):
+    def _record(table, other, kind, name, arity, token):
+        """Record one use of `name`; an inconsistent use is an error at `token`."""
         if name in other:
-            raise ParseError(f"{name!r} used both as predicate and function", span)
+            raise ParseError(f"{name!r} used both as predicate and function", token.span)
         seen = table.setdefault(name, arity)
         if seen != arity:
-            raise ArityMismatch(f"{kind} {name!r} used with arities {seen} and {arity}", span)
+            raise ArityMismatch(f"{kind} {name!r} used with arities {seen} and {arity}", token.span)
 
 
 class _Parser:
@@ -277,7 +287,7 @@ class _Parser:
             value = unit(value)
         except ValueOutOfRange:
             raise ParseError(f"truth constant {value} is outside [0, 1]",
-                             SourceSpan(rat_tok.span.start, close.span.end, rat_tok.span.line, rat_tok.span.column))
+                             SourceSpan(rat_tok.start, close.end, rat_tok.line, rat_tok.column))
         return TruthConst(value)
 
     def parse_atom(self) -> Formula:
@@ -300,7 +310,7 @@ class _Parser:
                 if len(args) != 2:
                     raise ArityMismatch(f"predicate {name!r} expects 2 arguments, got {len(args)}", tok.span)
             elif self.builder is not None:
-                self.builder.predicate(name, len(args), tok.span)
+                self.builder.predicate(name, len(args), tok)
         return Atom(name, args)
 
     def parse_args(self) -> tuple[Term, ...]:
@@ -329,7 +339,7 @@ class _Parser:
                     raise ArityMismatch(
                         f"function {name!r} expects {arity} arguments, got {len(args)}", tok.span)
             elif self.builder is not None:
-                self.builder.function(name, len(args), tok.span)
+                self.builder.function(name, len(args), tok)
             return FuncApp(name, args)
         if self.voc is not None:
             if self.voc.is_constant(name):

@@ -9,12 +9,13 @@ satisfaction module's parts, so no value it returns comes from the
 compiled evaluator.
 
 `law_report` is the same kind of oracle for
-`integrals.check_semantic_integral_laws`, and `dissection` for
-`integrals.integral_dissection`.
+`integrals.check_semantic_integral_laws`, `dissection` for
+`integrals.integral_dissection`, and `isomorphic` for `model.isomorphic`.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from intlogic.errors import ContainmentViolated, NotASentence, UnboundVariable, UnknownSymbol
@@ -201,3 +202,24 @@ def dissection(f: FuzzySubset, model: WeakProbModel) -> Fraction:
     return max(sum((min(table[(universe[i],)] for i in block) * sum(mu[universe[i]] for i in block)
                     for block in partition), ZERO)
                for partition in set_partitions(len(universe)))
+
+
+def isomorphic(left: WeakProbModel, right: WeakProbModel) -> bool:
+    """`model.isomorphic` without pre-checks: try every bijection of the universes and
+    look up each weight, table entry and constant of `left` at its image in `right`."""
+    if len(left.universe) != len(right.universe):
+        return False
+    names = lambda model: (set(model.predicates), set(model.functions), set(model.constants))
+    if names(left) != names(right):
+        return False
+    for image in itertools.permutations(right.universe):
+        h = dict(zip(left.universe, image))
+        carry = lambda key: tuple(h[e] for e in key)
+        if (all(right.measure[h[m]] == w for m, w in left.measure.items())
+                and all(right.constants[c] == h[e] for c, e in left.constants.items())
+                and all(right.predicates[name].get(carry(key)) == v
+                        for name, table in left.predicates.items() for key, v in table.items())
+                and all(right.functions[name].get(carry(key)) == h[v]
+                        for name, table in left.functions.items() for key, v in table.items())):
+            return True
+    return False

@@ -407,6 +407,44 @@ class TestRepeatedCalls:
             assert capsys.readouterr() == expected
 
 
+class TestSharedParser:
+    """`main` builds its argparse tree once per process and parses every call with it."""
+
+    @pytest.fixture(autouse=True)
+    def unbuilt(self):
+        cli._shared_parser.cache_clear()
+        yield
+        cli._shared_parser.cache_clear()
+
+    def test_built_once(self, model_path, monkeypatch, capsys):
+        builds = []
+
+        def counting_build():
+            builds.append(None)
+            return real_build()
+
+        real_build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for _ in range(5):
+            assert main(["eval", "--model", model_path, "--formula", "P(c)"]) == 0
+        assert capsys.readouterr().out == "1\n" * 5
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("command", [None, *sorted(cli._HANDLERS)])
+    @pytest.mark.parametrize("flag", ["--help", "--bogus"])
+    def test_help_and_usage_error_bytes(self, command, flag, capsys):
+        argv = [flag] if command is None else [command, flag]
+        with pytest.raises(SystemExit) as fresh:
+            cli.build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        assert expected.out if flag == "--help" else expected.err
+        for _ in range(2):
+            with pytest.raises(SystemExit) as shared:
+                main(argv)
+            assert shared.value.code == fresh.value.code == (0 if flag == "--help" else 2)
+            assert capsys.readouterr() == expected
+
+
 def test_internal_error_exits_3_with_one_line(model_path, monkeypatch, capsys):
     def broken(args):
         raise ZeroDivisionError("division by zero")

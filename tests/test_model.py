@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import gen
 import intlogic as il
+import oracle
 from intlogic import errors
 from intlogic.model import (
     FuzzySubset,
@@ -263,6 +264,57 @@ class TestStructureOps:
         model = WeakProbModel(names, weights, {}, {}, {})
         with pytest.raises(errors.UniverseTooLarge):
             isomorphic(model, model)
+
+    @pytest.mark.parametrize("change", ["measure", "predicate values", "constant names",
+                                        "arity", "symbol names"])
+    def test_invariants_decide_without_relabelling(self, change, monkeypatch):
+        names = tuple(f"e{i}" for i in range(8))
+        uniform = {n: Fraction(1, 8) for n in names}
+        unary = {"P": {(n,): Fraction(i % 2) for i, n in enumerate(names)}}
+        left = WeakProbModel(names, uniform, unary, {"f": {(n,): n for n in names}}, {"c": "e0"})
+        right = {
+            "measure": lambda: WeakProbModel(
+                names, {n: Fraction(1 + (i < 4), 12) for i, n in enumerate(names)},
+                unary, left.functions, left.constants),
+            "predicate values": lambda: WeakProbModel(
+                names, uniform, {"P": {(n,): Fraction(i % 2, 2) for i, n in enumerate(names)}},
+                left.functions, left.constants),
+            "constant names": lambda: WeakProbModel(names, uniform, unary, left.functions, {"d": "e0"}),
+            "arity": lambda: WeakProbModel(
+                names, uniform, unary, {"f": {(m, n): n for m in names for n in names}}, left.constants),
+            "symbol names": lambda: WeakProbModel(names, uniform, {"Q": unary["P"]}, left.functions,
+                                                  left.constants),
+        }[change]()
+        relabellings = []
+        monkeypatch.setattr(il.model, "relabel_universe",
+                            lambda *args: relabellings.append(args) or relabel_universe(*args))
+        assert not isomorphic(left, right)
+        assert relabellings == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4),
+           st.sampled_from(["relabelled", "swapped", "independent"]))
+    def test_isomorphic_agrees_with_brute_force(self, seed, size, how):
+        rng = random.Random(seed)
+        vocs = (il.Vocabulary(predicates=(("P", 1),)),
+                il.Vocabulary(predicates=(("P", 1), ("R", 2)), functions=(("f", 1),), constants=("c",)),
+                il.Vocabulary(predicates=(("R", 2),), constants=("c", "d")))
+        left = gen.random_model(rng, size, rng.choice(vocs))
+        if how == "independent":
+            right = gen.random_model(rng, size, rng.choice(vocs))
+        else:
+            image = [f"r{i}" for i in range(size)]
+            rng.shuffle(image)
+            right = relabel_universe(left, dict(zip(left.universe, image)))
+        if how == "swapped":
+            # exchange two entries of one table: every multiset stays, the structure may not
+            name = rng.choice(sorted(right.predicates))
+            table = dict(right.predicates[name])
+            one, two = rng.sample(sorted(table), 2) if len(table) > 1 else (next(iter(table)),) * 2
+            table[one], table[two] = table[two], table[one]
+            right = WeakProbModel(right.universe, right.measure, {**right.predicates, name: table},
+                                  right.functions, right.constants)
+        assert isomorphic(left, right) == oracle.isomorphic(left, right)
 
     def test_expand_by_constants(self):
         model = uniform2()

@@ -6,7 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 import intlogic as il
 from intlogic import errors
-from intlogic.parser import SourceSpan, VocabBuilder, close_free_names, parse_formula, print_formula
+from intlogic.parser import (
+    MAX_NESTING,
+    SourceSpan,
+    VocabBuilder,
+    close_free_names,
+    parse_formula,
+    print_formula,
+    tokenize,
+)
 from intlogic.syntax import (
     And,
     Atom,
@@ -143,6 +151,103 @@ class TestErrors:
     def test_declared_symbol_cannot_be_bound(self):
         with pytest.raises(errors.ParseError):
             parse_formula("ALL c. P(c)", VOC)
+
+
+# One row per error site of the parser: input, mode, and the exact error.
+# "voc" parses over VOC, "permissive" with a fresh VocabBuilder.
+ERROR_SPANS = [
+    ("P(c) /\\ Q(c)\n\t\t+Q(c)", "voc",
+     errors.ParseError, "unexpected character '+'", (15, 16, 2, 3)),
+    ("P(f(x)) \\/ f(c)", "permissive",
+     errors.ParseError, "'f' used both as predicate and function", (11, 12, 1, 12)),
+    ("P(x) & P(x, y)", "permissive",
+     errors.ArityMismatch, "predicate 'P' used with arities 1 and 2", (7, 8, 1, 8)),
+    ("P(f(x)) &\n\tP(f(x, y))", "permissive",
+     errors.ArityMismatch, "function 'f' used with arities 1 and 2", (13, 14, 2, 4)),
+    ("P(c)\n\t& Q(c", "voc",
+     errors.ParseError, "expected ')', found 'end of input'", (11, 11, 2, 7)),
+    ("ALL x P(x)", "voc",
+     errors.ParseError, "expected '.' after the bound variable, found 'P'", (6, 7, 1, 7)),
+    ("", "voc",
+     errors.ParseError, "expected a formula, found 'end of input'", (0, 0, 1, 1)),
+    ("P(c) ->\n", "voc",
+     errors.ParseError, "expected a formula, found 'end of input'", (8, 8, 2, 1)),
+    ("P(c) &\n\t~", "voc",
+     errors.ParseError, "expected a formula, found 'end of input'", (9, 9, 2, 3)),
+    ("P(c) & )", "voc",
+     errors.ParseError, "expected a formula, found ')'", (7, 8, 1, 8)),
+    ("~" * (MAX_NESTING + 1) + "P(c)", "voc",
+     errors.ParseError, f"formula nests deeper than {MAX_NESTING} levels",
+     (MAX_NESTING, MAX_NESTING + 1, 1, MAX_NESTING + 1)),
+    ("P(c) & " * (MAX_NESTING + 1) + "P(c)", "voc",
+     errors.ParseError, f"formula nests deeper than {MAX_NESTING} levels",
+     (0, 7 * (MAX_NESTING + 1) + 4, 1, 1)),
+    ("P(c) = Q(c)", "voc",
+     errors.ParseError, "'=' may only relate quantifier expressions", (5, 6, 1, 6)),
+    ("P(c) P(c)", "voc",
+     errors.ParseError, "unexpected trailing input 'P'", (5, 6, 1, 6)),
+    ("INT P(x) x", "voc",
+     errors.ParseError, "expected 'd<var>' to close the integral, found 'x'", (9, 10, 1, 10)),
+    ("INT P(x) d", "voc",
+     errors.ParseError, "expected 'd<var>' to close the integral, found 'd'", (9, 10, 1, 10)),
+    ("ALL INT. P(c)", "voc",
+     errors.ParseError, "'INT' is a keyword, not a variable", (4, 7, 1, 5)),
+    ("EX c. P(c)", "voc",
+     errors.ParseError, "'c' is a declared symbol, not a variable", (3, 4, 1, 4)),
+    ("rat(1/0)", "voc",
+     errors.ParseError, "denominator must be nonzero", (6, 7, 1, 7)),
+    ("P(c) /\\\n  rat(7 / 3)", "voc",
+     errors.ParseError, "truth constant 7/3 is outside [0, 1]", (10, 20, 2, 3)),
+    ("rat(3)", "voc",
+     errors.ParseError, "truth constant 3 is outside [0, 1]", (0, 6, 1, 1)),
+    ("P(c) & Q", "voc",
+     errors.ParseError, "expected a predicate application, found bare name 'Q'", (7, 8, 1, 8)),
+    ("f(c)", "voc",
+     errors.ParseError, "'f' is not a predicate", (0, 1, 1, 1)),
+    ("Zap(x)", "voc",
+     errors.UnknownSymbol, "unknown symbol 'Zap'", (0, 3, 1, 1)),
+    ("R(c)", "voc",
+     errors.ArityMismatch, "predicate 'R' expects 2 arguments, got 1", (0, 1, 1, 1)),
+    ("eq(x)", "permissive",
+     errors.ArityMismatch, "predicate 'eq' expects 2 arguments, got 1", (0, 2, 1, 1)),
+    ("P(rat)", "voc",
+     errors.ParseError, "'rat' is a keyword, not a term", (2, 5, 1, 3)),
+    ("P(Q(c))", "voc",
+     errors.ParseError, "predicate 'Q' cannot appear inside a term", (2, 3, 1, 3)),
+    ("P(g(c))", "voc",
+     errors.UnknownSymbol, "unknown symbol 'g'", (2, 3, 1, 3)),
+    ("P(f(c, c))", "voc",
+     errors.ArityMismatch, "function 'f' expects 1 arguments, got 2", (2, 3, 1, 3)),
+    ("P(R)", "voc",
+     errors.ParseError, "symbol 'R' needs arguments", (2, 3, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("text, mode, kind, message, where", ERROR_SPANS)
+def test_error_type_message_and_span(text, mode, kind, message, where):
+    voc, builder = (VOC, None) if mode == "voc" else (None, VocabBuilder())
+    with pytest.raises(Exception) as excinfo:
+        parse_formula(text, voc, builder)
+    assert type(excinfo.value) is kind
+    assert str(excinfo.value) == message
+    assert excinfo.value.span == SourceSpan(*where)
+
+
+_PIECES = ["ALL", "EX", "INT", "rat", "P", "dx", "x_1", "0", "12", "~", "/\\", "\\/", "&", "|+|",
+           "->", "=", "(", ")", ",", ".", "/", " ", "\t", "\n", "\r\n", "\n\n\t "]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=30))
+def test_tokens_locate_their_text(pieces):
+    text = "".join(pieces)
+    tokens = tokenize(text)
+    assert tokens[-1].kind == "EOF" and tokens[-1].start == len(text)
+    for tok in tokens:
+        assert text[tok.start:tok.end] == tok.text
+        line_start = text.rfind("\n", 0, tok.start) + 1
+        assert (tok.line, tok.column) == (text.count("\n", 0, tok.start) + 1, tok.start - line_start + 1)
+        assert tok.span == SourceSpan(tok.start, tok.end, tok.line, tok.column)
 
 
 class TestPermissiveMode:
