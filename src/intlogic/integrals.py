@@ -13,10 +13,9 @@ both computed at most once per object, and makes a single `Fraction`, for
 its result.  The two oracles share only that conversion with the
 expectation form.  The dissection also keeps the mass of every block per
 weight tuple, and finds its supremum by recursion over subsets rather
-than by scoring each partition.  The subsets this module builds, the
-slices and the connectives of the law checker, are computed on integer
-rows and built from them (`FuzzySubset._trusted`), so integrating them
-converts nothing; a subset's `values` are made only when read.
+than by scoring each partition.  The law checker integrates rows, not
+subsets, with the core of `integral_expectation` by default, and decides
+each law by integer cross-multiplication.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .errors import ArityMismatch, FormatError, NotCrisp, UniverseTooLarge
-from .rational import DEFAULT_GRID, ONE, implies
+from .rational import DEFAULT_GRID, ONE, unit
 from .reporting import Report
-from .model import FuzzySubset, WeakProbModel, integer_form, mu_set, truth_set
+from .model import FuzzySubset, IntegerForm, WeakProbModel, integer_form
 from .syntax import APPROX_PRED
 
 DISSECTION_MAX_UNIVERSE = 8
@@ -44,22 +43,16 @@ def _require(subset: FuzzySubset, universe: tuple[str, ...], arity: int) -> None
         raise FormatError(f"fuzzy subset over the universe {subset.universe}, expected {universe}")
 
 
-def _scaled(subset: FuzzySubset, model: WeakProbModel) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """The subset's values and the weights as integers, and their common scale.
-
-    Value i is `row[i] / den` (in universe order for a unary subset) and
-    weight i is `weights[i] / M`, so a sum of value-weight products is
-    exact over `den * M`, the scale returned.
-    """
-    form = integer_form(model)
-    return subset.row, form.weight_row, subset.den * form.m_den
+def _expectation(den: int, row: Sequence[int], form: IntegerForm) -> tuple[int, int]:
+    """The expectation of the unary row `row / den` (in universe order) under `form`'s
+    weights `weight_row / M`, as its numerator over the scale `den * M`."""
+    return sum(map(mul, row, form.weight_row)), den * form.m_den
 
 
 def integral_expectation(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     """Sum of f(m) * mu(m) over the universe."""
     _require(subset, model.universe, 1)
-    values, weights, scale = _scaled(subset, model)
-    return Fraction(sum(map(mul, values, weights)), scale)
+    return Fraction(*_expectation(subset.den, subset.row, integer_form(model)))
 
 
 @lru_cache(maxsize=None)
@@ -128,84 +121,70 @@ def integral_dissection(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     n = len(model.universe)
     if n > DISSECTION_MAX_UNIVERSE:
         raise UniverseTooLarge(f"dissection enumeration capped at |M| <= {DISSECTION_MAX_UNIVERSE}")
-    values, weights, scale = _scaled(subset, model)
-    mass, lowest = _blocks(weights)
+    form, values = integer_form(model), subset.row
+    mass, lowest = _blocks(form.weight_row)
     # a block's infimum is the lesser of its lowest element's value and the
     # infimum of the rest of the block; over the empty block it is 1, `den`
     low = [subset.den] * (1 << n)
     for block in range(1, 1 << n):
         value, rest = values[lowest[block]], low[block & (block - 1)]
         low[block] = value if value < rest else rest
-    return Fraction(_best_dissection(list(map(mul, low, mass)), n), scale)
+    return Fraction(_best_dissection(list(map(mul, low, mass)), n), subset.den * form.m_den)
 
 
 def integral_layercake(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     """Sum over the distinct values 0 = v0 < v1 < ... of (vi - vi-1) * mu{f >= vi}."""
     _require(subset, model.universe, 1)
-    values, weights, scale = _scaled(subset, model)
+    form, values = integer_form(model), subset.row
     total = previous = 0
     for level in sorted(set(values) - {0}):
-        total += (level - previous) * sum([w for v, w in zip(values, weights) if v >= level])
+        total += (level - previous) * sum([w for v, w in zip(values, form.weight_row) if v >= level])
         previous = level
-    return Fraction(total, scale)
+    return Fraction(total, subset.den * form.m_den)
 
 
 def integral_dirac(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
-    """mu(f^-1(1)) for crisp f; the Dirac-style shortcut is only sound there."""
+    """mu(f^-1(1)) for crisp f, which is f's expectation; the Dirac-style shortcut is only sound there."""
     _require(subset, model.universe, 1)
     if not subset.is_crisp():
         raise NotCrisp("the Dirac integral is only defined for {0,1}-valued subsets")
-    return mu_set(model, truth_set(subset), 1)
+    return Fraction(*_expectation(1, subset.row, integer_form(model)))
 
 
 # ---------------------------------------------------------------------------
-# Pointwise combinations (used by the law checks)
+# Slices of a binary subset
 
 
-def pointwise(op: Callable, *subsets: FuzzySubset) -> FuzzySubset:
-    """The subset x -> op(f1(x), f2(x), ...); every value `op` returns must lie in [0, 1]."""
-    first = subsets[0]
-    for other in subsets[1:]:
-        _require(other, first.universe, first.arity)
-    tables = [s.values for s in subsets]
-    return FuzzySubset(first.universe, {key: op(*[table[key] for table in tables]) for key in tables[0]})
-
-
-def _inner_sums(h: FuzzySubset, model: WeakProbModel, over_first: bool) -> tuple[list[int], tuple[int, ...], int]:
-    """Numerators of h integrated over one argument, in universe order, as `_scaled` gives.
+def _slice_row(h: FuzzySubset, model: WeakProbModel, over_first: bool) -> tuple[int, list[int]]:
+    """h integrated over one argument as a unary row over its den, `h.den * M`, in universe order.
 
     `h`'s integer row is in (a, b) order, so row a holds h(a, .); integrating
-    over the first argument sums its columns instead.
+    over the first argument sums its columns instead.  Each value is a
+    weighted mean of values in [0, 1], so it lies in [0, 1].
     """
     _require(h, model.universe, 2)
-    values, weights, scale = _scaled(h, model)
-    n = len(weights)
+    values, form = h.row, integer_form(model)
+    n = len(form.weight_row)
     rows = [values[i * n:(i + 1) * n] for i in range(n)]
     if over_first:
         rows = zip(*rows)
-    return [sum(map(mul, row, weights)) for row in rows], weights, scale
-
-
-def _slice(h: FuzzySubset, model: WeakProbModel, over_first: bool) -> FuzzySubset:
-    sums, _, scale = _inner_sums(h, model, over_first)
-    # each value is a weighted mean of values in [0, 1], so it lies in [0, 1]
-    return FuzzySubset._trusted(model.universe, 1, scale, sums)
+    return h.den * form.m_den, [sum(map(mul, row, form.weight_row)) for row in rows]
 
 
 def slice_first(h: FuzzySubset, model: WeakProbModel) -> FuzzySubset:
     """Integrate a binary subset over its first argument: g(y) = sum_a h(a,y)mu(a)."""
-    return _slice(h, model, True)
+    return FuzzySubset._trusted(model.universe, 1, *_slice_row(h, model, True))
 
 
 def slice_second(h: FuzzySubset, model: WeakProbModel) -> FuzzySubset:
     """Integrate a binary subset over its second argument: g(x) = sum_b h(x,b)mu(b)."""
-    return _slice(h, model, False)
+    return FuzzySubset._trusted(model.universe, 1, *_slice_row(h, model, False))
 
 
 def double_sum(h: FuzzySubset, model: WeakProbModel) -> Fraction:
     """Product-measure double sum: sum over (a,b) of h(a,b)mu(a)mu(b)."""
-    sums, weights, scale = _inner_sums(h, model, False)
-    return Fraction(sum(map(mul, sums, weights)), scale * integer_form(model).m_den)
+    (scale, sums), form = _slice_row(h, model, False), integer_form(model)
+    return Fraction(sum(map(mul, sums, form.weight_row)), scale * form.m_den)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +196,7 @@ def check_semantic_integral_laws(
     pairs: Sequence[tuple[FuzzySubset, FuzzySubset]] = (),
     bivariate: Sequence[FuzzySubset] = (),
     constants: Sequence[Fraction] = DEFAULT_GRID,
-    integral: Callable = integral_expectation,
+    integral: Callable = _expectation,
 ) -> Report:
     """Check the constant, complement, implication, additivity and iteration laws.
 
@@ -225,75 +204,88 @@ def check_semantic_integral_laws(
     exceptions.  The implication law is an inequality; the other four are
     exact equalities.
 
-    Within one call, `integral` sees each unary subset of `pairs` once,
+    `integral(den, row, form) -> (numerator, scale)`, with `scale > 0`, has
+    `_expectation`'s contract; each row holds one value in [0, den] per
+    element.  Within one call it sees each unary subset of `pairs` once,
     subsets that are equal counting as one, and its complement once, when
-    it is first the left of a pair;
-    each pair then costs three calls, on `f -> g`, `f (+) g` and `f (x) g`.
-    These are computed on the two subsets' integer rows over the lcm of
-    their denominators, never on `Fraction`s.
+    it is first the left of a pair; each pair then costs three calls, on
+    the rows of `f -> g`, `f (+) g` and `f (x) g` over the lcm of the two
+    denominators, and each bivariate subset two, on its slices.
     """
     report = Report()
+    form = integer_form(model)
 
     def record(law, lhs, rhs, sample):
-        report.add("integral-law-violation", law=law, lhs=str(lhs), rhs=str(rhs), sample=sample)
+        report.add("integral-law-violation", law=law, lhs=str(Fraction(*lhs)), rhs=str(Fraction(*rhs)),
+                   sample=sample)
+
+    def equal(p, q):
+        return p[0] * q[1] == q[0] * p[1]
 
     for r in constants:
-        lhs = integral(FuzzySubset.constant(model.universe, r), model)
+        q = unit(r)
+        lhs = integral(q.denominator, (q.numerator,) * len(model.universe), form)
+        rhs = (q.numerator, q.denominator)
         report.tally()
-        if lhs != r:
-            record("constant", lhs, r, {"r": str(r)})
+        if not equal(lhs, rhs):
+            record("constant", lhs, rhs, {"r": str(r)})
 
-    integrals: dict[FuzzySubset, Fraction] = {}
-    complements: dict[FuzzySubset, tuple] = {}  #: both sides of the complement law
+    integrals: dict[FuzzySubset, tuple[int, int]] = {}
+    complements: dict[FuzzySubset, tuple[int, int]] = {}
 
     def integrated(f):
         if f not in integrals:
-            integrals[f] = integral(f, model)
-        return f.den, f.row, integrals[f]
+            integrals[f] = integral(f.den, f.row, form)
+        return integrals[f]
 
     for f, g in pairs:
-        den_f, row_f, int_f = integrated(f)
-        den_g, row_g, int_g = integrated(g)
-        universe, arity = f.universe, f.arity
-        _require(g, universe, arity)
+        den, a, b = _aligned(f, g, model.universe, 1)
+        num_f, scale_f = integrated(f)
+        num_g, scale_g = integrated(g)
 
-        complement = complements.get(f)
-        if complement is None:
-            not_f = FuzzySubset._trusted(universe, arity, den_f, [den_f - x for x in row_f])
-            complement = complements[f] = (integral(not_f, model), ONE - int_f)
-        lhs, rhs = complement
+        lhs = complements.get(f)
+        if lhs is None:
+            lhs = complements[f] = integral(f.den, [f.den - x for x in f.row], form)
+        rhs = (scale_f - num_f, scale_f)
         report.tally()
-        if lhs != rhs:
+        if not equal(lhs, rhs):
             record("complement", lhs, rhs, _sample(f=f))
 
-        # both rows over the lcm of their denominators
-        den = lcm(den_f, den_g)
-        a = row_f if den == den_f else [x * (den // den_f) for x in row_f]
-        b = row_g if den == den_g else [y * (den // den_g) for y in row_g]
+        # int f and int g are cross_f / scale and cross_g / scale
+        scale = scale_f * scale_g
+        cross_f, cross_g = num_f * scale_g, num_g * scale_f
 
-        f_implies_g = FuzzySubset._trusted(universe, arity, den, [min(den, den - x + y) for x, y in zip(a, b)])
-        lhs = integral(f_implies_g, model)
-        rhs = implies(int_f, int_g)
+        lhs = integral(den, [min(den, den - x + y) for x, y in zip(a, b)], form)
+        rhs = (min(scale, scale - cross_f + cross_g), scale)
         report.tally()
-        if lhs > rhs:
+        if lhs[0] * rhs[1] > rhs[0] * lhs[1]:
             record("implication", lhs, rhs, _sample(f=f, g=g))
 
-        f_or_g = FuzzySubset._trusted(universe, arity, den, [min(den, x + y) for x, y in zip(a, b)])
-        f_and_g = FuzzySubset._trusted(universe, arity, den, [max(0, x + y - den) for x, y in zip(a, b)])
-        lhs = integral(f_or_g, model)
-        rhs = int_f + int_g - integral(f_and_g, model)
+        lhs = integral(den, [min(den, x + y) for x, y in zip(a, b)], form)
+        num_and, scale_and = integral(den, [max(0, x + y - den) for x, y in zip(a, b)], form)
+        rhs = ((cross_f + cross_g) * scale_and - num_and * scale, scale * scale_and)
         report.tally()
-        if lhs != rhs:
+        if not equal(lhs, rhs):
             record("additivity", lhs, rhs, _sample(f=f, g=g))
 
     for h in bivariate:
-        first_then_second = integral(slice_first(h, model), model)
-        second_then_first = integral(slice_second(h, model), model)
+        first_then_second = integral(*_slice_row(h, model, True), form)
+        second_then_first = integral(*_slice_row(h, model, False), form)
         report.tally()
-        if first_then_second != second_then_first:
+        if not equal(first_then_second, second_then_first):
             record("iteration", first_then_second, second_then_first, _sample(h=h))
 
     return report
+
+
+def _aligned(f: FuzzySubset, g: FuzzySubset, universe: tuple[str, ...], arity: int) -> tuple[int, Sequence, Sequence]:
+    """Both subsets' rows over the lcm of their denominators, each checked against `universe` and `arity` first."""
+    _require(f, universe, arity)
+    _require(g, universe, arity)
+    den = lcm(f.den, g.den)
+    a = f.row if den == f.den else [x * (den // f.den) for x in f.row]
+    b = g.row if den == g.den else [y * (den // g.den) for y in g.row]
+    return den, a, b
 
 
 def _sample(**subsets: FuzzySubset) -> dict:
@@ -369,7 +361,7 @@ def check_family_closure(
     report = Report()
     if not family:
         raise FormatError("family must be non-empty")
-    universe = family[0].universe
+    universe, arity = family[0].universe, family[0].arity
     members = set(family)
 
     for r in constants:
@@ -379,8 +371,10 @@ def check_family_closure(
 
     for f in family:
         for g in family:
+            den, a, b = _aligned(f, g, universe, arity)
+            f_implies_g = FuzzySubset._trusted(universe, arity, den, [min(den, den - x + y) for x, y in zip(a, b)])
             report.tally()
-            if pointwise(implies, f, g) not in members:
+            if f_implies_g not in members:
                 report.add("not-closed-under-implication", sample=_sample(f=f, g=g))
 
     return report

@@ -4,13 +4,16 @@ It follows the truth-value clauses node by node on `Fraction`s: a dict
 valuation copied per binder, and a `FuzzySubset` summed as `Fraction`
 products for every `INT`, so it shares no integer form with the compiled
 evaluator or the integrals module.  Quantifier equality builds its
-matrices here too and applies the level-set condition through the
-satisfaction module's parts, so no value it returns comes from the
-compiled evaluator.
+matrices and level sets here too, and decides the level-set condition and
+its Dirac case on `Fraction` masses, so no value it returns comes from
+the compiled evaluator or the satisfaction module.
 
 `law_report` is the same kind of oracle for
 `integrals.check_semantic_integral_laws`, `dissection` for
 `integrals.integral_dissection`, and `isomorphic` for `model.isomorphic`.
+The pieces they need (`pointwise`, `set_partitions`, `level_set`, `mass`)
+are defined here, so the oracle imports no code of the modules it checks
+but `LevelConfig`, the parameter type of `hsat_qeq`.
 """
 
 from __future__ import annotations
@@ -18,12 +21,18 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from intlogic.errors import ContainmentViolated, NotASentence, UnboundVariable, UnknownSymbol
-from intlogic.integrals import pointwise, set_partitions
-from intlogic.model import FuzzySubset, WeakProbModel, level_set, mu_set
+from intlogic.errors import (
+    ArityMismatch,
+    ContainmentViolated,
+    FormatError,
+    NotASentence,
+    UnboundVariable,
+    UnknownSymbol,
+)
+from intlogic.model import FuzzySubset, WeakProbModel
 from intlogic.rational import DEFAULT_GRID, ONE, ZERO, implies, neg, strong_and, strong_or, weak_and, weak_or
 from intlogic.reporting import Report
-from intlogic.satisfaction import LevelConfig, default_level_config, hsat_qeq_dirac
+from intlogic.satisfaction import LevelConfig
 from intlogic.syntax import (
     And,
     Atom,
@@ -79,21 +88,35 @@ def _side_matrix(side: Formula, model: WeakProbModel) -> FuzzySubset:
     return value_matrix(side.body, side.var, model)
 
 
+def level_set(f: FuzzySubset, alpha: Fraction) -> frozenset[str]:
+    """{x : f(x) > alpha} of a unary subset."""
+    return frozenset(key[0] for key, value in f.values.items() if value > alpha)
+
+
+def mass(model: WeakProbModel, elements) -> Fraction:
+    return sum((model.measure[m] for m in elements), ZERO)
+
+
 def hsat_qeq(left: Formula, right: Formula, model: WeakProbModel, cfg: LevelConfig | None = None) -> bool:
     """`satisfaction.hsat_qeq`, on matrices built here and level sets of `Fraction`s."""
     f = _side_matrix(left, model)
     g = _side_matrix(right, model)
     if cfg is None:
-        if f.is_crisp() and g.is_crisp():
-            return hsat_qeq_dirac(f, g, model)
-        cfg = default_level_config(f, g)
+        attained = set(f.values.values()) | set(g.values.values())
+        if attained <= {ZERO, ONE}:
+            # the Dirac case: a crisp subset's truth set is its level set at 0
+            f_true, g_true = level_set(f, ZERO), level_set(g, ZERO)
+            if not g_true <= f_true:
+                raise ContainmentViolated(None, "the right truth set must be contained in the left truth set")
+            return mass(model, f_true - g_true) == ZERO
+        cfg = LevelConfig.diagonal(sorted(a for a in attained if ZERO < a < ONE))
     total = ZERO
     for i, j in cfg.pairs:
         f_level = level_set(f, cfg.levels[i])
         g_level = level_set(g, cfg.levels[j])
         if not g_level <= f_level:
             raise ContainmentViolated((i, j))
-        total += mu_set(model, f_level - g_level, 1)
+        total += mass(model, f_level - g_level)
     return total == ZERO
 
 
@@ -145,12 +168,25 @@ def evaluate_closed(formula: Formula, model: WeakProbModel) -> Fraction:
     return evaluate(formula, model, {})
 
 
+def pointwise(op, *subsets: FuzzySubset) -> FuzzySubset:
+    """The subset x -> op(f1(x), f2(x), ...) of subsets over one universe and arity;
+    every value `op` returns must lie in [0, 1]."""
+    first = subsets[0]
+    for other in subsets[1:]:
+        if other.arity != first.arity:
+            raise ArityMismatch(f"expected a fuzzy subset of arity {first.arity}, got arity {other.arity}")
+        if other.universe != first.universe:
+            raise FormatError(f"fuzzy subset over the universe {other.universe}, expected {first.universe}")
+    tables = [s.values for s in subsets]
+    return FuzzySubset(first.universe, {key: op(*[table[key] for table in tables]) for key in tables[0]})
+
+
 def law_report(model: WeakProbModel, pairs=(), bivariate=(), constants=DEFAULT_GRID, *, integral) -> Report:
     """`check_semantic_integral_laws`, one `Fraction` loop with no integer rows and no sharing.
 
-    Every derived subset is built by `pointwise` with the `rational`
-    connectives, and slices as `Fraction` sums; `integral` is called afresh
-    for every side of every law.
+    `integral(subset, model)` returns a `Fraction`.  Every derived subset is
+    built by `pointwise` with the `rational` connectives, and slices as
+    `Fraction` sums; `integral` is called afresh for every side of every law.
     """
     report = Report()
 
@@ -196,12 +232,23 @@ def law_report(model: WeakProbModel, pairs=(), bivariate=(), constants=DEFAULT_G
     return report
 
 
+def set_partitions(items: list) -> list[list[list]]:
+    """Every partition of `items` into non-empty blocks: the first item alone or
+    added to a block of a partition of the rest."""
+    if not items:
+        return [[]]
+    first, partitions = items[0], []
+    for partition in set_partitions(items[1:]):
+        partitions.append([[first], *partition])
+        partitions += [[*partition[:i], [first, *block], *partition[i + 1:]] for i, block in enumerate(partition)]
+    return partitions
+
+
 def dissection(f: FuzzySubset, model: WeakProbModel) -> Fraction:
     """`integral_dissection` as a `Fraction` loop: the best partition's sum of inf f times mu(block)."""
-    universe, mu, table = model.universe, model.measure, f.values
-    return max(sum((min(table[(universe[i],)] for i in block) * sum(mu[universe[i]] for i in block)
-                    for block in partition), ZERO)
-               for partition in set_partitions(len(universe)))
+    table = f.values
+    return max(sum((min(table[(m,)] for m in block) * mass(model, block) for block in partition), ZERO)
+               for partition in set_partitions(list(model.universe)))
 
 
 def isomorphic(left: WeakProbModel, right: WeakProbModel) -> bool:

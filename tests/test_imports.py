@@ -2,6 +2,7 @@
 
 The modules import each other only relatively (`from .model import ...`).
 A re-imported copy of the package leaves nothing of the old copy alive.
+The test oracle takes no computation from the modules it checks.
 """
 
 import ast
@@ -79,3 +80,26 @@ def test_reimport_frees_the_old_package():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert done.stdout.split("\n")[0] == "[True, True]", done.stderr
+
+
+# the names `tests/oracle.py` may take from the modules it is a reference for: types, no computation
+ORACLE_MAY_IMPORT = {
+    "intlogic.integrals": set(),
+    "intlogic.satisfaction": {"LevelConfig"},
+    "intlogic.model": {"FuzzySubset", "WeakProbModel"},
+}
+
+
+def test_oracle_imports_only_types_of_what_it_checks():
+    path = Path(__file__).with_name("oracle.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name in ORACLE_MAY_IMPORT]
+        elif isinstance(node, ast.ImportFrom) and node.module == "intlogic":
+            found += [f"intlogic.{alias.name}" for alias in node.names
+                      if f"intlogic.{alias.name}" in ORACLE_MAY_IMPORT]
+        elif isinstance(node, ast.ImportFrom) and node.module in ORACLE_MAY_IMPORT:
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if alias.name not in ORACLE_MAY_IMPORT[node.module]]
+    assert found == []

@@ -9,6 +9,7 @@ from intlogic import errors
 from intlogic.integrals import (
     DISSECTION_MAX_UNIVERSE,
     _best_dissection,
+    _expectation,
     check_family_closure,
     check_semantic_integral_laws,
     check_similarity_lipschitz,
@@ -17,16 +18,16 @@ from intlogic.integrals import (
     integral_dissection,
     integral_expectation,
     integral_layercake,
-    pointwise,
     set_partitions,
     slice_first,
     slice_second,
 )
-from intlogic.model import FuzzySubset, WeakProbModel, mu_set, truth_set
+from intlogic.model import FuzzySubset, WeakProbModel, integer_form, mu_set, truth_set
 from intlogic.rational import DEFAULT_GRID, implies
 from intlogic.validate import grid_fuzzy_subsets, grid_measures
 
 import oracle
+from oracle import pointwise
 
 F = Fraction
 HALF = F(1, 2)
@@ -51,6 +52,7 @@ class TestExpectation:
         f = fs(a=F(1), b=F(0))
         assert integral_expectation(f, model) == HALF
         assert integral_expectation(f, model) == mu_set(model, truth_set(f), 1)
+        assert integral_dirac(f, model) == mu_set(model, truth_set(f), 1)
 
     def test_weighted_sum(self):
         model = model2(F(1, 4), F(3, 4))
@@ -193,7 +195,7 @@ class TestIntegralLaws:
         # a deliberately wrong "integral" breaks the constant law
         model = model2()
         report = check_semantic_integral_laws(
-            model, constants=(HALF,), integral=lambda f, m: F(0))
+            model, constants=(HALF,), integral=lambda den, row, form: (0, 1))
         assert not report.ok
         assert report.violations[0]["law"] == "constant"
 
@@ -238,8 +240,10 @@ class TestUniverseChecks:
     def test_pointwise_over_another_universe(self, universe):
         f = fs(a=F(1), b=F(0))
         g = FuzzySubset(universe, {(m,): HALF for m in universe})
-        with pytest.raises(errors.FormatError):
-            pointwise(implies, f, g)
+        for combine in (lambda: pointwise(implies, f, g), lambda: check_family_closure([f, g]),
+                        lambda: check_semantic_integral_laws(self.MODEL, [(f, g)])):
+            with pytest.raises(errors.FormatError):
+                combine()
 
     @pytest.mark.parametrize("integrate", [slice_first, slice_second, double_sum])
     def test_bivariate_needs_arity_two(self, integrate):
@@ -247,8 +251,11 @@ class TestUniverseChecks:
             integrate(fs(a=F(1), b=F(0)), self.MODEL)
 
     def test_pointwise_needs_one_arity(self):
-        with pytest.raises(errors.ArityMismatch):
-            pointwise(implies, fs(a=F(1), b=F(0)), self.binary(("a", "b")))
+        f, h = fs(a=F(1), b=F(0)), self.binary(("a", "b"))
+        for combine in (lambda: pointwise(implies, f, h), lambda: check_family_closure([f, h]),
+                        lambda: check_family_closure([h, f])):
+            with pytest.raises(errors.ArityMismatch):
+                combine()
 
     def test_pointwise_checks_values(self):
         with pytest.raises(errors.ValueOutOfRange):
@@ -307,6 +314,11 @@ def squared_sup(f, model):  # deliberately not an integral: it breaks all five l
     return max(f.values.values()) ** 2
 
 
+def squared_sup_core(den, row, form):
+    """`squared_sup` as a core on integer rows, for `check_semantic_integral_laws`."""
+    return max(row) ** 2, den ** 2
+
+
 @st.composite
 def law_inputs(draw):
     """A model, pairs over a small pool of unary subsets and bivariate subsets.
@@ -335,25 +347,27 @@ class TestLawsAgainstFractionLoop:
     """`check_semantic_integral_laws` on integer rows against the `Fraction` loop in `oracle.law_report`."""
 
     @settings(max_examples=200, deadline=None)
-    @given(inputs=law_inputs(), integral=st.sampled_from([integral_expectation, squared_sup]))
-    def test_same_report(self, inputs, integral):
+    @given(inputs=law_inputs(), integrals=st.sampled_from([(_expectation, integral_expectation),
+                                                           (squared_sup_core, squared_sup)]))
+    def test_same_report(self, inputs, integrals):
+        """Each core against its `Fraction` form: the default one and one that breaks every law."""
         model, pairs, bivariate = inputs
+        core, integral = integrals
         received = []
 
-        def recording(f, model):
-            received.append(f)
-            return integral(f, model)
+        def recording(den, row, form):
+            received.append((den, row, form))
+            return core(den, row, form)
 
         constants = (F(0), F(1, 3), F(1))
         report = check_semantic_integral_laws(model, pairs, bivariate, constants, integral=recording)
         expected = oracle.law_report(model, pairs, bivariate, constants, integral=integral)
         assert report.checked == expected.checked
         assert report.violations == expected.violations
-        for f in received:
-            validated = FuzzySubset(f.universe, dict(f.values))
-            assert f == validated and f.arity == validated.arity
-            assert (f.den, f.row) == (validated.den, validated.row)
-        if integral is integral_expectation:
+        for den, row, form in received:
+            assert form is integer_form(model) and den > 0
+            assert len(row) == len(model.universe) and all(0 <= x <= den for x in row)
+        if core is _expectation:
             assert report.ok
 
     def test_integral_calls_per_distinct_subset(self):
@@ -361,7 +375,8 @@ class TestLawsAgainstFractionLoop:
         unary = list(grid_fuzzy_subsets(model.universe, DEFAULT_GRID))
         pairs = [(f, g) for f in unary for g in unary]
         calls = []
-        check_semantic_integral_laws(model, pairs, constants=(), integral=lambda f, m: calls.append(f) or F(0))
+        check_semantic_integral_laws(model, pairs, constants=(),
+                                     integral=lambda den, row, form: calls.append(row) or (0, 1))
         # f and ~f once per distinct subset, then f -> g, f (+) g and f (x) g per pair
         assert len(calls) == 2 * len(unary) + 3 * len(pairs)
 
@@ -371,9 +386,11 @@ class TestLawsAgainstFractionLoop:
         (TestUniverseChecks.binary(("a", "b")), errors.ArityMismatch),
     ])
     def test_pair_that_does_not_match(self, g, error):
-        # this integral checks nothing; the two sides of a pair must still agree, as `pointwise` requires
-        with pytest.raises(error):
-            check_semantic_integral_laws(model2(), [(fs(a=F(1), b=F(0)), g)], integral=lambda f, m: F(0))
+        # this integral checks nothing; both sides of a pair must still be unary over the model's universe
+        f = fs(a=F(1), b=F(0))
+        for pair in ((f, g), (g, f)):
+            with pytest.raises(error):
+                check_semantic_integral_laws(model2(), [pair], integral=lambda den, row, form: (0, 1))
 
 
 class TestLipschitz:
@@ -442,23 +459,22 @@ class TestValuesOnlyWhenRead:
     """A subset stores nothing but its integer form; its `Fraction` table is made when it is read."""
 
     def test_no_values_until_read(self, monkeypatch):
-        built = []
-        trusted = FuzzySubset._trusted
-
-        def recording(*args):
-            built.append(trusted(*args))
-            return built[-1]
-
-        monkeypatch.setattr(FuzzySubset, "_trusted", staticmethod(recording))
         model = model2(F(1, 4), F(3, 4))
         unary = list(grid_fuzzy_subsets(model.universe, DEFAULT_GRID))
         binary = list(grid_fuzzy_subsets(model.universe, (F(0), HALF, F(1)), 2))
         pairs = [(f, g) for f in unary for g in unary]
-        report = check_semantic_integral_laws(model, pairs, binary, integral=integral_expectation)
+        built, read = [], []
+        trusted, post_init, values = FuzzySubset._trusted, FuzzySubset.__post_init__, FuzzySubset.values
+        monkeypatch.setattr(FuzzySubset, "_trusted", staticmethod(lambda *args: built.append(args) or trusted(*args)))
+        monkeypatch.setattr(FuzzySubset, "__post_init__", lambda self, table: built.append(table) or post_init(self, table))
+        monkeypatch.setattr(FuzzySubset, "values", property(lambda self: read.append(self) or values.fget(self)))
+        report = check_semantic_integral_laws(model, pairs, binary)
+        # the checker integrates rows: it builds no subset, by either constructor, and reads no values
+        assert report.ok and report.checked == len(DEFAULT_GRID) + 3 * len(pairs) + len(binary)
+        assert built == [] and read == []
+        monkeypatch.undo()
+
         slices = [slice_first(h, model) for h in binary] + [slice_second(h, model) for h in binary]
-        assert report.ok
-        # the grids, then per unary subset its complement, per pair three connectives, per binary two slices
-        assert len(built) == len(unary) + len(binary) + len(unary) + 3 * len(pairs) + 4 * len(binary)
         for subset in unary + slices:
             assert FuzzySubset(subset.universe, subset.values) == subset
 
@@ -468,7 +484,7 @@ class TestValuesOnlyWhenRead:
         assert report.ok and report.checked == len(DEFAULT_GRID) + len(family) ** 2
 
         assert FuzzySubset.__slots__ == ("universe", "arity", "den", "row")
-        assert not any(hasattr(subset, "__dict__") for subset in built + family)
+        assert not any(hasattr(subset, "__dict__") for subset in unary + binary + slices + family)
 
     def test_changing_values_leaves_the_subset(self):
         for subset in (FuzzySubset(("a", "b"), {("a",): F(1, 4), ("b",): HALF}),

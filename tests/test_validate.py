@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import intlogic as il
-from intlogic import errors, validate
+from intlogic import errors, integrals, validate
 from intlogic.evaluate import compile_formula, compile_integers
-from intlogic.integrals import check_semantic_integral_laws, pointwise, slice_first, slice_second
+from intlogic.integrals import check_semantic_integral_laws, slice_first, slice_second
 from intlogic.model import (
     FuzzySubset,
     WeakProbModel,
@@ -52,6 +52,8 @@ from intlogic.validate import (
     universe_names,
     validate_axiom,
 )
+
+from oracle import pointwise
 
 F = Fraction
 HALF = F(1, 2)
@@ -667,23 +669,44 @@ class TestReplay:
         assert il.evaluate_closed(formula, reloaded) == il.evaluate_closed(formula, model) < 1
 
     def test_integral_law_violations(self):
-        def squared_sup(f, model):  # deliberately not an integral
-            return max(f.values.values()) ** 2
-
         model = next(il.generate_models(ModelGenSpec(size=2, seed=5, count=1), Vocabulary()))
-        rng = random.Random(5)
-        universe = model.universe
-        pairs = [(random_fuzzy_subset(universe, DEFAULT_GRID, rng),
-                  random_fuzzy_subset(universe, DEFAULT_GRID, rng)) for _ in range(20)]
-        bivariate = [random_fuzzy_subset(universe, DEFAULT_GRID, rng, arity=2) for _ in range(20)]
-        report = check_semantic_integral_laws(model, pairs, bivariate, integral=squared_sup)
-        assert {v["law"] for v in report.violations} == {
-            "constant", "complement", "implication", "additivity", "iteration"}
+        _assert_squared_sup_violations_replay(model)
 
-        reloaded = model_from_json(model_to_json(model))
-        for record in report.violations:
-            lhs, rhs = _replay_law(record["law"], record["sample"], reloaded, squared_sup)
-            assert (str(lhs), str(rhs)) == (record["lhs"], record["rhs"])
+
+def _squared_sup(f, model):  # deliberately not an integral
+    return max(f.values.values()) ** 2
+
+
+def _assert_squared_sup_violations_replay(model):
+    """`_squared_sup`'s core on rows breaks all five laws, and each record replays on `_squared_sup`."""
+    rng = random.Random(5)
+    universe = model.universe
+    pairs = [(random_fuzzy_subset(universe, DEFAULT_GRID, rng),
+              random_fuzzy_subset(universe, DEFAULT_GRID, rng)) for _ in range(20)]
+    bivariate = [random_fuzzy_subset(universe, DEFAULT_GRID, rng, arity=2) for _ in range(20)]
+    report = check_semantic_integral_laws(model, pairs, bivariate,
+                                          integral=lambda den, row, form: (max(row) ** 2, den ** 2))
+    assert {v["law"] for v in report.violations} == {
+        "constant", "complement", "implication", "additivity", "iteration"}
+
+    reloaded = model_from_json(model_to_json(model))
+    for record in report.violations:
+        lhs, rhs = _replay_law(record["law"], record["sample"], reloaded, _squared_sup)
+        assert (str(lhs), str(rhs)) == (record["lhs"], record["rhs"])
+
+
+class TestLawsOnIntegers:
+    """The law checker decides every law on integers: it makes a `Fraction` only for a violation record."""
+
+    def test_no_fraction_without_a_violation(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(integrals, "Fraction", lambda *args: made.append(args) or Fraction(*args))
+        model = il.WeakProbModel(("a", "b"), {"a": F(1, 4), "b": F(3, 4)}, {}, {}, {})
+        report = integral_law_suite(model, ModelGenSpec(size=2, exhaustive=True))
+        assert (report.checked, report.violations, made) == (5 + 3 * 625 + 625, [], [])
+
+        _assert_squared_sup_violations_replay(model)
+        assert made
 
 
 def _replay_law(law, sample, model, integral):
