@@ -352,7 +352,7 @@ def check_family_closure(
     family: Sequence[FuzzySubset],
     constants: Sequence[Fraction] = DEFAULT_GRID,
 ) -> Report:
-    """Check that a family contains the given constants and is closed under ->.
+    """Check that a family contains the given constants, at its arity, and is closed under ->.
 
     The evaluator always works with the full space of rational fuzzy
     subsets, where this holds trivially; the check exists for restricted
@@ -364,9 +364,11 @@ def check_family_closure(
     universe, arity = family[0].universe, family[0].arity
     members = set(family)
 
+    tuples = len(universe) ** arity
     for r in constants:
+        value = unit(r)
         report.tally()
-        if FuzzySubset.constant(universe, r) not in members:
+        if FuzzySubset._trusted(universe, arity, value.denominator, [value.numerator] * tuples) not in members:
             report.add("missing-constant", value=str(r))
 
     for f in family:

@@ -9,7 +9,9 @@ orbit under relabellings of the universe (`exhaustive_models`).
 
 Exhaustive mode has one enumeration path, an odometer over factor indices
 (`_Odometer`): one factor for the measure and one per predicate table,
-function table and constant.  `exhaustive_models` builds a model per step.
+function table and constant.  The choices of every factor depend only on
+the size, the grid and the arities, and are built once per process
+(`_plan`).  `exhaustive_models` builds a model per step.
 Axiom checks and countermodel search run on the same odometer without
 building models (`_bound_models`): each formula has its own integer view
 (`evaluate.SweepView`), restaged once per measure, whose slots are
@@ -27,6 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -217,6 +220,82 @@ def _ties(relabellings: list, level: int, indices: tuple[int, ...]) -> list | No
     return ties
 
 
+class _Plan:
+    """Everything an exhaustive enumeration derives from its shape, and nothing from symbol names.
+
+    The shape is the universe size, the sorted grid, the arity of each drawn
+    predicate table (the vocabulary's, then `approx`), whether `eq` is the
+    fixed identity, the arity of each function table and the number of
+    constants.  The plan holds every factor's choices: the measures with
+    their integer weights, the grid tables with their integer forms over the
+    grid's lcm `den` (one list per arity, which the predicates of that arity
+    share), the fixed tables and the function tables.  Every measure and
+    table is a read-only mapping, so the models built on a plan cannot
+    change it.
+    """
+
+    def __init__(self, size: int, grid: tuple[Fraction, ...], pred_arities: tuple[int, ...], eq: bool,
+                 func_arities: tuple[int, ...], constants: int):
+        names = self.names = universe_names(size)
+        measures = grid_measures(size, grid)
+
+        space = len(measures)
+        for arity in pred_arities:
+            space *= len(grid) ** (size ** arity)
+        for arity in func_arities:
+            space *= size ** (size ** arity)
+        space *= size ** constants
+        if space > EXHAUSTIVE_SPACE_CAP:
+            raise SearchSpaceTooLarge(f"exhaustive space has {space} models (cap {EXHAUSTIVE_SPACE_CAP})")
+
+        den = self.den = lcm(*[v.denominator for v in grid])
+        self.measures = [(MappingProxyType(measure), *integer_weights(names, measure)) for measure in measures]
+
+        def choices(tables: list[dict]) -> tuple[list, list]:
+            """The tables and their integer forms, read-only."""
+            return ([MappingProxyType(table) for table in tables],
+                    [MappingProxyType(integer_table(table, den)) for table in tables])
+
+        by_arity = {arity: choices(list(_all_tables(names, arity, grid))) for arity in set(pred_arities)}
+        fixed = _fixed_tables(names, eq)
+        #: (tables, integer tables) per predicate factor; a fixed table is a factor of one choice
+        self.tables = [by_arity[arity] for arity in pred_arities]
+        self.tables += [choices([table]) for table in fixed.values()]
+        by_arity = {arity: [MappingProxyType(table) for table in _all_tables(names, arity, names)]
+                    for arity in set(func_arities)}
+        self.functions = [by_arity[arity] for arity in func_arities]
+        self.radices = [len(measures), *[len(tables) for tables, _ in self.tables],
+                        *map(len, self.functions), *[size] * constants]
+        #: the first position of each level, and the position after its last
+        self.ends = list(itertools.accumulate((1, len(self.tables), len(func_arities), constants)))
+        self.starts = [0, *self.ends[:3]]
+        self._images = (len(grid), [*pred_arities, *[None] * len(fixed)], func_arities, constants)
+
+    @functools.cached_property
+    def relabellings(self) -> list[tuple]:
+        """`_relabellings` of the plan's choices, built on the first sweep that prunes by orbit."""
+        return _relabellings([measure for measure, *_ in self.measures], *self._images)
+
+
+PLAN_CHOICES_KEPT = 1024  #: the most choices, summed over a plan's factors, of a plan kept for later sweeps
+PLANS_KEPT = 8  #: the most plans kept at once
+
+_PLANS: dict[tuple, _Plan] = {}  #: the plans kept, by shape, least recently used first
+
+
+def _plan(*shape) -> _Plan:
+    """The `_Plan` of this shape: the one kept from an earlier sweep, or a new one, kept when small."""
+    plan = _PLANS.pop(shape, None)
+    if plan is None:
+        plan = _Plan(*shape)
+        if sum(plan.radices) > PLAN_CHOICES_KEPT:
+            return plan
+        if len(_PLANS) >= PLANS_KEPT:
+            del _PLANS[next(iter(_PLANS))]
+    _PLANS[shape] = plan
+    return plan
+
+
 class _Odometer:
     """The exhaustive enumeration over the grid: one factor per part of a model.
 
@@ -227,48 +306,29 @@ class _Odometer:
     make up four levels, measure, predicates, functions and constants, on
     which orbit pruning works (`_ties`).
 
-    The choices are shared by every model: each grid table is converted to
-    integers over the grid's lcm `den` once, and each measure once.
+    The choices come from the `_Plan` of the enumeration's shape, which is
+    built once per process (`_plan`); the odometer only labels them with
+    the vocabulary's names.  Each grid table is converted to integers over
+    the grid's lcm `den` once, and each measure once.
     """
 
     def __init__(self, gen: ModelGenSpec, voc: Vocabulary, eq: bool, orbit_least: bool):
-        names = self.names = universe_names(gen.size)
-        measures = grid_measures(gen.size, gen.grid)
         pred_symbols = _pred_symbols(voc)
-
-        space = len(measures)
-        for _, arity in pred_symbols:
-            space *= len(gen.grid) ** (gen.size ** arity)
-        for _, arity in voc.functions:
-            space *= gen.size ** (gen.size ** arity)
-        space *= gen.size ** len(voc.constants)
-        if space > EXHAUSTIVE_SPACE_CAP:
-            raise SearchSpaceTooLarge(f"exhaustive space has {space} models (cap {EXHAUSTIVE_SPACE_CAP})")
-
-        grid = sorted(gen.grid)
-        den = self.den = lcm(*[v.denominator for v in grid])
-        self.measures = [(measure, *integer_weights(names, measure)) for measure in measures]
-        # a fixed table is a factor of one choice
-        fixed = _fixed_tables(names, eq)
-        self.tables = [(name, list(_all_tables(names, arity, grid))) for name, arity in pred_symbols]
-        self.tables += [(name, [table]) for name, table in fixed.items()]
-        self.integers = [(name, [integer_table(table, den) for table in choices]) for name, choices in self.tables]
-        self.functions = [(name, list(_all_tables(names, arity, names))) for name, arity in voc.functions]
-        self.constants = [(name, names) for name in voc.constants]
+        plan = _plan(gen.size, tuple(sorted(gen.grid)), tuple(arity for _, arity in pred_symbols), eq,
+                     tuple(arity for _, arity in voc.functions), len(voc.constants))
+        self.names, self.den, self.measures = plan.names, plan.den, plan.measures
+        self.radices, self.starts, self.ends = plan.radices, plan.starts, plan.ends
+        labels = [name for name, _ in pred_symbols] + [EQ_PRED] * eq
+        self.tables = [(name, tables) for name, (tables, _) in zip(labels, plan.tables)]
+        self.integers = [(name, integers) for name, (_, integers) in zip(labels, plan.tables)]
+        self.functions = [(name, tables) for (name, _), tables in zip(voc.functions, plan.functions)]
+        self.constants = [(name, self.names) for name in voc.constants]
         #: (kind, name, choices as a view holds them) of every factor after the measure
         self.factors = [("predicate", name, choices) for name, choices in self.integers]
         self.factors += [("function", name, choices) for name, choices in self.functions]
         self.factors += [("constant", name, choices) for name, choices in self.constants]
-        self.radices = [len(measures), *[len(choices) for _, _, choices in self.factors]]
-        #: the first position of each level, and the position after its last
-        self.ends = list(itertools.accumulate((1, len(self.tables), len(self.functions), len(self.constants))))
-        self.starts = [0, *self.ends[:3]]
-
         # the relabellings not yet known to map the model higher; they are tried level by level
-        self.relabellings = []
-        if orbit_least:
-            self.relabellings = _relabellings(measures, len(grid), [a for _, a in pred_symbols] + [None] * len(fixed),
-                                              [a for _, a in voc.functions], len(voc.constants))
+        self.relabellings = plan.relabellings if orbit_least else []
 
     def sweep(self, views: Sequence[SweepView] = ()) -> Iterator[tuple[list[int], int]]:
         """`(indices, changed)` of every model in order; with orbit pruning, of the orbit-least ones.
@@ -359,7 +419,7 @@ class _Odometer:
         return {name: choices[i] for (name, choices), i in zip(self.constants, indices[self.starts[3]:])}
 
     def model(self, indices: Sequence[int]) -> WeakProbModel:
-        """The model at `indices`; it shares the odometer's tables and measure."""
+        """The model at `indices`; it shares the plan's read-only tables and measure."""
         predicates, form = self.predicates(indices)
         return WeakProbModel._trusted(self.names, self.measures[indices[0]][0], predicates,
                                       self.function_tables(indices), self.constant_values(indices), form)
@@ -370,8 +430,9 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
     """Every model over the grid, in a fixed deterministic order.
 
     With `eq`, every model also interprets `eq` as the crisp identity.  The
-    models are valid by construction and share the odometer's tables and
-    measures (`_Odometer.model`).
+    models are valid by construction and share the tables and measures of
+    the grid's plan (`_Plan`), which is built once per process; they share
+    them as read-only mappings, so no model can change the plan.
 
     The order is lexicographic on the factor indices: the measure's, each
     predicate table's, each function table's and each constant's.  With
@@ -550,11 +611,11 @@ def _bound_models(formulas: Sequence[Formula], names: Sequence[str], gen: ModelG
 
 
 def _axiom_checks(axiom: str, gen: ModelGenSpec) -> Iterator[tuple]:
-    """(model_at, left, right, names, elements, lhs, rhs, scale) per instantiation, model and valuation.
+    """(model_at, left, right, names, valuations, lhs, rhs, left_scale, right_scale) per instantiation and model.
 
-    The valuation binds `names` to `elements`; the sides' values are
-    `lhs / scale` and `rhs / scale`.  `model_at()` builds the model, and
-    only until the next check.
+    Each valuation binds `names` to its elements; the sides' values there
+    are `lhs(elements) / left_scale` and `rhs(elements) / right_scale`.
+    `model_at()` builds the model.  All of it holds only until the next item.
     """
     universe = universe_names(gen.size)
     for inst in _axiom_instantiations(axiom, gen):
@@ -563,9 +624,24 @@ def _axiom_checks(axiom: str, gen: ModelGenSpec) -> Iterator[tuple]:
         names = sorted(free_vars(left) | free_vars(right))
         valuations = list(itertools.product(universe, repeat=len(names)))
         for model_at, ((lhs, left_scale), (rhs, right_scale)) in _bound_models((left, right), names, gen, voc):
-            scale = left_scale * right_scale
-            for combo in valuations:
-                yield model_at, left, right, names, combo, lhs(combo) * right_scale, rhs(combo) * left_scale, scale
+            yield model_at, left, right, names, valuations, lhs, rhs, left_scale, right_scale
+
+
+def _failures(axiom: str, gen: ModelGenSpec, equality: bool, report: Report) -> Iterator[dict]:
+    """The record of every check of `_axiom_checks` where the sides fail, in order.
+
+    The sides fail where they differ, or without `equality` only where the
+    left side is above the right.  They are compared on integers, scaled to
+    the product of both scales.  `report.checked` counts every check, one
+    model's valuations at a time.
+    """
+    for model_at, left, right, names, valuations, lhs, rhs, left_scale, right_scale in _axiom_checks(axiom, gen):
+        report.checked += len(valuations)
+        for elements in valuations:
+            left_value, right_value = lhs(elements) * right_scale, rhs(elements) * left_scale
+            if left_value != right_value and (equality or left_value > right_value):
+                yield _check_record(axiom, model_at, left, right, names, elements, left_value, right_value,
+                                    left_scale * right_scale)
 
 
 def _check_record(axiom, model_at, left, right, names, elements, lhs, rhs, scale) -> dict:
@@ -589,20 +665,14 @@ def validate_axiom(axiom: str, gen: ModelGenSpec) -> Report:
     instantiation and the two values, so it replays directly.
     """
     report = Report()
-    for check in _axiom_checks(axiom, gen):
-        lhs, rhs = check[5:7]
-        report.tally()
-        if not (lhs <= rhs if axiom == "mu3" else lhs == rhs):
-            report.add("axiom-violation", **_check_record(axiom, *check))
+    for record in _failures(axiom, gen, axiom != "mu3", report):
+        report.add("axiom-violation", **record)
     return report
 
 
 def mu3_equality_gap(gen: ModelGenSpec) -> dict | None:
     """A witness where mu3 read as an equality fails (the law is only <=)."""
-    for check in _axiom_checks("mu3", gen):
-        if check[5] != check[6]:
-            return _check_record("mu3", *check)
-    return None
+    return next(_failures("mu3", gen, True, Report()), None)
 
 
 # ---------------------------------------------------------------------------

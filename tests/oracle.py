@@ -10,7 +10,8 @@ the compiled evaluator or the satisfaction module.
 
 `law_report` is the same kind of oracle for
 `integrals.check_semantic_integral_laws`, `dissection` for
-`integrals.integral_dissection`, and `isomorphic` for `model.isomorphic`.
+`integrals.integral_dissection`, `isomorphic` for `model.isomorphic`, and
+`grid_model_keys` for `validate.exhaustive_models`.
 The pieces they need (`pointwise`, `set_partitions`, `level_set`, `mass`)
 are defined here, so the oracle imports no code of the modules it checks
 but `LevelConfig`, the parameter type of `hsat_qeq`.
@@ -34,6 +35,8 @@ from intlogic.rational import DEFAULT_GRID, ONE, ZERO, implies, neg, strong_and,
 from intlogic.reporting import Report
 from intlogic.satisfaction import LevelConfig
 from intlogic.syntax import (
+    APPROX_PRED,
+    EQ_PRED,
     And,
     Atom,
     Constant,
@@ -50,6 +53,7 @@ from intlogic.syntax import (
     Term,
     TruthConst,
     Variable,
+    Vocabulary,
     free_vars,
 )
 
@@ -270,3 +274,67 @@ def isomorphic(left: WeakProbModel, right: WeakProbModel) -> bool:
                         for name, table in left.functions.items() for key, v in table.items())):
             return True
     return False
+
+
+def model_key(model: WeakProbModel) -> tuple:
+    """A model's measure, tables and constants as one hashable value, whatever the order of its dicts."""
+    return _key(model.measure, model.predicates, model.functions, model.constants)
+
+
+def _key(measure, predicates, functions, constants) -> tuple:
+    items = lambda mapping: tuple(sorted(mapping.items()))
+    return (items(measure), items(constants), tuple((name, items(predicates[name])) for name in sorted(predicates)),
+            tuple((name, items(functions[name])) for name in sorted(functions)))
+
+
+def grid_model_keys(size: int, grid, voc: Vocabulary, eq: bool = False, orbit_least: bool = False) -> list[tuple]:
+    """The `model_key` of every model `validate.exhaustive_models` gives, in its order, by nested loops.
+
+    Measures are the distinct renormalized draws of the sorted grid, in draw
+    order; tables run through the grid (or the universe) with the first key
+    the slowest; the models run through every measure, then every table of
+    each predicate (the vocabulary's, then `approx`), of each function, and
+    every element of each constant, the first the slowest.  `eq` is the
+    crisp identity.  With `orbit_least`, a model is kept only when no
+    relabelling of the universe maps it to an earlier one.
+    """
+    names = tuple("abcdefghijklmnopqrstuvwxyz"[:size])
+    grid = sorted(set(grid))
+    measures = []
+    for draw in itertools.product(grid, repeat=size):
+        total = sum(draw, ZERO)
+        measure = total and dict(zip(names, [w / total for w in draw]))
+        if measure and measure not in measures:
+            measures.append(measure)
+
+    def tables(arity, values):
+        keys = list(itertools.product(names, repeat=arity))
+        return [dict(zip(keys, combo)) for combo in itertools.product(values, repeat=len(keys))]
+
+    predicates = [*voc.predicates, *([(APPROX_PRED, 2)] if voc.has_approx else [])]
+    fixed = {EQ_PRED: {(a, b): ONE if a == b else ZERO for a in names for b in names}} if eq else {}
+    models = []
+    for measure, *choices in itertools.product(measures, *[tables(arity, grid) for _, arity in predicates],
+                                               *[tables(arity, names) for _, arity in voc.functions],
+                                               *[names for _ in voc.constants]):
+        preds = {**dict(zip([name for name, _ in predicates], choices)), **fixed}
+        funcs = dict(zip([name for name, _ in voc.functions], choices[len(predicates):]))
+        consts = dict(zip(voc.constants, choices[len(predicates) + len(voc.functions):]))
+        models.append((measure, preds, funcs, consts))
+    keys = [_key(*model) for model in models]
+    if not orbit_least:
+        return keys
+
+    position = {key: i for i, key in enumerate(keys)}
+
+    def image(model, h):
+        """The key of the model carried along the relabelling `h`."""
+        measure, preds, funcs, consts = model
+        carry = lambda table: {tuple(h[e] for e in key): v for key, v in table.items()}
+        return _key({h[m]: w for m, w in measure.items()}, {name: carry(t) for name, t in preds.items()},
+                    {name: {key: h[e] for key, e in carry(t).items()} for name, t in funcs.items()},
+                    {c: h[e] for c, e in consts.items()})
+
+    relabellings = [dict(zip(names, images)) for images in itertools.permutations(names)]
+    return [key for i, (key, model) in enumerate(zip(keys, models))
+            if all(position[image(model, h)] >= i for h in relabellings)]

@@ -447,6 +447,17 @@ class TestFamilyClosure:
         report = check_family_closure(family, constants=(HALF,))
         assert any(v["kind"] == "missing-constant" for v in report.violations)
 
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_constants_at_the_family_arity(self, arity):
+        keys = list(itertools.product(("a", "b"), repeat=arity))
+        constant = lambda v: FuzzySubset(("a", "b"), {key: v for key in keys})
+        report = check_family_closure([constant(v) for v in (F(0), HALF, F(1))], constants=(F(0), HALF, F(1)))
+        assert (report.checked, report.violations) == (12, [])
+        report = check_family_closure([constant(F(0)), constant(F(1))], constants=(F(0), HALF, F(1)))
+        assert (report.checked, report.violations) == (7, [{"kind": "missing-constant", "value": "1/2"}])
+        with pytest.raises(errors.ValueOutOfRange):
+            check_family_closure([constant(F(0))], constants=(F(3, 2),))
+
     def test_not_closed_detected(self):
         universe = ("a",)
         family = [FuzzySubset(universe, {("a",): F(3, 4)}),

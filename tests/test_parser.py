@@ -220,6 +220,11 @@ ERROR_SPANS = [
      errors.ArityMismatch, "function 'f' expects 1 arguments, got 2", (2, 3, 1, 3)),
     ("P(R)", "voc",
      errors.ParseError, "symbol 'R' needs arguments", (2, 3, 1, 3)),
+    # a bad character anywhere wins over an earlier parse error or nesting-cap error
+    ("P(x))) $", "voc",
+     errors.ParseError, "unexpected character '$'", (7, 8, 1, 8)),
+    ("~" * 200 + "P(c) $", "voc",
+     errors.ParseError, "unexpected character '$'", (205, 206, 1, 206)),
 ]
 
 

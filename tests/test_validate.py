@@ -18,6 +18,7 @@ from intlogic.model import (
     model_to_json,
     relabel_universe,
 )
+from intlogic.proofs import axiom_sides
 from intlogic.rational import DEFAULT_GRID, implies, neg, strong_and, strong_or
 from intlogic.syntax import (
     And,
@@ -53,6 +54,7 @@ from intlogic.validate import (
     validate_axiom,
 )
 
+import oracle
 from oracle import pointwise
 
 F = Fraction
@@ -189,20 +191,13 @@ class TestFindCountermodel:
             find_countermodel(Atom("P", (Variable("x"),)), ModelGenSpec(size=1))
 
 
-def _key(model):
-    """The model as a hashable value that does not depend on the order of its universe tuple."""
-    parts = (model.measure, model.constants, *(model.predicates[name] for name in sorted(model.predicates)),
-             *(model.functions[name] for name in sorted(model.functions)))
-    return tuple(tuple(sorted(part.items())) for part in parts)
-
-
 def _orbit_least(models):
     """The models that no relabelling of the universe maps to an earlier one, found by brute force."""
-    position = {_key(model): i for i, model in enumerate(models)}
+    position = {oracle.model_key(model): i for i, model in enumerate(models)}
     names = models[0].universe
     relabellings = [dict(zip(names, image)) for image in itertools.permutations(names)]
     return [model for i, model in enumerate(models)
-            if all(position[_key(relabel_universe(model, r))] >= i for r in relabellings)]
+            if all(position[oracle.model_key(relabel_universe(model, r))] >= i for r in relabellings)]
 
 
 def _space(size, grid, voc):
@@ -266,7 +261,7 @@ class TestOrbitLeastEnumeration:
         spec = ModelGenSpec(size=size, grid=grid, exhaustive=True)
         models = list(exhaustive_models(spec, voc, eq))
         pruned = list(exhaustive_models(spec, voc, eq, orbit_least=True))
-        assert [_key(m) for m in pruned] == [_key(m) for m in _orbit_least(models)]
+        assert [oracle.model_key(m) for m in pruned] == [oracle.model_key(m) for m in _orbit_least(models)]
 
         value_in = compile_formula(sentence)
         first = None
@@ -561,6 +556,138 @@ class TestSweepResults:
             assert integer_form(model).weight_row == tuple(w for _, w in integer_form(model).weights)
             assert model == WeakProbModel(model.universe, model.measure, model.predicates, model.functions,
                                           model.constants)
+
+
+@st.composite
+def _shapes(draw):
+    """`(spec, voc)` of a small exhaustive enumeration: |M| 1-3, a grid from DEFAULT_GRID, 0-2 predicates
+    of arity 1-2 and 0-1 constant; grid values, then predicates, are dropped until it has at most 600 models."""
+    size = draw(st.integers(min_value=1, max_value=3))
+    grid = draw(st.lists(st.sampled_from(DEFAULT_GRID), min_size=1, max_size=5, unique=True).filter(any))
+    names = draw(st.lists(st.sampled_from("PQR"), max_size=2, unique=True))
+    predicates = [(name, draw(st.integers(min_value=1, max_value=2))) for name in names]
+    constants = draw(st.sampled_from(((), ("c",))))
+    while True:
+        voc = Vocabulary(predicates=tuple(predicates), constants=constants)
+        if _space(size, grid, voc) <= 600:
+            return ModelGenSpec(size=size, grid=grid, exhaustive=True), voc
+        if len(grid) > 2:
+            grid = [min(grid), max(grid)]
+        else:
+            predicates.pop()
+
+
+def _enumeration(spec, voc, eq, orbit_least):
+    """The odometer's `(indices, changed)` steps and the `oracle.model_key` of the model at each."""
+    odometer = validate._Odometer(spec, voc, eq, orbit_least)
+    steps = [(tuple(indices), changed, oracle.model_key(odometer.model(indices)))
+             for indices, changed in odometer.sweep()]
+    return [step[:2] for step in steps], [step[2] for step in steps]
+
+
+def _cold_enumeration(spec, voc, eq, orbit_least):
+    """`_enumeration` on a plan built for it, with the kept plans put aside."""
+    kept, validate._PLANS = validate._PLANS, {}
+    try:
+        return _enumeration(spec, voc, eq, orbit_least)
+    finally:
+        validate._PLANS = kept
+
+
+class TestPlanCache:
+    """A grid's plan is built once per process and kept only when small; models never share it mutably."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=_shapes())
+    def test_cold_and_warm_plans_enumerate_as_the_oracle(self, shape):
+        spec, voc = shape
+        renamed = Vocabulary(tuple((f"{name}_r", arity) for name, arity in voc.predicates),
+                             constants=("k",) * len(voc.constants))
+        options = list(itertools.product((False, True), repeat=2))  # eq, orbit_least
+        cold = [_cold_enumeration(spec, voc, eq, orbit_least) for eq, orbit_least in options]
+        for eq, orbit_least in options:  # keep a plan per option, among those kept for earlier shapes
+            _enumeration(spec, voc, eq, orbit_least)
+        for (eq, orbit_least), (steps, keys) in zip(options, cold):
+            warm_steps, warm_keys = _enumeration(spec, renamed, eq, orbit_least)
+            assert warm_steps == steps
+            assert keys == oracle.grid_model_keys(spec.size, spec.grid, voc, eq, orbit_least)
+            assert warm_keys == oracle.grid_model_keys(spec.size, spec.grid, renamed, eq, orbit_least)
+
+    def test_returned_models_share_no_mutable_table(self):
+        formula = il.close_free_names(il.parse_formula("INT P(x) dx -> P(k)"))
+        voc = infer_vocabulary(formula)
+        first = find_countermodel(formula, SIZE2)
+        listed = next(exhaustive_models(SIZE2, voc))
+        expected = [(model_to_json(model), integer_form(model)) for model in (first, listed)]
+        for model in (first, listed):
+            for mapping, value in ((model.predicates["P"], HALF), (model.measure, HALF),
+                                   (integer_form(model).tables["P"], 3)):
+                try:
+                    mapping[next(iter(mapping))] = value
+                except TypeError:  # a read-only table
+                    pass
+        again = [find_countermodel(formula, SIZE2), next(exhaustive_models(SIZE2, voc))]
+        assert [(model_to_json(model), integer_form(model)) for model in again] == expected
+
+    def test_only_a_few_small_plans_are_kept(self, monkeypatch):
+        monkeypatch.setattr(validate, "_PLANS", {})
+        big = validate._Odometer(ModelGenSpec(size=3, grid=(F(0), HALF, F(1)), exhaustive=True),
+                                 Vocabulary(predicates=(("R", 2),)), False, False)
+        assert sum(big.radices) > validate.PLAN_CHOICES_KEPT and validate._PLANS == {}
+
+        def measures(constants):  # a plan of its own per number of constants
+            voc = Vocabulary(constants=tuple(f"c{i}" for i in range(constants)))
+            return validate._Odometer(ModelGenSpec(size=1, exhaustive=True), voc, False, False).measures
+
+        kept = [measures(n) for n in range(validate.PLANS_KEPT)]
+        assert [measures(n) for n in range(validate.PLANS_KEPT)] == kept
+        assert all(measures(n) is plan for n, plan in enumerate(kept))
+        measures(validate.PLANS_KEPT)  # drops the least recently used plan, that of no constant
+        assert len(validate._PLANS) == validate.PLANS_KEPT
+        assert measures(1) is kept[1] and measures(0) is not kept[0]
+
+
+def _mu1_against_its_right_side_integrated(schema, **parts):
+    """`axiom_sides`, but mu1's right side `v` becomes `INT v dy`, which differs from `v` when `y` is free."""
+    left, right = axiom_sides(schema, **parts)
+    return (left, Integral("y", right)) if schema == "mu1" else (left, right)
+
+
+def _mu1_records(rows):
+    """The violation records of the changed mu1, one per `(mu(a), mu(b), P(a), P(b), y, lhs, rhs)` row."""
+    return [{"kind": "axiom-violation", "axiom": "mu1",
+             "model": {"universe": ["a", "b"], "measure": {"a": mu_a, "b": mu_b},
+                       "predicates": {"P": _table(1, a=p_a, b=p_b)}, "functions": {}, "constants": {}},
+             "instantiation": "INT P(y) dx  vs  INT P(y) dy", "valuation": {"y": y}, "lhs": lhs, "rhs": rhs}
+            for mu_a, mu_b, p_a, p_b, y, lhs, rhs in rows]
+
+
+class TestViolationRecords:
+    """The count, the bytes and the order of axiom-violation records, pinned on an axiom made to fail."""
+
+    @pytest.mark.parametrize("spec, checked, rows", [
+        (ModelGenSpec(size=2, grid=(F(0), F(1)), exhaustive=True), 30, [
+            ("0", "1", "0", "1", "a", "0", "1"),
+            ("0", "1", "1", "0", "a", "1", "0"),
+            ("1", "0", "0", "1", "b", "1", "0"),
+            ("1", "0", "1", "0", "b", "0", "1"),
+            ("1/2", "1/2", "0", "1", "a", "0", "1/2"),
+            ("1/2", "1/2", "0", "1", "b", "1", "1/2"),
+            ("1/2", "1/2", "1", "0", "a", "1", "1/2"),
+            ("1/2", "1/2", "1", "0", "b", "0", "1/2"),
+        ]),
+        (ModelGenSpec(size=2, seed=5, count=3), 21, [
+            ("2/3", "1/3", "1/2", "1", "a", "1/2", "2/3"),
+            ("2/3", "1/3", "1/2", "1", "b", "1", "2/3"),
+            ("0", "1", "1/4", "0", "a", "1/4", "0"),
+            ("1", "0", "1/2", "3/4", "b", "3/4", "1/2"),
+        ]),
+    ])
+    def test_records(self, monkeypatch, spec, checked, rows):
+        monkeypatch.setattr(validate, "axiom_sides", _mu1_against_its_right_side_integrated)
+        report = validate_axiom("mu1", spec)
+        assert report.checked == checked
+        assert json.dumps(report.violations) == json.dumps(_mu1_records(rows))
 
 
 def test_grid_fuzzy_subset_count():
