@@ -13,9 +13,15 @@ both computed at most once per object, and makes a single `Fraction`, for
 its result.  The two oracles share only that conversion with the
 expectation form.  The dissection also keeps the mass of every block per
 weight tuple, and finds its supremum by recursion over subsets rather
-than by scoring each partition.  The law checker integrates rows, not
-subsets, with the core of `integral_expectation` by default, and decides
-each law by integer cross-multiplication.
+than by scoring each partition; the splits that recursion reads depend
+only on the universe size and are listed once per process (`_splits`).
+The layer cake is one walk over the values by decreasing value.  The law
+checker integrates rows, not subsets, with the core of
+`integral_expectation` by default, and decides each law by integer
+cross-multiplication.  Once per call, it checks and looks up each
+distinct subset once and computes both slices of a bivariate subset from
+one split of its row; the exhaustive samples of
+`validate.integral_law_suite` are built once per process.
 """
 
 from __future__ import annotations
@@ -81,29 +87,45 @@ def _blocks(weights: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]
     return tuple(mass), tuple(lowest)
 
 
+@lru_cache(maxsize=None)
+def _splits(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The sets S that `_best_dissection` computes, in order, each with its splits.
+
+    A split of S is a block B that holds S's lowest element and is not S
+    itself, with the rest S - B, both as bitmasks.  The S are range(n) and
+    the non-empty sets without element 0, in increasing order, so every
+    rest comes before the sets that read it.
+    """
+    full = (1 << n) - 1
+    sets = []
+    for s in [*range(2, full, 2), full] if n else ():
+        low = s & -s
+        rest = sub = s ^ low
+        splits = []
+        while sub:
+            sub = (sub - 1) & rest
+            splits.append((low | sub, rest ^ sub))
+        sets.append((s, tuple(splits)))
+    return tuple(sets)
+
+
 def _best_dissection(score: Sequence[int], n: int) -> int:
     """The maximum over the partitions of range(n) of the sum of their blocks' scores.
 
     `score[block]` is indexed by the block as a bitmask.  Every partition of
     a set S is a block B holding S's lowest element plus a partition of
     S - B, so `best[S]`, the maximum over S's partitions, is the maximum of
-    `score[B] + best[S - B]` over those B.  Only range(n) and the sets
-    without element 0 arise as S; each is computed after the smaller sets
-    it reads, in increasing order.
+    `score[S]` and of `score[B] + best[S - B]` over S's splits (`_splits`).
     """
-    full = (1 << n) - 1
-    best = [0] * (full + 1)
-    for s in [*range(2, full, 2), full] if n else ():
-        low = s & -s
-        rest = sub = s ^ low
+    best = [0] * (1 << n)
+    for s, splits in _splits(n):
         top = score[s]
-        while sub:
-            sub = (sub - 1) & rest
-            total = score[low | sub] + best[rest ^ sub]
+        for block, rest in splits:
+            total = score[block] + best[rest]
             if total > top:
                 top = total
         best[s] = top
-    return best[full]
+    return best[-1]
 
 
 def integral_dissection(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
@@ -133,14 +155,21 @@ def integral_dissection(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
 
 
 def integral_layercake(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
-    """Sum over the distinct values 0 = v0 < v1 < ... of (vi - vi-1) * mu{f >= vi}."""
+    """Sum over the distinct values 0 = v0 < v1 < ... of (vi - vi-1) * mu{f >= vi}.
+
+    One walk over the (value, weight) pairs by decreasing value keeps the
+    running mass mu{f >= v} of the values seen; each distinct value adds
+    its term when the walk passes below it.
+    """
     _require(subset, model.universe, 1)
-    form, values = integer_form(model), subset.row
-    total = previous = 0
-    for level in sorted(set(values) - {0}):
-        total += (level - previous) * sum([w for v, w in zip(values, form.weight_row) if v >= level])
-        previous = level
-    return Fraction(total, subset.den * form.m_den)
+    form = integer_form(model)
+    total = mass = level = 0
+    for value, weight in sorted(zip(subset.row, form.weight_row), reverse=True):
+        if value != level:
+            total += (level - value) * mass
+            level = value
+        mass += weight
+    return Fraction(total + level * mass, subset.den * form.m_den)
 
 
 def integral_dirac(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
@@ -155,6 +184,13 @@ def integral_dirac(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
 # Slices of a binary subset
 
 
+def _rows(h: FuzzySubset, universe: tuple[str, ...]) -> list[Sequence[int]]:
+    """The rows h(a, .) of a binary subset's integer row, in universe order, once `h` is checked against `universe`."""
+    _require(h, universe, 2)
+    values, n = h.row, len(universe)
+    return [values[i * n:(i + 1) * n] for i in range(n)]
+
+
 def _slice_row(h: FuzzySubset, model: WeakProbModel, over_first: bool) -> tuple[int, list[int]]:
     """h integrated over one argument as a unary row over its den, `h.den * M`, in universe order.
 
@@ -162,10 +198,7 @@ def _slice_row(h: FuzzySubset, model: WeakProbModel, over_first: bool) -> tuple[
     over the first argument sums its columns instead.  Each value is a
     weighted mean of values in [0, 1], so it lies in [0, 1].
     """
-    _require(h, model.universe, 2)
-    values, form = h.row, integer_form(model)
-    n = len(form.weight_row)
-    rows = [values[i * n:(i + 1) * n] for i in range(n)]
+    rows, form = _rows(h, model.universe), integer_form(model)
     if over_first:
         rows = zip(*rows)
     return h.den * form.m_den, [sum(map(mul, row, form.weight_row)) for row in rows]
@@ -211,9 +244,16 @@ def check_semantic_integral_laws(
     it is first the left of a pair; each pair then costs three calls, on
     the rows of `f -> g`, `f (+) g` and `f (x) g` over the lcm of the two
     denominators, and each bivariate subset two, on its slices.
+
+    Once per call, each subset object is checked against the model's
+    universe and matched by equality on its first occurrence only; after
+    that its entry, which holds its integral and its complement's, is
+    found by identity.  Each bivariate subset is checked and split into
+    its rows once for both of its slices.  Both sides of a pair are
+    checked before either is integrated.
     """
     report = Report()
-    form = integer_form(model)
+    universe, form = model.universe, integer_form(model)
 
     def record(law, lhs, rhs, sample):
         report.add("integral-law-violation", law=law, lhs=str(Fraction(*lhs)), rhs=str(Fraction(*rhs)),
@@ -224,28 +264,36 @@ def check_semantic_integral_laws(
 
     for r in constants:
         q = unit(r)
-        lhs = integral(q.denominator, (q.numerator,) * len(model.universe), form)
+        lhs = integral(q.denominator, (q.numerator,) * len(universe), form)
         rhs = (q.numerator, q.denominator)
         report.tally()
         if not equal(lhs, rhs):
             record("constant", lhs, rhs, {"r": str(r)})
 
-    integrals: dict[FuzzySubset, tuple[int, int]] = {}
-    complements: dict[FuzzySubset, tuple[int, int]] = {}
+    # one entry per distinct subset, [its integral, its complement's integral],
+    # each filled on first use; `held` keeps every subset keyed by `id` alive
+    by_id: dict[int, list] = {}
+    by_value: dict[FuzzySubset, list] = {}
+    held = []
 
-    def integrated(f):
-        if f not in integrals:
-            integrals[f] = integral(f.den, f.row, form)
-        return integrals[f]
+    def entry(f):
+        _require(f, universe, 1)
+        found = by_id[id(f)] = by_value.setdefault(f, [None, None])
+        held.append(f)
+        return found
 
     for f, g in pairs:
-        den, a, b = _aligned(f, g, model.universe, 1)
-        num_f, scale_f = integrated(f)
-        num_g, scale_g = integrated(g)
+        left = by_id.get(id(f)) or entry(f)
+        right = by_id.get(id(g)) or entry(g)
+        if left[0] is None:
+            left[0] = integral(f.den, f.row, form)
+        if right[0] is None:
+            right[0] = integral(g.den, g.row, form)
+        (num_f, scale_f), (num_g, scale_g) = left[0], right[0]
 
-        lhs = complements.get(f)
+        lhs = left[1]
         if lhs is None:
-            lhs = complements[f] = integral(f.den, [f.den - x for x in f.row], form)
+            lhs = left[1] = integral(f.den, [f.den - x for x in f.row], form)
         rhs = (scale_f - num_f, scale_f)
         report.tally()
         if not equal(lhs, rhs):
@@ -254,6 +302,7 @@ def check_semantic_integral_laws(
         # int f and int g are cross_f / scale and cross_g / scale
         scale = scale_f * scale_g
         cross_f, cross_g = num_f * scale_g, num_g * scale_f
+        den, a, b = _aligned(f, g)
 
         lhs = integral(den, [min(den, den - x + y) for x, y in zip(a, b)], form)
         rhs = (min(scale, scale - cross_f + cross_g), scale)
@@ -268,9 +317,11 @@ def check_semantic_integral_laws(
         if not equal(lhs, rhs):
             record("additivity", lhs, rhs, _sample(f=f, g=g))
 
+    weights = form.weight_row
     for h in bivariate:
-        first_then_second = integral(*_slice_row(h, model, True), form)
-        second_then_first = integral(*_slice_row(h, model, False), form)
+        rows, scale = _rows(h, universe), h.den * form.m_den
+        first_then_second = integral(scale, [sum(map(mul, column, weights)) for column in zip(*rows)], form)
+        second_then_first = integral(scale, [sum(map(mul, row, weights)) for row in rows], form)
         report.tally()
         if not equal(first_then_second, second_then_first):
             record("iteration", first_then_second, second_then_first, _sample(h=h))
@@ -278,10 +329,8 @@ def check_semantic_integral_laws(
     return report
 
 
-def _aligned(f: FuzzySubset, g: FuzzySubset, universe: tuple[str, ...], arity: int) -> tuple[int, Sequence, Sequence]:
-    """Both subsets' rows over the lcm of their denominators, each checked against `universe` and `arity` first."""
-    _require(f, universe, arity)
-    _require(g, universe, arity)
+def _aligned(f: FuzzySubset, g: FuzzySubset) -> tuple[int, Sequence[int], Sequence[int]]:
+    """Both subsets' rows over the lcm of their denominators."""
     den = lcm(f.den, g.den)
     a = f.row if den == f.den else [x * (den // f.den) for x in f.row]
     b = g.row if den == g.den else [y * (den // g.den) for y in g.row]
@@ -372,8 +421,10 @@ def check_family_closure(
             report.add("missing-constant", value=str(r))
 
     for f in family:
+        _require(f, universe, arity)
+    for f in family:
         for g in family:
-            den, a, b = _aligned(f, g, universe, arity)
+            den, a, b = _aligned(f, g)
             f_implies_g = FuzzySubset._trusted(universe, arity, den, [min(den, den - x + y) for x, y in zip(a, b)])
             report.tally()
             if f_implies_g not in members:

@@ -283,17 +283,27 @@ PLANS_KEPT = 8  #: the most plans kept at once
 _PLANS: dict[tuple, _Plan] = {}  #: the plans kept, by shape, least recently used first
 
 
+def _kept(kept: dict, key, build, size, bound: int, count: int):
+    """The value under `key` in `kept`, or a new one from `build()`, kept only when `size(value) <= bound`.
+
+    `kept` holds at most `count` values, least recently used first, and
+    drops the first when full.  An error of `build()` is raised and keeps
+    nothing.
+    """
+    value = kept.pop(key, None)
+    if value is None:
+        value = build()
+        if size(value) > bound:
+            return value
+        if len(kept) >= count:
+            del kept[next(iter(kept))]
+    kept[key] = value
+    return value
+
+
 def _plan(*shape) -> _Plan:
     """The `_Plan` of this shape: the one kept from an earlier sweep, or a new one, kept when small."""
-    plan = _PLANS.pop(shape, None)
-    if plan is None:
-        plan = _Plan(*shape)
-        if sum(plan.radices) > PLAN_CHOICES_KEPT:
-            return plan
-        if len(_PLANS) >= PLANS_KEPT:
-            del _PLANS[next(iter(_PLANS))]
-    _PLANS[shape] = plan
-    return plan
+    return _kept(_PLANS, shape, lambda: _Plan(*shape), lambda plan: sum(plan.radices), PLAN_CHOICES_KEPT, PLANS_KEPT)
 
 
 class _Odometer:
@@ -520,24 +530,39 @@ def random_fuzzy_subset(universe: Sequence[str], grid: Sequence[Fraction],
     return FuzzySubset._trusted(universe, arity, den, [rng.choice(values) for _ in range(len(universe) ** arity)])
 
 
+LAW_SAMPLES_KEPT = 2048  #: the most pairs plus bivariate subsets of an exhaustive law sample kept for later suites
+LAW_SAMPLE_SETS_KEPT = 4  #: the most exhaustive law samples kept at once
+
+_LAW_SAMPLES: dict[tuple, tuple] = {}  #: the samples kept, by universe and grid, least recently used first
+
+
+def _exhaustive_law_samples(universe: tuple[str, ...], grid: tuple[Fraction, ...]) -> tuple[tuple, tuple]:
+    """Every `(f, g)` pair of unary grid subsets and every bivariate grid subset, guarded against blowup."""
+    unary_count = len(grid) ** len(universe)
+    bivariate_count = len(grid) ** len(universe) ** 2
+    if max(unary_count ** 2, bivariate_count) > LAW_SUITE_CAP:
+        raise SearchSpaceTooLarge(
+            f"{unary_count}^2 sample pairs and {bivariate_count} bivariate subsets"
+            f" (cap {LAW_SUITE_CAP} each); use random sampling for this size")
+    unary = list(grid_fuzzy_subsets(universe, grid, 1))
+    return tuple([(f, g) for f in unary for g in unary]), tuple(grid_fuzzy_subsets(universe, grid, 2))
+
+
 def integral_law_suite(model: WeakProbModel, gen: ModelGenSpec) -> Report:
     """Run the five-law check over grid samples on one model.
 
     Exhaustive mode takes every (f, g) pair and every bivariate subset on
-    the grid (guarded against blowup); random mode takes `gen.count`
-    seeded samples of each shape.
+    the grid (guarded against blowup).  Those samples depend only on the
+    universe and the grid as given, so they are built once per process
+    and kept when small (`LAW_SAMPLES_KEPT`), for the suites of the other
+    measures; they are tuples of frozen subsets.  Random mode takes
+    `gen.count` seeded samples of each shape.
     """
     universe = model.universe
     if gen.exhaustive:
-        unary_count = len(gen.grid) ** len(universe)
-        bivariate_count = len(gen.grid) ** len(universe) ** 2
-        if max(unary_count ** 2, bivariate_count) > LAW_SUITE_CAP:
-            raise SearchSpaceTooLarge(
-                f"{unary_count}^2 sample pairs and {bivariate_count} bivariate subsets"
-                f" (cap {LAW_SUITE_CAP} each); use random sampling for this size")
-        unary = list(grid_fuzzy_subsets(universe, gen.grid, 1))
-        pairs = [(f, g) for f in unary for g in unary]
-        bivariate = list(grid_fuzzy_subsets(universe, gen.grid, 2))
+        pairs, bivariate = _kept(_LAW_SAMPLES, (universe, gen.grid),
+                                 lambda: _exhaustive_law_samples(universe, gen.grid),
+                                 lambda samples: sum(map(len, samples)), LAW_SAMPLES_KEPT, LAW_SAMPLE_SETS_KEPT)
     else:
         rng = random.Random(gen.seed)
         pairs = [

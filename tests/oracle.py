@@ -10,7 +10,8 @@ the compiled evaluator or the satisfaction module.
 
 `law_report` is the same kind of oracle for
 `integrals.check_semantic_integral_laws`, `dissection` for
-`integrals.integral_dissection`, `isomorphic` for `model.isomorphic`, and
+`integrals.integral_dissection`, `layercake` for
+`integrals.integral_layercake`, `isomorphic` for `model.isomorphic`, and
 `grid_model_keys` for `validate.exhaustive_models`.
 The pieces they need (`pointwise`, `set_partitions`, `level_set`, `mass`)
 are defined here, so the oracle imports no code of the modules it checks
@@ -253,6 +254,16 @@ def dissection(f: FuzzySubset, model: WeakProbModel) -> Fraction:
     table = f.values
     return max(sum((min(table[(m,)] for m in block) * mass(model, block) for block in partition), ZERO)
                for partition in set_partitions(list(model.universe)))
+
+
+def layercake(f: FuzzySubset, model: WeakProbModel) -> Fraction:
+    """`integral_layercake` as a `Fraction` loop over the distinct levels 0 < v1 < v2 < ... of f:
+    the sum of (vi - vi-1) * mu{f >= vi}, where {f >= v} holds v itself, unlike the strict `level_set`."""
+    table, total, previous = f.values, ZERO, ZERO
+    for level in sorted(set(table.values()) - {ZERO}):
+        total += (level - previous) * mass(model, [m for m in model.universe if table[(m,)] >= level])
+        previous = level
+    return total
 
 
 def isomorphic(left: WeakProbModel, right: WeakProbModel) -> bool:

@@ -71,6 +71,25 @@ class TestSetPartitions:
             assert flat == [0, 1, 2, 3]
 
 
+@st.composite
+def levelled_subsets(draw):
+    """A unary subset on a model over 1-6 elements, whose weights may be 0.
+
+    The values are k/d for one drawn d up to 12, so they often tie, or the
+    row is all 0s or all 1s.
+    """
+    names = tuple(f"e{i}" for i in range(draw(st.integers(min_value=1, max_value=6))))
+    raw = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=len(names), max_size=len(names)).filter(any))
+    model = WeakProbModel(names, {m: F(w, sum(raw)) for m, w in zip(names, raw)}, {}, {}, {})
+    kind = draw(st.sampled_from(("levels", "zeros", "ones")))
+    if kind == "levels":
+        den = draw(st.integers(min_value=1, max_value=12))
+        values = [F(draw(st.integers(min_value=0, max_value=den)), den) for _ in names]
+    else:
+        values = [F(kind == "ones")] * len(names)
+    return FuzzySubset(names, {(m,): v for m, v in zip(names, values)}), model
+
+
 class TestDissection:
     def test_constant_function(self):
         model = model2()
@@ -118,6 +137,13 @@ class TestDissection:
         f = FuzzySubset(names, {(m,): v for m, v in zip(names, MIXED)})
         assert integral_dissection(f, model) == oracle.dissection(f, model) == integral_expectation(f, model)
 
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=levelled_subsets())
+    def test_splits_match_the_fraction_oracle(self, inputs):
+        """`_best_dissection` on the splits kept per n against the oracle's maximum over every partition."""
+        f, model = inputs
+        assert integral_dissection(f, model) == oracle.dissection(f, model)
+
     def test_universe_cap(self):
         names = tuple(f"e{i}" for i in range(9))
         model = WeakProbModel(names, {n: F(1, 9) for n in names}, {}, {}, {})
@@ -140,6 +166,12 @@ class TestLayercake:
     def test_zero(self):
         model = model2()
         assert integral_layercake(FuzzySubset.constant(model.universe, F(0)), model) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=levelled_subsets())
+    def test_matches_the_fraction_oracle(self, inputs):
+        f, model = inputs
+        assert integral_layercake(f, model) == oracle.layercake(f, model)
 
 
 class TestDirac:
@@ -379,6 +411,30 @@ class TestLawsAgainstFractionLoop:
                                      integral=lambda den, row, form: calls.append(row) or (0, 1))
         # f and ~f once per distinct subset, then f -> g, f (+) g and f (x) g per pair
         assert len(calls) == 2 * len(unary) + 3 * len(pairs)
+
+    def test_integral_call_sequence(self):
+        """Every core call's `den` and row, in order: denominators 1, 2 and 4, two equal subsets, one bivariate."""
+        model = model2(F(1, 4), F(3, 4))
+        crisp, halves, quarters = fs(a=F(1), b=F(0)), fs(a=HALF, b=F(1)), fs(a=F(1, 4), b=HALF)
+        twin = fs(a=F(1, 4), b=HALF)
+        assert twin == quarters and twin is not quarters
+        h = FuzzySubset(model.universe, {("a", "a"): F(1), ("a", "b"): HALF, ("b", "a"): F(0), ("b", "b"): F(3, 4)})
+        pairs = [(crisp, halves), (quarters, crisp), (halves, twin), (twin, quarters), (crisp, quarters)]
+        calls = []
+        check_semantic_integral_laws(model, pairs, [h], constants=(F(1, 3),),
+                                     integral=lambda den, row, form: calls.append((den, tuple(row))) or (0, 1))
+        assert calls == [
+            (3, (1, 1)),  # the constant 1/3
+            (1, (1, 0)), (2, (1, 2)), (1, (0, 1)),  # crisp, halves, ~crisp
+            (2, (1, 2)), (2, (2, 2)), (2, (1, 0)),  # crisp -> halves, (+), (x)
+            (4, (1, 2)), (4, (3, 2)),  # quarters, ~quarters
+            (4, (4, 2)), (4, (4, 2)), (4, (1, 0)),  # quarters -> crisp, (+), (x)
+            (2, (1, 0)),  # ~halves; twin is quarters
+            (4, (3, 2)), (4, (3, 4)), (4, (0, 2)),  # halves -> twin, (+), (x)
+            (4, (4, 4)), (4, (2, 4)), (4, (0, 0)),  # twin -> quarters, (+), (x)
+            (4, (1, 4)), (4, (4, 2)), (4, (1, 0)),  # crisp -> quarters, (+), (x)
+            (16, (4, 11)), (16, (10, 9)),  # h's first slice, then its second
+        ]
 
     @pytest.mark.parametrize("g, error", [
         (FuzzySubset(("a", "c"), {("a",): HALF, ("c",): HALF}), errors.FormatError),

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -645,6 +646,70 @@ class TestPlanCache:
         measures(validate.PLANS_KEPT)  # drops the least recently used plan, that of no constant
         assert len(validate._PLANS) == validate.PLANS_KEPT
         assert measures(1) is kept[1] and measures(0) is not kept[0]
+
+
+def _squared_sup_core(den, row, form):  # deliberately not an integral: it breaks all five laws
+    return max(row) ** 2, den ** 2
+
+
+def _law_suite_outputs(model, spec):
+    report = integral_law_suite(model, spec)
+    return report.checked, json.dumps(report.violations)
+
+
+class TestLawSampleCache:
+    """An exhaustive law suite's samples are built once per process per universe and grid, and kept only when small."""
+
+    SPEC = ModelGenSpec(size=2, exhaustive=True)
+
+    @pytest.mark.parametrize("core", [integrals._expectation, _squared_sup_core])
+    def test_cold_and_kept_samples_give_the_same_report(self, monkeypatch, core):
+        monkeypatch.setattr(validate, "check_semantic_integral_laws",
+                            functools.partial(check_semantic_integral_laws, integral=core))
+        for measure in grid_measures(2, DEFAULT_GRID)[::5]:
+            model = il.WeakProbModel(("a", "b"), measure, {}, {}, {})
+            monkeypatch.setattr(validate, "_LAW_SAMPLES", {})
+            cold = _law_suite_outputs(model, self.SPEC)
+            samples = validate._LAW_SAMPLES[(model.universe, self.SPEC.grid)]
+            kept = _law_suite_outputs(model, self.SPEC)
+            assert validate._LAW_SAMPLES[(model.universe, self.SPEC.grid)] is samples
+            assert kept == cold and cold[0] == 5 + 3 * 625 + 625
+            assert (cold[1] == "[]") == (core is integrals._expectation)
+
+    def test_grid_orders_are_kept_apart(self, monkeypatch):
+        monkeypatch.setattr(validate, "check_semantic_integral_laws",
+                            functools.partial(check_semantic_integral_laws, integral=_squared_sup_core))
+        monkeypatch.setattr(validate, "_LAW_SAMPLES", {})
+        model = il.WeakProbModel(("a", "b"), {"a": F(1, 4), "b": F(3, 4)}, {}, {}, {})
+        grids = [(F(1), F(0)), (F(0), F(1)), (HALF, F(1, 3)), (F(1, 3), HALF)]
+        specs = [ModelGenSpec(size=2, grid=grid, exhaustive=True) for grid in grids]
+        cold = [_law_suite_outputs(model, spec) for spec in specs]
+        assert list(validate._LAW_SAMPLES) == [(model.universe, grid) for grid in grids]
+        assert [_law_suite_outputs(model, spec) for spec in reversed(specs)] == cold[::-1]
+        assert cold[2] != cold[3]  # the constant law's two records follow the grid's order
+
+    def test_large_samples_are_not_kept(self, monkeypatch):
+        monkeypatch.setattr(validate, "_LAW_SAMPLES", {})
+        grid = tuple(F(k, 6) for k in range(7))
+        model = il.WeakProbModel(("a", "b"), {"a": HALF, "b": HALF}, {}, {}, {})
+        report = integral_law_suite(model, ModelGenSpec(size=2, grid=grid, exhaustive=True))
+        assert 7 ** 4 + 7 ** 4 > validate.LAW_SAMPLES_KEPT and report.checked == 7 + 3 * 7 ** 4 + 7 ** 4
+        assert validate._LAW_SAMPLES == {}
+
+    def test_only_a_few_sample_sets_are_kept(self, monkeypatch):
+        monkeypatch.setattr(validate, "_LAW_SAMPLES", {})
+        model = il.WeakProbModel(("a",), {"a": F(1)}, {}, {}, {})
+
+        def samples(k):  # samples of their own per grid
+            spec = ModelGenSpec(size=1, grid=(F(0), F(1, k + 1)), exhaustive=True)
+            integral_law_suite(model, spec)
+            return validate._LAW_SAMPLES.get((model.universe, spec.grid))
+
+        kept = [samples(k) for k in range(validate.LAW_SAMPLE_SETS_KEPT)]
+        assert all(samples(k) is sample for k, sample in enumerate(kept))
+        samples(validate.LAW_SAMPLE_SETS_KEPT)  # drops the least recently used samples, those of grid 0, 1
+        assert len(validate._LAW_SAMPLES) == validate.LAW_SAMPLE_SETS_KEPT
+        assert samples(1) is kept[1] and samples(0) is not kept[0]
 
 
 def _mu1_against_its_right_side_integrated(schema, **parts):
