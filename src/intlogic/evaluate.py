@@ -23,14 +23,18 @@ turns every node into a closure `(view, env) -> int`:
   (`SweepView`), built by the same builder: it is rebuilt once per
   measure and its per-model slots are rewritten in place, only when their
   part of the model changes.  Nothing but the sweep reads it, so no bound
-  formula sees it change.
+  formula sees it change.  The sweep sees only the view's `stage`, its
+  list of writes, its `numerator` and its `scale`.
 - A subformula whose `INT` nesting height is `e` has the value `n / S_e`,
   with `S_e = D * M**e`.  `D` is the form's common denominator of the
   model's tables, raised to the lcm with the formula's truth-constant
   denominators when those do not divide it, and `M` the lcm of the
-  measure's denominators.  The connectives are integer min, max and clamps
-  after aligning their operands by powers of `M`, and `INT` sums the body's
-  numerators times the integer weights `mu(m) * M`.
+  measure's denominators.  Only the evaluator raises `D`: a bind
+  rescales the model's tables the formula reads, and a `SweepView` the
+  grid tables it reads, once per sweep.  The connectives are integer
+  min, max and clamps after aligning their operands by powers of `M`,
+  and `INT` sums the body's numerators times the integer weights
+  `mu(m) * M`.
 
 `compile_integers` gives a bound formula's root numerator and its scale
 `S` on one model, and a `SweepView` the same on the model a sweep last
@@ -415,14 +419,14 @@ class _Compiler:
 class SweepView:
     """A compiled formula's own view for a sweep over the models of one universe and grid.
 
-    A sweep makes one per formula, and nothing else reads it.  `stage(M,
-    weights)` rebuilds, in place, the entries that depend on the measure,
-    and resets every per-model entry to its value for a model that lacks
-    it.  The sweep then writes each model's tables, functions and constants
-    into `values` at the indices `slots` gives, keyed by `(kind, name)`
-    with `kind` one of "predicate", "function" and "constant", and only
-    rewrites a slot when its part of the model changes.  The predicate
-    tables it writes are integers over `den`.  On the model written,
+    A sweep makes one per formula, and nothing else reads it.  The view
+    raises the grid's `den` to its own `D` as `compile_integers` does.
+    Once per sweep, `writes(factors)` hands the sweep the write of every
+    factor the formula reads, with predicate tables already over `D`.
+    Per model, `stage(M, weights)` rebuilds in place the entries that
+    depend on the measure and resets every per-model entry to its value
+    for a model that lacks it; the sweep then carries out the writes of
+    the factors that changed.  On the model written,
     `numerator(elements) / scale` is the formula's value, as
     `compile_integers` gives it.
     """
@@ -430,22 +434,42 @@ class SweepView:
     def __init__(self, formula: Formula, free_names: Sequence[str], universe: tuple[str, ...], den: int):
         self._compiler = compiler = _Compiler(free_names)
         compiler.compile(formula)
-        self._universe = universe
-        self.den = compiler.den(den)  #: the grid's `den`, raised as `compile_integers` raises it
-        self.values: list = []
-        self.numerator = compiler.numerator(self.values)
-        self.slots = {(kind, name): i for i, kind, name, _ in compiler.per_model}
+        self._universe, self._grid_den = universe, den
+        self._den = compiler.den(den)
+        self._values: list = []
+        self.numerator = compiler.numerator(self._values)
+
+    def writes(self, factors: Sequence[tuple]) -> list[tuple]:
+        """`(position, values, slot, choices)` per factor read: model `i` sets `values[slot] = choices[i]`.
+
+        `factors` labels the sweep's positions from 1 on, each as `(kind,
+        name, model choices, view choices)` with `kind` one of "predicate",
+        "function" and "constant"; a predicate's view choices are integer
+        tables over the grid's `den`.  When `D` raises it, the view
+        rescales the tables it reads, for itself alone.
+        """
+        factor = self._den // self._grid_den
+        slots = {(kind, name): i for i, kind, name, _ in self._compiler.per_model}
+        out = []
+        for position, (kind, name, _, choices) in enumerate(factors, 1):
+            slot = slots.get((kind, name))
+            if slot is None:
+                continue
+            if kind == _PREDICATE and factor != 1:
+                choices = [{key: v * factor for key, v in table.items()} for table in choices]
+            out.append((position, self._values, slot, choices))
+        return out
 
     def stage(self, m_den: int, weights: tuple[tuple[str, int], ...]) -> None:
         """Rebuild the view for a measure with this `M` and integer weights."""
         compiler = self._compiler
-        self.values[:] = compiler.blank(self._universe, self.den, m_den)
+        self._values[:] = compiler.blank(self._universe, self._den, m_den)
         if compiler.weights is not None:
-            self.values[compiler.weights] = weights
+            self._values[compiler.weights] = weights
 
     @property
     def scale(self) -> int:
-        return self.values[self._compiler.top]
+        return self._values[self._compiler.top]
 
 
 def compile_integers(formula: Formula,

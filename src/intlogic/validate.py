@@ -11,13 +11,17 @@ Exhaustive mode has one enumeration path, an odometer over factor indices
 (`_Odometer`): one factor for the measure and one per predicate table,
 function table and constant.  The choices of every factor depend only on
 the size, the grid and the arities, and are built once per process
-(`_plan`).  `exhaustive_models` builds a model per step.
+(`_plan`); the odometer labels them with the vocabulary's names and
+copies nothing.  `exhaustive_models` builds a model per step.
 Axiom checks and countermodel search run on the same odometer without
 building models (`_bound_models`): each formula has its own integer view
-(`evaluate.SweepView`), restaged once per measure, whose slots are
-rewritten in place only for the factors that changed.  Verdicts are
-decided on the views' integers, and a `WeakProbModel` is built from the
-indices only for a violation record, a gap witness or a countermodel.
+(`evaluate.SweepView`).  The view hands the odometer its writes once per
+sweep, with predicate tables over the `D` the evaluator chose for the
+formula; the sweep stages it per measure, carries out the writes of the
+factors that changed and reads its `numerator` and `scale`, nothing
+else.  Verdicts are decided on the views' integers, and a
+`WeakProbModel` is built from the indices only for a violation record, a
+gap witness or a countermodel.
 """
 
 from __future__ import annotations
@@ -316,27 +320,23 @@ class _Odometer:
     make up four levels, measure, predicates, functions and constants, on
     which orbit pruning works (`_ties`).
 
-    The choices come from the `_Plan` of the enumeration's shape, which is
-    built once per process (`_plan`); the odometer only labels them with
-    the vocabulary's names.  Each grid table is converted to integers over
-    the grid's lcm `den` once, and each measure once.
+    The choices, the measures and the radices stay on the `_Plan` of the
+    enumeration's shape, which is built once per process (`_plan`).  The
+    odometer only labels the factors after the measure with the
+    vocabulary's names, as `(kind, name, model choices, view choices)`:
+    a predicate's view choices are its grid tables as integers over the
+    grid's lcm, and a function's or constant's are its model choices.
     """
 
     def __init__(self, gen: ModelGenSpec, voc: Vocabulary, eq: bool, orbit_least: bool):
         pred_symbols = _pred_symbols(voc)
-        plan = _plan(gen.size, tuple(sorted(gen.grid)), tuple(arity for _, arity in pred_symbols), eq,
-                     tuple(arity for _, arity in voc.functions), len(voc.constants))
-        self.names, self.den, self.measures = plan.names, plan.den, plan.measures
-        self.radices, self.starts, self.ends = plan.radices, plan.starts, plan.ends
+        plan = self.plan = _plan(gen.size, tuple(sorted(gen.grid)), tuple(arity for _, arity in pred_symbols), eq,
+                                 tuple(arity for _, arity in voc.functions), len(voc.constants))
         labels = [name for name, _ in pred_symbols] + [EQ_PRED] * eq
-        self.tables = [(name, tables) for name, (tables, _) in zip(labels, plan.tables)]
-        self.integers = [(name, integers) for name, (_, integers) in zip(labels, plan.tables)]
-        self.functions = [(name, tables) for (name, _), tables in zip(voc.functions, plan.functions)]
-        self.constants = [(name, self.names) for name in voc.constants]
-        #: (kind, name, choices as a view holds them) of every factor after the measure
-        self.factors = [("predicate", name, choices) for name, choices in self.integers]
-        self.factors += [("function", name, choices) for name, choices in self.functions]
-        self.factors += [("constant", name, choices) for name, choices in self.constants]
+        self.factors = [("predicate", name, *choices) for name, choices in zip(labels, plan.tables)]
+        self.factors += [("function", name, choices, choices)
+                         for (name, _), choices in zip(voc.functions, plan.functions)]
+        self.factors += [("constant", name, plan.names, plan.names) for name in voc.constants]
         # the relabellings not yet known to map the model higher; they are tried level by level
         self.relabellings = plan.relabellings if orbit_least else []
 
@@ -345,27 +345,18 @@ class _Odometer:
 
         `indices` is the odometer's own list, which the next step changes in
         place; `changed` is the least position whose index changed since
-        the model before (0 for the first model).  Before each model, every
-        view is staged for a new measure and then gets the slots of the
-        changed factors rewritten.  For a view whose `den` is not the grid's,
-        each predicate table it reads is rescaled once per sweep.
+        the model before (0 for the first model).  Each view hands in its
+        writes once per sweep (`SweepView.writes`).  Before each model,
+        every view is staged for a new measure and then gets the slots of
+        the changed factors rewritten.
         """
-        radices, ends, relabellings, n = self.radices, self.ends, self.relabellings, len(self.radices)
+        plan, relabellings = self.plan, self.relabellings
+        radices, starts, ends, n = plan.radices, plan.starts, plan.ends, len(plan.radices)
         writes = [[] for _ in range(n)]  #: per position, (view list, slot, choices) of each view reading it
-        scaled = {}
         for view in views:
-            factor = view.den // self.den
-            for position, (kind, name, choices) in enumerate(self.factors, 1):
-                slot = view.slots.get((kind, name))
-                if slot is None:
-                    continue
-                if kind == "predicate" and factor != 1:
-                    if (position, factor) not in scaled:
-                        scaled[position, factor] = [{key: v * factor for key, v in table.items()}
-                                                    for table in choices]
-                    choices = scaled[position, factor]
-                writes[position].append((view.values, slot, choices))
-        level_of = [level for level, (start, end) in enumerate(zip(self.starts, ends)) for _ in range(start, end)]
+            for position, values, slot, choices in view.writes(self.factors):
+                writes[position].append((values, slot, choices))
+        level_of = [level for level, (start, end) in enumerate(zip(starts, ends)) for _ in range(start, end)]
         ties = [relabellings, None, None, None, None]  #: per level, the relabellings tying the levels before
 
         indices = [0] * n
@@ -380,17 +371,32 @@ class _Odometer:
             indices[position] += 1
             return position
 
+        def pruned(level: int) -> int | None:
+            """The first level from `level` on at which a relabelling maps `indices` lower, or None.
+
+            `ties[l + 1]` becomes the relabellings that tie `indices` at the
+            levels up to `l`.
+            """
+            for level in range(level, 4):
+                tied, start, end = ties[level], starts[level], ends[level]
+                if tied and start < end:
+                    tied = _ties(tied, level, tuple(indices[start:end]))
+                    if tied is None:
+                        return level
+                ties[level + 1] = tied
+            return None
+
         changed = position = 0
         while position >= 0:
             if relabellings:
-                level = self._pruned(indices, level_of[position], ties)
+                level = pruned(level_of[position])
                 if level is not None:
                     # no model of this block is orbit-least: skip to the block after it
                     position = step(ends[level] - 1)
                     changed = min(changed, position)
                     continue
             if not changed:
-                _, m_den, weights, _ = self.measures[indices[0]]
+                _, m_den, weights, _ = plan.measures[indices[0]]
                 for view in views:
                     view.stage(m_den, weights)
             for p in range(changed, n):
@@ -400,39 +406,17 @@ class _Odometer:
             yield indices, changed
             position = changed = step(n - 1)
 
-    def _pruned(self, indices: list[int], level: int, ties: list) -> int | None:
-        """The first level from `level` on at which a relabelling maps `indices` lower, or None.
-
-        `ties[l + 1]` becomes the relabellings that tie `indices` at the
-        levels up to `l`.
-        """
-        for level in range(level, 4):
-            tied, start, end = ties[level], self.starts[level], self.ends[level]
-            if tied and start < end:
-                tied = _ties(tied, level, tuple(indices[start:end]))
-                if tied is None:
-                    return level
-            ties[level + 1] = tied
-        return None
-
-    def predicates(self, indices: Sequence[int]) -> tuple[dict, IntegerForm]:
-        """The predicate dict and the integer form of the model at `indices`."""
-        chosen = indices[1:self.starts[2]]
-        predicates = {name: choices[i] for (name, choices), i in zip(self.tables, chosen)}
-        tables = {name: choices[i] for (name, choices), i in zip(self.integers, chosen)}
-        return predicates, IntegerForm(self.den, tables, *self.measures[indices[0]][1:])
-
-    def function_tables(self, indices: Sequence[int]) -> dict:
-        return {name: choices[i] for (name, choices), i in zip(self.functions, indices[self.starts[2]:self.starts[3]])}
-
-    def constant_values(self, indices: Sequence[int]) -> dict:
-        return {name: choices[i] for (name, choices), i in zip(self.constants, indices[self.starts[3]:])}
-
     def model(self, indices: Sequence[int]) -> WeakProbModel:
         """The model at `indices`; it shares the plan's read-only tables and measure."""
-        predicates, form = self.predicates(indices)
-        return WeakProbModel._trusted(self.names, self.measures[indices[0]][0], predicates,
-                                      self.function_tables(indices), self.constant_values(indices), form)
+        parts = {"predicate": {}, "function": {}, "constant": {}}
+        tables = {}
+        for (kind, name, choices, view_choices), i in zip(self.factors, indices[1:]):
+            parts[kind][name] = choices[i]
+            if kind == "predicate":
+                tables[name] = view_choices[i]
+        plan = self.plan
+        measure, *integers = plan.measures[indices[0]]
+        return WeakProbModel._trusted(plan.names, measure, *parts.values(), IntegerForm(plan.den, tables, *integers))
 
 
 def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
@@ -526,7 +510,12 @@ def grid_fuzzy_subsets(universe: Sequence[str], grid: Sequence[Fraction],
 def random_fuzzy_subset(universe: Sequence[str], grid: Sequence[Fraction],
                         rng: random.Random, arity: int = 1) -> FuzzySubset:
     universe = tuple(universe)
-    den, values = _subset_grid(universe, grid, arity)
+    return _random_subset(universe, arity, *_subset_grid(universe, grid, arity), rng)
+
+
+def _random_subset(universe: tuple[str, ...], arity: int, den: int, values: list[int],
+                   rng: random.Random) -> FuzzySubset:
+    """A subset whose every value is drawn from `values`, numerators over `den` as `_subset_grid` gives them."""
     return FuzzySubset._trusted(universe, arity, den, [rng.choice(values) for _ in range(len(universe) ** arity)])
 
 
@@ -556,7 +545,9 @@ def integral_law_suite(model: WeakProbModel, gen: ModelGenSpec) -> Report:
     universe and the grid as given, so they are built once per process
     and kept when small (`LAW_SAMPLES_KEPT`), for the suites of the other
     measures; they are tuples of frozen subsets.  Random mode takes
-    `gen.count` seeded samples of each shape.
+    `gen.count` seeded samples of each shape, the subsets that
+    `random_fuzzy_subset` draws in turn from one seeded generator, with
+    the grid converted once per call.
     """
     universe = model.universe
     if gen.exhaustive:
@@ -565,15 +556,10 @@ def integral_law_suite(model: WeakProbModel, gen: ModelGenSpec) -> Report:
                                  lambda samples: sum(map(len, samples)), LAW_SAMPLES_KEPT, LAW_SAMPLE_SETS_KEPT)
     else:
         rng = random.Random(gen.seed)
-        pairs = [
-            (random_fuzzy_subset(universe, gen.grid, rng),
-             random_fuzzy_subset(universe, gen.grid, rng))
-            for _ in range(gen.count)
-        ]
-        bivariate = [
-            random_fuzzy_subset(universe, gen.grid, rng, arity=2)
-            for _ in range(gen.count)
-        ]
+        den, values = _subset_grid(universe, gen.grid, 1)  # the same for arity 2
+        pairs = [(_random_subset(universe, 1, den, values, rng), _random_subset(universe, 1, den, values, rng))
+                 for _ in range(gen.count)]
+        bivariate = [_random_subset(universe, 2, den, values, rng) for _ in range(gen.count)]
     return check_semantic_integral_laws(model, pairs, bivariate, constants=gen.grid)
 
 
@@ -627,7 +613,7 @@ def _bound_models(formulas: Sequence[Formula], names: Sequence[str], gen: ModelG
             yield (lambda model=model: model), [bind(model) for bind in binds]
         return
     odometer = _Odometer(gen, voc, eq, orbit_least)
-    views = [SweepView(formula, names, odometer.names, odometer.den) for formula in formulas]
+    views = [SweepView(formula, names, odometer.plan.names, odometer.plan.den) for formula in formulas]
     for indices, changed in odometer.sweep(views):
         if not changed:  # a new measure: new scales
             bound = [(view.numerator, view.scale) for view in views]
@@ -635,38 +621,28 @@ def _bound_models(formulas: Sequence[Formula], names: Sequence[str], gen: ModelG
         yield model_at, bound
 
 
-def _axiom_checks(axiom: str, gen: ModelGenSpec) -> Iterator[tuple]:
-    """(model_at, left, right, names, valuations, lhs, rhs, left_scale, right_scale) per instantiation and model.
+def _failures(axiom: str, gen: ModelGenSpec, equality: bool, report: Report) -> Iterator[dict]:
+    """The record of every check of `axiom` where the sides fail, in order.
 
-    Each valuation binds `names` to its elements; the sides' values there
-    are `lhs(elements) / left_scale` and `rhs(elements) / right_scale`.
-    `model_at()` builds the model.  All of it holds only until the next item.
+    A check is an instantiation, a model and a valuation of the sides' free
+    names.  The sides fail where they differ, or without `equality` only
+    where the left side is above the right.  They are compared on
+    integers, scaled to the product of both scales.  `report.checked`
+    counts every check, one model's valuations at a time.
     """
     universe = universe_names(gen.size)
     for inst in _axiom_instantiations(axiom, gen):
         left, right = axiom_sides(axiom, **inst)
-        voc = infer_vocabulary([left, right])
         names = sorted(free_vars(left) | free_vars(right))
         valuations = list(itertools.product(universe, repeat=len(names)))
-        for model_at, ((lhs, left_scale), (rhs, right_scale)) in _bound_models((left, right), names, gen, voc):
-            yield model_at, left, right, names, valuations, lhs, rhs, left_scale, right_scale
-
-
-def _failures(axiom: str, gen: ModelGenSpec, equality: bool, report: Report) -> Iterator[dict]:
-    """The record of every check of `_axiom_checks` where the sides fail, in order.
-
-    The sides fail where they differ, or without `equality` only where the
-    left side is above the right.  They are compared on integers, scaled to
-    the product of both scales.  `report.checked` counts every check, one
-    model's valuations at a time.
-    """
-    for model_at, left, right, names, valuations, lhs, rhs, left_scale, right_scale in _axiom_checks(axiom, gen):
-        report.checked += len(valuations)
-        for elements in valuations:
-            left_value, right_value = lhs(elements) * right_scale, rhs(elements) * left_scale
-            if left_value != right_value and (equality or left_value > right_value):
-                yield _check_record(axiom, model_at, left, right, names, elements, left_value, right_value,
-                                    left_scale * right_scale)
+        for model_at, ((lhs, left_scale), (rhs, right_scale)) in _bound_models(
+                (left, right), names, gen, infer_vocabulary([left, right])):
+            report.checked += len(valuations)
+            for elements in valuations:
+                left_value, right_value = lhs(elements) * right_scale, rhs(elements) * left_scale
+                if left_value != right_value and (equality or left_value > right_value):
+                    yield _check_record(axiom, model_at, left, right, names, elements, left_value, right_value,
+                                        left_scale * right_scale)
 
 
 def _check_record(axiom, model_at, left, right, names, elements, lhs, rhs, scale) -> dict:

@@ -87,6 +87,8 @@ ORACLE_MAY_IMPORT = {
     "intlogic.integrals": set(),
     "intlogic.satisfaction": {"LevelConfig"},
     "intlogic.model": {"FuzzySubset", "WeakProbModel"},
+    "intlogic.validate": set(),
+    "intlogic.evaluate": set(),
 }
 
 

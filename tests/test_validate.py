@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -314,6 +315,15 @@ class TestClosureProperties:
         assert report.ok
 
 
+def _squared_sup_core(den, row, form):  # deliberately not an integral: it breaks all five laws
+    return max(row) ** 2, den ** 2
+
+
+def _law_suite_outputs(model, spec):
+    report = integral_law_suite(model, spec)
+    return report.checked, json.dumps(report.violations)
+
+
 class TestIntegralLawSuite:
     def test_exhaustive_on_two_elements(self):
         model = il.WeakProbModel(("a", "b"), {"a": HALF, "b": HALF},
@@ -327,6 +337,22 @@ class TestIntegralLawSuite:
                                  {"a": F(1, 3), "b": F(1, 3), "c": F(1, 3)}, {}, {}, {})
         report = integral_law_suite(model, ModelGenSpec(size=3, seed=4, count=50))
         assert report.ok
+
+    @pytest.mark.parametrize("core", [integrals._expectation, _squared_sup_core])
+    def test_random_suite_converts_the_grid_once(self, monkeypatch, core):
+        monkeypatch.setattr(validate, "check_semantic_integral_laws",
+                            functools.partial(check_semantic_integral_laws, integral=core))
+        model = il.WeakProbModel(("a", "b", "c"), {"a": F(1, 6), "b": HALF, "c": F(1, 3)}, {}, {}, {})
+        spec = ModelGenSpec(size=3, seed=7, count=20)
+        rng = random.Random(spec.seed)
+        pairs = [(random_fuzzy_subset(model.universe, spec.grid, rng),
+                  random_fuzzy_subset(model.universe, spec.grid, rng)) for _ in range(spec.count)]
+        bivariate = [random_fuzzy_subset(model.universe, spec.grid, rng, arity=2) for _ in range(spec.count)]
+        expected = validate.check_semantic_integral_laws(model, pairs, bivariate, constants=spec.grid)
+        calls, subset_grid = [], validate._subset_grid
+        monkeypatch.setattr(validate, "_subset_grid", lambda *args: calls.append(args) or subset_grid(*args))
+        assert _law_suite_outputs(model, spec) == (expected.checked, json.dumps(expected.violations))
+        assert len(calls) == 1 and (expected.violations == []) == (core is integrals._expectation)
 
     def test_exhaustive_guard(self):
         names = universe_names(8)
@@ -525,6 +551,24 @@ class TestSweepDifferential:
             found = type(exc).__name__
         assert found == expected, il.print_formula(sentence)
 
+    def test_each_view_raises_its_own_den(self):
+        # 1/3 and 2/7 are off the default grid: the views' D are 12 and 28, over the grid's 4
+        names = ("x",)
+        formulas = [il.parse_formula("P(x) & rat(1/3)"), il.parse_formula("(INT (P(y) -> rat(2/7)) dy) |+| Q(x)")]
+        voc = infer_vocabulary(formulas)
+        valuations = [(m,) for m in universe_names(2)]
+        binds = [compile_integers(formula, names) for formula in formulas]
+        models = 0
+        for model_at, bound in validate._bound_models(formulas, names, SIZE2, voc):
+            model = model_at()
+            assert [_outcomes(b, valuations) for b in bound] == [_outcomes(bind(model), valuations) for bind in binds]
+            assert [scale % k for (_, scale), k in zip(bound, (3, 7))] == [0, 0]
+            models += 1
+        assert models == 13 * 25 * 25
+        shape = (2, DEFAULT_GRID, (1, 1), False, (), 0)
+        kept, fresh = validate._PLANS[shape], validate._Plan(*shape)
+        assert [integers for _, integers in kept.tables] == [integers for _, integers in fresh.tables]
+
 
 class TestSweepResults:
     """The exact results of the size-2 exhaustive sweeps."""
@@ -549,14 +593,25 @@ class TestSweepResults:
     def test_models_from_indices(self, spec, voc, eq, orbit_least):
         odometer = validate._Odometer(spec, voc, eq, orbit_least)
         enumerated = list(exhaustive_models(spec, voc, eq, orbit_least=orbit_least))
-        built = [odometer.model(indices) for indices, _ in odometer.sweep()]
-        assert len(built) == len(enumerated) > 100
-        for model, expected in zip(built, enumerated):
+        steps = [(tuple(indices), odometer.model(indices)) for indices, _ in odometer.sweep()]
+        assert len(steps) == len(enumerated) > 100
+        plan = odometer.plan
+        for (indices, model), expected in zip(steps, enumerated):
             assert model_to_json(model) == model_to_json(expected)
             assert integer_form(model) == integer_form(expected)
             assert integer_form(model).weight_row == tuple(w for _, w in integer_form(model).weights)
             assert model == WeakProbModel(model.universe, model.measure, model.predicates, model.functions,
                                           model.constants)
+            # every table and the measure is the plan's own read-only object, not a copy per model
+            chosen = iter(indices[1:])
+            shared = [(model.measure, plan.measures[indices[0]][0])]
+            for name, (tables, integers) in zip(model.predicates, plan.tables):
+                i = next(chosen)
+                shared += [(model.predicates[name], tables[i]), (integer_form(model).tables[name], integers[i])]
+            shared += [(model.functions[name], tables[next(chosen)])
+                       for name, tables in zip(model.functions, plan.functions)]
+            assert len(shared) == 1 + 2 * len(model.predicates) + len(model.functions)
+            assert all(part is own and isinstance(own, MappingProxyType) for part, own in shared)
 
 
 @st.composite
@@ -634,11 +689,11 @@ class TestPlanCache:
         monkeypatch.setattr(validate, "_PLANS", {})
         big = validate._Odometer(ModelGenSpec(size=3, grid=(F(0), HALF, F(1)), exhaustive=True),
                                  Vocabulary(predicates=(("R", 2),)), False, False)
-        assert sum(big.radices) > validate.PLAN_CHOICES_KEPT and validate._PLANS == {}
+        assert sum(big.plan.radices) > validate.PLAN_CHOICES_KEPT and validate._PLANS == {}
 
         def measures(constants):  # a plan of its own per number of constants
             voc = Vocabulary(constants=tuple(f"c{i}" for i in range(constants)))
-            return validate._Odometer(ModelGenSpec(size=1, exhaustive=True), voc, False, False).measures
+            return validate._Odometer(ModelGenSpec(size=1, exhaustive=True), voc, False, False).plan.measures
 
         kept = [measures(n) for n in range(validate.PLANS_KEPT)]
         assert [measures(n) for n in range(validate.PLANS_KEPT)] == kept
@@ -646,15 +701,6 @@ class TestPlanCache:
         measures(validate.PLANS_KEPT)  # drops the least recently used plan, that of no constant
         assert len(validate._PLANS) == validate.PLANS_KEPT
         assert measures(1) is kept[1] and measures(0) is not kept[0]
-
-
-def _squared_sup_core(den, row, form):  # deliberately not an integral: it breaks all five laws
-    return max(row) ** 2, den ** 2
-
-
-def _law_suite_outputs(model, spec):
-    report = integral_law_suite(model, spec)
-    return report.checked, json.dumps(report.violations)
 
 
 class TestLawSampleCache:
