@@ -170,10 +170,15 @@ def integer_table(table: PredTable, den: int) -> dict[tuple[str, ...], int]:
     return {key: v.numerator * (den // v.denominator) for key, v in table.items()}
 
 
+def integer_row(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """`(den, row)`: `den` the lcm of the values' denominators, `row` each value times `den`."""
+    den = lcm(*{v.denominator for v in values})
+    return den, tuple([v.numerator * (den // v.denominator) for v in values])
+
+
 def integer_weights(universe: tuple[str, ...], measure: Mapping[str, Fraction]) -> tuple[int, tuple, tuple]:
     """`(M, weights, weight_row)` of an `IntegerForm` for this measure."""
-    m_den = lcm(*[w.denominator for w in measure.values()])
-    row = tuple([measure[m].numerator * (m_den // measure[m].denominator) for m in universe])
+    m_den, row = integer_row([measure[m] for m in universe])
     return m_den, tuple(zip(universe, row)), row
 
 
@@ -239,12 +244,11 @@ class FuzzySubset:
     def __post_init__(self, table):
         universe = tuple(self.universe)
         checked, arity = _checked_table("fuzzy subset", table, universe, unit)
-        values = [checked[key] for key in itertools.product(universe, repeat=arity)]
-        den = lcm(*{v.denominator for v in values})
+        den, row = integer_row([checked[key] for key in itertools.product(universe, repeat=arity)])
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "row", tuple([v.numerator * (den // v.denominator) for v in values]))
+        object.__setattr__(self, "row", row)
 
     @property
     def values(self) -> dict[tuple[str, ...], Fraction]:

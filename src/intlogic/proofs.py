@@ -163,7 +163,11 @@ def matches_axiom(schema: str, formula: Formula) -> bool:
 
 
 def _check_line(script: ProofScript, number: int) -> str | None:
-    """Reason the 1-based line `number` is invalid, or None when it checks out."""
+    """Reason the 1-based line `number` is invalid, or None when it checks out.
+
+    A rule's cited lines are checked first, in citation order, so modus
+    ponens reports a bad antecedent before a bad implication.
+    """
     line = script.lines[number - 1]
     just = line.justification
 
@@ -175,55 +179,34 @@ def _check_line(script: ProofScript, number: int) -> str | None:
             return f"formula does not instantiate axiom {just.schema}"
         return None
 
-    def earlier(reference: int) -> Formula | str:
-        if not (1 <= reference < number):
+    if isinstance(just, ModusPonens):
+        cited = (just.antecedent, just.implication)
+    elif isinstance(just, (Generalization, IntegralIntro, IntegralMono)):
+        cited = (just.source,)
+    else:
+        return f"unknown justification {just!r}"
+    for reference in cited:
+        if not 1 <= reference < number:
             return f"reference {reference} is not an earlier line"
-        return script.lines[reference - 1].formula
+    source = script.lines[cited[0] - 1].formula
 
     if isinstance(just, ModusPonens):
-        antecedent = earlier(just.antecedent)
-        if isinstance(antecedent, str):
-            return antecedent
-        implication = earlier(just.implication)
-        if isinstance(implication, str):
-            return implication
-        if implication != Implies(antecedent, line.formula):
+        if script.lines[just.implication - 1].formula != Implies(source, line.formula):
             return (
                 f"line {just.implication} is not the implication "
                 f"(line {just.antecedent} -> this line)"
             )
-        return None
-
-    if isinstance(just, Generalization):
-        source = earlier(just.source)
-        if isinstance(source, str):
-            return source
+    elif isinstance(just, Generalization):
         if line.formula != Forall(just.var, source):
             return f"formula is not ALL {just.var}. (line {just.source})"
-        return None
-
-    if isinstance(just, IntegralIntro):
-        source = earlier(just.source)
-        if isinstance(source, str):
-            return source
+    elif isinstance(just, IntegralIntro):
         if line.formula != Integral(just.var, source):
             return f"formula is not INT (line {just.source}) d{just.var}"
-        return None
-
-    if isinstance(just, IntegralMono):
-        source = earlier(just.source)
-        if isinstance(source, str):
-            return source
-        if not isinstance(source, Implies):
-            return f"line {just.source} is not an implication"
-        expected = Implies(
-            Integral(just.var, source.left), Integral(just.var, source.right)
-        )
-        if line.formula != expected:
-            return "formula is not the integral-monotonicity consequence"
-        return None
-
-    return f"unknown justification {just!r}"
+    elif not isinstance(source, Implies):
+        return f"line {just.source} is not an implication"
+    elif line.formula != Implies(Integral(just.var, source.left), Integral(just.var, source.right)):
+        return "formula is not the integral-monotonicity consequence"
+    return None
 
 
 def check_proof(script: ProofScript) -> Report:

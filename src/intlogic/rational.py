@@ -1,4 +1,4 @@
-"""Exact rational truth values in [0, 1] and the Lukasiewicz operations on them.
+"""Exact rational truth values in [0, 1]: range checks, parsing and printing.
 
 Truth values and measure weights are `fractions.Fraction` throughout, so
 every comparison downstream is exact; floats never enter the computation.
@@ -45,29 +45,3 @@ def format_rational(q: Fraction) -> str:
     """Serialize a Fraction as the canonical "p/q" (or integer "p") string."""
     return str(q)
 
-
-# Lukasiewicz truth functions.  All arguments are assumed to be in [0, 1].
-
-def neg(x: Fraction) -> Fraction:
-    return ONE - x
-
-
-def implies(x: Fraction, y: Fraction) -> Fraction:
-    """x -> y = min(1, 1 - x + y); equals 1 exactly when x <= y."""
-    return min(ONE, ONE - x + y)
-
-
-def weak_and(x: Fraction, y: Fraction) -> Fraction:
-    return min(x, y)
-
-
-def weak_or(x: Fraction, y: Fraction) -> Fraction:
-    return max(x, y)
-
-
-def strong_and(x: Fraction, y: Fraction) -> Fraction:
-    return max(ZERO, x + y - ONE)
-
-
-def strong_or(x: Fraction, y: Fraction) -> Fraction:
-    return min(ONE, x + y)

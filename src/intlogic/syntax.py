@@ -90,23 +90,23 @@ class Vocabulary:
 
     def merged(self, other: "Vocabulary") -> "Vocabulary":
         """Union of two vocabularies; arities must agree on shared names."""
-        preds = dict(self.predicates)
-        for n, a in other.predicates:
-            if preds.get(n, a) != a:
-                raise ArityMismatch(f"predicate {n!r} declared with arities {preds[n]} and {a}")
-            preds[n] = a
-        funcs = dict(self.functions)
-        for n, a in other.functions:
-            if funcs.get(n, a) != a:
-                raise ArityMismatch(f"function {n!r} declared with arities {funcs[n]} and {a}")
-            funcs[n] = a
         consts = list(self.constants) + [c for c in other.constants if c not in self.constants]
         return Vocabulary(
-            tuple(sorted(preds.items())),
-            tuple(sorted(funcs.items())),
+            _arity_union("predicate", self.predicates, other.predicates),
+            _arity_union("function", self.functions, other.functions),
             tuple(consts),
             has_approx=self.has_approx or other.has_approx,
         )
+
+
+def _arity_union(kind: str, mine: tuple[tuple[str, int], ...],
+                 theirs: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
+    """The `(name, arity)` pairs of both, sorted; a name shared with two arities is an error."""
+    arities = dict(mine)
+    for n, a in theirs:
+        if arities.setdefault(n, a) != a:
+            raise ArityMismatch(f"{kind} {n!r} declared with arities {arities[n]} and {a}")
+    return tuple(sorted(arities.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +389,18 @@ def _collect_term_symbols(term: Term, funcs: dict, consts: set) -> None:
             _collect_term_symbols(arg, funcs, consts)
 
 
+def _as_list(formulas: Formula | Iterable[Formula]) -> Iterable[Formula]:
+    """The formulas given; a single formula is a list of one."""
+    return formulas if isinstance(formulas, (list, tuple, set, frozenset)) else [formulas]
+
+
 def infer_vocabulary(formulas: Formula | Iterable[Formula]) -> Vocabulary:
     """The minimal vocabulary over which the given formulas are well-formed."""
-    if not isinstance(formulas, (list, tuple, set, frozenset)):
-        formulas = [formulas]
     preds: dict[str, int] = {}
     funcs: dict[str, int] = {}
     consts: set[str] = set()
     has_approx = False
-    for root in formulas:
+    for root in _as_list(formulas):
         for sub in subformulas(root):
             if isinstance(sub, Atom):
                 if sub.pred == APPROX_PRED:
@@ -420,10 +423,8 @@ def infer_vocabulary(formulas: Formula | Iterable[Formula]) -> Vocabulary:
 
 def mentions_eq(formulas: Formula | Iterable[Formula]) -> bool:
     """True when an atom of the formulas uses the term-equality predicate `eq`."""
-    if not isinstance(formulas, (list, tuple, set, frozenset)):
-        formulas = [formulas]
     return any(isinstance(sub, Atom) and sub.pred == EQ_PRED
-               for root in formulas for sub in subformulas(root))
+               for root in _as_list(formulas) for sub in subformulas(root))
 
 
 # ---------------------------------------------------------------------------

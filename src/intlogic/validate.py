@@ -51,6 +51,7 @@ from .model import (
     FuzzySubset,
     IntegerForm,
     WeakProbModel,
+    integer_row,
     integer_table,
     integer_weights,
     model_to_json,
@@ -480,7 +481,7 @@ def generate_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Ite
 # Fuzzy-subset samples for the integral-law suite
 
 
-def _subset_grid(universe: tuple[str, ...], grid: Sequence[Fraction], arity: int) -> tuple[int, list[int]]:
+def _subset_grid(universe: tuple[str, ...], grid: Sequence[Fraction], arity: int) -> tuple[int, tuple[int, ...]]:
     """The sorted grid as checked values over their lcm, once the universe and arity are checked too.
 
     Every row over them is then a valid fuzzy subset, so the callers build
@@ -493,9 +494,7 @@ def _subset_grid(universe: tuple[str, ...], grid: Sequence[Fraction], arity: int
         raise TableIncomplete("a universe with repeated elements has too few distinct tuples")
     if arity < 1:
         raise FormatError("fuzzy subset must have arity >= 1")
-    values = [unit(v) for v in sorted(grid)]
-    den = lcm(*[v.denominator for v in values])
-    return den, [v.numerator * (den // v.denominator) for v in values]
+    return integer_row([unit(v) for v in sorted(grid)])
 
 
 def grid_fuzzy_subsets(universe: Sequence[str], grid: Sequence[Fraction],
@@ -513,16 +512,17 @@ def random_fuzzy_subset(universe: Sequence[str], grid: Sequence[Fraction],
     return _random_subset(universe, arity, *_subset_grid(universe, grid, arity), rng)
 
 
-def _random_subset(universe: tuple[str, ...], arity: int, den: int, values: list[int],
+def _random_subset(universe: tuple[str, ...], arity: int, den: int, values: Sequence[int],
                    rng: random.Random) -> FuzzySubset:
     """A subset whose every value is drawn from `values`, numerators over `den` as `_subset_grid` gives them."""
     return FuzzySubset._trusted(universe, arity, den, [rng.choice(values) for _ in range(len(universe) ** arity)])
 
 
-LAW_SAMPLES_KEPT = 2048  #: the most pairs plus bivariate subsets of an exhaustive law sample kept for later suites
-LAW_SAMPLE_SETS_KEPT = 4  #: the most exhaustive law samples kept at once
+LAW_SAMPLES_KEPT = 2048  #: the most pairs plus bivariate subsets of a law sample kept for later suites
+LAW_SAMPLE_SETS_KEPT = 4  #: the most law samples kept at once
 
-_LAW_SAMPLES: dict[tuple, tuple] = {}  #: the samples kept, by universe and grid, least recently used first
+#: the samples kept, by universe and grid (and seed and count in random mode), least recently used first
+_LAW_SAMPLES: dict[tuple, tuple] = {}
 
 
 def _exhaustive_law_samples(universe: tuple[str, ...], grid: tuple[Fraction, ...]) -> tuple[tuple, tuple]:
@@ -537,29 +537,34 @@ def _exhaustive_law_samples(universe: tuple[str, ...], grid: tuple[Fraction, ...
     return tuple([(f, g) for f in unary for g in unary]), tuple(grid_fuzzy_subsets(universe, grid, 2))
 
 
+def _random_law_samples(universe: tuple[str, ...], gen: ModelGenSpec) -> tuple[tuple, tuple]:
+    """`gen.count` seeded `(f, g)` pairs, then as many bivariate subsets, drawn in turn from one generator."""
+    rng = random.Random(gen.seed)
+    den, values = _subset_grid(universe, gen.grid, 1)  # the same for arity 2
+    pairs = tuple([(_random_subset(universe, 1, den, values, rng), _random_subset(universe, 1, den, values, rng))
+                   for _ in range(gen.count)])
+    return pairs, tuple([_random_subset(universe, 2, den, values, rng) for _ in range(gen.count)])
+
+
 def integral_law_suite(model: WeakProbModel, gen: ModelGenSpec) -> Report:
     """Run the five-law check over grid samples on one model.
 
     Exhaustive mode takes every (f, g) pair and every bivariate subset on
-    the grid (guarded against blowup).  Those samples depend only on the
-    universe and the grid as given, so they are built once per process
+    the grid (guarded against blowup).  Random mode takes `gen.count`
+    seeded samples of each shape, the subsets that `random_fuzzy_subset`
+    draws in turn from one seeded generator, with the grid converted once.
+    The samples depend only on the universe and the grid as given, and in
+    random mode the seed and the count, so they are built once per process
     and kept when small (`LAW_SAMPLES_KEPT`), for the suites of the other
-    measures; they are tuples of frozen subsets.  Random mode takes
-    `gen.count` seeded samples of each shape, the subsets that
-    `random_fuzzy_subset` draws in turn from one seeded generator, with
-    the grid converted once per call.
+    measures; they are tuples of frozen subsets.
     """
     universe = model.universe
     if gen.exhaustive:
-        pairs, bivariate = _kept(_LAW_SAMPLES, (universe, gen.grid),
-                                 lambda: _exhaustive_law_samples(universe, gen.grid),
-                                 lambda samples: sum(map(len, samples)), LAW_SAMPLES_KEPT, LAW_SAMPLE_SETS_KEPT)
+        key, build = (universe, gen.grid), lambda: _exhaustive_law_samples(universe, gen.grid)
     else:
-        rng = random.Random(gen.seed)
-        den, values = _subset_grid(universe, gen.grid, 1)  # the same for arity 2
-        pairs = [(_random_subset(universe, 1, den, values, rng), _random_subset(universe, 1, den, values, rng))
-                 for _ in range(gen.count)]
-        bivariate = [_random_subset(universe, 2, den, values, rng) for _ in range(gen.count)]
+        key, build = (universe, gen.grid, gen.seed, gen.count), lambda: _random_law_samples(universe, gen)
+    pairs, bivariate = _kept(_LAW_SAMPLES, key, build, lambda samples: sum(map(len, samples)),
+                             LAW_SAMPLES_KEPT, LAW_SAMPLE_SETS_KEPT)
     return check_semantic_integral_laws(model, pairs, bivariate, constants=gen.grid)
 
 
@@ -751,24 +756,14 @@ def check_abstract_logic_properties(gen: ModelGenSpec, pool: Sequence[Formula]) 
 
         for sentence, value_in, renamed_value_in, sentence_voc, monotone in sentences:
             base = _outcome(lambda: value_in(model))
-
-            report.tally()
-            iso = _outcome(lambda: value_in(relabeled))
-            if iso != base:
-                report.add("isomorphism-variance", model=m_index,
-                           sentence=print_formula(sentence), base=str(base), image=str(iso))
-
-            report.tally()
-            ren = _outcome(lambda: renamed_value_in(renamed_model))
-            if ren != base:
-                report.add("renaming-variance", model=m_index,
-                           sentence=print_formula(sentence), base=str(base), image=str(ren))
-
-            report.tally()
-            red = _outcome(lambda: value_in(reduct(model, sentence_voc)))
-            if red != base:
-                report.add("reduct-variance", model=m_index,
-                           sentence=print_formula(sentence), base=str(base), image=str(red))
+            for kind, image in (("isomorphism", lambda: value_in(relabeled)),
+                                ("renaming", lambda: renamed_value_in(renamed_model)),
+                                ("reduct", lambda: value_in(reduct(model, sentence_voc)))):
+                report.tally()
+                outcome = _outcome(image)
+                if outcome != base:
+                    report.add(f"{kind}-variance", model=m_index,
+                               sentence=print_formula(sentence), base=str(base), image=str(outcome))
 
             report.tally()
             if not monotone:

@@ -13,9 +13,10 @@ the compiled evaluator or the satisfaction module.
 `integrals.integral_dissection`, `layercake` for
 `integrals.integral_layercake`, `isomorphic` for `model.isomorphic`, and
 `grid_model_keys` for `validate.exhaustive_models`.
-The pieces they need (`pointwise`, `set_partitions`, `level_set`, `mass`)
-are defined here, so the oracle imports no code of the modules it checks
-but `LevelConfig`, the parameter type of `hsat_qeq`.
+The pieces they need (the Lukasiewicz connectives on `Fraction`s,
+`pointwise`, `set_partitions`, `level_set`, `mass`) are defined here, so
+the oracle imports no code of the modules it checks but `LevelConfig`, the
+parameter type of `hsat_qeq`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from intlogic.errors import (
     UnknownSymbol,
 )
 from intlogic.model import FuzzySubset, WeakProbModel
-from intlogic.rational import DEFAULT_GRID, ONE, ZERO, implies, neg, strong_and, strong_or, weak_and, weak_or
+from intlogic.rational import DEFAULT_GRID, ONE, ZERO
 from intlogic.reporting import Report
 from intlogic.satisfaction import LevelConfig
 from intlogic.syntax import (
@@ -57,6 +58,33 @@ from intlogic.syntax import (
     Vocabulary,
     free_vars,
 )
+
+
+# Lukasiewicz truth functions.  All arguments are assumed to be in [0, 1].
+
+def neg(x: Fraction) -> Fraction:
+    return ONE - x
+
+
+def implies(x: Fraction, y: Fraction) -> Fraction:
+    """x -> y = min(1, 1 - x + y); equals 1 exactly when x <= y."""
+    return min(ONE, ONE - x + y)
+
+
+def weak_and(x: Fraction, y: Fraction) -> Fraction:
+    return min(x, y)
+
+
+def weak_or(x: Fraction, y: Fraction) -> Fraction:
+    return max(x, y)
+
+
+def strong_and(x: Fraction, y: Fraction) -> Fraction:
+    return max(ZERO, x + y - ONE)
+
+
+def strong_or(x: Fraction, y: Fraction) -> Fraction:
+    return min(ONE, x + y)
 
 
 def eval_term(term: Term, model: WeakProbModel, valuation) -> str:
@@ -190,7 +218,7 @@ def law_report(model: WeakProbModel, pairs=(), bivariate=(), constants=DEFAULT_G
     """`check_semantic_integral_laws`, one `Fraction` loop with no integer rows and no sharing.
 
     `integral(subset, model)` returns a `Fraction`.  Every derived subset is
-    built by `pointwise` with the `rational` connectives, and slices as
+    built by `pointwise` with this module's connectives, and slices as
     `Fraction` sums; `integral` is called afresh for every side of every law.
     """
     report = Report()

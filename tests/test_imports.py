@@ -89,6 +89,7 @@ ORACLE_MAY_IMPORT = {
     "intlogic.model": {"FuzzySubset", "WeakProbModel"},
     "intlogic.validate": set(),
     "intlogic.evaluate": set(),
+    "intlogic.rational": {"DEFAULT_GRID", "ONE", "ZERO"},
 }
 
 

@@ -23,11 +23,11 @@ from intlogic.integrals import (
     slice_second,
 )
 from intlogic.model import FuzzySubset, WeakProbModel, integer_form, mu_set, truth_set
-from intlogic.rational import DEFAULT_GRID, implies
+from intlogic.rational import DEFAULT_GRID
 from intlogic.validate import grid_fuzzy_subsets, grid_measures
 
 import oracle
-from oracle import pointwise
+from oracle import implies, pointwise
 
 F = Fraction
 HALF = F(1, 2)

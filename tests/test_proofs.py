@@ -89,6 +89,26 @@ class TestRules:
         assert first_invalid_line(check_proof(proof)) == 2
 
 
+# line 3 of a four-line script, by rule and by which reference is bad; the other references are good
+BAD_REFERENCE_LINES = {
+    "mp-antecedent": lambda bad: (Q, ModusPonens(bad, 2)),
+    "mp-implication": lambda bad: (Q, ModusPonens(1, bad)),
+    "mp-both": lambda bad: (Q, ModusPonens(bad, -1)),  # the antecedent is reported first
+    "gen": lambda bad: (Forall("x", P), Generalization(bad, "x")),
+    "int-intro": lambda bad: (Integral("x", P), IntegralIntro(bad, "x")),
+    "int-mono": lambda bad: (Implies(Integral("x", P), Integral("x", Q)), IntegralMono(bad, "x")),
+}
+
+
+@pytest.mark.parametrize("bad", [4, 3, 0], ids=["forward", "self", "zero"])
+@pytest.mark.parametrize("rule", sorted(BAD_REFERENCE_LINES))
+def test_bad_reference_records(rule, bad):
+    proof = script((P, Premise()), (Implies(P, Q), Premise()), BAD_REFERENCE_LINES[rule](bad), (P, Premise()))
+    report = check_proof(proof)
+    assert report.checked == 4
+    assert report.violations == [{"kind": "invalid-line", "line": 3, "reason": f"reference {bad} is not an earlier line"}]
+
+
 class TestAxiomMatching:
     def test_every_schema_matches_its_instances(self):
         cases = {

@@ -58,6 +58,20 @@ class TestVocabulary:
         with pytest.raises(errors.ArityMismatch):
             a.merged(b)
 
+    def test_merged_is_the_union(self):
+        a = Vocabulary(predicates=(("Q", 2), ("P", 1)), functions=(("g", 1),), constants=("d", "c"))
+        b = Vocabulary(predicates=(("R", 1), ("P", 1)), functions=(("f", 2), ("g", 1)), constants=("e", "c"),
+                       has_approx=True)
+        assert a.merged(b) == Vocabulary(predicates=(("P", 1), ("Q", 2), ("R", 1)),
+                                         functions=(("f", 2), ("g", 1)), constants=("d", "c", "e"), has_approx=True)
+
+    @pytest.mark.parametrize("kind, field", [("predicate", "predicates"), ("function", "functions")])
+    def test_merged_conflict_names_the_symbol(self, kind, field):
+        a = Vocabulary(**{field: (("S", 1), ("T", 3))})
+        b = Vocabulary(**{field: (("T", 2),)})
+        with pytest.raises(errors.ArityMismatch, match=f"^{kind} 'T' declared with arities 3 and 2$"):
+            a.merged(b)
+
 
 class TestFreeVars:
     def test_single_free_occurrence(self):

@@ -21,7 +21,7 @@ from intlogic.model import (
     relabel_universe,
 )
 from intlogic.proofs import axiom_sides
-from intlogic.rational import DEFAULT_GRID, implies, neg, strong_and, strong_or
+from intlogic.rational import DEFAULT_GRID
 from intlogic.syntax import (
     And,
     Atom,
@@ -57,7 +57,7 @@ from intlogic.validate import (
 )
 
 import oracle
-from oracle import pointwise
+from oracle import implies, neg, pointwise, strong_and, strong_or
 
 F = Fraction
 HALF = F(1, 2)
@@ -314,6 +314,37 @@ class TestClosureProperties:
         report = check_abstract_logic_properties(ModelGenSpec(size=2, seed=8, count=10), pool)
         assert report.ok
 
+    # (model, sentence, base, image) of each variance when one image flips its first table entry, P(a)
+    FLIPPED_P_A = {
+        "relabel_universe": ("isomorphism", [(0, 0, "2, 5", "4, 5"), (2, 0, "1, 1", "1, 4")]),
+        "rename": ("renaming", [(0, 0, "2, 5", "1, 5"), (0, 1, "1, 1", "1, 4"), (1, 0, "1, 1", "0, 1"),
+                                (1, 1, "3, 4", "0, 1"), (2, 0, "1, 1", "3, 4")]),
+        "reduct": ("reduct", [(0, 0, "2, 5", "1, 5"), (0, 1, "1, 1", "1, 4"), (1, 0, "1, 1", "0, 1"),
+                              (1, 1, "3, 4", "0, 1"), (2, 0, "1, 1", "3, 4")]),
+    }
+
+    @pytest.mark.parametrize("image", sorted(FLIPPED_P_A))
+    def test_variance_records(self, monkeypatch, image):
+        def flipped(*args):
+            model = original(*args)
+            name = min(model.predicates)
+            table = model.predicates[name]
+            key = min(table)
+            predicates = {**model.predicates, name: {**table, key: 1 - table[key]}}
+            return il.WeakProbModel(model.universe, model.measure, predicates, model.functions, model.constants)
+
+        original = getattr(validate, image)
+        monkeypatch.setattr(validate, image, flipped)
+        voc = Vocabulary(predicates=(("P", 1), ("Q", 1)), constants=("c",))
+        pool = [il.parse_formula("INT P(x) dx", voc), il.parse_formula("Q(c) & EX x. P(x)", voc)]
+        report = check_abstract_logic_properties(ModelGenSpec(size=2, seed=3, count=3), pool)
+        kind, records = self.FLIPPED_P_A[image]
+        expected = [{"kind": f"{kind}-variance", "model": model, "sentence": il.print_formula(pool[sentence]),
+                     "base": f"('value', Fraction({base}))", "image": f"('value', Fraction({value}))"}
+                    for model, sentence, base, value in records]
+        assert report.checked == 3 * 2 * 4
+        assert json.dumps(report.violations) == json.dumps(expected)
+
 
 def _squared_sup_core(den, row, form):  # deliberately not an integral: it breaks all five laws
     return max(row) ** 2, den ** 2
@@ -351,8 +382,11 @@ class TestIntegralLawSuite:
         expected = validate.check_semantic_integral_laws(model, pairs, bivariate, constants=spec.grid)
         calls, subset_grid = [], validate._subset_grid
         monkeypatch.setattr(validate, "_subset_grid", lambda *args: calls.append(args) or subset_grid(*args))
+        monkeypatch.setattr(validate, "_LAW_SAMPLES", {})
         assert _law_suite_outputs(model, spec) == (expected.checked, json.dumps(expected.violations))
         assert len(calls) == 1 and (expected.violations == []) == (core is integrals._expectation)
+        assert _law_suite_outputs(model, spec) == (expected.checked, json.dumps(expected.violations))
+        assert len(calls) == 1  # the second suite takes the kept samples
 
     def test_exhaustive_guard(self):
         names = universe_names(8)
@@ -704,7 +738,8 @@ class TestPlanCache:
 
 
 class TestLawSampleCache:
-    """An exhaustive law suite's samples are built once per process per universe and grid, and kept only when small."""
+    """A law suite's samples are built once per process per universe and grid (and seed and count in random
+    mode), and kept only when small."""
 
     SPEC = ModelGenSpec(size=2, exhaustive=True)
 
@@ -756,6 +791,49 @@ class TestLawSampleCache:
         samples(validate.LAW_SAMPLE_SETS_KEPT)  # drops the least recently used samples, those of grid 0, 1
         assert len(validate._LAW_SAMPLES) == validate.LAW_SAMPLE_SETS_KEPT
         assert samples(1) is kept[1] and samples(0) is not kept[0]
+
+    RANDOM = ModelGenSpec(size=2, seed=11, count=40)
+
+    @pytest.mark.parametrize("core", [integrals._expectation, _squared_sup_core])
+    def test_cold_and_kept_random_samples_give_the_same_report(self, monkeypatch, core):
+        monkeypatch.setattr(validate, "check_semantic_integral_laws",
+                            functools.partial(check_semantic_integral_laws, integral=core))
+        key = (("a", "b"), self.RANDOM.grid, self.RANDOM.seed, self.RANDOM.count)
+        for measure in grid_measures(2, DEFAULT_GRID)[::5]:
+            model = il.WeakProbModel(("a", "b"), measure, {}, {}, {})
+            monkeypatch.setattr(validate, "_LAW_SAMPLES", {})
+            cold = _law_suite_outputs(model, self.RANDOM)
+            samples = validate._LAW_SAMPLES[key]
+            kept = _law_suite_outputs(model, self.RANDOM)
+            assert validate._LAW_SAMPLES[key] is samples and list(validate._LAW_SAMPLES) == [key]
+            assert kept == cold and cold[0] == 5 + 3 * 40 + 40
+            assert (cold[1] == "[]") == (core is integrals._expectation)
+
+    def test_seeds_and_counts_are_kept_apart(self, monkeypatch):
+        monkeypatch.setattr(validate, "check_semantic_integral_laws",
+                            functools.partial(check_semantic_integral_laws, integral=_squared_sup_core))
+        model = il.WeakProbModel(("a", "b"), {"a": F(1, 4), "b": F(3, 4)}, {}, {}, {})
+        specs = [ModelGenSpec(size=2, seed=seed, count=count) for seed, count in [(1, 30), (2, 30), (1, 31)]]
+        cold = []
+        for spec in specs:
+            monkeypatch.setattr(validate, "_LAW_SAMPLES", {})
+            cold.append(_law_suite_outputs(model, spec))
+        monkeypatch.setattr(validate, "_LAW_SAMPLES", {})
+        assert [_law_suite_outputs(model, spec) for spec in specs] == cold
+        assert [_law_suite_outputs(model, spec) for spec in reversed(specs)] == cold[::-1]
+        assert list(validate._LAW_SAMPLES) == [(model.universe, spec.grid, spec.seed, spec.count)
+                                                for spec in reversed(specs)]
+        assert len(set(cold)) == 3
+
+    def test_a_count_over_the_bound_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(validate, "_LAW_SAMPLES", {})
+        model = il.WeakProbModel(("a",), {"a": F(1)}, {}, {}, {})
+        bound = validate.LAW_SAMPLES_KEPT // 2  # a random sample holds `count` pairs and `count` bivariate subsets
+        integral_law_suite(model, ModelGenSpec(size=1, seed=4, count=bound))
+        assert list(validate._LAW_SAMPLES) == [(model.universe, DEFAULT_GRID, 4, bound)]
+        report = integral_law_suite(model, ModelGenSpec(size=1, seed=4, count=bound + 1))
+        assert report.checked == 5 + 3 * (bound + 1) + bound + 1
+        assert list(validate._LAW_SAMPLES) == [(model.universe, DEFAULT_GRID, 4, bound)]
 
 
 def _mu1_against_its_right_side_integrated(schema, **parts):
