@@ -4,8 +4,11 @@ Models are drawn over one grid of exact rationals: measures are grid draws
 renormalized by exact division (all-zero draws redrawn), tables are grid
 draws.  Exhaustive mode enumerates every grid combination in a
 deterministic order; random mode is reproducible from the seed.
-Countermodel search enumerates only the models that are least in their
-orbit under relabellings of the universe (`exhaustive_models`).
+Countermodel search and the axiom checks enumerate only the models that
+are least in their orbit under relabellings of the universe
+(`exhaustive_models`).  An axiom instantiation with a failing check is
+swept again over every model, for every record; its `checked` count is
+always that of every model, taken from the plan.
 
 Exhaustive mode has one enumeration path, an odometer over factor indices
 (`_Odometer`): one factor for the measure and one per predicate table,
@@ -32,7 +35,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from types import MappingProxyType
 from typing import Iterator, Sequence
 
@@ -311,6 +314,12 @@ def _plan(*shape) -> _Plan:
     return _kept(_PLANS, shape, lambda: _Plan(*shape), lambda plan: sum(plan.radices), PLAN_CHOICES_KEPT, PLANS_KEPT)
 
 
+def _shape(gen: ModelGenSpec, voc: Vocabulary, eq: bool) -> tuple:
+    """The shape of the `_Plan` that enumerates `voc`'s models, with `eq` as in `exhaustive_models`."""
+    return (gen.size, tuple(sorted(gen.grid)), tuple(arity for _, arity in _pred_symbols(voc)), eq,
+            tuple(arity for _, arity in voc.functions), len(voc.constants))
+
+
 class _Odometer:
     """The exhaustive enumeration over the grid: one factor per part of a model.
 
@@ -330,10 +339,8 @@ class _Odometer:
     """
 
     def __init__(self, gen: ModelGenSpec, voc: Vocabulary, eq: bool, orbit_least: bool):
-        pred_symbols = _pred_symbols(voc)
-        plan = self.plan = _plan(gen.size, tuple(sorted(gen.grid)), tuple(arity for _, arity in pred_symbols), eq,
-                                 tuple(arity for _, arity in voc.functions), len(voc.constants))
-        labels = [name for name, _ in pred_symbols] + [EQ_PRED] * eq
+        plan = self.plan = _plan(*_shape(gen, voc, eq))
+        labels = [name for name, _ in _pred_symbols(voc)] + [EQ_PRED] * eq
         self.factors = [("predicate", name, *choices) for name, choices in zip(labels, plan.tables)]
         self.factors += [("function", name, choices, choices)
                          for (name, _), choices in zip(voc.functions, plan.functions)]
@@ -435,9 +442,10 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
     relabellings of the universe are yielded, those that no relabelling
     maps to a model with smaller indices.  A sentence has the same value
     on every relabelling of a model, so the first model with some value is
-    orbit-least and is found either way.  A measure that a relabelling
-    maps lower skips its whole block; per model, only the relabellings
-    that fix the measure are tried, level by level.
+    orbit-least and is found either way; so is the first model where an
+    axiom check fails (`_failures`).  A measure that a relabelling maps
+    lower skips its whole block; per model, only the relabellings that fix
+    the measure are tried, level by level.
     """
     odometer = _Odometer(gen, voc, eq, orbit_least)
     for indices, _ in odometer.sweep():
@@ -470,7 +478,8 @@ def generate_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Ite
     crisp identity, which no draw changes, and models for formulas without
     `eq` carry no table for it.  Exhaustive enumeration yields every model
     (`exhaustive_models` without orbit pruning); the sweeps that prune by
-    orbit run on the odometer directly (`_bound_models`).
+    orbit, countermodel search and the axiom checks, run on the odometer
+    directly (`_bound_models`).
     """
     if gen.exhaustive:
         return exhaustive_models(gen, voc, eq)
@@ -633,21 +642,44 @@ def _failures(axiom: str, gen: ModelGenSpec, equality: bool, report: Report) -> 
     names.  The sides fail where they differ, or without `equality` only
     where the left side is above the right.  They are compared on
     integers, scaled to the product of both scales.  `report.checked`
-    counts every check, one model's valuations at a time.
+    counts every check, once per instantiation: its valuations times its
+    models, `gen.count` of them, or in exhaustive mode the product of the
+    plan's radices.
+
+    An exhaustive instantiation is decided on the orbit-least models only
+    (`exhaustive_models`).  A relabelling of the universe maps a check to
+    one with the same two values, and the valuations are all of the
+    universe's tuples, so the failing models are closed under relabelling:
+    when no orbit-least model fails, no model fails, and the first failing
+    model is orbit-least.  On a failure the instantiation is swept again in
+    full from the start, for every record in order; the first of them is
+    the record the pruned sweep met, which is yielded as it stands.
     """
     universe = universe_names(gen.size)
     for inst in _axiom_instantiations(axiom, gen):
         left, right = axiom_sides(axiom, **inst)
         names = sorted(free_vars(left) | free_vars(right))
+        voc = infer_vocabulary([left, right])
         valuations = list(itertools.product(universe, repeat=len(names)))
-        for model_at, ((lhs, left_scale), (rhs, right_scale)) in _bound_models(
-                (left, right), names, gen, infer_vocabulary([left, right])):
-            report.checked += len(valuations)
-            for elements in valuations:
-                left_value, right_value = lhs(elements) * right_scale, rhs(elements) * left_scale
-                if left_value != right_value and (equality or left_value > right_value):
-                    yield _check_record(axiom, model_at, left, right, names, elements, left_value, right_value,
-                                        left_scale * right_scale)
+        report.checked += len(valuations) * (prod(_plan(*_shape(gen, voc, False)).radices) if gen.exhaustive
+                                             else gen.count)
+
+        def records(orbit_least: bool) -> Iterator[dict]:
+            for model_at, ((lhs, left_scale), (rhs, right_scale)) in _bound_models(
+                    (left, right), names, gen, voc, orbit_least=orbit_least):
+                for elements in valuations:
+                    left_value, right_value = lhs(elements) * right_scale, rhs(elements) * left_scale
+                    if left_value != right_value and (equality or left_value > right_value):
+                        yield _check_record(axiom, model_at, left, right, names, elements, left_value,
+                                            right_value, left_scale * right_scale)
+
+        if not gen.exhaustive:
+            yield from records(False)
+            continue
+        first = next(records(True), None)
+        if first is not None:
+            yield first
+            yield from itertools.islice(records(False), 1, None)
 
 
 def _check_record(axiom, model_at, left, right, names, elements, lhs, rhs, scale) -> dict:
@@ -668,7 +700,10 @@ def validate_axiom(axiom: str, gen: ModelGenSpec) -> Report:
     mu1, mu2, mu4 and mu5 are checked as exact equalities of the two sides;
     mu3 is checked in the implication direction (left side at most the
     right).  Each violation record carries the model inline, the printed
-    instantiation and the two values, so it replays directly.
+    instantiation and the two values, so it replays directly.  An
+    exhaustive check is decided on the orbit-least models; an
+    instantiation that fails there is swept again over every model, so the
+    records and `checked` are those of every model, in order.
     """
     report = Report()
     for record in _failures(axiom, gen, axiom != "mu3", report):
@@ -677,7 +712,11 @@ def validate_axiom(axiom: str, gen: ModelGenSpec) -> Report:
 
 
 def mu3_equality_gap(gen: ModelGenSpec) -> dict | None:
-    """A witness where mu3 read as an equality fails (the law is only <=)."""
+    """A witness where mu3 read as an equality fails (the law is only <=).
+
+    It is the first failing check of every model; in exhaustive mode the
+    sweep of orbit-least models meets it first, so no full sweep runs.
+    """
     return next(_failures("mu3", gen, True, Report()), None)
 
 

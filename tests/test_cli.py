@@ -136,6 +136,15 @@ class TestValidateAxioms:
         assert code == 0
         assert capsys.readouterr().out.strip() == "0 violations (4 checks)"
 
+    @pytest.mark.parametrize("axiom, grid, checks", [
+        ("mu1", "0,1/2,1", 1596), ("mu2", "0,1/2,1", 28728), ("mu3", "0,1/2,1", 28215),
+        ("mu4", "0,1/2,1", 28215), ("mu5", "0,1", 7168)])
+    def test_size_3_counts_every_model(self, axiom, grid, checks, capsys):
+        # the checks are decided on orbit-least models, but the count is that of the whole grid
+        code = main(["validate-axioms", "--axiom", axiom, "--size", "3", "--grid", grid, "--exhaustive"])
+        assert code == 0
+        assert capsys.readouterr().out == f"0 violations ({checks} checks)\n"
+
 
 class TestApproxSat:
     def test_weakening_system(self, model_path, tmp_path, capsys):

@@ -1,12 +1,13 @@
 import functools
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import intlogic as il
 from intlogic import errors, integrals, validate
@@ -20,7 +21,7 @@ from intlogic.model import (
     model_to_json,
     relabel_universe,
 )
-from intlogic.proofs import axiom_sides
+from intlogic.proofs import AXIOM_IDS, axiom_sides
 from intlogic.rational import DEFAULT_GRID
 from intlogic.syntax import (
     And,
@@ -38,6 +39,7 @@ from intlogic.syntax import (
     TruthConst,
     Variable,
     Vocabulary,
+    free_vars,
     infer_vocabulary,
     mentions_eq,
 )
@@ -702,6 +704,8 @@ class TestPlanCache:
             assert warm_steps == steps
             assert keys == oracle.grid_model_keys(spec.size, spec.grid, voc, eq, orbit_least)
             assert warm_keys == oracle.grid_model_keys(spec.size, spec.grid, renamed, eq, orbit_least)
+            if not orbit_least:  # pruned axiom checks report this count of every model, read off the plan
+                assert math.prod(validate._plan(*validate._shape(spec, voc, eq)).radices) == len(steps)
 
     def test_returned_models_share_no_mutable_table(self):
         formula = il.close_free_names(il.parse_formula("INT P(x) dx -> P(k)"))
@@ -877,6 +881,104 @@ class TestViolationRecords:
         report = validate_axiom("mu1", spec)
         assert report.checked == checked
         assert json.dumps(report.violations) == json.dumps(_mu1_records(rows))
+
+
+def _swapped(schema, **parts):
+    left, right = axiom_sides(schema, **parts)
+    return right, left
+
+
+def _negated(schema, **parts):
+    left, right = axiom_sides(schema, **parts)
+    return left, Not(right)
+
+
+def _wrongly_integrated(schema, **parts):
+    """mu1 against its right side integrated; any other schema with its left side's outer `INT` dropped."""
+    if schema == "mu1":
+        return _mu1_against_its_right_side_integrated(schema, **parts)
+    left, right = axiom_sides(schema, **parts)
+    return left.body, right
+
+
+AXIOM_SIDES = {"sound": axiom_sides, "swapped": _swapped, "negated": _negated, "integrated": _wrongly_integrated}
+
+
+def _brute_force_checks(axiom, spec, equality):
+    """Each check of `axiom` in order, on every model `exhaustive_models` gives, bound per model with
+    `compile_integers`: its record where the sides fail as in `validate._failures`, else None."""
+    for inst in validate._axiom_instantiations(axiom, spec):
+        left, right = validate.axiom_sides(axiom, **inst)
+        names = sorted(free_vars(left) | free_vars(right))
+        valuations = list(itertools.product(universe_names(spec.size), repeat=len(names)))
+        binds = [compile_integers(side, names) for side in (left, right)]
+        for model in exhaustive_models(spec, infer_vocabulary([left, right]), orbit_least=False):
+            (lhs, left_scale), (rhs, right_scale) = [bind(model) for bind in binds]
+            for elements in valuations:
+                lhs_value, rhs_value = F(lhs(elements), left_scale), F(rhs(elements), right_scale)
+                failed = lhs_value != rhs_value and (equality or lhs_value > rhs_value)
+                yield {"axiom": axiom, "model": model_to_json(model),
+                       "instantiation": f"{il.print_formula(left)}  vs  {il.print_formula(right)}",
+                       "valuation": dict(zip(names, elements)), "lhs": str(lhs_value),
+                       "rhs": str(rhs_value)} if failed else None
+
+
+AXIOM_GRIDS = ((F(0), F(1)), (F(0), HALF, F(1)))
+
+
+def _axiom_spec(size, grid, axiom, sides):
+    """The exhaustive spec of `size` and `grid`, when `axiom`'s sides have at most 1 500 models on it."""
+    voc = infer_vocabulary([side for inst in validate._axiom_instantiations(axiom, ModelGenSpec())
+                            for side in sides(axiom, **inst)])
+    assume(_space(size, grid, voc) <= 1500)
+    return ModelGenSpec(size=size, grid=grid, exhaustive=True)
+
+
+class TestPrunedAxiomChecks:
+    """Axiom checks decided on orbit-least models, against every model; a full sweep only on a failure."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(axiom=st.sampled_from(AXIOM_IDS), sides=st.sampled_from(sorted(AXIOM_SIDES)),
+           size=st.integers(min_value=1, max_value=3), grid=st.sampled_from(AXIOM_GRIDS))
+    def test_report_as_on_every_model(self, axiom, sides, size, grid):
+        spec = _axiom_spec(size, grid, axiom, AXIOM_SIDES[sides])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(validate, "axiom_sides", AXIOM_SIDES[sides])
+            checks = list(_brute_force_checks(axiom, spec, axiom != "mu3"))
+            report = validate_axiom(axiom, spec)
+        assert report.checked == len(checks)
+        expected = [{"kind": "axiom-violation", **record} for record in checks if record]
+        assert json.dumps(report.violations) == json.dumps(expected), (spec.size, spec.grid)
+
+    @settings(max_examples=30, deadline=None)
+    @given(sides=st.sampled_from(sorted(AXIOM_SIDES)), size=st.integers(min_value=1, max_value=3),
+           grid=st.sampled_from(AXIOM_GRIDS))
+    def test_gap_witness_as_on_every_model(self, sides, size, grid):
+        spec = _axiom_spec(size, grid, "mu3", AXIOM_SIDES[sides])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(validate, "axiom_sides", AXIOM_SIDES[sides])
+            expected = next(filter(None, _brute_force_checks("mu3", spec, True)), None)
+            assert json.dumps(mu3_equality_gap(spec)) == json.dumps(expected), (spec.size, spec.grid)
+
+    def test_full_sweeps_only_for_failing_instantiations(self, monkeypatch):
+        # counts sweeps, not time, so it holds on a machine of any speed
+        full_sweeps = []
+        bound_models = validate._bound_models
+
+        def counted(*args, orbit_least=False, **kwargs):
+            full_sweeps.append(not orbit_least)
+            return bound_models(*args, orbit_least=orbit_least, **kwargs)
+
+        monkeypatch.setattr(validate, "_bound_models", counted)
+        assert validate_axiom("mu2", SIZE2).ok
+        assert full_sweeps == [False] * 4
+
+        full_sweeps.clear()
+        monkeypatch.setattr(validate, "axiom_sides", _mu1_against_its_right_side_integrated)
+        report = validate_axiom("mu1", SIZE2)
+        failing = {record["instantiation"] for record in report.violations}
+        assert len(failing) == 1 and report.checked == AXIOM_CHECKS["mu1"]
+        assert sum(full_sweeps) == len(failing) and len(full_sweeps) == 1 + len(DEFAULT_GRID) + len(failing)
 
 
 def test_grid_fuzzy_subset_count():
