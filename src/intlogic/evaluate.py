@@ -8,15 +8,26 @@ Quantifier equality evaluates to a crisp 0 or 1 via the level-set condition,
 decided here on the integer rows of its two sides (`_levels_agree`).
 
 There is one evaluator, `compile_formula`.  It walks the formula once and
-turns every node into a closure `(view, env) -> int`:
+turns every node into a closure `(view, env) -> int`.  The closures compute
+on element positions `0..n-1`, the indices of the elements in the
+universe, never on element names:
 
-- `env` is a positional environment: the free names take the first slots,
-  and each binder the slot after those of the binders around it.
+- `env` is a positional environment of element positions: the free names
+  take the first slots, and each binder the slot after those of the
+  binders around it.  Names given at the public boundary
+  (`compile_integers`, `compile_formula`, `value_matrix`) are mapped to
+  positions once per call, through the model's position map.
 - `view` is the model's integer view, built once per compiled formula and
   model from the model's integer form (`model.integer_form`): one entry per
   table, constant, truth constant, scale and power the closures read, at
-  indices fixed when compiling.  The universe, truth constants, scales
-  and powers depend on the model only through the universe, `D` and `M`;
+  indices fixed when compiling.  A table is a nested tuple with one level
+  per argument (`model.nested`), so a unary atom reads `row[i]` and a
+  binary one `rows[i][j]`: a predicate's rows hold its values over `D`, a
+  function's the positions of its values, and a constant's entry is its
+  position.  A general atom or function term evaluates every argument
+  before its first subscript, so errors surface in reading order.  The
+  universe entry is `range(n)`; it, the truth constants, scales and powers
+  depend on the model only through the universe's size, `D` and `M`;
   tables, constants and weights change per model.  Every bind builds a
   new view, so every bound formula keeps its own list.  An exhaustive
   sweep instead gives each formula one private view for the whole sweep
@@ -30,8 +41,8 @@ turns every node into a closure `(view, env) -> int`:
   model's tables, raised to the lcm with the formula's truth-constant
   denominators when those do not divide it, and `M` the lcm of the
   measure's denominators.  Only the evaluator raises `D`: a bind
-  rescales the model's tables the formula reads, and a `SweepView` the
-  grid tables it reads, once per sweep.  The connectives are integer
+  rescales the model's rows the formula reads, and a `SweepView` the
+  grid rows it reads, once per sweep.  The connectives are integer
   min, max and clamps after aligning their operands by powers of `M`,
   and `INT` sums the body's numerators times the integer weights
   `mu(m) * M`.
@@ -45,12 +56,13 @@ fuzzy subset from the numerators over `S` (`FuzzySubset._trusted`).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
 from .errors import ContainmentViolated, NotASentence, UnboundVariable, UnknownSymbol
-from .model import FuzzySubset, WeakProbModel, integer_form
+from .model import FuzzySubset, IntegerForm, WeakProbModel, function_rows, integer_form, predicate_rows
 from .syntax import (
     And,
     Atom,
@@ -164,6 +176,33 @@ def _integral(body, slot, w):
     return run
 
 
+def _read(k, args):
+    """A closure reading the rows at view index `k` at the positions `args` give.
+
+    Every argument is evaluated before the first subscript, so an argument's
+    error comes before that of a missing table.
+    """
+    if len(args) == 1:
+        a, = args
+        return lambda view, env: view[k][a(view, env)]
+    if len(args) == 2:
+        a, b = args
+
+        def read2(view, env):
+            i = a(view, env)
+            j = b(view, env)
+            return view[k][i][j]
+        return read2
+
+    def read(view, env):
+        positions = [a(view, env) for a in args]
+        rows = view[k]
+        for i in positions:
+            rows = rows[i]
+        return rows
+    return read
+
+
 def _levels_agree(f: list[int], g: list[int], weights, top: int, cfg) -> bool:
     """The level-set condition of `=` on rows of numerators over `top`, weighted by `weights`.
 
@@ -193,27 +232,35 @@ def _levels_agree(f: list[int], g: list[int], weights, top: int, cfg) -> bool:
     return mass == 0
 
 
-# The view entries that depend on the model only through its universe, D
-# and M, each computed as `build(key, universe, den, m_den)`.
+# The view entries that depend on the model only through its universe's
+# size, D and M, each computed as `build(key, size, den, m_den)`.
 
-def _truth(value, universe, den, m_den):
+def _truth(value, size, den, m_den):
     return value.numerator * (den // value.denominator)
 
 
-def _scale(e, universe, den, m_den):
+def _scale(e, size, den, m_den):
     return den * m_den ** e
 
 
-def _power(d, universe, den, m_den):
+def _power(d, size, den, m_den):
     return m_den ** d
 
 
-def _universe(_, universe, den, m_den):
-    return universe
+def _universe(_, size, den, m_den):
+    return range(size)
 
 
-#: The kinds of per-model entry: a predicate table (as integers over D), a
-#: function table, a constant, and the measure's integer weights.
+def _scaled(rows: tuple, factor: int) -> tuple:
+    """Nested predicate rows with every value times `factor`."""
+    if isinstance(rows[0], tuple):
+        return tuple([_scaled(row, factor) for row in rows])
+    return tuple([v * factor for v in rows])
+
+
+#: The kinds of per-model entry: a predicate's rows (integers over D), a
+#: function's rows (positions), a constant (a position), and the measure's
+#: integer weights (by position).
 _PREDICATE, _FUNCTION, _CONSTANT, _WEIGHTS = "predicate", "function", "constant", "weights"
 
 
@@ -228,11 +275,10 @@ class _Compiler:
         self.index: dict[tuple, int] = {}
         self.per_model: list[tuple[int, int, str, object]] = []  #: (index, kind, name, value if absent)
         self.weights: int | None = None  #: the index of the weights entry
-        self.predicates: list[str] = []
         self.truth_den = 1
 
     def entry(self, build: Callable, key=None) -> int:
-        """The view index of `build(key, universe, D, M)`, the same for every model with those."""
+        """The view index of `build(key, size, D, M)`, the same for every model with those."""
         if (build, key) not in self.index:
             self.index[(build, key)] = len(self.entries)
             self.entries.append((build, key))
@@ -250,8 +296,6 @@ class _Compiler:
                 return i
             absent = None if kind == _CONSTANT else _Missing(kind, name)
             self.per_model.append((i, kind, name, absent))
-            if kind == _PREDICATE:
-                self.predicates.append(name)
         return self.index[(kind, name)]
 
     def node(self, formula: Formula, scope: dict[str, int]):
@@ -325,15 +369,14 @@ class _Compiler:
         slots = [scope.get(t.name) if isinstance(t, Variable) else None for t in atom.args]
         if len(slots) == 1 and slots[0] is not None:
             s = slots[0]
-            return lambda view, env: view[k][(env[s],)]
+            return lambda view, env: view[k][env[s]]
         if len(slots) == 2 and None not in slots:
             s, t = slots
-            return lambda view, env: view[k][(env[s], env[t])]
-        args = [self.term(t, scope) for t in atom.args]
-        return lambda view, env: view[k][tuple([a(view, env) for a in args])]
+            return lambda view, env: view[k][env[s]][env[t]]
+        return _read(k, [self.term(t, scope) for t in atom.args])
 
     def term(self, term: Term, scope: dict[str, int]):
-        """A closure `(view, env) -> element`."""
+        """A closure `(view, env) -> position`."""
         if isinstance(term, Variable):
             if term.name not in scope:
                 name = term.name
@@ -351,9 +394,7 @@ class _Compiler:
                     raise UnknownSymbol(name, message=f"constant {name!r} is not interpreted")
                 return view[k]
             return constant
-        k = self.slot(_FUNCTION, term.func)
-        args = [self.term(a, scope) for a in term.args]
-        return lambda view, env: view[k][tuple([a(view, env) for a in args])]
+        return _read(self.slot(_FUNCTION, term.func), [self.term(a, scope) for a in term.args])
 
     def compile(self, formula: Formula) -> Callable[[WeakProbModel], BoundIntegers]:
         """`formula` compiled over this compiler's free names (see `compile_integers`).
@@ -364,17 +405,20 @@ class _Compiler:
         self.top = self.entry(_scale, e)
 
         def bind(model: WeakProbModel) -> BoundIntegers:
-            view = self.view(model)
-            return self.numerator(view), view[self.top]
+            form = integer_form(model)
+            view, at = self.view(model, form), form.positions.__getitem__
+            return self.numerator(view, lambda elements: list(map(at, elements))), view[self.top]
         return bind
 
-    def numerator(self, view: list) -> Callable[[Sequence[str]], int]:
-        """The root's numerator on `view`, with `elements` bound to the free names in order."""
-        root, pad = self.root, [None] * (self.width - len(self.names))
+    def numerator(self, view: list, positions: Callable[[Sequence[str]], list]) -> Callable[[Sequence[str]], int]:
+        """The root's numerator on `view`, with `elements` bound to the free names in order.
 
-        def numerator(elements: Sequence[str] = ()) -> int:
-            return root(view, [*elements, *pad])
-        return numerator
+        The closures read positions: `positions(elements)` lists those of the elements.
+        """
+        root, pad = self.root, [None] * (self.width - len(self.names))
+        if not self.names:
+            return lambda elements=(): root(view, pad[:])
+        return lambda elements=(): root(view, [*positions(elements), *pad])
 
     def den(self, den: int) -> int:
         """The `D` of a view over tables whose common denominator is `den`.
@@ -384,33 +428,38 @@ class _Compiler:
         """
         return den if den % self.truth_den == 0 else lcm(den, self.truth_den)
 
-    def blank(self, universe: tuple[str, ...], den: int, m_den: int) -> list:
-        """A new view for the models over `universe` with this `D` and `M`.
+    def blank(self, size: int, den: int, m_den: int) -> list:
+        """A new view for the models over a universe of `size` elements with this `D` and `M`.
 
         The entries that depend on the model only through those are built;
         every per-model entry holds its value for a model that lacks it.
         """
-        view = [build and build(key, universe, den, m_den) for build, key in self.entries]
+        view = [build and build(key, size, den, m_den) for build, key in self.entries]
         for i, _, _, absent in self.per_model:
             view[i] = absent
         return view
 
-    def view(self, model: WeakProbModel) -> list:
+    def view(self, model: WeakProbModel, form: IntegerForm) -> list:
         """The model's integer view: the value of every entry, in index order.
 
-        It reads the model's integer form, with the tables the formula reads
-        rescaled when `self.den` raises the form's `D`.
+        It reads the model's integer form (`form`), with the rows of the
+        predicates the formula reads rescaled when `self.den` raises the
+        form's `D`, and the positions of the functions and constants the
+        formula reads.
         """
-        form = integer_form(model)
-        den, tables = self.den(form.den), form.tables
-        if den != form.den:
-            factor = den // form.den
-            tables = {name: {key: v * factor for key, v in tables[name].items()}
-                      for name in self.predicates if name in tables}
-        view = self.blank(model.universe, den, form.m_den)
-        sources = {_PREDICATE: tables, _FUNCTION: model.functions, _CONSTANT: model.constants}
-        for i, kind, name, absent in self.per_model:
-            view[i] = sources[kind].get(name, absent)
+        den = self.den(form.den)
+        factor = den // form.den
+        view = self.blank(len(form.weight_row), den, form.m_den)
+        for i, kind, name, _ in self.per_model:
+            if kind == _PREDICATE:
+                if name in model.predicates:
+                    rows = form.tables.get(name) or predicate_rows(model, name)
+                    view[i] = rows if factor == 1 else _scaled(rows, factor)
+            elif kind == _FUNCTION:
+                if name in model.functions:
+                    view[i] = form.functions.get(name) or function_rows(model, name)
+            elif name in model.constants:
+                view[i] = form.positions[model.constants[name]]
         if self.weights is not None:
             view[self.weights] = form.weights
         return view
@@ -434,19 +483,23 @@ class SweepView:
     def __init__(self, formula: Formula, free_names: Sequence[str], universe: tuple[str, ...], den: int):
         self._compiler = compiler = _Compiler(free_names)
         compiler.compile(formula)
-        self._universe, self._grid_den = universe, den
+        self._size, self._grid_den = len(universe), den
         self._den = compiler.den(den)
         self._values: list = []
-        self.numerator = compiler.numerator(self._values)
+        # the positions of every tuple of elements the free names can take, for the sweep's valuations
+        positions = {elements: [universe.index(m) for m in elements]
+                     for elements in itertools.product(universe, repeat=len(compiler.names))}
+        self.numerator = compiler.numerator(self._values, positions.__getitem__)
 
     def writes(self, factors: Sequence[tuple]) -> list[tuple]:
         """`(position, values, slot, choices)` per factor read: model `i` sets `values[slot] = choices[i]`.
 
         `factors` labels the sweep's positions from 1 on, each as `(kind,
         name, model choices, view choices)` with `kind` one of "predicate",
-        "function" and "constant"; a predicate's view choices are integer
-        tables over the grid's `den`.  When `D` raises it, the view
-        rescales the tables it reads, for itself alone.
+        "function" and "constant".  The view choices are a predicate's rows
+        over the grid's `den`, a function's rows of positions and a
+        constant's positions.  When `D` raises the grid's `den`, the view
+        rescales the rows it reads, for itself alone.
         """
         factor = self._den // self._grid_den
         slots = {(kind, name): i for i, kind, name, _ in self._compiler.per_model}
@@ -456,14 +509,14 @@ class SweepView:
             if slot is None:
                 continue
             if kind == _PREDICATE and factor != 1:
-                choices = [{key: v * factor for key, v in table.items()} for table in choices]
+                choices = [_scaled(rows, factor) for rows in choices]
             out.append((position, self._values, slot, choices))
         return out
 
-    def stage(self, m_den: int, weights: tuple[tuple[str, int], ...]) -> None:
-        """Rebuild the view for a measure with this `M` and integer weights."""
+    def stage(self, m_den: int, weights: tuple[tuple[int, int], ...]) -> None:
+        """Rebuild the view for a measure with this `M` and integer weights, by position."""
         compiler = self._compiler
-        self._values[:] = compiler.blank(self._universe, self._den, m_den)
+        self._values[:] = compiler.blank(self._size, self._den, m_den)
         if compiler.weights is not None:
             self._values[compiler.weights] = weights
 

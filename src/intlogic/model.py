@@ -156,18 +156,45 @@ class WeakProbModel:
 
 
 class IntegerForm(NamedTuple):
-    """A model's predicate tables and measure as integers over shared denominators."""
+    """A model as the evaluator reads it: integers by element position.
+
+    Position `i` stands for `universe[i]`.  A table of arity `k` is a nested
+    tuple with one level per argument, in `itertools.product(universe,
+    repeat=k)` order: the value at `(universe[i], universe[j])` times `D` is
+    `tables[name][i][j]`, and a function's rows hold the positions of its
+    values.  A symbol's rows are made when they are first read
+    (`predicate_rows`, `function_rows`), unless the model's generator
+    handed them in.
+    """
 
     den: int  #: D, a common denominator of every predicate table value
-    tables: Mapping[str, Mapping[tuple[str, ...], int]]  #: predicate values times D
+    tables: dict[str, tuple]  #: the rows of the predicates read so far: values times D
     m_den: int  #: M, the lcm of the measure's denominators
-    weights: tuple[tuple[str, int], ...]  #: (m, mu(m) times M), in universe order
-    weight_row: tuple[int, ...]  #: mu(m) times M alone, in universe order
+    weights: tuple[tuple[int, int], ...]  #: (position, mu(m) times M) of each element
+    weight_row: tuple[int, ...]  #: mu(m) times M alone, by position
+    functions: dict[str, tuple]  #: the rows of the functions read so far: positions of values
+    positions: Mapping[str, int]  #: the position of each element
 
 
-def integer_table(table: PredTable, den: int) -> dict[tuple[str, ...], int]:
-    """`table`'s values times `den`, which every value's denominator must divide."""
-    return {key: v.numerator * (den // v.denominator) for key, v in table.items()}
+def nested(flat: Sequence, size: int, arity: int) -> tuple:
+    """`flat`, in product order over `size` elements, as a nested tuple with one level per argument."""
+    for _ in range(arity - 1):
+        flat = zip(*[iter(flat)] * size)
+    return tuple(flat)
+
+
+def flattened(rows: tuple, arity: int) -> tuple:
+    """The values of `nested` rows, in product order."""
+    for _ in range(arity - 1):
+        rows = itertools.chain.from_iterable(rows)
+    return tuple(rows)
+
+
+def integer_rows(table: PredTable, universe: tuple[str, ...], den: int) -> tuple:
+    """`table`'s values times `den`, which every value's denominator must divide, as `nested` rows."""
+    arity = len(next(iter(table)))
+    return nested([v.numerator * (den // v.denominator) for v in
+                   map(table.__getitem__, itertools.product(universe, repeat=arity))], len(universe), arity)
 
 
 def integer_row(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
@@ -176,26 +203,47 @@ def integer_row(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     return den, tuple([v.numerator * (den // v.denominator) for v in values])
 
 
-def integer_weights(universe: tuple[str, ...], measure: Mapping[str, Fraction]) -> tuple[int, tuple, tuple]:
-    """`(M, weights, weight_row)` of an `IntegerForm` for this measure."""
-    m_den, row = integer_row([measure[m] for m in universe])
-    return m_den, tuple(zip(universe, row)), row
+def integer_weights(values: Sequence[Fraction]) -> tuple[int, tuple, tuple]:
+    """`(M, weights, weight_row)` of an `IntegerForm` for a measure's values, in universe order."""
+    m_den, row = integer_row(values)
+    return m_den, tuple(enumerate(row)), row
 
 
 def integer_form(model: WeakProbModel) -> IntegerForm:
     """The model's integer form, with `D` the lcm of its table denominators.
 
-    It is computed at most once per model and kept on the model object;
-    model generators may hand in a form whose `D` is their grid's lcm.
+    It is computed at most once per model and kept on the model object.
+    Model generators and structure operations may hand in a form whose `D`
+    is some other common denominator, such as their grid's lcm.
     """
     form = vars(model).get("_integer_form")
     if form is None:
-        tables = model.predicates
-        den = lcm(*{v.denominator for table in tables.values() for v in table.values()})
-        form = IntegerForm(den, {name: integer_table(table, den) for name, table in tables.items()},
-                           *integer_weights(model.universe, model.measure))
+        universe = model.universe
+        den = lcm(*{v.denominator for table in model.predicates.values() for v in table.values()})
+        form = IntegerForm(den, {}, *integer_weights([model.measure[m] for m in universe]), {},
+                           dict(zip(universe, range(len(universe)))))
         vars(model)["_integer_form"] = form
     return form
+
+
+def predicate_rows(model: WeakProbModel, name: str) -> tuple:
+    """The rows of the model's predicate `name` in its integer form, made on the first read."""
+    form = integer_form(model)
+    rows = form.tables.get(name)
+    if rows is None:
+        rows = form.tables[name] = integer_rows(model.predicates[name], model.universe, form.den)
+    return rows
+
+
+def function_rows(model: WeakProbModel, name: str) -> tuple:
+    """The rows of the model's function `name` in its integer form, made on the first read."""
+    form, table, universe = integer_form(model), model.functions[name], model.universe
+    rows = form.functions.get(name)
+    if rows is None:
+        arity = len(next(iter(table)))
+        rows = form.functions[name] = nested(
+            [form.positions[table[key]] for key in itertools.product(universe, repeat=arity)], len(universe), arity)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +330,9 @@ class FuzzySubset:
 
     @classmethod
     def from_predicate(cls, model: WeakProbModel, name: str) -> "FuzzySubset":
-        form, arity = integer_form(model), model.pred_arity(name)
-        table = form.tables[name]
-        return cls._trusted(model.universe, arity, form.den,
-                            [table[key] for key in itertools.product(model.universe, repeat=arity)])
+        arity = model.pred_arity(name)
+        return cls._trusted(model.universe, arity, integer_form(model).den,
+                            flattened(predicate_rows(model, name), arity))
 
 
 def level_set(subset: FuzzySubset, alpha: Fraction) -> frozenset[str]:
@@ -327,7 +374,12 @@ def reduct(model: WeakProbModel, voc: Vocabulary) -> WeakProbModel:
         if name not in model.constants:
             raise NotSubvocabulary(f"model does not interpret constant {name!r}")
         consts[name] = model.constants[name]
-    return WeakProbModel._trusted(model.universe, model.measure, preds, funcs, consts)
+    # the model's integer form, less the forgotten tables; D stays a common denominator
+    form = vars(model).get("_integer_form")
+    if form is not None:
+        form = form._replace(tables={name: rows for name, rows in form.tables.items() if name in preds},
+                             functions={name: rows for name, rows in form.functions.items() if name in funcs})
+    return WeakProbModel._trusted(model.universe, model.measure, preds, funcs, consts, form)
 
 
 def rename(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakProbModel:
@@ -360,7 +412,10 @@ def relabel_universe(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakPr
         for name, table in model.functions.items()
     }
     consts = {name: mapping[e] for name, e in model.constants.items()}
-    return WeakProbModel._trusted(universe, measure, preds, funcs, consts)
+    # every element keeps its position, so the integer form is the model's own, with new names
+    form = vars(model).get("_integer_form")
+    return WeakProbModel._trusted(universe, measure, preds, funcs, consts,
+                                  form and form._replace(positions=dict(zip(universe, range(len(universe))))))
 
 
 ISOMORPHISM_MAX_UNIVERSE = 8

@@ -8,7 +8,9 @@ Countermodel search and the axiom checks enumerate only the models that
 are least in their orbit under relabellings of the universe
 (`exhaustive_models`).  An axiom instantiation with a failing check is
 swept again over every model, for every record; its `checked` count is
-always that of every model, taken from the plan.
+always that of every model, taken from the plan that its sweeps run on.
+Every generated model carries its integer form (`model.IntegerForm`), so
+no model is converted again when a formula is bound to it.
 
 Exhaustive mode has one enumeration path, an odometer over factor indices
 (`_Odometer`): one factor for the measure and one per predicate table,
@@ -19,7 +21,7 @@ copies nothing.  `exhaustive_models` builds a model per step.
 Axiom checks and countermodel search run on the same odometer without
 building models (`_bound_models`): each formula has its own integer view
 (`evaluate.SweepView`).  The view hands the odometer its writes once per
-sweep, with predicate tables over the `D` the evaluator chose for the
+sweep, with predicate rows over the `D` the evaluator chose for the
 formula; the sweep stages it per measure, carries out the writes of the
 factors that changed and reads its `numerator` and `scale`, nothing
 else.  Verdicts are decided on the views' integers, and a
@@ -35,7 +37,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from types import MappingProxyType
 from typing import Iterator, Sequence
 
@@ -55,9 +57,10 @@ from .model import (
     IntegerForm,
     WeakProbModel,
     integer_row,
-    integer_table,
+    integer_rows,
     integer_weights,
     model_to_json,
+    nested,
     reduct,
     relabel_universe,
     rename,
@@ -150,16 +153,22 @@ def _all_tables(names: tuple[str, ...], arity: int, values: Sequence) -> Iterato
         yield dict(zip(keys, combo))
 
 
-def _random_table(names: tuple[str, ...], arity: int, values: Sequence, rng: random.Random) -> dict:
-    return {key: rng.choice(values) for key in itertools.product(names, repeat=arity)}
+def _random_measure(names: tuple[str, ...], values: Sequence[tuple[Fraction, int]], rng: random.Random) -> tuple:
+    """A grid draw per element, renormalized (all-zero draws redrawn): the measure and its integer weights.
 
-
-def _random_measure(names, grid, rng) -> dict[str, Fraction]:
+    `values` pairs each grid value with its numerator over the grid's lcm.
+    A draw of numerators `n` with sum `N` is the measure `n / N`; with `g`
+    the gcd of `N` and every `n`, its `M` is `N / g` and its integer
+    weights are `n / g`.  The result is `(measure, *integer_weights(...))`.
+    """
     while True:
-        draw = [rng.choice(grid) for _ in names]
-        total = sum(draw, ZERO)
-        if total != ZERO:
-            return {name: w / total for name, w in zip(names, draw)}
+        draw = [rng.choice(values)[1] for _ in names]
+        total = sum(draw)
+        if total:
+            common = gcd(total, *draw)
+            row = tuple([n // common for n in draw])
+            return ({name: Fraction(n, total) for name, n in zip(names, draw)}, total // common,
+                    tuple(enumerate(row)), row)
 
 
 def _pred_symbols(voc: Vocabulary) -> list[tuple[str, int]]:
@@ -235,10 +244,11 @@ class _Plan:
     predicate table (the vocabulary's, then `approx`), whether `eq` is the
     fixed identity, the arity of each function table and the number of
     constants.  The plan holds every factor's choices: the measures with
-    their integer weights, the grid tables with their integer forms over the
+    their integer weights, the grid tables with their integer rows over the
     grid's lcm `den` (one list per arity, which the predicates of that arity
-    share), the fixed tables and the function tables.  Every measure and
-    table is a read-only mapping, so the models built on a plan cannot
+    share), the fixed tables with theirs, and the function tables with
+    their rows of positions.  Every measure and table is a read-only
+    mapping and every row a tuple, so the models built on a plan cannot
     change it.
     """
 
@@ -257,23 +267,25 @@ class _Plan:
             raise SearchSpaceTooLarge(f"exhaustive space has {space} models (cap {EXHAUSTIVE_SPACE_CAP})")
 
         den = self.den = lcm(*[v.denominator for v in grid])
-        self.measures = [(MappingProxyType(measure), *integer_weights(names, measure)) for measure in measures]
+        self.measures = [(MappingProxyType(measure), *integer_weights(list(measure.values()))) for measure in measures]
 
-        def choices(tables: list[dict]) -> tuple[list, list]:
-            """The tables and their integer forms, read-only."""
-            return ([MappingProxyType(table) for table in tables],
-                    [MappingProxyType(integer_table(table, den)) for table in tables])
+        def choices(arity: int, values: Sequence, rows: Sequence) -> tuple[list, list]:
+            """Every table of `values` of this arity, read-only, and its rows of `rows`, in one order."""
+            return ([MappingProxyType(table) for table in _all_tables(names, arity, values)],
+                    [nested(combo, size, arity) for combo in itertools.product(rows, repeat=size ** arity)])
 
-        by_arity = {arity: choices(list(_all_tables(names, arity, grid))) for arity in set(pred_arities)}
+        numerators = [v.numerator * (den // v.denominator) for v in grid]
+        by_arity = {arity: choices(arity, grid, numerators) for arity in set(pred_arities)}
         fixed = _fixed_tables(names, eq)
-        #: (tables, integer tables) per predicate factor; a fixed table is a factor of one choice
+        #: (tables, integer rows) per predicate factor; a fixed table is a factor of one choice
         self.tables = [by_arity[arity] for arity in pred_arities]
-        self.tables += [choices([table]) for table in fixed.values()]
-        by_arity = {arity: [MappingProxyType(table) for table in _all_tables(names, arity, names)]
-                    for arity in set(func_arities)}
+        self.tables += [([MappingProxyType(table)], [integer_rows(table, names, den)]) for table in fixed.values()]
+        by_arity = {arity: choices(arity, names, range(size)) for arity in set(func_arities)}
+        #: (tables, rows of positions) per function factor
         self.functions = [by_arity[arity] for arity in func_arities]
-        self.radices = [len(measures), *[len(tables) for tables, _ in self.tables],
-                        *map(len, self.functions), *[size] * constants]
+        self.positions = MappingProxyType(dict(zip(names, range(size))))
+        self.radices = [len(measures), *[len(tables) for tables, _ in (*self.tables, *self.functions)],
+                        *[size] * constants]
         #: the first position of each level, and the position after its last
         self.ends = list(itertools.accumulate((1, len(self.tables), len(func_arities), constants)))
         self.starts = [0, *self.ends[:3]]
@@ -331,20 +343,21 @@ class _Odometer:
     which orbit pruning works (`_ties`).
 
     The choices, the measures and the radices stay on the `_Plan` of the
-    enumeration's shape, which is built once per process (`_plan`).  The
-    odometer only labels the factors after the measure with the
-    vocabulary's names, as `(kind, name, model choices, view choices)`:
-    a predicate's view choices are its grid tables as integers over the
-    grid's lcm, and a function's or constant's are its model choices.
+    enumeration's shape, which is built once per process (`_plan`), or
+    handed in by a caller that has it.  The odometer only labels the
+    factors after the measure with the vocabulary's names, as `(kind, name,
+    model choices, view choices)`: the view choices are a predicate's grid
+    rows over the grid's lcm, a function's rows of positions and a
+    constant's positions.
     """
 
-    def __init__(self, gen: ModelGenSpec, voc: Vocabulary, eq: bool, orbit_least: bool):
-        plan = self.plan = _plan(*_shape(gen, voc, eq))
+    def __init__(self, gen: ModelGenSpec, voc: Vocabulary, eq: bool, orbit_least: bool,
+                 plan: _Plan | None = None):
+        plan = self.plan = plan or _plan(*_shape(gen, voc, eq))
         labels = [name for name, _ in _pred_symbols(voc)] + [EQ_PRED] * eq
         self.factors = [("predicate", name, *choices) for name, choices in zip(labels, plan.tables)]
-        self.factors += [("function", name, choices, choices)
-                         for (name, _), choices in zip(voc.functions, plan.functions)]
-        self.factors += [("constant", name, plan.names, plan.names) for name in voc.constants]
+        self.factors += [("function", name, *choices) for (name, _), choices in zip(voc.functions, plan.functions)]
+        self.factors += [("constant", name, plan.names, range(len(plan.names))) for name in voc.constants]
         # the relabellings not yet known to map the model higher; they are tried level by level
         self.relabellings = plan.relabellings if orbit_least else []
 
@@ -415,16 +428,17 @@ class _Odometer:
             position = changed = step(n - 1)
 
     def model(self, indices: Sequence[int]) -> WeakProbModel:
-        """The model at `indices`; it shares the plan's read-only tables and measure."""
+        """The model at `indices`; it shares the plan's read-only tables, measure and rows."""
         parts = {"predicate": {}, "function": {}, "constant": {}}
-        tables = {}
+        rows = {"predicate": {}, "function": {}}
         for (kind, name, choices, view_choices), i in zip(self.factors, indices[1:]):
             parts[kind][name] = choices[i]
-            if kind == "predicate":
-                tables[name] = view_choices[i]
+            if kind in rows:
+                rows[kind][name] = view_choices[i]
         plan = self.plan
         measure, *integers = plan.measures[indices[0]]
-        return WeakProbModel._trusted(plan.names, measure, *parts.values(), IntegerForm(plan.den, tables, *integers))
+        form = IntegerForm(plan.den, rows["predicate"], *integers, rows["function"], plan.positions)
+        return WeakProbModel._trusted(plan.names, measure, *parts.values(), form)
 
 
 def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
@@ -432,9 +446,10 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
     """Every model over the grid, in a fixed deterministic order.
 
     With `eq`, every model also interprets `eq` as the crisp identity.  The
-    models are valid by construction and share the tables and measures of
-    the grid's plan (`_Plan`), which is built once per process; they share
-    them as read-only mappings, so no model can change the plan.
+    models are valid by construction and share the tables, measures and
+    integer rows of the grid's plan (`_Plan`), which is built once per
+    process; they share them as read-only mappings and tuples, so no model
+    can change the plan.
 
     The order is lexicographic on the factor indices: the measure's, each
     predicate table's, each function table's and each constant's.  With
@@ -455,20 +470,42 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
 def random_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:
     """`gen.count` models drawn reproducibly from the seed; `eq` as in `exhaustive_models`.
 
-    The models are valid by construction; they share the `eq` table.
+    The models are valid by construction; they share the `eq` table.  Each
+    carries its integer form, with `D` the grid's lcm and the rows taken
+    from the same draws as the tables.
     """
-    names = universe_names(gen.size)
+    names, size = universe_names(gen.size), gen.size
     rng = random.Random(gen.seed)
     grid = sorted(gen.grid)
+    den, numerators = integer_row(grid)
+    # a draw takes a value and its integer form at once; `rng.choice` reads only the length
+    values = list(zip(grid, numerators))
+    elements = list(zip(names, range(size)))
     pred_symbols = _pred_symbols(voc)
+    keys = {arity: list(itertools.product(names, repeat=arity))
+            for _, arity in (*pred_symbols, *voc.functions)}
+
+    def table(choices: list[tuple], arity: int) -> tuple[dict, tuple]:
+        """A table drawn from `choices`, and its rows."""
+        drawn, rows = zip(*[rng.choice(choices) for _ in keys[arity]])
+        return dict(zip(keys[arity], drawn)), nested(rows, size, arity)
+
     fixed = _fixed_tables(names, eq)
+    fixed_rows = {name: integer_rows(fixed_table, names, den) for name, fixed_table in fixed.items()}
+    positions = MappingProxyType(dict(elements))
     for _ in range(gen.count):
-        measure = _random_measure(names, grid, rng)
-        preds = {name: _random_table(names, arity, grid, rng) for name, arity in pred_symbols}
+        measure, *weights = _random_measure(names, values, rng)
+        preds, rows = {}, {}
+        for name, arity in pred_symbols:
+            preds[name], rows[name] = table(values, arity)
         preds.update(fixed)
-        funcs = {name: _random_table(names, arity, names, rng) for name, arity in voc.functions}
+        rows.update(fixed_rows)
+        funcs, func_rows = {}, {}
+        for name, arity in voc.functions:
+            funcs[name], func_rows[name] = table(elements, arity)
         consts = {name: rng.choice(names) for name in voc.constants}
-        yield WeakProbModel._trusted(names, measure, preds, funcs, consts)
+        form = IntegerForm(den, rows, *weights, func_rows, positions)
+        yield WeakProbModel._trusted(names, measure, preds, funcs, consts, form)
 
 
 def generate_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:
@@ -611,22 +648,22 @@ def _axiom_instantiations(axiom: str, gen: ModelGenSpec) -> list[dict]:
 
 
 def _bound_models(formulas: Sequence[Formula], names: Sequence[str], gen: ModelGenSpec, voc: Vocabulary,
-                  eq: bool = False, *, orbit_least: bool = False) -> Iterator[tuple]:
+                  eq: bool = False, *, orbit_least: bool = False, plan: _Plan | None = None) -> Iterator[tuple]:
     """`(model_at, bound)` per model `random_models` or `exhaustive_models` gives, in its order.
 
     `bound` holds each formula's `(numerator, S)` on the model, as
     `compile_integers(formula, names)` binds it, and `model_at()` builds
     the model; both hold only until the next item.  An exhaustive sweep
     gives each formula one `SweepView`, rewritten in place per model, and
-    builds a model only when `model_at` is called.  Random mode binds each
-    drawn model.
+    builds a model only when `model_at` is called; it runs on `plan` when
+    given, the plan of its shape.  Random mode binds each drawn model.
     """
     if not gen.exhaustive:
         binds = [compile_integers(formula, names) for formula in formulas]
         for model in random_models(gen, voc, eq):
             yield (lambda model=model: model), [bind(model) for bind in binds]
         return
-    odometer = _Odometer(gen, voc, eq, orbit_least)
+    odometer = _Odometer(gen, voc, eq, orbit_least, plan)
     views = [SweepView(formula, names, odometer.plan.names, odometer.plan.den) for formula in formulas]
     for indices, changed in odometer.sweep(views):
         if not changed:  # a new measure: new scales
@@ -644,7 +681,8 @@ def _failures(axiom: str, gen: ModelGenSpec, equality: bool, report: Report) -> 
     integers, scaled to the product of both scales.  `report.checked`
     counts every check, once per instantiation: its valuations times its
     models, `gen.count` of them, or in exhaustive mode the product of the
-    plan's radices.
+    plan's radices.  The plan is looked up once per instantiation, and its
+    sweeps run on it.
 
     An exhaustive instantiation is decided on the orbit-least models only
     (`exhaustive_models`).  A relabelling of the universe maps a check to
@@ -661,12 +699,12 @@ def _failures(axiom: str, gen: ModelGenSpec, equality: bool, report: Report) -> 
         names = sorted(free_vars(left) | free_vars(right))
         voc = infer_vocabulary([left, right])
         valuations = list(itertools.product(universe, repeat=len(names)))
-        report.checked += len(valuations) * (prod(_plan(*_shape(gen, voc, False)).radices) if gen.exhaustive
-                                             else gen.count)
+        plan = _plan(*_shape(gen, voc, False)) if gen.exhaustive else None
+        report.checked += len(valuations) * (prod(plan.radices) if plan else gen.count)
 
         def records(orbit_least: bool) -> Iterator[dict]:
             for model_at, ((lhs, left_scale), (rhs, right_scale)) in _bound_models(
-                    (left, right), names, gen, voc, orbit_least=orbit_least):
+                    (left, right), names, gen, voc, orbit_least=orbit_least, plan=plan):
                 for elements in valuations:
                     left_value, right_value = lhs(elements) * right_scale, rhs(elements) * left_scale
                     if left_value != right_value and (equality or left_value > right_value):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import intlogic as il
 from intlogic import errors
-from intlogic.evaluate import compile_formula, evaluate, evaluate_closed, value_matrix
+from intlogic.evaluate import compile_formula, compile_integers, evaluate, evaluate_closed, value_matrix
 from intlogic.model import (
     WeakProbModel,
     integer_form,
@@ -401,3 +401,125 @@ def test_each_missing_symbol_kind_raises_unknown_symbol():
         with pytest.raises(errors.UnknownSymbol):
             evaluate_closed(formula, model)
         assert_agree(formula, model)
+
+
+# ---------------------------------------------------------------------------
+# Positions: the evaluator reads tables by element position, not by name
+
+#: element names that sort in another order than any universe drawn from them lists them
+POSITION_NAMES = ("e10", "e2", "b", "a")
+
+
+@st.composite
+def unsorted_models(draw):
+    """`(model, rng)`: a model over 1-4 elements out of sorted order, by the checking constructor.
+
+    It interprets P, Q, R, approx, eq (the crisp identity), f, g, c and d;
+    every table lists its keys in a shuffled order, and the values and
+    weights have denominators 1, 2, 3 and 6.
+    """
+    rng = random.Random(draw(seeds))
+    size = draw(st.integers(min_value=1, max_value=4))
+    universe = draw(st.permutations(POSITION_NAMES))[:size]
+    universe = tuple(reversed(universe) if universe == sorted(universe) else universe)
+
+    def table(arity, value):
+        keys = list(itertools.product(universe, repeat=arity))
+        rng.shuffle(keys)
+        return {key: value(key) for key in keys}
+
+    def graded(key):
+        return rng.choice(MIXED_GRID)
+
+    def element(key):
+        return rng.choice(universe)
+
+    draws = [rng.choice(MIXED_GRID[1:]) for _ in universe]
+    measure = {m: w / sum(draws) for m, w in zip(universe, draws)}
+    predicates = {"P": table(1, graded), "Q": table(1, graded), "R": table(2, graded),
+                  "approx": table(2, graded), "eq": table(2, lambda key: F(key[0] == key[1]))}
+    functions = {"f": table(1, element), "g": table(2, element)}
+    constants = {"c": rng.choice(universe), "d": rng.choice(universe)}
+    return WeakProbModel(universe, measure, predicates, functions, constants), rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=unsorted_models(), depth=st.integers(min_value=0, max_value=3))
+def test_compile_integers_on_unsorted_universes(case, depth):
+    # nested unary and binary function terms, constants, eq, approx and `=`, with every variable of
+    # the pool a free name; compared with the oracle, which reads the tables by element name
+    model, rng = case
+    names = gen.VAR_POOL
+    formula = gen.random_toplevel(rng, depth + 1)
+    if rng.random() < 0.5:
+        eq = Atom("eq", (gen.random_term(rng, names, 2), gen.random_term(rng, names, 2)))
+        formula = rng.choice((il.And, il.Implies, il.StrongOr))(formula, eq)
+    numerator, scale = compile_integers(formula, names)(model)
+    valuations = list(itertools.product(model.universe, repeat=len(names)))
+    for elements in rng.sample(valuations, min(12, len(valuations))):
+        expected = outcome(lambda: oracle.evaluate(formula, model, dict(zip(names, elements))))
+        assert outcome(lambda: F(numerator(elements), scale)) == expected, \
+            f"{il.print_formula(formula)} at {elements} on {il.model_to_json(model)}"
+
+
+#: `(text, error class, message)` of the first error in reading order, where every argument of an atom or
+#: a function term comes before its table: a missing predicate or function with an unbound argument or a
+#: missing constant, and the same under `=`; on `ERROR_ORDER_MODEL`, which lacks Q, S, f, h and k
+ERROR_ORDER = [
+    ("Q(z)", "UnboundVariable", "variable 'z' has no value in the valuation"),
+    ("R(z, z)", "UnboundVariable", "variable 'z' has no value in the valuation"),
+    ("R(c, z)", "UnboundVariable", "variable 'z' has no value in the valuation"),
+    ("EX x. Q(x) & Q(z)", "UnknownSymbol", "predicate 'Q' is not interpreted"),
+    ("P(f(k))", "UnknownSymbol", "constant 'k' is not interpreted"),
+    ("R(k, f(c))", "UnknownSymbol", "constant 'k' is not interpreted"),
+    ("R(f(c), k)", "UnknownSymbol", "function 'f' is not interpreted"),
+    ("P(g(f(c), k))", "UnknownSymbol", "function 'f' is not interpreted"),
+    ("P(g(k, f(c)))", "UnknownSymbol", "constant 'k' is not interpreted"),
+    ("Q(f(k))", "UnknownSymbol", "constant 'k' is not interpreted"),
+    ("Q(f(z))", "UnboundVariable", "variable 'z' has no value in the valuation"),
+    ("P(g(c, f(z)))", "UnboundVariable", "variable 'z' has no value in the valuation"),
+    ("S(c, z)", "UnboundVariable", "variable 'z' has no value in the valuation"),
+    ("S(z, c)", "UnboundVariable", "variable 'z' has no value in the valuation"),
+    ("P(h(c, k))", "UnknownSymbol", "constant 'k' is not interpreted"),
+    ("S(c, h(c, z))", "UnboundVariable", "variable 'z' has no value in the valuation"),
+    ("(INT Q(z) dx) = (INT P(x) dx)", "NotASentence", "formula has free variables: z"),
+    ("(INT P(x) dx) = (INT Q(z) dy)", "NotASentence", "formula has free variables: z"),
+    ("(INT P(f(k)) dx) = (INT P(x) dx)", "UnknownSymbol", "constant 'k' is not interpreted"),
+    ("(INT P(x) dx) = (INT R(x, f(k)) dx)", "UnknownSymbol", "constant 'k' is not interpreted"),
+    ("(INT Q(x) dx) = (INT P(f(x)) dx)", "UnknownSymbol", "predicate 'Q' is not interpreted"),
+    ("(ALL x. Q(x)) = (INT P(x) dx)", "UnknownSymbol", "predicate 'Q' is not interpreted"),
+]
+ERROR_ORDER_VOC = il.Vocabulary(predicates=(("P", 1), ("Q", 1), ("R", 2), ("S", 2)),
+                                functions=(("f", 1), ("g", 2), ("h", 2)), constants=("c", "k"))
+ERROR_ORDER_MODEL = reduct(gen.random_model(random.Random(5), size=2),
+                           il.Vocabulary(predicates=(("P", 1), ("R", 2)), functions=(("g", 2),), constants=("c",)))
+
+
+@pytest.mark.parametrize("text, kind, message", ERROR_ORDER)
+def test_error_order(text, kind, message):
+    with pytest.raises(getattr(errors, kind)) as raised:
+        evaluate(il.parse_formula(text, ERROR_ORDER_VOC), ERROR_ORDER_MODEL, {})
+    assert str(raised.value) == message
+
+
+def test_cold_and_kept_rows_give_the_same_values():
+    # a model made by the checking constructor makes each symbol's rows when a bind first reads it
+    # and keeps them; binds that find them kept agree with binds on a fresh model, which make them
+    texts = ("INT R(x, f(c)) dx", "EX x. P(g(x, d)) & R(d, x)", "ALL x. (INT approx(x, y) dy) -> Q(f(x))",
+             "P(c) |+| rat(1/3)")
+    formulas = [il.parse_formula(text, gen.VOC) for text in texts]
+    binds = [compile_integers(formula) for formula in formulas]
+    for seed in range(12):
+        document = model_to_json(gen.random_model(random.Random(seed), size=1 + seed % 3))
+        kept = model_from_json(document)
+        assert integer_form(kept).tables == {} and integer_form(kept).functions == {}
+        first = [bind(kept) for bind in binds]
+        again = [bind(kept) for bind in binds]
+        cold = [bind(model_from_json(document)) for bind in binds]
+        values = [[numerator() for numerator, _ in bound] for bound in (first, again, cold)]
+        scales = [[scale for _, scale in bound] for bound in (first, again, cold)]
+        assert values[0] == values[1] == values[2] and scales[0] == scales[1] == scales[2]
+        assert [F(n, s) for n, s in zip(values[0], scales[0])] == \
+            [oracle.evaluate_closed(formula, kept) for formula in formulas]
+        assert set(integer_form(kept).tables) == {"P", "Q", "R", "approx"}
+        assert set(integer_form(kept).functions) == {"f", "g"}

@@ -17,12 +17,14 @@ from intlogic.model import (
     FuzzySubset,
     WeakProbModel,
     expand_by_constants,
+    function_rows,
     integer_form,
     isomorphic,
     level_set,
     model_from_json,
     model_to_json,
     mu_set,
+    predicate_rows,
     reduct,
     relabel_universe,
     rename,
@@ -64,8 +66,11 @@ class TestLoading:
 
         path = tmp_path / "m.json"
         path.write_text(json.dumps(dict(MODEL_DOC, measure={"a": "1/6", "b": "5/6"})))
-        form = integer_form(load_model(path))
-        assert (form.m_den, form.weights, form.weight_row) == (6, (("a", 1), ("b", 5)), (1, 5))
+        model = load_model(path)
+        form = integer_form(model)
+        assert (form.m_den, form.weights, form.weight_row, form.den) == (6, ((0, 1), (1, 5)), (1, 5), 1)
+        assert form.tables == {}  # rows are made when first read
+        assert predicate_rows(model, "P") == (1, 0) and form.tables == {"P": (1, 0)}
 
     def test_unnormalized_measure(self):
         doc = dict(MODEL_DOC, measure={"a": "1/3", "b": "1/3"})
@@ -213,6 +218,30 @@ class TestSubsetForms:
 
 
 class TestStructureOps:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_relabelling_and_reduct_carry_the_integer_form(self, seed):
+        # a relabelled model keeps every element's position, and a reduct forgets tables, so both hand
+        # on the integer form of a model that has one; it must be the form of the model they return
+        rng = random.Random(seed)
+        model = gen.random_model(rng, size=rng.randint(1, 3))
+        image = tuple(rng.sample(["n1", "n2", "zz"], len(model.universe)))
+        voc = il.Vocabulary(predicates=(("R", 2),), functions=(("g", 2),), constants=("d",))
+        for derived in (relabel_universe(model, dict(zip(model.universe, image))), reduct(model, voc)):
+            form = integer_form(derived)
+            rebuilt = WeakProbModel(derived.universe, derived.measure, derived.predicates, derived.functions,
+                                    derived.constants)
+            assert form.positions == integer_form(rebuilt).positions == \
+                {m: i for i, m in enumerate(derived.universe)}
+            assert set(form.tables) == set(derived.predicates) and set(form.functions) == set(derived.functions)
+            for name in derived.predicates:
+                assert FuzzySubset.from_predicate(derived, name) == FuzzySubset.from_predicate(rebuilt, name)
+            for name in derived.functions:
+                assert function_rows(derived, name) == function_rows(rebuilt, name)
+            body = il.parse_formula("INT R(x, g(c, y)) dx -> P(y)", gen.VOC) if derived.constants.get("c") \
+                else il.parse_formula("ALL x. R(x, g(d, y))", gen.VOC)
+            for m in derived.universe:
+                assert il.evaluate(body, derived, {"y": m}) == oracle.evaluate(body, rebuilt, {"y": m})
+
     def test_reduct_drops_symbols(self):
         model = model_from_json(MODEL_DOC)
         small = reduct(model, il.Vocabulary(predicates=(("P", 1),)))

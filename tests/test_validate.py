@@ -16,6 +16,7 @@ from intlogic.integrals import check_semantic_integral_laws, slice_first, slice_
 from intlogic.model import (
     FuzzySubset,
     WeakProbModel,
+    function_rows,
     integer_form,
     model_from_json,
     model_to_json,
@@ -413,6 +414,26 @@ FULL_VOC = Vocabulary(predicates=(("P", 1), ("R", 2)), functions=(("f", 1),), co
                       has_approx=True)
 
 
+def assert_form_of_its_own_tables(model):
+    """The model's integer form holds its own tables and measure, by position: each predicate's rows are
+    the table times D and each function's rows the positions of its values, in product order with one
+    tuple level per argument, and each weight is the measure times M."""
+    form, universe = integer_form(model), model.universe
+    assert form.positions == {m: i for i, m in enumerate(universe)}
+    for rows, tables, value_of in ((form.tables, model.predicates, lambda n: F(n, form.den)),
+                                   (form.functions, model.functions, universe.__getitem__)):
+        assert set(rows) == set(tables)
+        for name, table in tables.items():
+            for key in itertools.product(range(len(universe)), repeat=len(next(iter(table)))):
+                value = rows[name]
+                for i in key:
+                    assert type(value) is tuple and len(value) == len(universe)
+                    value = value[i]
+                assert value_of(value) == table[tuple(universe[i] for i in key)]
+    assert type(form.weight_row) is tuple and form.weights == tuple(enumerate(form.weight_row))
+    assert [F(w, form.m_den) for w in form.weight_row] == [model.measure[m] for m in universe]
+
+
 class TestTrustedGeneration:
     """Generated models skip the model checks; they must be what the checking constructor builds."""
 
@@ -422,14 +443,16 @@ class TestTrustedGeneration:
                                 model.constants)
         assert model == rebuilt
         assert model_to_json(model) == model_to_json(rebuilt)
-        # the shared integer form must belong to this model's own tables and measure
-        form = integer_form(model)
-        assert set(form.tables) == set(model.predicates)
-        for name, table in model.predicates.items():
-            assert {key: F(v, form.den) for key, v in form.tables[name].items()} == table
-        assert [(m, F(w, form.m_den)) for m, w in form.weights] == \
-            [(m, model.measure[m]) for m in model.universe]
-        assert form.weight_row == tuple(w for _, w in form.weights)
+        # the shared integer form must belong to this model's own tables and measure, and agree with
+        # the one the checking constructor's model makes (over its own D)
+        assert_form_of_its_own_tables(model)
+        form, own = integer_form(model), integer_form(rebuilt)
+        assert (form.m_den, form.weights, form.weight_row) == (own.m_den, own.weights, own.weight_row)
+        assert form.den % own.den == 0
+        for name in model.predicates:
+            assert FuzzySubset.from_predicate(model, name) == FuzzySubset.from_predicate(rebuilt, name)
+        for name in model.functions:
+            assert form.functions[name] == function_rows(rebuilt, name)
 
     @pytest.mark.parametrize("size, voc, eq, stride", [
         (1, FULL_VOC, True, 1),
@@ -635,19 +658,27 @@ class TestSweepResults:
         for (indices, model), expected in zip(steps, enumerated):
             assert model_to_json(model) == model_to_json(expected)
             assert integer_form(model) == integer_form(expected)
-            assert integer_form(model).weight_row == tuple(w for _, w in integer_form(model).weights)
+            assert_form_of_its_own_tables(model)
             assert model == WeakProbModel(model.universe, model.measure, model.predicates, model.functions,
                                           model.constants)
-            # every table and the measure is the plan's own read-only object, not a copy per model
+            # every table and the measure is the plan's own read-only object, not a copy per model,
+            # and so is every row of the integer form
             chosen = iter(indices[1:])
-            shared = [(model.measure, plan.measures[indices[0]][0])]
+            measure, _, weights, weight_row = plan.measures[indices[0]]
+            form = integer_form(model)
+            shared, rows = [(model.measure, measure)], [(form.weights, weights), (form.weight_row, weight_row)]
             for name, (tables, integers) in zip(model.predicates, plan.tables):
                 i = next(chosen)
-                shared += [(model.predicates[name], tables[i]), (integer_form(model).tables[name], integers[i])]
-            shared += [(model.functions[name], tables[next(chosen)])
-                       for name, tables in zip(model.functions, plan.functions)]
-            assert len(shared) == 1 + 2 * len(model.predicates) + len(model.functions)
+                shared.append((model.predicates[name], tables[i]))
+                rows.append((form.tables[name], integers[i]))
+            for name, (tables, positions) in zip(model.functions, plan.functions):
+                i = next(chosen)
+                shared.append((model.functions[name], tables[i]))
+                rows.append((form.functions[name], positions[i]))
+            assert len(shared) == 1 + len(model.predicates) + len(model.functions)
+            assert len(rows) == 2 + len(model.predicates) + len(model.functions)
             assert all(part is own and isinstance(own, MappingProxyType) for part, own in shared)
+            assert all(part is own and type(own) is tuple for part, own in rows)
 
 
 @st.composite
@@ -959,6 +990,28 @@ class TestPrunedAxiomChecks:
             patch.setattr(validate, "axiom_sides", AXIOM_SIDES[sides])
             expected = next(filter(None, _brute_force_checks("mu3", spec, True)), None)
             assert json.dumps(mu3_equality_gap(spec)) == json.dumps(expected), (spec.size, spec.grid)
+
+    def test_one_plan_per_instantiation(self, monkeypatch):
+        # no plan is kept, so each lookup builds one: the count and every sweep of an instantiation
+        # share the one plan, whether it passes (mu2) or fails and is swept again in full (mu1)
+        built = []
+        build = validate._Plan.__init__
+
+        def counted(plan, *shape):
+            built.append(shape)
+            build(plan, *shape)
+
+        monkeypatch.setattr(validate, "_PLANS", {})
+        monkeypatch.setattr(validate, "PLAN_CHOICES_KEPT", 0)
+        monkeypatch.setattr(validate._Plan, "__init__", counted)
+        assert validate_axiom("mu2", SIZE2).ok
+        assert len(built) == len(validate._axiom_instantiations("mu2", SIZE2)) == 4
+        built.clear()
+        monkeypatch.setattr(validate, "axiom_sides", _mu1_against_its_right_side_integrated)
+        report = validate_axiom("mu1", SIZE2)
+        assert not report.ok and report.checked == AXIOM_CHECKS["mu1"]
+        assert len(built) == len(validate._axiom_instantiations("mu1", SIZE2)) == 1 + len(DEFAULT_GRID)
+        assert validate._PLANS == {}
 
     def test_full_sweeps_only_for_failing_instantiations(self, monkeypatch):
         # counts sweeps, not time, so it holds on a machine of any speed
