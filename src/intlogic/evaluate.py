@@ -16,7 +16,8 @@ universe, never on element names:
   take the first slots, and each binder the slot after those of the
   binders around it.  Names given at the public boundary
   (`compile_integers`, `compile_formula`, `value_matrix`) are mapped to
-  positions once per call, through the model's position map.
+  positions once per call, through the model's position map; a name
+  outside the universe raises `FormatError`.
 - `view` is the model's integer view, built once per compiled formula and
   model from the model's integer form (`model.integer_form`): one entry per
   table, constant, truth constant, scale and power the closures read, at
@@ -61,7 +62,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
-from .errors import ContainmentViolated, NotASentence, UnboundVariable, UnknownSymbol
+from .errors import ArityMismatch, ContainmentViolated, FormatError, NotASentence, UnboundVariable, UnknownSymbol
 from .model import FuzzySubset, IntegerForm, WeakProbModel, function_rows, integer_form, predicate_rows
 from .syntax import (
     And,
@@ -274,6 +275,7 @@ class _Compiler:
         self.entries: list[tuple[Callable | None, object]] = []  #: a per-model entry has no `build`
         self.index: dict[tuple, int] = {}
         self.per_model: list[tuple[int, int, str, object]] = []  #: (index, kind, name, value if absent)
+        self.arities: dict[int, set[int]] = {}  #: by view index, the argument counts each table is read with
         self.weights: int | None = None  #: the index of the weights entry
         self.truth_den = 1
 
@@ -286,8 +288,11 @@ class _Compiler:
                 self.truth_den = lcm(self.truth_den, key.denominator)
         return self.index[(build, key)]
 
-    def slot(self, kind: int, name: str | None = None) -> int:
-        """The view index of a per-model entry: the model's `name` of this kind, or its weights."""
+    def slot(self, kind: str, name: str | None = None, arity: int | None = None) -> int:
+        """The view index of a per-model entry: the model's `name` of this kind, or its weights.
+
+        A table's entry is read with `arity` arguments.
+        """
         if (kind, name) not in self.index:
             i = self.index[(kind, name)] = len(self.entries)
             self.entries.append((None, None))
@@ -296,7 +301,10 @@ class _Compiler:
                 return i
             absent = None if kind == _CONSTANT else _Missing(kind, name)
             self.per_model.append((i, kind, name, absent))
-        return self.index[(kind, name)]
+        i = self.index[(kind, name)]
+        if arity is not None:
+            self.arities.setdefault(i, set()).add(arity)
+        return i
 
     def node(self, formula: Formula, scope: dict[str, int]):
         """`(closure, e)`: the value of `formula` is `closure(view, env) / S_e`.
@@ -365,7 +373,7 @@ class _Compiler:
         return lambda view, env: closure(view, env) * view[p]
 
     def atom(self, atom: Atom, scope: dict[str, int]):
-        k = self.slot(_PREDICATE, atom.pred)
+        k = self.slot(_PREDICATE, atom.pred, len(atom.args))
         slots = [scope.get(t.name) if isinstance(t, Variable) else None for t in atom.args]
         if len(slots) == 1 and slots[0] is not None:
             s = slots[0]
@@ -394,7 +402,7 @@ class _Compiler:
                     raise UnknownSymbol(name, message=f"constant {name!r} is not interpreted")
                 return view[k]
             return constant
-        return _read(self.slot(_FUNCTION, term.func), [self.term(a, scope) for a in term.args])
+        return _read(self.slot(_FUNCTION, term.func, len(term.args)), [self.term(a, scope) for a in term.args])
 
     def compile(self, formula: Formula) -> Callable[[WeakProbModel], BoundIntegers]:
         """`formula` compiled over this compiler's free names (see `compile_integers`).
@@ -407,7 +415,14 @@ class _Compiler:
         def bind(model: WeakProbModel) -> BoundIntegers:
             form = integer_form(model)
             view, at = self.view(model, form), form.positions.__getitem__
-            return self.numerator(view, lambda elements: list(map(at, elements))), view[self.top]
+
+            def positions(elements: Sequence[str]) -> list[int]:
+                try:
+                    return list(map(at, elements))
+                except KeyError:
+                    outside = next(m for m in elements if m not in form.positions)
+                    raise FormatError(f"{outside!r} is not an element of the universe") from None
+            return self.numerator(view, positions), view[self.top]
         return bind
 
     def numerator(self, view: list, positions: Callable[[Sequence[str]], list]) -> Callable[[Sequence[str]], int]:
@@ -445,21 +460,29 @@ class _Compiler:
         It reads the model's integer form (`form`), with the rows of the
         predicates the formula reads rescaled when `self.den` raises the
         form's `D`, and the positions of the functions and constants the
-        formula reads.
+        formula reads.  A table the formula reads with another number of
+        arguments than its arity raises `ArityMismatch`.
         """
         den = self.den(form.den)
         factor = den // form.den
         view = self.blank(len(form.weight_row), den, form.m_den)
         for i, kind, name, _ in self.per_model:
+            if kind == _CONSTANT:
+                if name in model.constants:
+                    view[i] = form.positions[model.constants[name]]
+                continue
+            table = (model.predicates if kind == _PREDICATE else model.functions).get(name)
+            if table is None:
+                continue
+            arity, read = len(next(iter(table))), self.arities[i]
+            if len(read) > 1 or arity not in read:
+                n = min(read - {arity})
+                raise ArityMismatch(f"{kind} {name!r} has arity {arity}, but is read with {n} argument{'s' * (n != 1)}")
             if kind == _PREDICATE:
-                if name in model.predicates:
-                    rows = form.tables.get(name) or predicate_rows(model, name)
-                    view[i] = rows if factor == 1 else _scaled(rows, factor)
-            elif kind == _FUNCTION:
-                if name in model.functions:
-                    view[i] = form.functions.get(name) or function_rows(model, name)
-            elif name in model.constants:
-                view[i] = form.positions[model.constants[name]]
+                rows = form.tables.get(name) or predicate_rows(model, name)
+                view[i] = rows if factor == 1 else _scaled(rows, factor)
+            else:
+                view[i] = form.functions.get(name) or function_rows(model, name)
         if self.weights is not None:
             view[self.weights] = form.weights
         return view
@@ -495,16 +518,16 @@ class SweepView:
         """`(position, values, slot, choices)` per factor read: model `i` sets `values[slot] = choices[i]`.
 
         `factors` labels the sweep's positions from 1 on, each as `(kind,
-        name, model choices, view choices)` with `kind` one of "predicate",
-        "function" and "constant".  The view choices are a predicate's rows
-        over the grid's `den`, a function's rows of positions and a
-        constant's positions.  When `D` raises the grid's `den`, the view
-        rescales the rows it reads, for itself alone.
+        name, choices)` with `kind` one of "predicate", "function" and
+        "constant".  The choices are a predicate's rows over the grid's
+        `den`, a function's rows of positions and a constant's positions.
+        When `D` raises the grid's `den`, the view rescales the rows it
+        reads, for itself alone.
         """
         factor = self._den // self._grid_den
         slots = {(kind, name): i for i, kind, name, _ in self._compiler.per_model}
         out = []
-        for position, (kind, name, _, choices) in enumerate(factors, 1):
+        for position, (kind, name, choices) in enumerate(factors, 1):
             slot = slots.get((kind, name))
             if slot is None:
                 continue
@@ -533,9 +556,12 @@ def compile_integers(formula: Formula,
     in order, the elements bound to `free_names`, and `S` is the scale of
     the formula's `INT` height on this model.  Binding to a model builds
     its integer view once, so one bound formula serves every valuation.
-    Errors surface when running, in the order the recursive clauses meet
-    them: a variable that neither `free_names` nor a binder binds raises
-    `UnboundVariable`, a symbol the model lacks `UnknownSymbol`.
+    Binding raises `ArityMismatch` for a table the model has but the
+    formula reads with another number of arguments.  Other errors surface
+    when running, in the order the recursive clauses meet them: a variable
+    that neither `free_names` nor a binder binds raises `UnboundVariable`,
+    a symbol the model lacks `UnknownSymbol`, and an element outside the
+    universe `FormatError`.
     """
     return _Compiler(free_names).compile(formula)
 

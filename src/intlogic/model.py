@@ -203,10 +203,17 @@ def integer_row(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     return den, tuple([v.numerator * (den // v.denominator) for v in values])
 
 
-def integer_weights(values: Sequence[Fraction]) -> tuple[int, tuple, tuple]:
-    """`(M, weights, weight_row)` of an `IntegerForm` for a measure's values, in universe order."""
-    m_den, row = integer_row(values)
-    return m_den, tuple(enumerate(row)), row
+def integer_measure(draw: Sequence[int]) -> tuple[int, tuple, tuple]:
+    """`(M, weights, weight_row)` of an `IntegerForm` for the measure `n / N`, by position.
+
+    `draw` holds the numerators `n`, not all zero, and `N` is their sum.
+    With `g` the gcd of `N` and every `n`, `M` is `N / g` and the weights
+    are `n / g`.  This is the one place a measure's integer form is made.
+    """
+    total = sum(draw)
+    common = gcd(total, *draw)
+    row = tuple([n // common for n in draw])
+    return total // common, tuple(enumerate(row)), row
 
 
 def integer_form(model: WeakProbModel) -> IntegerForm:
@@ -220,7 +227,7 @@ def integer_form(model: WeakProbModel) -> IntegerForm:
     if form is None:
         universe = model.universe
         den = lcm(*{v.denominator for table in model.predicates.values() for v in table.values()})
-        form = IntegerForm(den, {}, *integer_weights([model.measure[m] for m in universe]), {},
+        form = IntegerForm(den, {}, *integer_measure(integer_row([model.measure[m] for m in universe])[1]), {},
                            dict(zip(universe, range(len(universe)))))
         vars(model)["_integer_form"] = form
     return form

@@ -1,9 +1,14 @@
 """Model generation, axiom validity testing and countermodel search.
 
-Models are drawn over one grid of exact rationals: measures are grid draws
-renormalized by exact division (all-zero draws redrawn), tables are grid
-draws.  Exhaustive mode enumerates every grid combination in a
-deterministic order; random mode is reproducible from the seed.
+Models are generated over one grid of exact rationals, as integers alone:
+a measure is a draw of the grid's numerators over its lcm, one per
+element, normalised on integers (`model.integer_measure`; all-zero draws
+are dropped or redrawn), a predicate table is a row of grid numerators and
+a function table a row of element positions.  One materialiser
+(`_Models.model`) makes every generated model from such rows: its tables,
+its measure and its integer form.  Exhaustive mode enumerates every grid
+combination in a deterministic order; random mode is reproducible from
+the seed.
 Countermodel search and the axiom checks enumerate only the models that
 are least in their orbit under relabellings of the universe
 (`exhaustive_models`).  An axiom instantiation with a failing check is
@@ -17,7 +22,8 @@ Exhaustive mode has one enumeration path, an odometer over factor indices
 function table and constant.  The choices of every factor depend only on
 the size, the grid and the arities, and are built once per process
 (`_plan`); the odometer labels them with the vocabulary's names and
-copies nothing.  `exhaustive_models` builds a model per step.
+copies nothing.  `exhaustive_models` materialises a model per step, as
+`random_models` does per draw.
 Axiom checks and countermodel search run on the same odometer without
 building models (`_bound_models`): each formula has its own integer view
 (`evaluate.SweepView`).  The view hands the odometer its writes once per
@@ -37,9 +43,9 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import prod
 from types import MappingProxyType
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ContainmentViolated,
@@ -56,9 +62,8 @@ from .model import (
     FuzzySubset,
     IntegerForm,
     WeakProbModel,
+    integer_measure,
     integer_row,
-    integer_rows,
-    integer_weights,
     model_to_json,
     nested,
     reduct,
@@ -130,45 +135,34 @@ def universe_names(size: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(1, size + 1))
 
 
-def grid_measures(size: int, grid: Sequence[Fraction]) -> list[dict[str, Fraction]]:
-    """All distinct measures obtained by renormalizing grid draws, sorted."""
-    names = universe_names(size)
-    seen = set()
-    out = []
-    for draw in itertools.product(sorted(grid), repeat=size):
-        total = sum(draw, ZERO)
-        if total == ZERO:
-            continue
-        weights = tuple(w / total for w in draw)
-        if weights in seen:
-            continue
-        seen.add(weights)
-        out.append(dict(zip(names, weights)))
-    return out
+def _measure(names: tuple[str, ...], integers: tuple) -> tuple:
+    """`(measure, M, weights, weight_row)`: a measure's `integer_measure` form, led by the read-only measure."""
+    m_den, _, weight_row = integers
+    return (MappingProxyType({name: Fraction(w, m_den) for name, w in zip(names, weight_row)}), *integers)
 
 
-def _all_tables(names: tuple[str, ...], arity: int, values: Sequence) -> Iterator[dict]:
-    keys = list(itertools.product(names, repeat=arity))
-    for combo in itertools.product(values, repeat=len(keys)):
-        yield dict(zip(keys, combo))
+def _grid_measures(names: tuple[str, ...], numerators: Sequence[int]) -> list[tuple]:
+    """`_measure` of every distinct measure a draw of `numerators` per element normalises to, in draw order.
 
-
-def _random_measure(names: tuple[str, ...], values: Sequence[tuple[Fraction, int]], rng: random.Random) -> tuple:
-    """A grid draw per element, renormalized (all-zero draws redrawn): the measure and its integer weights.
-
-    `values` pairs each grid value with its numerator over the grid's lcm.
-    A draw of numerators `n` with sum `N` is the measure `n / N`; with `g`
-    the gcd of `N` and every `n`, its `M` is `N / g` and its integer
-    weights are `n / g`.  The result is `(measure, *integer_weights(...))`.
+    Draws run through `itertools.product(numerators, ...)`; an all-zero draw
+    is dropped, and a measure is kept at its first draw.
     """
-    while True:
-        draw = [rng.choice(values)[1] for _ in names]
-        total = sum(draw)
-        if total:
-            common = gcd(total, *draw)
-            row = tuple([n // common for n in draw])
-            return ({name: Fraction(n, total) for name, n in zip(names, draw)}, total // common,
-                    tuple(enumerate(row)), row)
+    forms = {}
+    for draw in itertools.product(numerators, repeat=len(names)):
+        if any(draw):
+            form = integer_measure(draw)
+            forms.setdefault(form[2], form)
+    return [_measure(names, form) for form in forms.values()]
+
+
+def grid_measures(size: int, grid: Sequence[Fraction]) -> list[dict[str, Fraction]]:
+    """All distinct measures obtained by renormalizing grid draws, in the order of their first draws.
+
+    The draws run through the sorted grid.  A draw takes a numerator over the grid's lcm per element and is
+    normalised on integers (`integer_measure`); all-zero draws are dropped.
+    """
+    names = universe_names(size)
+    return [dict(measure) for measure, *_ in _grid_measures(names, integer_row(sorted(grid))[1])]
 
 
 def _pred_symbols(voc: Vocabulary) -> list[tuple[str, int]]:
@@ -176,18 +170,16 @@ def _pred_symbols(voc: Vocabulary) -> list[tuple[str, int]]:
     return list(voc.predicates) + ([(APPROX_PRED, 2)] if voc.has_approx else [])
 
 
-def _fixed_tables(names: tuple[str, ...], eq: bool) -> dict:
-    """The tables no draw sets: `eq` as the crisp identity when asked for."""
-    if not eq:
-        return {}
-    return {EQ_PRED: {(a, b): ONE if a == b else ZERO for a in names for b in names}}
+def _identity(size: int, den: int) -> tuple:
+    """The rows of `eq`, the crisp identity, over `den`: the one table no draw sets."""
+    return nested([den if i == j else 0 for i in range(size) for j in range(size)], size, 2)
 
 
 def _table_images(sigma: tuple[int, ...], arity: int, values: Sequence[int]) -> list[int]:
     """The index of each table's image under the relabelling `sigma`, by table index.
 
-    A table is a mixed-radix number: one digit per key, in `_all_tables`'
-    key order with the first key the most significant, and `len(values)`
+    A table is a mixed-radix number: one digit per key, in the plan's
+    product order with the first key the most significant, and `len(values)`
     digit values.  The image moves the digit at key `k` to key `sigma(k)`
     and turns digit `d` into `values[d]`.
     """
@@ -198,24 +190,25 @@ def _table_images(sigma: tuple[int, ...], arity: int, values: Sequence[int]) -> 
     return [sum(map(operator.mul, digits, weights)) for digits in itertools.product(values, repeat=len(keys))]
 
 
-def _relabellings(measures: list[dict], grid_size: int, pred_arities: Sequence[int | None],
+def _relabellings(measures: list[tuple[int, ...]], grid_size: int, pred_arities: Sequence[int | None],
                   func_arities: Sequence[int], constants: int) -> list[tuple]:
     """The images of every factor choice under each relabelling of the universe but the identity.
 
     A relabelling `sigma` maps element `j` to element `sigma[j]`.  Its
     images hold one list per factor level (measures, predicates, functions,
-    constants) and in it, per factor, the index of each choice's image.  A
+    constants) and in it, per factor, the index of each choice's image.
+    `measures` holds each measure's integer weights by position.  A
     predicate arity of None is a fixed table, which every relabelling maps
     to itself.
     """
     size = len(measures[0])
-    measure_index = {tuple(measure.values()): i for i, measure in enumerate(measures)}
+    measure_index = {measure: i for i, measure in enumerate(measures)}
     out = []
     for sigma in itertools.islice(itertools.permutations(range(size)), 1, None):
         moved = []
         for measure in measures:
             image = [None] * size
-            for j, weight in zip(sigma, measure.values()):
+            for j, weight in zip(sigma, measure):
                 image[j] = weight
             moved.append(measure_index[tuple(image)])
         preds = [[0] if arity is None else _table_images(sigma, arity, range(grid_size))
@@ -237,27 +230,75 @@ def _ties(relabellings: list, level: int, indices: tuple[int, ...]) -> list | No
     return ties
 
 
-class _Plan:
+@functools.lru_cache(maxsize=32)
+def _keys(names: tuple[str, ...], arity: int) -> list[tuple[str, ...]]:
+    """Every key of a table of this arity over the universe `names`, in product order; read-only to callers."""
+    return list(itertools.product(names, repeat=arity))
+
+
+class _Models:
+    """Models over a universe of `size` elements and a sorted grid, made from integer rows alone.
+
+    `names` is the universe, `den` the grid's lcm and `numerators` the grid
+    values times `den`, in order.  `model` is the one materialiser of
+    generated models, exhaustive and random.
+    """
+
+    def __init__(self, size: int, grid: Sequence[Fraction]):
+        names = self.names = universe_names(size)
+        self.den, self.numerators = integer_row(grid)
+        self.positions = MappingProxyType(dict(zip(names, range(size))))
+        #: each part's value of a row entry: a grid value (or 0 or 1 for `eq`) by numerator, an element by position
+        self._value_of = {"predicate": {0: ZERO, self.den: ONE, **dict(zip(self.numerators, grid))}.__getitem__,
+                          "function": names.__getitem__}
+
+    def model(self, measure: tuple, parts: Iterable[tuple]) -> WeakProbModel:
+        """The model of `measure`, as `_measure` gives it, and of one `(kind, name, choice)` per other part.
+
+        A predicate's choice is its nested rows of numerators over `den`, a
+        function's its nested rows of positions and a constant's a position.
+        The model makes its own tables from them; its integer form holds the
+        rows and the measure's integer weights as they are.
+        """
+        names, value_of = self.names, self._value_of
+        tables = {"predicate": {}, "function": {}, "constant": {}}
+        rows = {"predicate": {}, "function": {}}
+        for kind, name, choice in parts:
+            if kind == "constant":
+                tables[kind][name] = names[choice]
+                continue
+            rows[kind][name] = flat = choice
+            arity = 1
+            while type(flat[0]) is tuple:
+                arity, flat = arity + 1, list(itertools.chain.from_iterable(flat))
+            tables[kind][name] = dict(zip(_keys(names, arity), map(value_of[kind], flat)))
+        measure, *integers = measure
+        form = IntegerForm(self.den, rows["predicate"], *integers, rows["function"], self.positions)
+        return WeakProbModel._trusted(names, measure, *tables.values(), form)
+
+
+class _Plan(_Models):
     """Everything an exhaustive enumeration derives from its shape, and nothing from symbol names.
 
     The shape is the universe size, the sorted grid, the arity of each drawn
     predicate table (the vocabulary's, then `approx`), whether `eq` is the
     fixed identity, the arity of each function table and the number of
-    constants.  The plan holds every factor's choices: the measures with
-    their integer weights, the grid tables with their integer rows over the
-    grid's lcm `den` (one list per arity, which the predicates of that arity
-    share), the fixed tables with theirs, and the function tables with
-    their rows of positions.  Every measure and table is a read-only
-    mapping and every row a tuple, so the models built on a plan cannot
-    change it.
+    constants.  The plan holds each measure once, as `_measure` gives it,
+    and each factor's choices once, as integer rows: a predicate's are its
+    nested rows of numerators over the grid's lcm `den` (one list per
+    arity, which the predicates of that arity share), `eq`'s is the
+    identity, a function's are its nested rows of positions and a
+    constant's are the positions.  Every measure is a read-only mapping and
+    every row a tuple, so the models built on a plan cannot change it.
     """
 
     def __init__(self, size: int, grid: tuple[Fraction, ...], pred_arities: tuple[int, ...], eq: bool,
                  func_arities: tuple[int, ...], constants: int):
-        names = self.names = universe_names(size)
-        measures = grid_measures(size, grid)
+        super().__init__(size, grid)
+        den, numerators = self.den, self.numerators
+        self.measures = _grid_measures(self.names, numerators)
 
-        space = len(measures)
+        space = len(self.measures)
         for arity in pred_arities:
             space *= len(grid) ** (size ** arity)
         for arity in func_arities:
@@ -266,35 +307,25 @@ class _Plan:
         if space > EXHAUSTIVE_SPACE_CAP:
             raise SearchSpaceTooLarge(f"exhaustive space has {space} models (cap {EXHAUSTIVE_SPACE_CAP})")
 
-        den = self.den = lcm(*[v.denominator for v in grid])
-        self.measures = [(MappingProxyType(measure), *integer_weights(list(measure.values()))) for measure in measures]
+        def choices(arity: int, values: Sequence[int]) -> list[tuple]:
+            """Every nested row of `values` of this arity, in product order."""
+            return [nested(combo, size, arity) for combo in itertools.product(values, repeat=size ** arity)]
 
-        def choices(arity: int, values: Sequence, rows: Sequence) -> tuple[list, list]:
-            """Every table of `values` of this arity, read-only, and its rows of `rows`, in one order."""
-            return ([MappingProxyType(table) for table in _all_tables(names, arity, values)],
-                    [nested(combo, size, arity) for combo in itertools.product(rows, repeat=size ** arity)])
-
-        numerators = [v.numerator * (den // v.denominator) for v in grid]
-        by_arity = {arity: choices(arity, grid, numerators) for arity in set(pred_arities)}
-        fixed = _fixed_tables(names, eq)
-        #: (tables, integer rows) per predicate factor; a fixed table is a factor of one choice
-        self.tables = [by_arity[arity] for arity in pred_arities]
-        self.tables += [([MappingProxyType(table)], [integer_rows(table, names, den)]) for table in fixed.values()]
-        by_arity = {arity: choices(arity, names, range(size)) for arity in set(func_arities)}
-        #: (tables, rows of positions) per function factor
-        self.functions = [by_arity[arity] for arity in func_arities]
-        self.positions = MappingProxyType(dict(zip(names, range(size))))
-        self.radices = [len(measures), *[len(tables) for tables, _ in (*self.tables, *self.functions)],
-                        *[size] * constants]
+        by_arity = {arity: choices(arity, numerators) for arity in set(pred_arities)}
+        #: the choices of each factor after the measure, in the odometer's order
+        self.choices = [by_arity[arity] for arity in pred_arities] + [[_identity(size, den)]] * eq
+        by_arity = {arity: choices(arity, range(size)) for arity in set(func_arities)}
+        self.choices += [by_arity[arity] for arity in func_arities] + [range(size)] * constants
+        self.radices = [len(self.measures), *map(len, self.choices)]
         #: the first position of each level, and the position after its last
-        self.ends = list(itertools.accumulate((1, len(self.tables), len(func_arities), constants)))
+        self.ends = list(itertools.accumulate((1, len(pred_arities) + eq, len(func_arities), constants)))
         self.starts = [0, *self.ends[:3]]
-        self._images = (len(grid), [*pred_arities, *[None] * len(fixed)], func_arities, constants)
+        self._images = (len(grid), [*pred_arities, *[None] * eq], func_arities, constants)
 
     @functools.cached_property
     def relabellings(self) -> list[tuple]:
         """`_relabellings` of the plan's choices, built on the first sweep that prunes by orbit."""
-        return _relabellings([measure for measure, *_ in self.measures], *self._images)
+        return _relabellings([weight_row for *_, weight_row in self.measures], *self._images)
 
 
 PLAN_CHOICES_KEPT = 1024  #: the most choices, summed over a plan's factors, of a plan kept for later sweeps
@@ -346,18 +377,16 @@ class _Odometer:
     enumeration's shape, which is built once per process (`_plan`), or
     handed in by a caller that has it.  The odometer only labels the
     factors after the measure with the vocabulary's names, as `(kind, name,
-    model choices, view choices)`: the view choices are a predicate's grid
-    rows over the grid's lcm, a function's rows of positions and a
-    constant's positions.
+    choices)`, with the plan's choices: a predicate's rows over the grid's
+    lcm, a function's rows of positions and a constant's positions.
     """
 
     def __init__(self, gen: ModelGenSpec, voc: Vocabulary, eq: bool, orbit_least: bool,
                  plan: _Plan | None = None):
         plan = self.plan = plan or _plan(*_shape(gen, voc, eq))
-        labels = [name for name, _ in _pred_symbols(voc)] + [EQ_PRED] * eq
-        self.factors = [("predicate", name, *choices) for name, choices in zip(labels, plan.tables)]
-        self.factors += [("function", name, *choices) for (name, _), choices in zip(voc.functions, plan.functions)]
-        self.factors += [("constant", name, plan.names, range(len(plan.names))) for name in voc.constants]
+        labels = [("predicate", name) for name, _ in _pred_symbols(voc)] + [("predicate", EQ_PRED)] * eq
+        labels += [("function", name) for name, _ in voc.functions] + [("constant", name) for name in voc.constants]
+        self.factors = [(*label, choices) for label, choices in zip(labels, plan.choices)]
         # the relabellings not yet known to map the model higher; they are tried level by level
         self.relabellings = plan.relabellings if orbit_least else []
 
@@ -428,17 +457,10 @@ class _Odometer:
             position = changed = step(n - 1)
 
     def model(self, indices: Sequence[int]) -> WeakProbModel:
-        """The model at `indices`; it shares the plan's read-only tables, measure and rows."""
-        parts = {"predicate": {}, "function": {}, "constant": {}}
-        rows = {"predicate": {}, "function": {}}
-        for (kind, name, choices, view_choices), i in zip(self.factors, indices[1:]):
-            parts[kind][name] = choices[i]
-            if kind in rows:
-                rows[kind][name] = view_choices[i]
+        """The model at `indices` (`_Models.model`): it shares the plan's read-only measure and rows."""
         plan = self.plan
-        measure, *integers = plan.measures[indices[0]]
-        form = IntegerForm(plan.den, rows["predicate"], *integers, rows["function"], plan.positions)
-        return WeakProbModel._trusted(plan.names, measure, *parts.values(), form)
+        return plan.model(plan.measures[indices[0]],
+                          [(kind, name, choices[i]) for (kind, name, choices), i in zip(self.factors, indices[1:])])
 
 
 def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
@@ -446,10 +468,10 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
     """Every model over the grid, in a fixed deterministic order.
 
     With `eq`, every model also interprets `eq` as the crisp identity.  The
-    models are valid by construction and share the tables, measures and
-    integer rows of the grid's plan (`_Plan`), which is built once per
-    process; they share them as read-only mappings and tuples, so no model
-    can change the plan.
+    models are valid by construction.  Each is made from the integer rows
+    of the grid's plan (`_Plan`), which is built once per process, and owns
+    its table dicts; it shares the plan's measures as read-only mappings
+    and its rows as tuples, so no model can change the plan.
 
     The order is lexicographic on the factor indices: the measure's, each
     predicate table's, each function table's and each constant's.  With
@@ -470,42 +492,26 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
 def random_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:
     """`gen.count` models drawn reproducibly from the seed; `eq` as in `exhaustive_models`.
 
-    The models are valid by construction; they share the `eq` table.  Each
-    carries its integer form, with `D` the grid's lcm and the rows taken
-    from the same draws as the tables.
+    A model is drawn as integers alone: per element a numerator over the
+    sorted grid's lcm for the measure (all-zero draws redrawn), then per
+    tuple a numerator for each predicate table, a position for each
+    function table, and a position for each constant.  It is made from the
+    draws as `exhaustive_models` makes a model from the plan's rows
+    (`_Models.model`), so it is valid by construction and carries its
+    integer form, with `D` the grid's lcm.
     """
-    names, size = universe_names(gen.size), gen.size
-    rng = random.Random(gen.seed)
-    grid = sorted(gen.grid)
-    den, numerators = integer_row(grid)
-    # a draw takes a value and its integer form at once; `rng.choice` reads only the length
-    values = list(zip(grid, numerators))
-    elements = list(zip(names, range(size)))
-    pred_symbols = _pred_symbols(voc)
-    keys = {arity: list(itertools.product(names, repeat=arity))
-            for _, arity in (*pred_symbols, *voc.functions)}
-
-    def table(choices: list[tuple], arity: int) -> tuple[dict, tuple]:
-        """A table drawn from `choices`, and its rows."""
-        drawn, rows = zip(*[rng.choice(choices) for _ in keys[arity]])
-        return dict(zip(keys[arity], drawn)), nested(rows, size, arity)
-
-    fixed = _fixed_tables(names, eq)
-    fixed_rows = {name: integer_rows(fixed_table, names, den) for name, fixed_table in fixed.items()}
-    positions = MappingProxyType(dict(elements))
+    models, size, rng = _Models(gen.size, sorted(gen.grid)), gen.size, random.Random(gen.seed)
+    names, numerators, elements = models.names, models.numerators, range(size)
+    symbols = [("predicate", name, arity, numerators) for name, arity in _pred_symbols(voc)]
+    symbols += [("function", name, arity, elements) for name, arity in voc.functions]
+    fixed = [("predicate", EQ_PRED, _identity(size, models.den))] * eq
     for _ in range(gen.count):
-        measure, *weights = _random_measure(names, values, rng)
-        preds, rows = {}, {}
-        for name, arity in pred_symbols:
-            preds[name], rows[name] = table(values, arity)
-        preds.update(fixed)
-        rows.update(fixed_rows)
-        funcs, func_rows = {}, {}
-        for name, arity in voc.functions:
-            funcs[name], func_rows[name] = table(elements, arity)
-        consts = {name: rng.choice(names) for name in voc.constants}
-        form = IntegerForm(den, rows, *weights, func_rows, positions)
-        yield WeakProbModel._trusted(names, measure, preds, funcs, consts, form)
+        while not any(draw := [rng.choice(numerators) for _ in names]):
+            pass  # an all-zero draw is no measure: draw again
+        parts = [(kind, name, nested([rng.choice(values) for _ in range(size ** arity)], size, arity))
+                 for kind, name, arity, values in symbols]
+        parts += fixed + [("constant", name, rng.choice(elements)) for name in voc.constants]
+        yield models.model(_measure(names, integer_measure(draw)), parts)
 
 
 def generate_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:

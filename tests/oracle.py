@@ -11,8 +11,9 @@ the compiled evaluator or the satisfaction module.
 `law_report` is the same kind of oracle for
 `integrals.check_semantic_integral_laws`, `dissection` for
 `integrals.integral_dissection`, `layercake` for
-`integrals.integral_layercake`, `isomorphic` for `model.isomorphic`, and
-`grid_model_keys` for `validate.exhaustive_models`.
+`integrals.integral_layercake`, `isomorphic` for `model.isomorphic`,
+`grid_measures` for `validate.grid_measures`, and `grid_model_keys` for
+`validate.exhaustive_models`.
 The pieces they need (the Lukasiewicz connectives on `Fraction`s,
 `pointwise`, `set_partitions`, `level_set`, `mass`) are defined here, so
 the oracle imports no code of the modules it checks but `LevelConfig`, the
@@ -326,12 +327,33 @@ def _key(measure, predicates, functions, constants) -> tuple:
             tuple((name, items(functions[name])) for name in sorted(functions)))
 
 
+def grid_measures(size: int, grid) -> list[dict]:
+    """Every distinct measure a draw of grid values per element renormalises to, by `Fraction` division.
+
+    The draws run through the sorted grid in product order, the first
+    element the slowest; all-zero draws are dropped, and each measure is
+    kept at its first draw.
+    """
+    names = tuple("abcdefghijklmnopqrstuvwxyz"[:size])
+    seen = set()
+    out = []
+    for draw in itertools.product(sorted(grid), repeat=size):
+        total = sum(draw, ZERO)
+        if total == ZERO:
+            continue
+        weights = tuple(w / total for w in draw)
+        if weights in seen:
+            continue
+        seen.add(weights)
+        out.append(dict(zip(names, weights)))
+    return out
+
+
 def grid_model_keys(size: int, grid, voc: Vocabulary, eq: bool = False, orbit_least: bool = False) -> list[tuple]:
     """The `model_key` of every model `validate.exhaustive_models` gives, in its order, by nested loops.
 
-    Measures are the distinct renormalized draws of the sorted grid, in draw
-    order; tables run through the grid (or the universe) with the first key
-    the slowest; the models run through every measure, then every table of
+    Measures are those of `grid_measures`; tables run through the grid (or
+    the universe) with the first key the slowest; the models run through every measure, then every table of
     each predicate (the vocabulary's, then `approx`), of each function, and
     every element of each constant, the first the slowest.  `eq` is the
     crisp identity.  With `orbit_least`, a model is kept only when no
@@ -339,12 +361,7 @@ def grid_model_keys(size: int, grid, voc: Vocabulary, eq: bool = False, orbit_le
     """
     names = tuple("abcdefghijklmnopqrstuvwxyz"[:size])
     grid = sorted(set(grid))
-    measures = []
-    for draw in itertools.product(grid, repeat=size):
-        total = sum(draw, ZERO)
-        measure = total and dict(zip(names, [w / total for w in draw]))
-        if measure and measure not in measures:
-            measures.append(measure)
+    measures = grid_measures(size, grid)
 
     def tables(arity, values):
         keys = list(itertools.product(names, repeat=arity))

@@ -502,6 +502,41 @@ def test_error_order(text, kind, message):
     assert str(raised.value) == message
 
 
+#: library input the vocabulary check of the parser would reject: `(text, valuation, error, message)` on
+#: `BAD_INPUT_MODEL`, whose `R` is binary and whose `P` and `f` are unary
+BAD_INPUT = [
+    ("ALL x. R(x)", {}, "ArityMismatch", "predicate 'R' has arity 2, but is read with 1 argument"),
+    ("EX x. P(x, x)", {}, "ArityMismatch", "predicate 'P' has arity 1, but is read with 2 arguments"),
+    ("INT P(f(x, x)) dx", {}, "ArityMismatch", "function 'f' has arity 1, but is read with 2 arguments"),
+    ("INT R(x, x) & R(x, y, x) dx", {"y": "a"}, "ArityMismatch",
+     "predicate 'R' has arity 2, but is read with 3 arguments"),
+    ("P(x)", {"x": "zz"}, "FormatError", "'zz' is not an element of the universe"),
+    ("INT R(x, y) dx", {"y": "zz"}, "FormatError", "'zz' is not an element of the universe"),
+]
+BAD_INPUT_MODEL = WeakProbModel(("a", "b", "c"), {"a": F(1, 2), "b": F(1, 4), "c": F(1, 4)},
+                                {"R": {(x, y): F(1, 3) for x in "abc" for y in "abc"},
+                                 "P": {"a": F(1), "b": F(0), "c": HALF}},
+                                {"f": {"a": "b", "b": "c", "c": "a"}}, {})
+#: the four ways the library evaluates a formula under a valuation
+EVALUATORS = {
+    "evaluate": lambda formula, model, valuation: evaluate(formula, model, valuation),
+    "evaluate_closed": lambda formula, model, valuation: evaluate_closed(formula, model),
+    "compile_formula": lambda formula, model, valuation: compile_formula(formula, tuple(valuation))(model)(
+        tuple(valuation.values())),
+    "compile_integers": lambda formula, model, valuation: compile_integers(formula, tuple(valuation))(model)[0](
+        tuple(valuation.values())),
+}
+
+
+@pytest.mark.parametrize("evaluator, text, valuation, kind, message", [
+    (evaluator, *case) for case in BAD_INPUT for evaluator in sorted(EVALUATORS)
+    if evaluator != "evaluate_closed" or not case[1]])  # evaluate_closed takes sentences only
+def test_bad_input_raises_an_intlogic_error(evaluator, text, valuation, kind, message):
+    with pytest.raises(getattr(errors, kind)) as raised:
+        EVALUATORS[evaluator](il.parse_formula(text), BAD_INPUT_MODEL, valuation)
+    assert str(raised.value) == message
+
+
 def test_cold_and_kept_rows_give_the_same_values():
     # a model made by the checking constructor makes each symbol's rows when a bind first reads it
     # and keeps them; binds that find them kept agree with binds on a fresh model, which make them

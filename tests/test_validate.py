@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -78,6 +79,15 @@ class TestModelGeneration:
         # normalized pairs from {0..4}/4 with gcd-reduced ratios: 13 of them
         measures = grid_measures(2, (F(0), F(1, 4), HALF, F(3, 4), F(1)))
         assert len(measures) == 13
+
+    @settings(max_examples=80, deadline=None)
+    @given(size=st.integers(min_value=1, max_value=3),
+           grid=st.lists(st.sampled_from((*DEFAULT_GRID, F(1, 3), F(2, 7))), min_size=1, max_size=7).filter(any))
+    def test_grid_measures_as_the_oracle(self, size, grid):
+        # measures normalised on integers, in the oracle's order of first draws, with the same keys in order
+        measures = grid_measures(size, grid)
+        assert [list(m.items()) for m in measures] == [list(m.items()) for m in oracle.grid_measures(size, grid)]
+        assert all(type(w) is Fraction for m in measures for w in m.values())
 
     def test_exhaustive_counts(self):
         gen = ModelGenSpec(size=2, exhaustive=True)
@@ -434,8 +444,32 @@ def assert_form_of_its_own_tables(model):
     assert [F(w, form.m_den) for w in form.weight_row] == [model.measure[m] for m in universe]
 
 
+def _digest(models) -> str:
+    """The sha256 of the models' JSON, in order: it changes with any table, measure or order of generation."""
+    return hashlib.sha256(json.dumps([model_to_json(model) for model in models]).encode()).hexdigest()
+
+
+#: `_digest` of the strided models of each `test_exhaustive_models` case, by size, eq and stride
+EXHAUSTIVE_DIGESTS = {
+    (1, True, 1): "f99c26b8acfb040a8452ff451cc4e0aeaa3f9708bf0470a01ae2252f8af8a90c",
+    (2, True, 7): "b1bc561ceb1cbe3bc6888ab93fcaa2b6074f2adca46d2080f3d2548f63caef6b",
+    (2, False, 97): "51c0412b5c28aa78c31595b633a33b01880689f793b0379f0f77bcc574a0c79b",
+    (1, False, 1): "a8ca963ac13b66616251f8a09c450d4c3b1c738cf5e651f2813e26cb78a158c4",
+}
+#: `_digest` of 40 models of `FULL_VOC` on `MIXED_GRID` for each of the seeds 0-9, by size and eq
+RANDOM_DIGESTS = {
+    (1, False): "57fc8c522fffcf6a2497a2348b473ef0513a00ca3f7a33383c6469b0c815cd9e",
+    (1, True): "3bba1daf688ea4afa9db7200c2e6f0f7e68a48547f92049ee028551854089556",
+    (2, False): "e54f795ff77f117bdf8f4c22c3391dd222bfe30e0b2e0d30e614c21a7ec9e58c",
+    (2, True): "b9495aacf94c6e9aa89124010d06bc87c32984fafb2aec0f4118aca4e10e437d",
+    (3, False): "d25ef9049c23b0fe2b86d3631c4975bca2219f5eef0abcd16a867a5228e0f300",
+    (3, True): "38786a2a2f8f23e8e3c9656c620d2fa2163b0d0c6c6d51806e600d46d472da84",
+}
+
+
 class TestTrustedGeneration:
-    """Generated models skip the model checks; they must be what the checking constructor builds."""
+    """Generated models skip the model checks; they must be what the checking constructor builds, in a pinned
+    order from pinned draws."""
 
     @staticmethod
     def assert_valid_with_its_form(model):
@@ -458,6 +492,7 @@ class TestTrustedGeneration:
         (1, FULL_VOC, True, 1),
         (2, Vocabulary(predicates=(("P", 1),), functions=(("f", 1),), constants=("c",)), True, 7),
         (2, Vocabulary(predicates=(("R", 2),)), False, 97),
+        (1, FULL_VOC, False, 1),
     ])
     def test_exhaustive_models(self, size, voc, eq, stride):
         spec = ModelGenSpec(size=size, grid=MIXED_GRID, exhaustive=True)
@@ -466,13 +501,17 @@ class TestTrustedGeneration:
         for model in models:
             self.assert_valid_with_its_form(model)
             assert ("eq" in model.predicates) == eq
+        assert _digest(models) == EXHAUSTIVE_DIGESTS[size, eq, stride]
 
-    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("size", [1, 2, 3])
     @pytest.mark.parametrize("eq", [False, True])
     def test_random_models(self, size, eq):
         spec = ModelGenSpec(size=size, grid=MIXED_GRID, seed=5, count=40)
         for model in random_models(spec, FULL_VOC, eq):
             self.assert_valid_with_its_form(model)
+        specs = [ModelGenSpec(size=size, grid=MIXED_GRID, seed=seed, count=40) for seed in range(10)]
+        drawn = [model for spec in specs for model in random_models(spec, FULL_VOC, eq)]
+        assert _digest(drawn) == RANDOM_DIGESTS[size, eq]
 
     def test_sweeps_never_run_the_model_checks(self, monkeypatch):
         def refuse(self):
@@ -626,7 +665,7 @@ class TestSweepDifferential:
         assert models == 13 * 25 * 25
         shape = (2, DEFAULT_GRID, (1, 1), False, (), 0)
         kept, fresh = validate._PLANS[shape], validate._Plan(*shape)
-        assert [integers for _, integers in kept.tables] == [integers for _, integers in fresh.tables]
+        assert kept.choices == fresh.choices
 
 
 class TestSweepResults:
@@ -661,23 +700,21 @@ class TestSweepResults:
             assert_form_of_its_own_tables(model)
             assert model == WeakProbModel(model.universe, model.measure, model.predicates, model.functions,
                                           model.constants)
-            # every table and the measure is the plan's own read-only object, not a copy per model,
-            # and so is every row of the integer form
-            chosen = iter(indices[1:])
+            # the measure is the plan's own read-only object, not a copy per model, and so is every row of
+            # the integer form; the tables are the model's own, made from those rows
+            chosen = iter(zip(indices[1:], plan.choices))
             measure, _, weights, weight_row = plan.measures[indices[0]]
             form = integer_form(model)
-            shared, rows = [(model.measure, measure)], [(form.weights, weights), (form.weight_row, weight_row)]
-            for name, (tables, integers) in zip(model.predicates, plan.tables):
-                i = next(chosen)
-                shared.append((model.predicates[name], tables[i]))
-                rows.append((form.tables[name], integers[i]))
-            for name, (tables, positions) in zip(model.functions, plan.functions):
-                i = next(chosen)
-                shared.append((model.functions[name], tables[i]))
-                rows.append((form.functions[name], positions[i]))
-            assert len(shared) == 1 + len(model.predicates) + len(model.functions)
+            assert model.measure is measure and isinstance(measure, MappingProxyType)
+            rows = [(form.weights, weights), (form.weight_row, weight_row)]
+            for name in model.predicates:
+                i, choices = next(chosen)
+                rows.append((form.tables[name], choices[i]))
+            for name in model.functions:
+                i, choices = next(chosen)
+                rows.append((form.functions[name], choices[i]))
+            assert [model.constants[name] for name in model.constants] == [model.universe[i] for i, _ in chosen]
             assert len(rows) == 2 + len(model.predicates) + len(model.functions)
-            assert all(part is own and isinstance(own, MappingProxyType) for part, own in shared)
             assert all(part is own and type(own) is tuple for part, own in rows)
 
 
@@ -753,6 +790,16 @@ class TestPlanCache:
                     pass
         again = [find_countermodel(formula, SIZE2), next(exhaustive_models(SIZE2, voc))]
         assert [(model_to_json(model), integer_form(model)) for model in again] == expected
+
+    def test_cold_and_kept_table_keys_make_the_same_models(self):
+        # the materialiser takes each arity's table keys from a bounded per-process cache
+        spec = ModelGenSpec(size=3, grid=MIXED_GRID, seed=2, count=20)
+        validate._keys.cache_clear()
+        cold = [model_to_json(model) for model in random_models(spec, FULL_VOC, True)]
+        assert validate._keys.cache_info().hits > 0
+        kept = [model_to_json(model) for model in random_models(spec, FULL_VOC, True)]
+        validate._keys.cache_clear()
+        assert [model_to_json(model) for model in random_models(spec, FULL_VOC, True)] == kept == cold
 
     def test_only_a_few_small_plans_are_kept(self, monkeypatch):
         monkeypatch.setattr(validate, "_PLANS", {})
