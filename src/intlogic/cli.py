@@ -72,10 +72,6 @@ def _add_level_flags(parser):
     parser.add_argument("--pairs", default="diagonal", metavar="LIST")
 
 
-def _add_output_flag(parser):
-    parser.add_argument("--output", choices=("text", "json"), default="text")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """A fresh argparse tree for the 14 commands."""
     top = argparse.ArgumentParser(prog="intlogic", description=__doc__)
@@ -84,79 +80,67 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="exact truth value of a sentence in a model")
     _add_model_flag(p)
     _add_formula_flags(p)
-    _add_output_flag(p)
 
     p = sub.add_parser("sat", help="H-satisfaction of a sentence in a model")
     _add_model_flag(p)
     _add_formula_flags(p)
     _add_level_flags(p)
-    _add_output_flag(p)
 
     p = sub.add_parser("approx-sat", help="approximate H-satisfaction via a system")
     _add_model_flag(p)
     _add_formula_flags(p)
     p.add_argument("--approx-system", required=True, metavar="PATH")
-    _add_output_flag(p)
 
     p = sub.add_parser("qeq", help="quantifier-equality satisfaction with level control")
     _add_model_flag(p)
     _add_formula_flags(p)
     _add_level_flags(p)
-    _add_output_flag(p)
 
     p = sub.add_parser("validate-axioms", help="axiom schemata over generated models")
     p.add_argument("--axiom", default="all", choices=AXIOM_IDS + ("all",))
     _add_gen_flags(p)
-    _add_output_flag(p)
 
     p = sub.add_parser("validate-integral-laws", help="the five integral laws over samples")
     _add_model_flag(p, required=False, repeatable=True)
     _add_gen_flags(p)
-    _add_output_flag(p)
 
     p = sub.add_parser("validate-approx-system", help="transitivity, closure, monotonicity")
     p.add_argument("--approx-system", required=True, metavar="PATH")
     _add_model_flag(p, required=False, repeatable=True)
-    _add_output_flag(p)
 
     p = sub.add_parser("check-weak-negation", help="weak-negation totality and exclusion")
     p.add_argument("--approx-system", required=True, metavar="PATH")
     p.add_argument("--pool", required=True, metavar="PATH")
     _add_model_flag(p, repeatable=True)
-    _add_output_flag(p)
 
     p = sub.add_parser("check-substructure", help="elementary-substructure check over a pool")
     _add_model_flag(p, repeatable=True)
     p.add_argument("--pool", required=True, metavar="PATH")
     p.add_argument("--approx-system", default=None, metavar="PATH",
                    help="defaults to the diagonal system over the pool")
-    _add_output_flag(p)
 
     p = sub.add_parser("check-proof", help="verify a Hilbert-style proof script")
     p.add_argument("--proof", required=True, metavar="PATH")
-    _add_output_flag(p)
 
     p = sub.add_parser("find-countermodel", help="search for a model where value < 1")
     _add_formula_flags(p)
     _add_gen_flags(p)
-    _add_output_flag(p)
 
     p = sub.add_parser("check-closure", help="isomorphism/reduct/renaming invariance")
     p.add_argument("--pool", required=True, metavar="PATH")
     _add_gen_flags(p)
-    _add_output_flag(p)
 
     p = sub.add_parser("gen-models", help="emit generated models as JSON")
     p.add_argument("--pool", default=None, metavar="PATH",
                    help="derive the vocabulary from these sentences (default: one unary P)")
     _add_gen_flags(p)
-    _add_output_flag(p)
 
     p = sub.add_parser("congruence", help="congruence axioms for eq or approx")
     _add_model_flag(p)
     p.add_argument("--relation", required=True, choices=("eq", "approx"))
-    _add_output_flag(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", choices=("text", "json"), default="text")
     return top
 
 

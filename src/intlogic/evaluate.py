@@ -60,7 +60,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ArityMismatch, ContainmentViolated, FormatError, NotASentence, UnboundVariable, UnknownSymbol
 from .model import FuzzySubset, IntegerForm, WeakProbModel, function_rows, integer_form, predicate_rows
@@ -204,6 +204,14 @@ def _read(k, args):
     return read
 
 
+def _interior(f: Iterable, g: Iterable, top) -> list:
+    """The values strictly between 0 and `top` that `f` or `g` attains, ascending.
+
+    They are the automatic levels of `=`, on numerators over `top` or on `Fraction`s with `top` 1.
+    """
+    return sorted({*f, *g} - {0, top})
+
+
 def _levels_agree(f: list[int], g: list[int], weights, top: int, cfg) -> bool:
     """The level-set condition of `=` on rows of numerators over `top`, weighted by `weights`.
 
@@ -216,7 +224,7 @@ def _levels_agree(f: list[int], g: list[int], weights, top: int, cfg) -> bool:
     elif {*f, *g} <= {0, top}:
         cuts, pairs, level = [0], [(0, 0)], None
     else:
-        cuts = sorted({*f, *g} - {0, top})
+        cuts = _interior(f, g, top)
         pairs, level = [(i, i) for i in range(len(cuts))], lambda i: Fraction(cuts[i], top)
     mass = 0
     for i, j in pairs:

@@ -71,6 +71,11 @@ def _checked_table(what: str, table: Mapping, universe: tuple[str, ...], convert
     return fixed, arity
 
 
+def _check_reserved(name: str, arity: int) -> None:
+    if name in (EQ_PRED, APPROX_PRED) and arity != 2:
+        raise FormatError(f"the reserved predicate {name!r} must be binary")
+
+
 @dataclass(frozen=True)
 class WeakProbModel:
     universe: tuple[str, ...]
@@ -95,8 +100,7 @@ class WeakProbModel:
         predicates = {}
         for name, table in self.predicates.items():
             predicates[name], arity = _checked_table(f"table for {name!r}", table, self.universe, unit)
-            if name in (EQ_PRED, APPROX_PRED) and arity != 2:
-                raise FormatError(f"the reserved predicate {name!r} must be binary")
+            _check_reserved(name, arity)
         object.__setattr__(self, "predicates", predicates)
 
         functions = {}
@@ -349,11 +353,6 @@ def level_set(subset: FuzzySubset, alpha: Fraction) -> frozenset[str]:
     return frozenset(key[0] for key, value in subset.values.items() if value > alpha)
 
 
-def truth_set(subset: FuzzySubset) -> frozenset[tuple[str, ...]]:
-    """{x : f(x) = 1}, as tuples."""
-    return frozenset(key for key, value in subset.values.items() if value == ONE)
-
-
 # ---------------------------------------------------------------------------
 # Structure-level operations: reduct, renaming, isomorphism, relabeling
 
@@ -400,7 +399,13 @@ def rename(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakProbModel:
     consts = {ren(n): e for n, e in model.constants.items()}
     if len(preds) != len(model.predicates) or len(funcs) != len(model.functions) or len(consts) != len(model.constants):
         raise FormatError("renaming collapses two symbols")
-    return WeakProbModel(model.universe, model.measure, preds, funcs, consts)
+    for name, table in preds.items():
+        _check_reserved(name, len(next(iter(table))))
+    # the model's integer form, with its rows under the new names
+    form = vars(model).get("_integer_form")
+    return WeakProbModel._trusted(model.universe, model.measure, preds, funcs, consts, form and form._replace(
+        tables={ren(n): rows for n, rows in form.tables.items()},
+        functions={ren(n): rows for n, rows in form.functions.items()}))
 
 
 def relabel_universe(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakProbModel:
@@ -466,7 +471,9 @@ def expand_by_constants(model: WeakProbModel, elements: Iterable[str] | None = N
         if element in model.predicates or element in model.functions:
             raise FormatError(f"name {element!r} is already a symbol of the model")
         consts[element] = element
-    return WeakProbModel(model.universe, model.measure, model.predicates, model.functions, consts)
+    # constants have no rows, so the integer form is the model's own
+    return WeakProbModel._trusted(model.universe, model.measure, model.predicates, model.functions, consts,
+                                  vars(model).get("_integer_form"))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ Precedence (tightest first): ~ ; & and |+| ; /\\ and \\/ ; -> (right
 associative).  Quantifiers bind the longest formula to the right; '='
 appears only at the top level, between two quantifier expressions.
 
+The lexer is one linear scan of the whole text (`_TOKEN_RE.finditer`)
+whose last alternative matches any single character, so the first
+character no token starts with is an error before parsing begins.  A
+token keeps its text's offsets; its line and column are computed only
+when an error reports them.
+
 Nesting is bounded by `MAX_NESTING`: every `~`, quantifier, `INT`,
 parenthesis, `->` and function application opens one level, and the formula
 tree (binary connectives included) may be no deeper.  Deeper input is a
@@ -71,14 +77,25 @@ class SourceSpan:
 
 
 class Token(NamedTuple):
-    """One lexeme and its place in the text; its `SourceSpan` is built only when read."""
+    """One lexeme, its offsets and the text it was read from.
+
+    `line`, `column` and `span` are computed from `start` when read, which
+    only error reports do.
+    """
 
     kind: str
     text: str
     start: int
     end: int
-    line: int
-    column: int
+    source: str
+
+    @property
+    def line(self) -> int:
+        return self.source.count("\n", 0, self.start) + 1
+
+    @property
+    def column(self) -> int:
+        return self.start - self.source.rfind("\n", 0, self.start)
 
     @property
     def span(self) -> SourceSpan:
@@ -102,8 +119,9 @@ _TOKEN_RE = re.compile(
   | (?P<SLASH>/)
   | (?P<NUMBER>\d+)
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<BAD>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _KEYWORDS = {"ALL", "EX", "INT"}
@@ -112,27 +130,20 @@ MAX_NESTING = 100
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            span = SourceSpan(pos, pos + 1, line, pos - line_start + 1)
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
+    """The tokens of `text` and a closing `EOF`, from one scan of the whole text.
+
+    The first character no token starts with raises `ParseError`, so a bad
+    character anywhere wins over every error the parser could report.
+    """
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        chunk = match.group()
-        end = match.end()
-        if kind == "WS":
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + chunk.rindex("\n") + 1
-        else:
-            tokens.append(Token(kind, chunk, pos, end, line, pos - line_start + 1))
-        pos = end
-    tokens.append(Token("EOF", "", pos, pos, line, pos - line_start + 1))
+        if kind != "WS":
+            token = Token(kind, match.group(), match.start(), match.end(), text)
+            if kind == "BAD":
+                raise ParseError(f"unexpected character {token.text!r}", token.span)
+            tokens.append(token)
+    tokens.append(Token("EOF", "", len(text), len(text), text))
     return tokens
 
 

@@ -7,7 +7,9 @@ in the left side's, and the summed measure of the differences must be
 exactly zero (on finite rational models "smaller than every epsilon"
 collapses to zero).  Crisp bodies are routed through the Dirac-case check,
 where the level sets degenerate to truth sets.  The compiled evaluator decides
-'=' on integers; `hsat_qeq` runs it, with explicit levels when given.
+'=' on integers and states its rule once (`evaluate._levels_agree`): `hsat` and
+`hsat_qeq` run it, with explicit levels when given, and `hsat_qeq_dirac` and
+`default_level_config` read the same rule on fuzzy subsets.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from .errors import (
     NotCrisp,
     SentenceNotInSystem,
 )
-from .evaluate import _Compiler, evaluate_closed
-from .model import FuzzySubset, WeakProbModel, expand_by_constants, mu_set, truth_set
+from .evaluate import _Compiler, _interior, _levels_agree
+from .integrals import _require
+from .model import FuzzySubset, WeakProbModel, expand_by_constants, integer_form
 from .parser import print_formula
 from .rational import ONE, ZERO
 from .reporting import Report
@@ -71,9 +74,7 @@ class LevelConfig:
 
 def default_level_config(f: FuzzySubset, g: FuzzySubset) -> LevelConfig:
     """Diagonal pairing over the interior values attained by either matrix."""
-    attained = set(f.values.values()) | set(g.values.values())
-    interior = sorted(a for a in attained if ZERO < a < ONE)
-    return LevelConfig.diagonal(interior)
+    return LevelConfig.diagonal(_interior(f.values.values(), g.values.values(), ONE))
 
 
 # ---------------------------------------------------------------------------
@@ -81,25 +82,25 @@ def default_level_config(f: FuzzySubset, g: FuzzySubset) -> LevelConfig:
 
 
 def hsat(formula: Formula, model: WeakProbModel, cfg: LevelConfig | None = None) -> bool:
-    """True when the sentence has truth value exactly 1 (level-set clause for '=')."""
+    """True when the sentence has truth value exactly 1; `cfg` sets the levels of '='."""
     free = free_vars(formula)
     if free:
         raise NotASentence(free)
-    if isinstance(formula, QuantEq):
-        return hsat_qeq(formula.left, formula.right, model, cfg)
-    return evaluate_closed(formula, model) == ONE
+    numerator, scale = _Compiler((), cfg).compile(formula)(model)
+    return numerator() == scale
 
 
 def hsat_qeq_dirac(f: FuzzySubset, g: FuzzySubset, model: WeakProbModel) -> bool:
-    """Dirac case: both truth sets crisp, g's contained in f's, difference null."""
+    """Dirac case: both truth sets crisp, g's contained in f's, difference null.
+
+    `f` and `g` are unary subsets over the model's universe.  The rule is the
+    evaluator's own (`evaluate._levels_agree` on crisp rows).
+    """
     if not f.is_crisp() or not g.is_crisp():
         raise NotCrisp("the Dirac-case check requires {0,1}-valued matrices")
-    f_true = truth_set(f)
-    g_true = truth_set(g)
-    if not g_true <= f_true:
-        raise ContainmentViolated(
-            None, "the right truth set must be contained in the left truth set")
-    return mu_set(model, f_true - g_true, 1) == ZERO
+    for subset in (f, g):
+        _require(subset, model.universe, 1)
+    return _levels_agree(f.row, g.row, integer_form(model).weights, 1, None)
 
 
 def hsat_qeq(

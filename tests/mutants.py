@@ -1,0 +1,115 @@
+"""A catalogue of mutants of the package, each with the tests expected to kill it.
+
+A mutant replaces one exact snippet `old` of one module under
+`src/intlogic/` with `new`.  Run as a script from the repository root,
+
+    python tests/mutants.py [ID ...]
+
+it copies `src` to a temporary directory once per mutant, applies that
+mutant alone, runs the mutant's tests against the copy with pytest and
+prints `killed` or `survived` (with pytest's exit code) for each of the
+named mutants, or for all of them.  It exits 1 when any mutant survives.
+`tests/test_mutants.py` checks only that every `old` snippet occurs exactly
+once in today's source; a change that moves such code updates its entry
+here.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str  #: the module's path under src/intlogic/
+    old: str
+    new: str
+    tests: tuple[str, ...]  #: pytest node ids, relative to the repository root
+
+
+MUTANTS = [
+    Mutant(
+        "lexer-ignores-bad-characters", "parser.py",
+        'if kind != "WS":\n            token = Token(',
+        'if kind not in ("WS", "BAD"):\n            token = Token(',
+        ("tests/test_parser.py::test_error_type_message_and_span",
+         "tests/test_parser.py::test_long_input_is_rejected_in_linear_time"),
+    ),
+    Mutant(
+        "token-column-off-by-one", "parser.py",
+        'return self.start - self.source.rfind("\\n", 0, self.start)',
+        'return self.start - self.source.rfind("\\n", 0, self.start) + 1',
+        ("tests/test_parser.py::test_tokens_locate_their_text",
+         "tests/test_parser.py::test_error_type_message_and_span"),
+    ),
+    Mutant(
+        "output-flag-skips-the-last-command", "cli.py",
+        "for p in sub.choices.values():",
+        "for p in list(sub.choices.values())[:-1]:",
+        ("tests/test_cli.py::test_help_and_usage_bytes_are_pinned",),
+    ),
+    Mutant(
+        "dirac-case-loses-its-universe-check", "satisfaction.py",
+        "_require(subset, model.universe, 1)",
+        "_require(subset, subset.universe, 1)",
+        ("tests/test_satisfaction.py::test_dirac_case_rejects_malformed_subsets",),
+    ),
+    Mutant(
+        "dirac-case-swaps-f-and-g", "satisfaction.py",
+        "_levels_agree(f.row, g.row, integer_form(model).weights, 1, None)",
+        "_levels_agree(g.row, f.row, integer_form(model).weights, 1, None)",
+        ("tests/test_satisfaction.py::TestDiracCase",
+         "tests/test_satisfaction.py::TestAgainstTheOracle::test_dirac_case"),
+    ),
+    Mutant(
+        "rename-keeps-the-old-form-keys", "model.py",
+        "tables={ren(n): rows for n, rows in form.tables.items()}",
+        "tables=dict(form.tables)",
+        ("tests/test_model.py::TestStructureOps::test_relabelling_and_reduct_carry_the_integer_form",),
+    ),
+]
+
+
+def source(mutant: Mutant, root: Path = ROOT) -> str:
+    return (root / "src" / "intlogic" / mutant.file).read_text()
+
+
+def run(mutant: Mutant) -> int:
+    """pytest's exit code on the mutant's tests, with `src` replaced by a mutated copy."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+        text = source(mutant, Path(tmp))
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.id}: the old snippet does not occur exactly once")
+        (copy / "intlogic" / mutant.file).write_text(text.replace(mutant.old, mutant.new))
+        env = {**os.environ, "PYTHONPATH": str(copy), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]
+        return subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL).returncode
+
+
+def main(ids: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not ids or m.id in ids]
+    unknown = set(ids) - {m.id for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown mutant ids: {sorted(unknown)}")
+    survived = 0
+    for mutant in chosen:
+        code = run(mutant)
+        if code not in (0, 1, 2):  # 2: interrupted, as by a collection error
+            raise SystemExit(f"{mutant.id}: pytest could not run its tests (exit {code})")
+        survived += code == 0
+        print(f"{'survived' if code == 0 else 'killed'} (pytest exit {code})  {mutant.id}", flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

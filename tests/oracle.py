@@ -12,8 +12,9 @@ the compiled evaluator or the satisfaction module.
 `integrals.check_semantic_integral_laws`, `dissection` for
 `integrals.integral_dissection`, `layercake` for
 `integrals.integral_layercake`, `isomorphic` for `model.isomorphic`,
-`grid_measures` for `validate.grid_measures`, and `grid_model_keys` for
-`validate.exhaustive_models`.
+`grid_measures` for `validate.grid_measures`, `grid_model_keys` for
+`validate.exhaustive_models`, and `attained_levels` for
+`satisfaction.default_level_config`.
 The pieces they need (the Lukasiewicz connectives on `Fraction`s,
 `pointwise`, `set_partitions`, `level_set`, `mass`) are defined here, so
 the oracle imports no code of the modules it checks but `LevelConfig`, the
@@ -131,6 +132,12 @@ def mass(model: WeakProbModel, elements) -> Fraction:
     return sum((model.measure[m] for m in elements), ZERO)
 
 
+def attained_levels(f: FuzzySubset, g: FuzzySubset) -> LevelConfig:
+    """The automatic levels of `=`: diagonal pairs over the values strictly inside (0, 1) that `f` or `g` attains."""
+    attained = set(f.values.values()) | set(g.values.values())
+    return LevelConfig.diagonal(sorted(a for a in attained if ZERO < a < ONE))
+
+
 def hsat_qeq(left: Formula, right: Formula, model: WeakProbModel, cfg: LevelConfig | None = None) -> bool:
     """`satisfaction.hsat_qeq`, on matrices built here and level sets of `Fraction`s."""
     f = _side_matrix(left, model)
@@ -143,7 +150,7 @@ def hsat_qeq(left: Formula, right: Formula, model: WeakProbModel, cfg: LevelConf
             if not g_true <= f_true:
                 raise ContainmentViolated(None, "the right truth set must be contained in the left truth set")
             return mass(model, f_true - g_true) == ZERO
-        cfg = LevelConfig.diagonal(sorted(a for a in attained if ZERO < a < ONE))
+        cfg = attained_levels(f, g)
     total = ZERO
     for i, j in cfg.pairs:
         f_level = level_set(f, cfg.levels[i])

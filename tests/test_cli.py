@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -452,6 +454,71 @@ class TestSharedParser:
                 main(argv)
             assert shared.value.code == fresh.value.code == (0 if flag == "--help" else 2)
             assert capsys.readouterr() == expected
+
+
+# sha256 of stdout, NUL, stderr, NUL and the exit code of `main([command, flag])` (either one may be
+# missing) at 80 columns under Python 3.11: a change to any help text, usage line or no-flag run of a
+# command shows here, which `TestSharedParser` (a fresh parser against the shared one) cannot see.
+HELP_AND_USAGE_DIGESTS = [
+    (None, "--help", "4af6ec347c826f822f713906577b3a2d53daeb7c01c0fca80f830f177aac546e"),
+    (None, "--bogus", "d8047be3224da3c0a5b09909cb4f13e7a2c482ce69551f1fd3cc8160146bf23b"),
+    (None, None, "d8047be3224da3c0a5b09909cb4f13e7a2c482ce69551f1fd3cc8160146bf23b"),
+    ("approx-sat", "--help", "73dfc6e472c7a6fee18afd6f07d61be9eda877ad89abe6a7e2bc03f569e5e8d6"),
+    ("approx-sat", "--bogus", "f43c96287529b56b957a43fb4fad436785b9d3c348899c6d210085e5599bbbbb"),
+    ("approx-sat", None, "f43c96287529b56b957a43fb4fad436785b9d3c348899c6d210085e5599bbbbb"),
+    ("check-closure", "--help", "ba40c8e9ce35e99a16ac611a381de41f6562b536c47084405a64ceb68058e8e9"),
+    ("check-closure", "--bogus", "74144b1671940d8e0223a4e7a2cb8262f103f94a0b9d66ac53e845ef4d3990b4"),
+    ("check-closure", None, "74144b1671940d8e0223a4e7a2cb8262f103f94a0b9d66ac53e845ef4d3990b4"),
+    ("check-proof", "--help", "d0c52cb8a2b9222577f2240a95a5d5d8aa3f17bee8e2038bdd49f821b885d943"),
+    ("check-proof", "--bogus", "b1fad0d66ca31838cc16979c2c98dfbbd4fff1c4d3e60b8e4eae86f7662b215b"),
+    ("check-proof", None, "b1fad0d66ca31838cc16979c2c98dfbbd4fff1c4d3e60b8e4eae86f7662b215b"),
+    ("check-substructure", "--help", "f61b9d265ba31d31881dc31527ac9be4e98da15aec441049a6d98c5c951f547d"),
+    ("check-substructure", "--bogus", "183e2c744fbb6392cb8ff13b319f2c6ab35b0233eaf6d49a8ec15f6d8539756f"),
+    ("check-substructure", None, "183e2c744fbb6392cb8ff13b319f2c6ab35b0233eaf6d49a8ec15f6d8539756f"),
+    ("check-weak-negation", "--help", "d3ffd676ea0cc606434500789dfae746f09bac7092ef1a08f91ed3403f1fcb4b"),
+    ("check-weak-negation", "--bogus", "93e89ab4a918a7c7e1fa0d4e5048b68121e530747c8954e0a7c6097aa604b8a8"),
+    ("check-weak-negation", None, "93e89ab4a918a7c7e1fa0d4e5048b68121e530747c8954e0a7c6097aa604b8a8"),
+    ("congruence", "--help", "d4e75f22fa472955b33ede2941b4e847a91658151a878002e89cc35daf9ce48b"),
+    ("congruence", "--bogus", "38e13c8146b9c990bc256c308ec485de2c4a89907614e842f9e54823b2859382"),
+    ("congruence", None, "38e13c8146b9c990bc256c308ec485de2c4a89907614e842f9e54823b2859382"),
+    ("eval", "--help", "f1dc0918358dfc575b049908a10969d9996b70e086b2d8fb64f5d84903577a6a"),
+    ("eval", "--bogus", "c15b63590fc2e09c4f1f1db25ad07fb852b023f6a293b3133cee1429385a636e"),
+    ("eval", None, "c15b63590fc2e09c4f1f1db25ad07fb852b023f6a293b3133cee1429385a636e"),
+    ("find-countermodel", "--help", "0f364ce2768b367d13b8484233b5b3b5d2ce34363e806f6f4cbf7608e92e85a1"),
+    ("find-countermodel", "--bogus", "c6d3cd538dc766971038f2db910c237b052bc400debe90df614488ecbb1a06f6"),
+    ("find-countermodel", None, "c6d3cd538dc766971038f2db910c237b052bc400debe90df614488ecbb1a06f6"),
+    ("gen-models", "--help", "174d21da5077cacd71d115a036640c802f3cd010b074d85febf0ffa8bc166cbf"),
+    ("gen-models", "--bogus", "eafed2424ff2b2ebccb3b2d268dbb0a2346ab8832987fbd1a99f5af08babda3d"),
+    ("gen-models", None, "a1cffa9e69eab2b0cdc33198c1c06596312e31ffd68a193a69173d07769f0201"),
+    ("qeq", "--help", "25f40dc4a8263ab45c2cb735b5b7d1bb40ef4c57c8005a3d869d105a087a7f37"),
+    ("qeq", "--bogus", "c8a347006cfed7f367296e0d93b24174502bb37cb41314d6a43d2261090297a6"),
+    ("qeq", None, "c8a347006cfed7f367296e0d93b24174502bb37cb41314d6a43d2261090297a6"),
+    ("sat", "--help", "ae174550be040d0d6de6550de8fa176eebc83235b42acf3f61e8a567eeb781c8"),
+    ("sat", "--bogus", "861df69a4952d7bf2cc3032f00496336a65695def6a6d23cbb4a597e9da5db65"),
+    ("sat", None, "861df69a4952d7bf2cc3032f00496336a65695def6a6d23cbb4a597e9da5db65"),
+    ("validate-approx-system", "--help", "7903d948a6e9aacddbb98eddd6af2770989799843d7b29adbb2913952d5093a1"),
+    ("validate-approx-system", "--bogus", "fb4896e06ae3ef6d81bfc74ee59c17d1aea6a95a6dda28166fe3b8104e5b0c2a"),
+    ("validate-approx-system", None, "fb4896e06ae3ef6d81bfc74ee59c17d1aea6a95a6dda28166fe3b8104e5b0c2a"),
+    ("validate-axioms", "--help", "7507e0b733956f30c04b38d649188a40cf3de2d35c368a33c45ec0ea739d9566"),
+    ("validate-axioms", "--bogus", "eafed2424ff2b2ebccb3b2d268dbb0a2346ab8832987fbd1a99f5af08babda3d"),
+    ("validate-axioms", None, "60791ed808994d78c463bd32bcaa8758bb446ae973cf1d113a1e670f370d3b10"),
+    ("validate-integral-laws", "--help", "03147f83681da00d91463aaa13528e71cf25c006646043a3b96e856e16580f6e"),
+    ("validate-integral-laws", "--bogus", "eafed2424ff2b2ebccb3b2d268dbb0a2346ab8832987fbd1a99f5af08babda3d"),
+    ("validate-integral-laws", None, "6b17845e26e242bb106fb41cdd6c96742d5fafc39213e519732354e4ac28f641"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse lays help out differently in other versions")
+@pytest.mark.parametrize("command, flag, digest", HELP_AND_USAGE_DIGESTS)
+def test_help_and_usage_bytes_are_pinned(command, flag, digest, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [arg for arg in (command, flag) if arg is not None]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(f"{captured.out}\0{captured.err}\0{code}".encode()).hexdigest() == digest
 
 
 def test_internal_error_exits_3_with_one_line(model_path, monkeypatch, capsys):

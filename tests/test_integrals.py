@@ -22,8 +22,8 @@ from intlogic.integrals import (
     slice_first,
     slice_second,
 )
-from intlogic.model import FuzzySubset, WeakProbModel, integer_form, mu_set, truth_set
-from intlogic.rational import DEFAULT_GRID
+from intlogic.model import FuzzySubset, WeakProbModel, integer_form, mu_set
+from intlogic.rational import DEFAULT_GRID, ZERO
 from intlogic.validate import grid_fuzzy_subsets, grid_measures
 
 import oracle
@@ -51,8 +51,8 @@ class TestExpectation:
         model = model2()
         f = fs(a=F(1), b=F(0))
         assert integral_expectation(f, model) == HALF
-        assert integral_expectation(f, model) == mu_set(model, truth_set(f), 1)
-        assert integral_dirac(f, model) == mu_set(model, truth_set(f), 1)
+        assert integral_expectation(f, model) == mu_set(model, oracle.level_set(f, ZERO), 1)
+        assert integral_dirac(f, model) == mu_set(model, oracle.level_set(f, ZERO), 1)
 
     def test_weighted_sum(self):
         model = model2(F(1, 4), F(3, 4))

@@ -220,13 +220,17 @@ class TestSubsetForms:
 class TestStructureOps:
     @pytest.mark.parametrize("seed", range(8))
     def test_relabelling_and_reduct_carry_the_integer_form(self, seed):
-        # a relabelled model keeps every element's position, and a reduct forgets tables, so both hand
-        # on the integer form of a model that has one; it must be the form of the model they return
+        # a relabelled model keeps every element's position, a reduct forgets tables, a renaming
+        # renames them and an expansion adds constants, so each hands on the integer form of a model
+        # that has one; it must be the form of the model they return
         rng = random.Random(seed)
         model = gen.random_model(rng, size=rng.randint(1, 3))
         image = tuple(rng.sample(["n1", "n2", "zz"], len(model.universe)))
         voc = il.Vocabulary(predicates=(("R", 2),), functions=(("g", 2),), constants=("d",))
-        for derived in (relabel_universe(model, dict(zip(model.universe, image))), reduct(model, voc)):
+        relabelled = relabel_universe(model, dict(zip(model.universe, image)))
+        swap = {"P": "Q", "Q": "P", "f": "h", "c": "d", "d": "c"}
+        for derived in (relabelled, reduct(model, voc), rename(model, swap), expand_by_constants(relabelled),
+                        rename(expand_by_constants(relabelled, image[:1]), swap)):
             form = integer_form(derived)
             rebuilt = WeakProbModel(derived.universe, derived.measure, derived.predicates, derived.functions,
                                     derived.constants)
@@ -259,6 +263,13 @@ class TestStructureOps:
         assert set(renamed.predicates) == {"Q"}
         assert set(renamed.functions) == {"rot"}
         assert renamed.constants == {"k": "a"}
+
+    @pytest.mark.parametrize("mapping", [{"P": "eq"}, {"P": "approx"}, {"swap": "P", "P": "eq"}])
+    def test_rename_keeps_the_reserved_name_rule(self, mapping):
+        model = model_from_json(MODEL_DOC)
+        integer_form(model)  # a model with a form to hand on is rejected all the same
+        with pytest.raises(errors.FormatError, match="^the reserved predicate '(eq|approx)' must be binary$"):
+            rename(model, mapping)
 
     def test_rename_collision_rejected(self):
         model = WeakProbModel(("a",), {"a": Fraction(1)},

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -236,6 +237,22 @@ def test_error_type_message_and_span(text, mode, kind, message, where):
     assert type(excinfo.value) is kind
     assert str(excinfo.value) == message
     assert excinfo.value.span == SourceSpan(*where)
+
+
+@pytest.mark.parametrize("text, message, where", [
+    ("a" * 20000 + "$", "unexpected character '$'", (20000, 20001, 1, 20001)),
+    ("12" * 10000 + "$", "unexpected character '$'", (20000, 20001, 1, 20001)),
+    ("~" * 3000 + "P(c)", f"formula nests deeper than {MAX_NESTING} levels",
+     (MAX_NESTING, MAX_NESTING + 1, 1, MAX_NESTING + 1)),
+])
+def test_long_input_is_rejected_in_linear_time(text, message, where):
+    # a whole-text match of `(?:token)*` backtracks exponentially on a run of letters
+    # or digits before a bad character; one scan of the text does not
+    started = time.perf_counter()
+    with pytest.raises(errors.ParseError) as excinfo:
+        parse_formula(text, VOC)
+    assert time.perf_counter() - started < 5
+    assert str(excinfo.value) == message and excinfo.value.span == SourceSpan(*where)
 
 
 _PIECES = ["ALL", "EX", "INT", "rat", "P", "dx", "x_1", "0", "12", "~", "/\\", "\\/", "&", "|+|",

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import intlogic as il
 from intlogic import errors
@@ -34,6 +35,7 @@ from intlogic.syntax import (
 )
 
 import gen
+import oracle
 
 F = Fraction
 HALF = F(1, 2)
@@ -138,6 +140,73 @@ class TestDiracCase:
         f = FuzzySubset(("a", "b"), {("a",): HALF, ("b",): F(0)})
         with pytest.raises(errors.NotCrisp):
             hsat_qeq_dirac(f, f, model)
+
+
+AB = ("a", "b")
+
+
+# One row per way a Dirac-case input can be malformed: f, g (None: f again) and
+# the error, over `matrix_model({"a": 1, "b": 0})`.
+DIRAC_BAD_INPUT = [
+    pytest.param(FuzzySubset(AB, {(m, n): F(m == n) for m in AB for n in AB}), None,
+                 errors.ArityMismatch, id="binary-crisp-against-itself"),
+    pytest.param(crisp("ab", {"a"}), FuzzySubset(AB, {(m, n): F(0) for m in AB for n in AB}),
+                 errors.ArityMismatch, id="binary-right-side"),
+    pytest.param(crisp("xy", {"x"}), None, errors.FormatError, id="equal-over-another-universe"),
+    pytest.param(crisp("ab", {"a"}), crisp("xy", {"x", "y"}), errors.FormatError, id="right-over-another-universe"),
+    pytest.param(crisp("ba", {"a"}), crisp("ab", {"a"}), errors.FormatError, id="universe-in-another-order"),
+    pytest.param(crisp("abc", {"a"}), None, errors.FormatError, id="larger-universe"),
+    pytest.param(FuzzySubset(AB, {(m, n): HALF for m in AB for n in AB}), None, errors.NotCrisp,
+                 id="graded-binary"),
+    pytest.param(crisp("xy", {"x"}), FuzzySubset(AB, {("a",): HALF, ("b",): F(0)}), errors.NotCrisp,
+                 id="graded-right-side"),
+]
+
+
+@pytest.mark.parametrize("f, g, kind", DIRAC_BAD_INPUT)
+def test_dirac_case_rejects_malformed_subsets(f, g, kind):
+    with pytest.raises(kind):
+        hsat_qeq_dirac(f, f if g is None else g, matrix_model({"a": F(1), "b": F(0)}))
+
+
+@st.composite
+def pq_models(draw, values):
+    """A model over 1-4 elements, some weights 0, with unary P and Q drawn from `values`."""
+    universe = tuple(f"m{i}" for i in range(draw(st.integers(1, 4))))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(universe), max_size=len(universe)).filter(any))
+    rows = [draw(st.lists(st.sampled_from(values), min_size=len(universe), max_size=len(universe)))
+            for _ in "PQ"]
+    return WeakProbModel(universe, {m: F(w, sum(weights)) for m, w in zip(universe, weights)},
+                         {name: {(m,): v for m, v in zip(universe, row)} for name, row in zip("PQ", rows)}, {}, {})
+
+
+def outcome(run):
+    """`run()`'s result, or the type and level pair of the `ContainmentViolated` it raises."""
+    try:
+        return run()
+    except errors.ContainmentViolated as exc:
+        return errors.ContainmentViolated, exc.pair
+
+
+class TestAgainstTheOracle:
+    """The Dirac case and the automatic levels against the oracle's `Fraction` statements of them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pq_models([F(0), F(1)]))
+    def test_dirac_case(self, model):
+        f, g = (FuzzySubset.from_predicate(model, name) for name in "PQ")
+        expected = outcome(lambda: oracle.hsat_qeq(qexpr("P"), qexpr("Q"), model))
+        assert outcome(lambda: hsat_qeq_dirac(f, g, model)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(pq_models([F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)]))
+    def test_default_level_config(self, model):
+        f, g = (FuzzySubset.from_predicate(model, name) for name in "PQ")
+        cfg = default_level_config(f, g)
+        assert cfg == oracle.attained_levels(f, g)
+        if not (f.is_crisp() and g.is_crisp()):
+            expected = outcome(lambda: oracle.hsat_qeq(qexpr("P"), qexpr("Q"), model))
+            assert outcome(lambda: hsat_qeq(qexpr("P"), qexpr("Q"), model, cfg)) == expected
 
 
 def qexpr(pred, var="x", quant=Integral):
