@@ -19,7 +19,7 @@ universe, never on element names:
   positions once per call, through the model's position map; a name
   outside the universe raises `FormatError`.
 - `view` is the model's integer view, built once per compiled formula and
-  model from the model's integer form (`model.integer_form`): one entry per
+  model from the model's integer form (`WeakProbModel.form`): one entry per
   table, constant, truth constant, scale and power the closures read, at
   indices fixed when compiling.  A table is a nested tuple with one level
   per argument (`model.nested`), so a unary atom reads `row[i]` and a
@@ -63,7 +63,7 @@ from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ArityMismatch, ContainmentViolated, FormatError, NotASentence, UnboundVariable, UnknownSymbol
-from .model import FuzzySubset, IntegerForm, WeakProbModel, function_rows, integer_form, predicate_rows
+from .model import FuzzySubset, WeakProbModel, arity_of
 from .syntax import (
     And,
     Atom,
@@ -421,8 +421,8 @@ class _Compiler:
         self.top = self.entry(_scale, e)
 
         def bind(model: WeakProbModel) -> BoundIntegers:
-            form = integer_form(model)
-            view, at = self.view(model, form), form.positions.__getitem__
+            form = model.form
+            view, at = self.view(model), form.positions.__getitem__
 
             def positions(elements: Sequence[str]) -> list[int]:
                 try:
@@ -462,15 +462,16 @@ class _Compiler:
             view[i] = absent
         return view
 
-    def view(self, model: WeakProbModel, form: IntegerForm) -> list:
+    def view(self, model: WeakProbModel) -> list:
         """The model's integer view: the value of every entry, in index order.
 
-        It reads the model's integer form (`form`), with the rows of the
-        predicates the formula reads rescaled when `self.den` raises the
-        form's `D`, and the positions of the functions and constants the
-        formula reads.  A table the formula reads with another number of
-        arguments than its arity raises `ArityMismatch`.
+        It reads the model's integer form, with the rows of the predicates
+        the formula reads rescaled when `self.den` raises the form's `D`,
+        and the positions of the functions and constants the formula reads.
+        A table the formula reads with another number of arguments than its
+        arity raises `ArityMismatch`.
         """
+        form = model.form
         den = self.den(form.den)
         factor = den // form.den
         view = self.blank(len(form.weight_row), den, form.m_den)
@@ -479,18 +480,14 @@ class _Compiler:
                 if name in model.constants:
                     view[i] = form.positions[model.constants[name]]
                 continue
-            table = (model.predicates if kind == _PREDICATE else model.functions).get(name)
-            if table is None:
+            rows = (form.tables if kind == _PREDICATE else form.functions).get(name)
+            if rows is None:
                 continue
-            arity, read = len(next(iter(table))), self.arities[i]
+            arity, read = arity_of(rows), self.arities[i]
             if len(read) > 1 or arity not in read:
                 n = min(read - {arity})
                 raise ArityMismatch(f"{kind} {name!r} has arity {arity}, but is read with {n} argument{'s' * (n != 1)}")
-            if kind == _PREDICATE:
-                rows = form.tables.get(name) or predicate_rows(model, name)
-                view[i] = rows if factor == 1 else _scaled(rows, factor)
-            else:
-                view[i] = form.functions.get(name) or function_rows(model, name)
+            view[i] = rows if kind == _FUNCTION or factor == 1 else _scaled(rows, factor)
         if self.weights is not None:
             view[self.weights] = form.weights
         return view

@@ -77,7 +77,8 @@ def load_approx_system(path, voc: Vocabulary | None = None) -> ApproximationSyst
         raise FormatError(f"{path}: 'rel' must be an array of index pairs")
     rel = set()
     for entry in data["rel"]:
-        if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(i, int) for i in entry)):
+        # a JSON boolean is an instance of int, but no index
+        if not (isinstance(entry, list) and len(entry) == 2 and all(type(i) is int for i in entry)):
             raise FormatError(f"{path}: each 'rel' entry must be a pair of indices")
         rel.add((entry[0], entry[1]))
     return ApproximationSystem(sentences, frozenset(rel))

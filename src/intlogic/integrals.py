@@ -8,10 +8,10 @@ built from level sets.  On finite models the three agree exactly.
 
 These three, the two slices and `double_sum` compute on integers: each
 reads the subset's integer form (`FuzzySubset.den` and `.row`) and the
-model's integer weights (`IntegerForm.weight_row` of `model.integer_form`),
-both computed at most once per object, and makes a single `Fraction`, for
-its result.  The two oracles share only that conversion with the
-expectation form.  The dissection also keeps the mass of every block per
+model's integer weights (`IntegerForm.weight_row` of `WeakProbModel.form`),
+both stored on the object, and makes a single `Fraction`, for its
+result.  The two oracles share only that conversion with the expectation
+form.  The dissection also keeps the mass of every block per
 weight tuple, and finds its supremum by recursion over subsets rather
 than by scoring each partition; the splits that recursion reads depend
 only on the universe size and are listed once per process (`_splits`).
@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 from .errors import ArityMismatch, FormatError, NotCrisp, UniverseTooLarge
 from .rational import DEFAULT_GRID, ONE, unit
 from .reporting import Report
-from .model import FuzzySubset, IntegerForm, WeakProbModel, integer_form
+from .model import FuzzySubset, IntegerForm, WeakProbModel
 from .syntax import APPROX_PRED
 
 DISSECTION_MAX_UNIVERSE = 8
@@ -58,7 +58,7 @@ def _expectation(den: int, row: Sequence[int], form: IntegerForm) -> tuple[int, 
 def integral_expectation(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     """Sum of f(m) * mu(m) over the universe."""
     _require(subset, model.universe, 1)
-    return Fraction(*_expectation(subset.den, subset.row, integer_form(model)))
+    return Fraction(*_expectation(subset.den, subset.row, model.form))
 
 
 @lru_cache(maxsize=None)
@@ -143,7 +143,7 @@ def integral_dissection(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     n = len(model.universe)
     if n > DISSECTION_MAX_UNIVERSE:
         raise UniverseTooLarge(f"dissection enumeration capped at |M| <= {DISSECTION_MAX_UNIVERSE}")
-    form, values = integer_form(model), subset.row
+    form, values = model.form, subset.row
     mass, lowest = _blocks(form.weight_row)
     # a block's infimum is the lesser of its lowest element's value and the
     # infimum of the rest of the block; over the empty block it is 1, `den`
@@ -162,7 +162,7 @@ def integral_layercake(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     its term when the walk passes below it.
     """
     _require(subset, model.universe, 1)
-    form = integer_form(model)
+    form = model.form
     total = mass = level = 0
     for value, weight in sorted(zip(subset.row, form.weight_row), reverse=True):
         if value != level:
@@ -177,7 +177,7 @@ def integral_dirac(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     _require(subset, model.universe, 1)
     if not subset.is_crisp():
         raise NotCrisp("the Dirac integral is only defined for {0,1}-valued subsets")
-    return Fraction(*_expectation(1, subset.row, integer_form(model)))
+    return Fraction(*_expectation(1, subset.row, model.form))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,7 @@ def _slice_row(h: FuzzySubset, model: WeakProbModel, over_first: bool) -> tuple[
     over the first argument sums its columns instead.  Each value is a
     weighted mean of values in [0, 1], so it lies in [0, 1].
     """
-    rows, form = _rows(h, model.universe), integer_form(model)
+    rows, form = _rows(h, model.universe), model.form
     if over_first:
         rows = zip(*rows)
     return h.den * form.m_den, [sum(map(mul, row, form.weight_row)) for row in rows]
@@ -216,7 +216,7 @@ def slice_second(h: FuzzySubset, model: WeakProbModel) -> FuzzySubset:
 
 def double_sum(h: FuzzySubset, model: WeakProbModel) -> Fraction:
     """Product-measure double sum: sum over (a,b) of h(a,b)mu(a)mu(b)."""
-    (scale, sums), form = _slice_row(h, model, False), integer_form(model)
+    (scale, sums), form = _slice_row(h, model, False), model.form
     return Fraction(sum(map(mul, sums, form.weight_row)), scale * form.m_den)
 
 
@@ -253,7 +253,7 @@ def check_semantic_integral_laws(
     checked before either is integrated.
     """
     report = Report()
-    universe, form = model.universe, integer_form(model)
+    universe, form = model.universe, model.form
 
     def record(law, lhs, rhs, sample):
         report.add("integral-law-violation", law=law, lhs=str(Fraction(*lhs)), rhs=str(Fraction(*rhs)),
@@ -355,9 +355,10 @@ def check_similarity_lipschitz(model: WeakProbModel) -> Report:
     For every predicate symbol: |P(a) - P(b)| <= max_i (1 - sim(a_i, b_i)),
     the 1-Lipschitz condition under the distance d(x, y) = 1 - sim(x, y).
     """
-    if APPROX_PRED not in model.predicates or model.pred_arity(APPROX_PRED) != 2:
+    predicates = model.predicates
+    if APPROX_PRED not in predicates or model.pred_arity(APPROX_PRED) != 2:
         raise FormatError(f"{APPROX_PRED!r} must be a binary predicate of the model")
-    sim = model.predicates[APPROX_PRED]
+    sim = predicates[APPROX_PRED]
     report = Report()
 
     for name, table in model.functions.items():
@@ -374,7 +375,7 @@ def check_similarity_lipschitz(model: WeakProbModel) -> Report:
                         tuple_similarity=str(tuple_sim), image_similarity=str(image_sim),
                     )
 
-    for name, table in model.predicates.items():
+    for name, table in predicates.items():
         if name == APPROX_PRED:
             continue
         arity = model.pred_arity(name)

@@ -3,8 +3,9 @@
 A model interprets every predicate as a total [0,1]-valued table over
 tuples of universe elements, every function as a total element-valued
 table, and carries a probability measure whose weights sum to exactly 1.
-Models are treated as immutable after construction; all operations here
-return fresh models.
+It stores them in one form, as integers by element position
+(`IntegerForm`), and builds `Fraction` dicts of them only when they are
+read.  Models are immutable; all operations here return fresh models.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -76,108 +78,38 @@ def _check_reserved(name: str, arity: int) -> None:
         raise FormatError(f"the reserved predicate {name!r} must be binary")
 
 
-@dataclass(frozen=True)
-class WeakProbModel:
-    universe: tuple[str, ...]
-    measure: Mapping[str, Fraction]
-    predicates: Mapping[str, PredTable] = field(default_factory=dict)
-    functions: Mapping[str, FuncTable] = field(default_factory=dict)
-    constants: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "universe", tuple(self.universe))
-        _check_universe(self.universe)
-        elements = set(self.universe)
-
-        measure = {m: unit(w) for m, w in self.measure.items()}
-        if set(measure) != elements:
-            raise TableIncomplete("measure must assign a weight to every element")
-        total = sum(measure.values(), ZERO)
-        if total != ONE:
-            raise MeasureNotNormalized(f"measure weights sum to {total}, expected 1")
-        object.__setattr__(self, "measure", measure)
-
-        predicates = {}
-        for name, table in self.predicates.items():
-            predicates[name], arity = _checked_table(f"table for {name!r}", table, self.universe, unit)
-            _check_reserved(name, arity)
-        object.__setattr__(self, "predicates", predicates)
-
-        functions = {}
-        for name, table in self.functions.items():
-            checked, _ = _checked_table(f"table for {name!r}", table, self.universe, _element)
-            for key, value in checked.items():
-                if value not in elements:
-                    raise FormatError(f"function {name!r} maps {key} outside the universe")
-            functions[name] = checked
-        object.__setattr__(self, "functions", functions)
-
-        constants = dict(self.constants)
-        for cname, target in constants.items():
-            if _element(target) not in elements:
-                raise FormatError(f"constant {cname!r} points at unknown element {target!r}")
-        object.__setattr__(self, "constants", constants)
-
-    @classmethod
-    def _trusted(cls, universe: tuple[str, ...], measure: dict, predicates: dict, functions: dict,
-                 constants: dict, form: "IntegerForm | None" = None) -> "WeakProbModel":
-        """A model from parts that are valid by construction: no checks and no copies.
-
-        Only for callers that built every part themselves, over a checked
-        grid or from a model that is already valid.  The model shares the
-        dicts it is given, so they must not change afterwards.  `form`, when
-        given, is the model's integer form.
-        """
-        model = object.__new__(cls)
-        vars(model).update(universe=universe, measure=measure, predicates=predicates,
-                           functions=functions, constants=constants)
-        if form is not None:
-            vars(model)["_integer_form"] = form
-        return model
-
-    # -- signature ---------------------------------------------------------
-
-    def pred_arity(self, name: str) -> int:
-        return len(next(iter(self.predicates[name])))
-
-    def func_arity(self, name: str) -> int:
-        return len(next(iter(self.functions[name])))
-
-    def vocabulary(self) -> Vocabulary:
-        """The signature this model interprets; reserved names become flags."""
-        preds = tuple(sorted((n, self.pred_arity(n)) for n in self.predicates if n not in RESERVED_NAMES))
-        funcs = tuple(sorted((n, self.func_arity(n)) for n in self.functions))
-        return Vocabulary(
-            preds,
-            funcs,
-            tuple(sorted(self.constants)),
-            has_approx=APPROX_PRED in self.predicates,
-        )
-
-
 # ---------------------------------------------------------------------------
-# The integer form the evaluator computes on
+# The integer form: what a model stores
 
 
 class IntegerForm(NamedTuple):
-    """A model as the evaluator reads it: integers by element position.
+    """A model's measure and tables as integers by element position: the one form a model stores.
 
     Position `i` stands for `universe[i]`.  A table of arity `k` is a nested
     tuple with one level per argument, in `itertools.product(universe,
-    repeat=k)` order: the value at `(universe[i], universe[j])` times `D` is
+    repeat=k)` order (`nested`), so its arity is its nesting depth
+    (`arity_of`): the value at `(universe[i], universe[j])` times `D` is
     `tables[name][i][j]`, and a function's rows hold the positions of its
-    values.  A symbol's rows are made when they are first read
-    (`predicate_rows`, `function_rows`), unless the model's generator
-    handed them in.
+    values.  `D` is a common denominator of every predicate value: the
+    least one in a model the checking constructor builds, the grid's lcm in
+    a generated one.
     """
 
     den: int  #: D, a common denominator of every predicate table value
-    tables: dict[str, tuple]  #: the rows of the predicates read so far: values times D
+    tables: dict[str, tuple]  #: the rows of every predicate: values times D
     m_den: int  #: M, the lcm of the measure's denominators
     weights: tuple[tuple[int, int], ...]  #: (position, mu(m) times M) of each element
     weight_row: tuple[int, ...]  #: mu(m) times M alone, by position
-    functions: dict[str, tuple]  #: the rows of the functions read so far: positions of values
+    functions: dict[str, tuple]  #: the rows of every function: positions of values
     positions: Mapping[str, int]  #: the position of each element
+
+
+def arity_of(rows: tuple) -> int:
+    """The arity of a table's `nested` rows: their nesting depth."""
+    arity = 1
+    while type(rows[0]) is tuple:
+        arity, rows = arity + 1, rows[0]
+    return arity
 
 
 def nested(flat: Sequence, size: int, arity: int) -> tuple:
@@ -194,11 +126,9 @@ def flattened(rows: tuple, arity: int) -> tuple:
     return tuple(rows)
 
 
-def integer_rows(table: PredTable, universe: tuple[str, ...], den: int) -> tuple:
-    """`table`'s values times `den`, which every value's denominator must divide, as `nested` rows."""
-    arity = len(next(iter(table)))
-    return nested([v.numerator * (den // v.denominator) for v in
-                   map(table.__getitem__, itertools.product(universe, repeat=arity))], len(universe), arity)
+def _in_product_order(table: Mapping, universe: tuple[str, ...], arity: int) -> list:
+    """The values of a complete table over `universe`, in product order."""
+    return list(map(table.__getitem__, itertools.product(universe, repeat=arity)))
 
 
 def integer_row(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
@@ -220,41 +150,160 @@ def integer_measure(draw: Sequence[int]) -> tuple[int, tuple, tuple]:
     return total // common, tuple(enumerate(row)), row
 
 
-def integer_form(model: WeakProbModel) -> IntegerForm:
-    """The model's integer form, with `D` the lcm of its table denominators.
+def _flat(tables: dict[str, tuple]) -> dict[str, tuple[int, tuple]]:
+    """`(arity, values in product order)` of each table's `nested` rows."""
+    return {name: (arity_of(rows), flattened(rows, arity_of(rows))) for name, rows in tables.items()}
 
-    It is computed at most once per model and kept on the model object.
-    Model generators and structure operations may hand in a form whose `D`
-    is some other common denominator, such as their grid's lcm.
+
+def _reduced(form: IntegerForm) -> tuple[int, dict[str, tuple[int, tuple]]]:
+    """`(D, _flat(tables))` of `form` with `D` and every table value divided by their gcd.
+
+    `D` is then the lcm of the table values' denominators, whatever common
+    denominator the form was made over, as `FuzzySubset._trusted` reduces
+    `den`.
     """
-    form = vars(model).get("_integer_form")
-    if form is None:
-        universe = model.universe
-        den = lcm(*{v.denominator for table in model.predicates.values() for v in table.values()})
-        form = IntegerForm(den, {}, *integer_measure(integer_row([model.measure[m] for m in universe])[1]), {},
-                           dict(zip(universe, range(len(universe)))))
-        vars(model)["_integer_form"] = form
-    return form
+    tables = _flat(form.tables)
+    common = gcd(form.den, *itertools.chain.from_iterable(values for _, values in tables.values()))
+    return form.den // common, {name: (arity, tuple([n // common for n in values]))
+                                for name, (arity, values) in tables.items()}
 
 
-def predicate_rows(model: WeakProbModel, name: str) -> tuple:
-    """The rows of the model's predicate `name` in its integer form, made on the first read."""
-    form = integer_form(model)
-    rows = form.tables.get(name)
-    if rows is None:
-        rows = form.tables[name] = integer_rows(model.predicates[name], model.universe, form.den)
-    return rows
+_EMPTY: Mapping = MappingProxyType({})
 
 
-def function_rows(model: WeakProbModel, name: str) -> tuple:
-    """The rows of the model's function `name` in its integer form, made on the first read."""
-    form, table, universe = integer_form(model), model.functions[name], model.universe
-    rows = form.functions.get(name)
-    if rows is None:
-        arity = len(next(iter(table)))
-        rows = form.functions[name] = nested(
-            [form.positions[table[key]] for key in itertools.product(universe, repeat=arity)], len(universe), arity)
-    return rows
+@dataclass(frozen=True, init=False, eq=False)
+class WeakProbModel:
+    """A finite weak probabilistic model: its universe, its integer form and its constants.
+
+    The integer form (`IntegerForm`) is the one stored form of the measure
+    and the tables.  `measure`, `predicates` and `functions` build fresh
+    dicts from it on every read: `Fraction` weights in universe order,
+    and tables keyed in product order.  Changing one leaves the model as it
+    was.  Equality and the hash read the form with `D` reduced (`_reduced`),
+    so a model is the same whatever common denominator it was made over.
+
+    The checking constructor `WeakProbModel(universe, measure, predicates,
+    functions, constants)` checks its arguments and converts them once
+    (`__post_init__`); `_trusted` takes a form as it is.
+    """
+
+    universe: tuple[str, ...]
+    form: IntegerForm
+    constants: Mapping[str, str]
+
+    def __init__(self, universe: Sequence[str], measure: Mapping[str, Fraction],
+                 predicates: Mapping[str, PredTable] = _EMPTY, functions: Mapping[str, FuncTable] = _EMPTY,
+                 constants: Mapping[str, str] = _EMPTY):
+        self.__post_init__(universe, measure, predicates, functions, constants)
+
+    def __post_init__(self, universe, measure, predicates, functions, constants):
+        universe = tuple(universe)
+        _check_universe(universe)
+        elements = set(universe)
+
+        measure = {m: unit(w) for m, w in measure.items()}
+        if set(measure) != elements:
+            raise TableIncomplete("measure must assign a weight to every element")
+        total = sum(measure.values(), ZERO)
+        if total != ONE:
+            raise MeasureNotNormalized(f"measure weights sum to {total}, expected 1")
+
+        size, checked = len(universe), {}
+        for name, table in predicates.items():
+            table, arity = checked[name] = _checked_table(f"table for {name!r}", table, universe, unit)
+            _check_reserved(name, arity)
+
+        positions = dict(zip(universe, range(size)))
+        funcs = {}
+        for name, table in functions.items():
+            table, arity = _checked_table(f"table for {name!r}", table, universe, _element)
+            for key, value in table.items():
+                if value not in elements:
+                    raise FormatError(f"function {name!r} maps {key} outside the universe")
+            funcs[name] = nested([*map(positions.__getitem__, _in_product_order(table, universe, arity))], size, arity)
+
+        constants = dict(constants)
+        for cname, target in constants.items():
+            if _element(target) not in elements:
+                raise FormatError(f"constant {cname!r} points at unknown element {target!r}")
+
+        den = lcm(*{v.denominator for table, _ in checked.values() for v in table.values()})
+        tables = {name: nested([v.numerator * (den // v.denominator) for v in _in_product_order(t, universe, arity)],
+                               size, arity) for name, (t, arity) in checked.items()}
+        form = IntegerForm(den, tables, *integer_measure(integer_row([measure[m] for m in universe])[1]),
+                           funcs, positions)
+        vars(self).update(universe=universe, form=form, constants=constants)
+
+    @classmethod
+    def _trusted(cls, universe: tuple[str, ...], form: IntegerForm, constants: dict) -> "WeakProbModel":
+        """A model from parts that are valid by construction: no checks and no copies.
+
+        Only for callers that built every part themselves, over a checked
+        grid or from a model that is already valid.  The model shares the
+        form and the constants it is given, so they must not change
+        afterwards.
+        """
+        model = object.__new__(cls)
+        vars(model).update(universe=universe, form=form, constants=constants)
+        return model
+
+    # -- the tables, built on read -------------------------------------------
+
+    @property
+    def measure(self) -> dict[str, Fraction]:
+        m_den = self.form.m_den
+        return {m: Fraction(w, m_den) for m, w in zip(self.universe, self.form.weight_row)}
+
+    @property
+    def predicates(self) -> dict[str, dict[tuple[str, ...], Fraction]]:
+        den = self.form.den
+        return self._tables(self.form.tables, lambda n: Fraction(n, den))
+
+    @property
+    def functions(self) -> dict[str, dict[tuple[str, ...], str]]:
+        return self._tables(self.form.functions, self.universe.__getitem__)
+
+    def _tables(self, tables: dict[str, tuple], value) -> dict:
+        """Every table of `tables` as a dict from its keys, in product order, to `value` of its entries."""
+        return {name: dict(zip(itertools.product(self.universe, repeat=arity), map(value, values)))
+                for name, (arity, values) in _flat(tables).items()}
+
+    # -- equality ------------------------------------------------------------
+
+    def _key(self) -> tuple:
+        """What equality and the hash read: the universe, the form with `D` reduced and the constants."""
+        form = self.form
+        den, tables = _reduced(form)
+        return (self.universe, den, frozenset(tables.items()), form.m_den, form.weight_row,
+                frozenset(form.functions.items()), frozenset(self.constants.items()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    # -- signature ---------------------------------------------------------
+
+    def pred_arity(self, name: str) -> int:
+        return arity_of(self.form.tables[name])
+
+    def func_arity(self, name: str) -> int:
+        return arity_of(self.form.functions[name])
+
+    def vocabulary(self) -> Vocabulary:
+        """The signature this model interprets; reserved names become flags."""
+        form = self.form
+        preds = tuple(sorted((n, arity_of(rows)) for n, rows in form.tables.items() if n not in RESERVED_NAMES))
+        funcs = tuple(sorted((n, arity_of(rows)) for n, rows in form.functions.items()))
+        return Vocabulary(
+            preds,
+            funcs,
+            tuple(sorted(self.constants)),
+            has_approx=APPROX_PRED in form.tables,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +312,7 @@ def function_rows(model: WeakProbModel, name: str) -> tuple:
 
 def mu_set(model: WeakProbModel, tuples: Iterable, k: int = 1) -> Fraction:
     """Product-measure mass of a set of k-tuples (bare elements allowed at k=1)."""
+    measure = model.measure
     total = ZERO
     seen = set()
     for item in tuples:
@@ -274,9 +324,9 @@ def mu_set(model: WeakProbModel, tuples: Iterable, k: int = 1) -> Fraction:
         seen.add(item)
         weight = ONE
         for element in item:
-            if element not in model.measure:
+            if element not in measure:
                 raise FormatError(f"{element!r} is not an element of the universe")
-            weight *= model.measure[element]
+            weight *= measure[element]
         total += weight
     return total
 
@@ -341,9 +391,8 @@ class FuzzySubset:
 
     @classmethod
     def from_predicate(cls, model: WeakProbModel, name: str) -> "FuzzySubset":
-        arity = model.pred_arity(name)
-        return cls._trusted(model.universe, arity, integer_form(model).den,
-                            flattened(predicate_rows(model, name), arity))
+        rows = model.form.tables[name]
+        return cls._trusted(model.universe, arity_of(rows), model.form.den, flattened(rows, arity_of(rows)))
 
 
 def level_set(subset: FuzzySubset, alpha: Fraction) -> frozenset[str]:
@@ -354,38 +403,36 @@ def level_set(subset: FuzzySubset, alpha: Fraction) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Structure-level operations: reduct, renaming, isomorphism, relabeling
+# Structure-level operations: reduct, renaming, isomorphism, relabeling.
+# Each builds its model from the form of a valid one, with no checks.
 
 
 def reduct(model: WeakProbModel, voc: Vocabulary) -> WeakProbModel:
     """Forget every interpretation outside `voc` (universe and measure kept)."""
-    preds = {}
+    form = model.form
+    tables = {}
     for name, arity in voc.predicates:
-        if name not in model.predicates or model.pred_arity(name) != arity:
+        if name not in form.tables or arity_of(form.tables[name]) != arity:
             raise NotSubvocabulary(f"model does not interpret predicate {name!r}/{arity}")
-        preds[name] = model.predicates[name]
+        tables[name] = form.tables[name]
     if voc.has_approx:
-        if APPROX_PRED not in model.predicates:
+        if APPROX_PRED not in form.tables:
             raise NotSubvocabulary("model does not interpret 'approx'")
-        preds[APPROX_PRED] = model.predicates[APPROX_PRED]
-    if EQ_PRED in model.predicates:
-        preds[EQ_PRED] = model.predicates[EQ_PRED]
-    funcs = {}
+        tables[APPROX_PRED] = form.tables[APPROX_PRED]
+    if EQ_PRED in form.tables:
+        tables[EQ_PRED] = form.tables[EQ_PRED]
+    functions = {}
     for name, arity in voc.functions:
-        if name not in model.functions or model.func_arity(name) != arity:
+        if name not in form.functions or arity_of(form.functions[name]) != arity:
             raise NotSubvocabulary(f"model does not interpret function {name!r}/{arity}")
-        funcs[name] = model.functions[name]
+        functions[name] = form.functions[name]
     consts = {}
     for name in voc.constants:
         if name not in model.constants:
             raise NotSubvocabulary(f"model does not interpret constant {name!r}")
         consts[name] = model.constants[name]
-    # the model's integer form, less the forgotten tables; D stays a common denominator
-    form = vars(model).get("_integer_form")
-    if form is not None:
-        form = form._replace(tables={name: rows for name, rows in form.tables.items() if name in preds},
-                             functions={name: rows for name, rows in form.functions.items() if name in funcs})
-    return WeakProbModel._trusted(model.universe, model.measure, preds, funcs, consts, form)
+    # D stays a common denominator of the tables kept
+    return WeakProbModel._trusted(model.universe, form._replace(tables=tables, functions=functions), consts)
 
 
 def rename(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakProbModel:
@@ -394,18 +441,16 @@ def rename(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakProbModel:
     if len(set(targets)) != len(targets):
         raise FormatError("renaming must be injective")
     ren = lambda n: mapping.get(n, n)
-    preds = {ren(n): t for n, t in model.predicates.items()}
-    funcs = {ren(n): t for n, t in model.functions.items()}
+    form = model.form
+    tables = {ren(n): rows for n, rows in form.tables.items()}
+    functions = {ren(n): rows for n, rows in form.functions.items()}
     consts = {ren(n): e for n, e in model.constants.items()}
-    if len(preds) != len(model.predicates) or len(funcs) != len(model.functions) or len(consts) != len(model.constants):
+    if len(tables) != len(form.tables) or len(functions) != len(form.functions) or \
+            len(consts) != len(model.constants):
         raise FormatError("renaming collapses two symbols")
-    for name, table in preds.items():
-        _check_reserved(name, len(next(iter(table))))
-    # the model's integer form, with its rows under the new names
-    form = vars(model).get("_integer_form")
-    return WeakProbModel._trusted(model.universe, model.measure, preds, funcs, consts, form and form._replace(
-        tables={ren(n): rows for n, rows in form.tables.items()},
-        functions={ren(n): rows for n, rows in form.functions.items()}))
+    for name, rows in tables.items():
+        _check_reserved(name, arity_of(rows))
+    return WeakProbModel._trusted(model.universe, form._replace(tables=tables, functions=functions), consts)
 
 
 def relabel_universe(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakProbModel:
@@ -414,20 +459,10 @@ def relabel_universe(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakPr
         raise FormatError("relabeling must be a bijection on the universe")
     universe = tuple(mapping[m] for m in model.universe)
     _check_universe(universe)
-    measure = {mapping[m]: w for m, w in model.measure.items()}
-    preds = {
-        name: {tuple(mapping[e] for e in key): v for key, v in table.items()}
-        for name, table in model.predicates.items()
-    }
-    funcs = {
-        name: {tuple(mapping[e] for e in key): mapping[v] for key, v in table.items()}
-        for name, table in model.functions.items()
-    }
     consts = {name: mapping[e] for name, e in model.constants.items()}
-    # every element keeps its position, so the integer form is the model's own, with new names
-    form = vars(model).get("_integer_form")
-    return WeakProbModel._trusted(universe, measure, preds, funcs, consts,
-                                  form and form._replace(positions=dict(zip(universe, range(len(universe))))))
+    # every element keeps its position, so the rows stay as they are
+    return WeakProbModel._trusted(universe, model.form._replace(positions=dict(zip(universe, range(len(universe))))),
+                                  consts)
 
 
 ISOMORPHISM_MAX_UNIVERSE = 8
@@ -435,13 +470,32 @@ ISOMORPHISM_MAX_UNIVERSE = 8
 
 def _isomorphism_invariants(model: WeakProbModel) -> tuple:
     """What every relabelling of `model` keeps: the measure's values, the signature
-    and each predicate's values, all as multisets."""
+    and each predicate's values, all as multisets, and the least `D`."""
+    form = model.form
+    den, tables = _reduced(form)
     return (
-        sorted(model.measure.values()),
-        {name: (model.pred_arity(name), sorted(table.values())) for name, table in model.predicates.items()},
-        {name: model.func_arity(name) for name in model.functions},
+        form.m_den,
+        sorted(form.weight_row),
+        den,
+        {name: (arity, sorted(values)) for name, (arity, values) in tables.items()},
+        {name: arity_of(rows) for name, rows in form.functions.items()},
         set(model.constants),
     )
+
+
+def _cells(model: WeakProbModel) -> dict[tuple, int]:
+    """The model by element positions: `(kind, name, positions) -> integer`, with `D` reduced.
+
+    The integer of a weight or a predicate value is its numerator over `M`
+    or `D`, and that of a function value or a constant a position.
+    """
+    form, size = model.form, len(model.universe)
+    cells = {("weight", "", (i,)): w for i, w in enumerate(form.weight_row)}
+    cells |= {("position", name, ()): form.positions[e] for name, e in model.constants.items()}
+    for kind, tables in (("value", _reduced(form)[1]), ("position", _flat(form.functions))):
+        for name, (arity, values) in tables.items():
+            cells.update(zip([(kind, name, key) for key in itertools.product(range(size), repeat=arity)], values))
+    return cells
 
 
 def isomorphic(left: WeakProbModel, right: WeakProbModel) -> bool:
@@ -452,28 +506,29 @@ def isomorphic(left: WeakProbModel, right: WeakProbModel) -> bool:
         raise UniverseTooLarge(f"isomorphism search capped at |M| <= {ISOMORPHISM_MAX_UNIVERSE}")
     if _isomorphism_invariants(left) != _isomorphism_invariants(right):
         return False
-    parts = lambda model: (model.measure, model.predicates, model.functions, model.constants)
-    target = parts(right)
-    return any(parts(relabel_universe(left, dict(zip(left.universe, image)))) == target
-               for image in itertools.permutations(right.universe))
+    source, target = _cells(left), _cells(right)
+    # the relabelling that moves position i to image[i] carries every key, and every position a cell holds
+    return any({(kind, name, tuple([image[i] for i in key])): image[n] if kind == "position" else n
+                for (kind, name, key), n in source.items()} == target
+               for image in itertools.permutations(range(len(left.universe))))
 
 
 def expand_by_constants(model: WeakProbModel, elements: Iterable[str] | None = None) -> WeakProbModel:
     """Add, for each element, a constant carrying the element's own name."""
     elements = tuple(elements) if elements is not None else model.universe
     consts = dict(model.constants)
+    form = model.form
     for element in elements:
         if element not in model.universe:
             raise FormatError(f"{element!r} is not an element of the universe")
         current = consts.get(element)
         if current is not None and current != element:
             raise FormatError(f"constant name {element!r} is already taken")
-        if element in model.predicates or element in model.functions:
+        if element in form.tables or element in form.functions:
             raise FormatError(f"name {element!r} is already a symbol of the model")
         consts[element] = element
-    # constants have no rows, so the integer form is the model's own
-    return WeakProbModel._trusted(model.universe, model.measure, model.predicates, model.functions, consts,
-                                  vars(model).get("_integer_form"))
+    # constants have no rows, so the form is the model's own
+    return WeakProbModel._trusted(model.universe, form, consts)
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +541,14 @@ def model_to_json(model: WeakProbModel) -> dict:
         "measure": {m: format_rational(w) for m, w in model.measure.items()},
         "predicates": {
             name: {
-                "arity": model.pred_arity(name),
+                "arity": len(next(iter(table))),
                 "table": {",".join(key): format_rational(v) for key, v in sorted(table.items())},
             }
             for name, table in sorted(model.predicates.items())
         },
         "functions": {
             name: {
-                "arity": model.func_arity(name),
+                "arity": len(next(iter(table))),
                 "table": {",".join(key): v for key, v in sorted(table.items())},
             }
             for name, table in sorted(model.functions.items())
@@ -545,7 +600,7 @@ def _table_entry(name, entry):
     if not isinstance(entry, dict) or "arity" not in entry or "table" not in entry:
         raise FormatError(f"entry for {name!r} must be {{'arity': n, 'table': {{...}}}}")
     arity = entry["arity"]
-    if not isinstance(arity, int) or arity < 1:
+    if type(arity) is not int or arity < 1:  # a JSON boolean is an instance of int, but no arity
         raise FormatError(f"arity of {name!r} must be a positive integer")
     if not isinstance(entry["table"], dict):
         raise FormatError(f"table of {name!r} must be an object")

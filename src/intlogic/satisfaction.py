@@ -29,7 +29,7 @@ from .errors import (
 )
 from .evaluate import _Compiler, _interior, _levels_agree
 from .integrals import _require
-from .model import FuzzySubset, WeakProbModel, expand_by_constants, integer_form
+from .model import FuzzySubset, WeakProbModel, expand_by_constants
 from .parser import print_formula
 from .rational import ONE, ZERO
 from .reporting import Report
@@ -100,7 +100,7 @@ def hsat_qeq_dirac(f: FuzzySubset, g: FuzzySubset, model: WeakProbModel) -> bool
         raise NotCrisp("the Dirac-case check requires {0,1}-valued matrices")
     for subset in (f, g):
         _require(subset, model.universe, 1)
-    return _levels_agree(f.row, g.row, integer_form(model).weights, 1, None)
+    return _levels_agree(f.row, g.row, model.form.weights, 1, None)
 
 
 def hsat_qeq(

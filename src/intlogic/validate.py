@@ -5,8 +5,8 @@ a measure is a draw of the grid's numerators over its lcm, one per
 element, normalised on integers (`model.integer_measure`; all-zero draws
 are dropped or redrawn), a predicate table is a row of grid numerators and
 a function table a row of element positions.  One materialiser
-(`_Models.model`) makes every generated model from such rows: its tables,
-its measure and its integer form.  Exhaustive mode enumerates every grid
+(`_Models.model`) makes every generated model's integer form from such
+rows, and no `Fraction` table.  Exhaustive mode enumerates every grid
 combination in a deterministic order; random mode is reproducible from
 the seed.
 Countermodel search and the axiom checks enumerate only the models that
@@ -14,8 +14,6 @@ are least in their orbit under relabellings of the universe
 (`exhaustive_models`).  An axiom instantiation with a failing check is
 swept again over every model, for every record; its `checked` count is
 always that of every model, taken from the plan that its sweeps run on.
-Every generated model carries its integer form (`model.IntegerForm`), so
-no model is converted again when a formula is bound to it.
 
 Exhaustive mode has one enumeration path, an odometer over factor indices
 (`_Odometer`): one factor for the measure and one per predicate table,
@@ -44,7 +42,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -135,24 +132,18 @@ def universe_names(size: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(1, size + 1))
 
 
-def _measure(names: tuple[str, ...], integers: tuple) -> tuple:
-    """`(measure, M, weights, weight_row)`: a measure's `integer_measure` form, led by the read-only measure."""
-    m_den, _, weight_row = integers
-    return (MappingProxyType({name: Fraction(w, m_den) for name, w in zip(names, weight_row)}), *integers)
-
-
-def _grid_measures(names: tuple[str, ...], numerators: Sequence[int]) -> list[tuple]:
-    """`_measure` of every distinct measure a draw of `numerators` per element normalises to, in draw order.
+def _grid_measures(size: int, numerators: Sequence[int]) -> list[tuple]:
+    """`integer_measure` of every distinct measure a draw of `numerators` per element normalises to, in draw order.
 
     Draws run through `itertools.product(numerators, ...)`; an all-zero draw
     is dropped, and a measure is kept at its first draw.
     """
     forms = {}
-    for draw in itertools.product(numerators, repeat=len(names)):
+    for draw in itertools.product(numerators, repeat=size):
         if any(draw):
             form = integer_measure(draw)
             forms.setdefault(form[2], form)
-    return [_measure(names, form) for form in forms.values()]
+    return list(forms.values())
 
 
 def grid_measures(size: int, grid: Sequence[Fraction]) -> list[dict[str, Fraction]]:
@@ -162,7 +153,8 @@ def grid_measures(size: int, grid: Sequence[Fraction]) -> list[dict[str, Fractio
     normalised on integers (`integer_measure`); all-zero draws are dropped.
     """
     names = universe_names(size)
-    return [dict(measure) for measure, *_ in _grid_measures(names, integer_row(sorted(grid))[1])]
+    return [{name: Fraction(w, m_den) for name, w in zip(names, weight_row)}
+            for m_den, _, weight_row in _grid_measures(size, integer_row(sorted(grid))[1])]
 
 
 def _pred_symbols(voc: Vocabulary) -> list[tuple[str, int]]:
@@ -230,12 +222,6 @@ def _ties(relabellings: list, level: int, indices: tuple[int, ...]) -> list | No
     return ties
 
 
-@functools.lru_cache(maxsize=32)
-def _keys(names: tuple[str, ...], arity: int) -> list[tuple[str, ...]]:
-    """Every key of a table of this arity over the universe `names`, in product order; read-only to callers."""
-    return list(itertools.product(names, repeat=arity))
-
-
 class _Models:
     """Models over a universe of `size` elements and a sorted grid, made from integer rows alone.
 
@@ -247,34 +233,21 @@ class _Models:
     def __init__(self, size: int, grid: Sequence[Fraction]):
         names = self.names = universe_names(size)
         self.den, self.numerators = integer_row(grid)
-        self.positions = MappingProxyType(dict(zip(names, range(size))))
-        #: each part's value of a row entry: a grid value (or 0 or 1 for `eq`) by numerator, an element by position
-        self._value_of = {"predicate": {0: ZERO, self.den: ONE, **dict(zip(self.numerators, grid))}.__getitem__,
-                          "function": names.__getitem__}
+        self.positions = dict(zip(names, range(size)))
 
     def model(self, measure: tuple, parts: Iterable[tuple]) -> WeakProbModel:
-        """The model of `measure`, as `_measure` gives it, and of one `(kind, name, choice)` per other part.
+        """The model of `measure`, as `integer_measure` gives it, and of one `(kind, name, choice)` per other part.
 
         A predicate's choice is its nested rows of numerators over `den`, a
         function's its nested rows of positions and a constant's a position.
-        The model makes its own tables from them; its integer form holds the
-        rows and the measure's integer weights as they are.
+        The model's integer form holds the rows and the measure as they are,
+        and a position map of its own.
         """
-        names, value_of = self.names, self._value_of
-        tables = {"predicate": {}, "function": {}, "constant": {}}
-        rows = {"predicate": {}, "function": {}}
+        rows = {"predicate": {}, "function": {}, "constant": {}}
         for kind, name, choice in parts:
-            if kind == "constant":
-                tables[kind][name] = names[choice]
-                continue
-            rows[kind][name] = flat = choice
-            arity = 1
-            while type(flat[0]) is tuple:
-                arity, flat = arity + 1, list(itertools.chain.from_iterable(flat))
-            tables[kind][name] = dict(zip(_keys(names, arity), map(value_of[kind], flat)))
-        measure, *integers = measure
-        form = IntegerForm(self.den, rows["predicate"], *integers, rows["function"], self.positions)
-        return WeakProbModel._trusted(names, measure, *tables.values(), form)
+            rows[kind][name] = choice
+        form = IntegerForm(self.den, rows["predicate"], *measure, rows["function"], dict(self.positions))
+        return WeakProbModel._trusted(self.names, form, {name: self.names[i] for name, i in rows["constant"].items()})
 
 
 class _Plan(_Models):
@@ -283,20 +256,20 @@ class _Plan(_Models):
     The shape is the universe size, the sorted grid, the arity of each drawn
     predicate table (the vocabulary's, then `approx`), whether `eq` is the
     fixed identity, the arity of each function table and the number of
-    constants.  The plan holds each measure once, as `_measure` gives it,
-    and each factor's choices once, as integer rows: a predicate's are its
-    nested rows of numerators over the grid's lcm `den` (one list per
-    arity, which the predicates of that arity share), `eq`'s is the
-    identity, a function's are its nested rows of positions and a
-    constant's are the positions.  Every measure is a read-only mapping and
-    every row a tuple, so the models built on a plan cannot change it.
+    constants.  The plan holds each measure once, as `integer_measure`
+    gives it, and each factor's choices once, as integer rows: a
+    predicate's are its nested rows of numerators over the grid's lcm `den`
+    (one list per arity, which the predicates of that arity share), `eq`'s
+    is the identity, a function's are its nested rows of positions and a
+    constant's are the positions.  Every measure and every row is a tuple,
+    so the models built on a plan cannot change it.
     """
 
     def __init__(self, size: int, grid: tuple[Fraction, ...], pred_arities: tuple[int, ...], eq: bool,
                  func_arities: tuple[int, ...], constants: int):
         super().__init__(size, grid)
         den, numerators = self.den, self.numerators
-        self.measures = _grid_measures(self.names, numerators)
+        self.measures = _grid_measures(size, numerators)
 
         space = len(self.measures)
         for arity in pred_arities:
@@ -446,7 +419,7 @@ class _Odometer:
                     changed = min(changed, position)
                     continue
             if not changed:
-                _, m_den, weights, _ = plan.measures[indices[0]]
+                m_den, weights, _ = plan.measures[indices[0]]
                 for view in views:
                     view.stage(m_den, weights)
             for p in range(changed, n):
@@ -457,7 +430,7 @@ class _Odometer:
             position = changed = step(n - 1)
 
     def model(self, indices: Sequence[int]) -> WeakProbModel:
-        """The model at `indices` (`_Models.model`): it shares the plan's read-only measure and rows."""
+        """The model at `indices` (`_Models.model`): it shares the plan's measure and rows."""
         plan = self.plan
         return plan.model(plan.measures[indices[0]],
                           [(kind, name, choices[i]) for (kind, name, choices), i in zip(self.factors, indices[1:])])
@@ -469,9 +442,9 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
 
     With `eq`, every model also interprets `eq` as the crisp identity.  The
     models are valid by construction.  Each is made from the integer rows
-    of the grid's plan (`_Plan`), which is built once per process, and owns
-    its table dicts; it shares the plan's measures as read-only mappings
-    and its rows as tuples, so no model can change the plan.
+    of the grid's plan (`_Plan`), which is built once per process; its
+    integer form shares the plan's measures and rows, all tuples, so no
+    model can change the plan.
 
     The order is lexicographic on the factor indices: the measure's, each
     predicate table's, each function table's and each constant's.  With
@@ -511,7 +484,7 @@ def random_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Itera
         parts = [(kind, name, nested([rng.choice(values) for _ in range(size ** arity)], size, arity))
                  for kind, name, arity, values in symbols]
         parts += fixed + [("constant", name, rng.choice(elements)) for name in voc.constants]
-        yield models.model(_measure(names, integer_measure(draw)), parts)
+        yield models.model(integer_measure(draw), parts)
 
 
 def generate_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False) -> Iterator[WeakProbModel]:

@@ -64,16 +64,31 @@ MUTANTS = [
     ),
     Mutant(
         "dirac-case-swaps-f-and-g", "satisfaction.py",
-        "_levels_agree(f.row, g.row, integer_form(model).weights, 1, None)",
-        "_levels_agree(g.row, f.row, integer_form(model).weights, 1, None)",
+        "_levels_agree(f.row, g.row, model.form.weights, 1, None)",
+        "_levels_agree(g.row, f.row, model.form.weights, 1, None)",
         ("tests/test_satisfaction.py::TestDiracCase",
          "tests/test_satisfaction.py::TestAgainstTheOracle::test_dirac_case"),
     ),
     Mutant(
         "rename-keeps-the-old-form-keys", "model.py",
-        "tables={ren(n): rows for n, rows in form.tables.items()}",
-        "tables=dict(form.tables)",
-        ("tests/test_model.py::TestStructureOps::test_relabelling_and_reduct_carry_the_integer_form",),
+        "tables = {ren(n): rows for n, rows in form.tables.items()}",
+        "tables = dict(form.tables)",
+        ("tests/test_model.py::TestStructureOps::test_relabelling_and_reduct_carry_the_integer_form",
+         "tests/test_model.py::TestStructureOps::test_rename_keeps_the_reserved_name_rule"),
+    ),
+    Mutant(
+        "model-equality-reads-unreduced-form", "model.py",
+        "den, tables = _reduced(form)\n        return (self.universe,",
+        "den, tables = form.den, _flat(form.tables)\n        return (self.universe,",
+        ("tests/test_model.py::TestModelContract::test_grid_and_loaded_models_are_equal",),
+    ),
+    Mutant(
+        "materialiser-transposes-binary-rows", "validate.py",
+        "rows[kind][name] = choice",
+        "rows[kind][name] = tuple(zip(*choice)) if type(choice[0]) is tuple else choice",
+        ("tests/test_validate.py::TestTrustedGeneration::test_exhaustive_models",
+         "tests/test_validate.py::TestTrustedGeneration::test_random_models",
+         "tests/test_validate.py::TestGolden::test_first_random_models"),
     ),
 ]
 

@@ -19,12 +19,17 @@ The pieces they need (the Lukasiewicz connectives on `Fraction`s,
 `pointwise`, `set_partitions`, `level_set`, `mass`) are defined here, so
 the oracle imports no code of the modules it checks but `LevelConfig`, the
 parameter type of `hsat_qeq`.
+
+A model builds its dicts afresh on every read, so each function here that
+takes a model reads each of them once per call, into `Tables`, and works
+on that.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 from intlogic.errors import (
     ArityMismatch,
@@ -60,6 +65,23 @@ from intlogic.syntax import (
     Vocabulary,
     free_vars,
 )
+
+
+class Tables(NamedTuple):
+    """A model's universe and dicts, each read once."""
+
+    universe: tuple
+    measure: dict
+    predicates: dict
+    functions: dict
+    constants: dict
+
+
+def tables(model) -> Tables:
+    """The `Tables` of a model, or `model` itself when it is one already."""
+    if isinstance(model, Tables):
+        return model
+    return Tables(model.universe, model.measure, model.predicates, model.functions, model.constants)
 
 
 # Lukasiewicz truth functions.  All arguments are assumed to be in [0, 1].
@@ -109,6 +131,7 @@ def eval_term(term: Term, model: WeakProbModel, valuation) -> str:
 
 
 def value_matrix(body: Formula, var: str, model: WeakProbModel, valuation=None) -> FuzzySubset:
+    model = tables(model)
     base = dict(valuation or {})
     values = {}
     for m in model.universe:
@@ -140,6 +163,7 @@ def attained_levels(f: FuzzySubset, g: FuzzySubset) -> LevelConfig:
 
 def hsat_qeq(left: Formula, right: Formula, model: WeakProbModel, cfg: LevelConfig | None = None) -> bool:
     """`satisfaction.hsat_qeq`, on matrices built here and level sets of `Fraction`s."""
+    model = tables(model)
     f = _side_matrix(left, model)
     g = _side_matrix(right, model)
     if cfg is None:
@@ -162,6 +186,7 @@ def hsat_qeq(left: Formula, right: Formula, model: WeakProbModel, cfg: LevelConf
 
 
 def evaluate(formula: Formula, model: WeakProbModel, valuation=None) -> Fraction:
+    model = tables(model)
     v = valuation or {}
     if isinstance(formula, Atom):
         args = tuple(eval_term(a, model, v) for a in formula.args)
@@ -230,13 +255,14 @@ def law_report(model: WeakProbModel, pairs=(), bivariate=(), constants=DEFAULT_G
     `Fraction` sums; `integral` is called afresh for every side of every law.
     """
     report = Report()
+    measure = model.measure
 
     def record(law, lhs, rhs, **subsets):
         sample = {name: {",".join(k): str(v) for k, v in sorted(s.values.items())} for name, s in subsets.items()}
         report.add("integral-law-violation", law=law, lhs=str(lhs), rhs=str(rhs), sample=sample)
 
     def sliced(h, over_first):
-        universe, mu, table = model.universe, model.measure, h.values
+        universe, mu, table = model.universe, measure, h.values
         if over_first:
             return FuzzySubset(universe, {(b,): sum((table[(a, b)] * mu[a] for a in universe), ZERO)
                                           for b in universe})
@@ -287,7 +313,7 @@ def set_partitions(items: list) -> list[list[list]]:
 
 def dissection(f: FuzzySubset, model: WeakProbModel) -> Fraction:
     """`integral_dissection` as a `Fraction` loop: the best partition's sum of inf f times mu(block)."""
-    table = f.values
+    table, model = f.values, tables(model)
     return max(sum((min(table[(m,)] for m in block) * mass(model, block) for block in partition), ZERO)
                for partition in set_partitions(list(model.universe)))
 
@@ -295,7 +321,7 @@ def dissection(f: FuzzySubset, model: WeakProbModel) -> Fraction:
 def layercake(f: FuzzySubset, model: WeakProbModel) -> Fraction:
     """`integral_layercake` as a `Fraction` loop over the distinct levels 0 < v1 < v2 < ... of f:
     the sum of (vi - vi-1) * mu{f >= vi}, where {f >= v} holds v itself, unlike the strict `level_set`."""
-    table, total, previous = f.values, ZERO, ZERO
+    table, total, previous, model = f.values, ZERO, ZERO, tables(model)
     for level in sorted(set(table.values()) - {ZERO}):
         total += (level - previous) * mass(model, [m for m in model.universe if table[(m,)] >= level])
         previous = level
@@ -307,6 +333,7 @@ def isomorphic(left: WeakProbModel, right: WeakProbModel) -> bool:
     look up each weight, table entry and constant of `left` at its image in `right`."""
     if len(left.universe) != len(right.universe):
         return False
+    left, right = tables(left), tables(right)
     names = lambda model: (set(model.predicates), set(model.functions), set(model.constants))
     if names(left) != names(right):
         return False

@@ -607,6 +607,21 @@ class TestInputErrorsExit2:
         exits_2_with_one_line(["validate-approx-system", "--approx-system", str(path),
                                "--model", model_path], capsys)
 
+    @pytest.mark.parametrize("arity", [True, "1"])
+    def test_boolean_arity_is_no_arity(self, arity, tmp_path, capsys):
+        # JSON true is an instance of int in Python; it must be rejected as a string is
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(with_field(MODEL_DOC, ("predicates", "P", "arity"), arity)))
+        assert main(["eval", "--model", str(path), "--formula", "INT P(x) dx"]) == 2
+        assert capsys.readouterr() == ("", "error: arity of 'P' must be a positive integer\n")
+
+    @pytest.mark.parametrize("rel", [[[True, False]], [["0", 0]]])
+    def test_boolean_rel_index_is_no_index(self, rel, model_path, tmp_path, capsys):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"sentences": ["P(c)", "Q(c)"], "rel": rel}))
+        assert main(["approx-sat", "--model", model_path, "--approx-system", str(path), "--formula", "P(c)"]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: each 'rel' entry must be a pair of indices\n")
+
 
 def with_field(doc, field, value):
     """A deep copy of a JSON document with the value at the key path `field` replaced."""

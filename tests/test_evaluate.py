@@ -10,7 +10,6 @@ from intlogic import errors
 from intlogic.evaluate import compile_formula, compile_integers, evaluate, evaluate_closed, value_matrix
 from intlogic.model import (
     WeakProbModel,
-    integer_form,
     model_from_json,
     model_to_json,
     reduct,
@@ -379,17 +378,17 @@ def test_every_bound_formula_keeps_its_own_view(seed, depth):
 
 
 def test_binding_a_model_twice():
-    # a model loaded from JSON is built by the checking constructor; its integer form
-    # is computed on the first binding, and the rescaling of an off-grid constant
-    # must leave it untouched
+    # a model loaded from JSON is built by the checking constructor, which makes its integer
+    # form; the rescaling of an off-grid constant must leave the form's rows untouched
     model = model_from_json(model_to_json(gen.random_model(random.Random(11), size=3)))
     formulas = [il.parse_formula(text, gen.VOC) for text in
                 ("INT (rat(1/3) -> P(x)) & R(x, c) dx", "ALL x. EX y. R(x, y) -> P(f(y))")]
     compiled = [compile_formula(f) for f in formulas]
+    form = model.form
+    tables, functions = dict(form.tables), dict(form.functions)
     first = [bound(model)() for bound in compiled]
-    form = integer_form(model)
     assert [bound(model)() for bound in compiled] == first
-    assert integer_form(model) is form
+    assert model.form is form and form.tables == tables and form.functions == functions
     assert first == [oracle.evaluate_closed(f, model) for f in formulas]
 
 
@@ -538,8 +537,8 @@ def test_bad_input_raises_an_intlogic_error(evaluator, text, valuation, kind, me
 
 
 def test_cold_and_kept_rows_give_the_same_values():
-    # a model made by the checking constructor makes each symbol's rows when a bind first reads it
-    # and keeps them; binds that find them kept agree with binds on a fresh model, which make them
+    # a model made by the checking constructor holds every symbol's rows from the start; binds that
+    # read them again agree with the first binds and with binds on a fresh model of the same file
     texts = ("INT R(x, f(c)) dx", "EX x. P(g(x, d)) & R(d, x)", "ALL x. (INT approx(x, y) dy) -> Q(f(x))",
              "P(c) |+| rat(1/3)")
     formulas = [il.parse_formula(text, gen.VOC) for text in texts]
@@ -547,7 +546,7 @@ def test_cold_and_kept_rows_give_the_same_values():
     for seed in range(12):
         document = model_to_json(gen.random_model(random.Random(seed), size=1 + seed % 3))
         kept = model_from_json(document)
-        assert integer_form(kept).tables == {} and integer_form(kept).functions == {}
+        assert set(kept.form.tables) == {"P", "Q", "R", "approx"} and set(kept.form.functions) == {"f", "g"}
         first = [bind(kept) for bind in binds]
         again = [bind(kept) for bind in binds]
         cold = [bind(model_from_json(document)) for bind in binds]
@@ -556,5 +555,3 @@ def test_cold_and_kept_rows_give_the_same_values():
         assert values[0] == values[1] == values[2] and scales[0] == scales[1] == scales[2]
         assert [F(n, s) for n, s in zip(values[0], scales[0])] == \
             [oracle.evaluate_closed(formula, kept) for formula in formulas]
-        assert set(integer_form(kept).tables) == {"P", "Q", "R", "approx"}
-        assert set(integer_form(kept).functions) == {"f", "g"}

@@ -22,7 +22,7 @@ from intlogic.integrals import (
     slice_first,
     slice_second,
 )
-from intlogic.model import FuzzySubset, WeakProbModel, integer_form, mu_set
+from intlogic.model import FuzzySubset, WeakProbModel, mu_set
 from intlogic.rational import DEFAULT_GRID, ZERO
 from intlogic.validate import grid_fuzzy_subsets, grid_measures
 
@@ -397,7 +397,7 @@ class TestLawsAgainstFractionLoop:
         assert report.checked == expected.checked
         assert report.violations == expected.violations
         for den, row, form in received:
-            assert form is integer_form(model) and den > 0
+            assert form is model.form and den > 0
             assert len(row) == len(model.universe) and all(0 <= x <= den for x in row)
         if core is _expectation:
             assert report.ok

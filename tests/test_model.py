@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import pickle
@@ -17,14 +18,11 @@ from intlogic.model import (
     FuzzySubset,
     WeakProbModel,
     expand_by_constants,
-    function_rows,
-    integer_form,
     isomorphic,
     level_set,
     model_from_json,
     model_to_json,
     mu_set,
-    predicate_rows,
     reduct,
     relabel_universe,
     rename,
@@ -67,10 +65,9 @@ class TestLoading:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(dict(MODEL_DOC, measure={"a": "1/6", "b": "5/6"})))
         model = load_model(path)
-        form = integer_form(model)
+        form = model.form
         assert (form.m_den, form.weights, form.weight_row, form.den) == (6, ((0, 1), (1, 5)), (1, 5), 1)
-        assert form.tables == {}  # rows are made when first read
-        assert predicate_rows(model, "P") == (1, 0) and form.tables == {"P": (1, 0)}
+        assert form.tables == {"P": (1, 0)} and form.functions == {"swap": (1, 0)}  # made by the constructor
 
     def test_unnormalized_measure(self):
         doc = dict(MODEL_DOC, measure={"a": "1/3", "b": "1/3"})
@@ -217,30 +214,110 @@ class TestSubsetForms:
                 assert copied.values == table and copied.arity == arity
 
 
+QUARTER_GRID = (Fraction(0), Fraction(1, 4), HALF)
+CONTRACT_VOC = il.Vocabulary(predicates=(("P", 1), ("R", 2)), functions=(("f", 1),), constants=("c",),
+                             has_approx=True)
+
+
+def grid_models() -> list:
+    """Models generated over `D` 4, the grid's lcm, whose own tables often need less: random, exhaustive and a
+    countermodel found in each mode."""
+    formula = il.close_free_names(il.parse_formula("INT P(x) dx -> P(k)"))
+    exhaustive = il.ModelGenSpec(size=2, grid=QUARTER_GRID, exhaustive=True)
+    random_spec = il.ModelGenSpec(size=3, grid=QUARTER_GRID, seed=4, count=30)
+    return [*il.generate_models(random_spec, CONTRACT_VOC, eq=True),
+            *itertools.islice(il.generate_models(exhaustive, il.Vocabulary(predicates=(("P", 1),))), 0, None, 5),
+            il.find_countermodel(formula, exhaustive), il.find_countermodel(formula, random_spec)]
+
+
+class TestModelContract:
+    """A model stores its integer form alone: dicts are built on read, and equality, the hash and copies read the
+    form with `D` reduced."""
+
+    def test_grid_and_loaded_models_are_equal(self):
+        models = grid_models()
+        loaded = [model_from_json(model_to_json(model)) for model in models]
+        assert any(model.form.den != again.form.den for model, again in zip(models, loaded))
+        for model, again in zip(models, loaded):
+            assert again == model and hash(again) == hash(model)
+            assert len({model, again}) == 1
+        assert len(set(models)) == len({json.dumps(model_to_json(model), sort_keys=True) for model in models})
+        predicates = models[0].predicates
+        predicates["P"][next(iter(predicates["P"]))] = Fraction(1, 3)  # off the grid
+        changed = WeakProbModel(models[0].universe, models[0].measure, predicates, models[0].functions,
+                                models[0].constants)
+        assert changed != models[0] and model_from_json(model_to_json(changed)) == changed
+
+    def test_changing_a_read_dict_leaves_the_model(self):
+        sentences = [il.parse_formula(text, CONTRACT_VOC)
+                     for text in ("INT P(f(x)) & R(x, c) dx", "ALL x. approx(x, f(c))")]
+        for model in (grid_models()[0], model_from_json(MODEL_DOC | {"predicates": {
+                "P": {"arity": 1, "table": {"a": "1/3", "b": "0"}},
+                "R": {"arity": 2, "table": {"a,a": "1", "a,b": "0", "b,a": "1/2", "b,b": "0"}},
+                "approx": {"arity": 2, "table": {"a,a": "1", "a,b": "1/4", "b,a": "1/4", "b,b": "1"}}},
+                "functions": {"f": {"arity": 1, "table": {"a": "b", "b": "a"}}}})):
+            before = (model_to_json(model), hash(model), [il.evaluate_closed(s, model) for s in sentences])
+            measure, predicates, functions = model.measure, model.predicates, model.functions
+            first = model.universe[0]
+            measure[first] = Fraction(1, 7)
+            predicates["P"][(first,)] = HALF
+            predicates["R"].clear()
+            functions["f"][(first,)] = first
+            del functions["f"]
+            predicates["Q"] = {(m,): HALF for m in model.universe}
+            assert (model_to_json(model), hash(model), [il.evaluate_closed(s, model) for s in sentences]) == before
+            assert model.measure != measure and model.predicates != predicates and model.functions != functions
+
+    def test_copies_keep_equality_and_hash(self):
+        for model in [*grid_models()[::7], model_from_json(MODEL_DOC)]:
+            for copied in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+                assert copied == model and hash(copied) == hash(model)
+                assert model_to_json(copied) == model_to_json(model)
+
+    def test_the_form_is_all_a_model_stores(self):
+        for model in [*grid_models()[::7], model_from_json(MODEL_DOC)]:
+            assert set(vars(model)) == {"universe", "form", "constants"}
+            form = model.form
+            integers = [form.den, form.m_den, *form.weight_row, *itertools.chain.from_iterable(
+                il.model.flattened(rows, il.model.arity_of(rows)) for rows in (*form.tables.values(),
+                                                                               *form.functions.values()))]
+            assert all(type(n) is int for n in integers)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                model.universe = ()
+            with pytest.raises(AttributeError):
+                model.measure = {}
+
+    def test_measure_reads_in_universe_order(self):
+        model = model_from_json(dict(MODEL_DOC, measure={"b": "2/3", "a": "1/3"}))
+        assert list(model.measure.items()) == [("a", Fraction(1, 3)), ("b", Fraction(2, 3))]
+        assert list(model_to_json(model)["measure"]) == ["a", "b"]
+
+
 class TestStructureOps:
     @pytest.mark.parametrize("seed", range(8))
     def test_relabelling_and_reduct_carry_the_integer_form(self, seed):
         # a relabelled model keeps every element's position, a reduct forgets tables, a renaming
-        # renames them and an expansion adds constants, so each hands on the integer form of a model
-        # that has one; it must be the form of the model they return
+        # renames them and an expansion adds constants, so each builds its form from the form of the
+        # model it is given; it must be the form of the model they return, with the tables of its symbols
         rng = random.Random(seed)
         model = gen.random_model(rng, size=rng.randint(1, 3))
         image = tuple(rng.sample(["n1", "n2", "zz"], len(model.universe)))
         voc = il.Vocabulary(predicates=(("R", 2),), functions=(("g", 2),), constants=("d",))
         relabelled = relabel_universe(model, dict(zip(model.universe, image)))
         swap = {"P": "Q", "Q": "P", "f": "h", "c": "d", "d": "c"}
-        for derived in (relabelled, reduct(model, voc), rename(model, swap), expand_by_constants(relabelled),
+        renamed = rename(model, swap)
+        for tables, renamed_tables in ((model.predicates, renamed.predicates), (model.functions, renamed.functions)):
+            assert renamed_tables == {swap.get(name, name): table for name, table in tables.items()}
+        for derived in (relabelled, reduct(model, voc), renamed, expand_by_constants(relabelled),
                         rename(expand_by_constants(relabelled, image[:1]), swap)):
-            form = integer_form(derived)
+            form = derived.form
             rebuilt = WeakProbModel(derived.universe, derived.measure, derived.predicates, derived.functions,
                                     derived.constants)
-            assert form.positions == integer_form(rebuilt).positions == \
-                {m: i for i, m in enumerate(derived.universe)}
-            assert set(form.tables) == set(derived.predicates) and set(form.functions) == set(derived.functions)
-            for name in derived.predicates:
+            assert derived == rebuilt and hash(derived) == hash(rebuilt)
+            assert form.positions == rebuilt.form.positions == {m: i for i, m in enumerate(derived.universe)}
+            assert set(form.tables) == set(rebuilt.form.tables) and form.functions == rebuilt.form.functions
+            for name in form.tables:
                 assert FuzzySubset.from_predicate(derived, name) == FuzzySubset.from_predicate(rebuilt, name)
-            for name in derived.functions:
-                assert function_rows(derived, name) == function_rows(rebuilt, name)
             body = il.parse_formula("INT R(x, g(c, y)) dx -> P(y)", gen.VOC) if derived.constants.get("c") \
                 else il.parse_formula("ALL x. R(x, g(d, y))", gen.VOC)
             for m in derived.universe:
@@ -267,7 +344,6 @@ class TestStructureOps:
     @pytest.mark.parametrize("mapping", [{"P": "eq"}, {"P": "approx"}, {"swap": "P", "P": "eq"}])
     def test_rename_keeps_the_reserved_name_rule(self, mapping):
         model = model_from_json(MODEL_DOC)
-        integer_form(model)  # a model with a form to hand on is rejected all the same
         with pytest.raises(errors.FormatError, match="^the reserved predicate '(eq|approx)' must be binary$"):
             rename(model, mapping)
 
@@ -326,8 +402,8 @@ class TestStructureOps:
                                                   left.constants),
         }[change]()
         relabellings = []
-        monkeypatch.setattr(il.model, "relabel_universe",
-                            lambda *args: relabellings.append(args) or relabel_universe(*args))
+        cells = il.model._cells
+        monkeypatch.setattr(il.model, "_cells", lambda *args: relabellings.append(args) or cells(*args))
         assert not isomorphic(left, right)
         assert relabellings == []
 

@@ -5,7 +5,6 @@ import json
 import math
 import random
 from fractions import Fraction
-from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,8 +16,6 @@ from intlogic.integrals import check_semantic_integral_laws, slice_first, slice_
 from intlogic.model import (
     FuzzySubset,
     WeakProbModel,
-    function_rows,
-    integer_form,
     model_from_json,
     model_to_json,
     relabel_universe,
@@ -428,7 +425,7 @@ def assert_form_of_its_own_tables(model):
     """The model's integer form holds its own tables and measure, by position: each predicate's rows are
     the table times D and each function's rows the positions of its values, in product order with one
     tuple level per argument, and each weight is the measure times M."""
-    form, universe = integer_form(model), model.universe
+    form, universe = model.form, model.universe
     assert form.positions == {m: i for i, m in enumerate(universe)}
     for rows, tables, value_of in ((form.tables, model.predicates, lambda n: F(n, form.den)),
                                    (form.functions, model.functions, universe.__getitem__)):
@@ -480,13 +477,13 @@ class TestTrustedGeneration:
         # the shared integer form must belong to this model's own tables and measure, and agree with
         # the one the checking constructor's model makes (over its own D)
         assert_form_of_its_own_tables(model)
-        form, own = integer_form(model), integer_form(rebuilt)
+        form, own = model.form, rebuilt.form
         assert (form.m_den, form.weights, form.weight_row) == (own.m_den, own.weights, own.weight_row)
         assert form.den % own.den == 0
         for name in model.predicates:
             assert FuzzySubset.from_predicate(model, name) == FuzzySubset.from_predicate(rebuilt, name)
         for name in model.functions:
-            assert form.functions[name] == function_rows(rebuilt, name)
+            assert form.functions[name] == own.functions[name]
 
     @pytest.mark.parametrize("size, voc, eq, stride", [
         (1, FULL_VOC, True, 1),
@@ -696,16 +693,15 @@ class TestSweepResults:
         plan = odometer.plan
         for (indices, model), expected in zip(steps, enumerated):
             assert model_to_json(model) == model_to_json(expected)
-            assert integer_form(model) == integer_form(expected)
+            assert model.form == expected.form
             assert_form_of_its_own_tables(model)
             assert model == WeakProbModel(model.universe, model.measure, model.predicates, model.functions,
                                           model.constants)
-            # the measure is the plan's own read-only object, not a copy per model, and so is every row of
-            # the integer form; the tables are the model's own, made from those rows
+            # the measure and every row of the integer form are the plan's own objects, not copies per model
             chosen = iter(zip(indices[1:], plan.choices))
-            measure, _, weights, weight_row = plan.measures[indices[0]]
-            form = integer_form(model)
-            assert model.measure is measure and isinstance(measure, MappingProxyType)
+            m_den, weights, weight_row = plan.measures[indices[0]]
+            form = model.form
+            assert form.m_den == m_den
             rows = [(form.weights, weights), (form.weight_row, weight_row)]
             for name in model.predicates:
                 i, choices = next(chosen)
@@ -780,26 +776,16 @@ class TestPlanCache:
         voc = infer_vocabulary(formula)
         first = find_countermodel(formula, SIZE2)
         listed = next(exhaustive_models(SIZE2, voc))
-        expected = [(model_to_json(model), integer_form(model)) for model in (first, listed)]
+        expected = [(model_to_json(model), model.form) for model in (first, listed)]
         for model in (first, listed):
             for mapping, value in ((model.predicates["P"], HALF), (model.measure, HALF),
-                                   (integer_form(model).tables["P"], 3)):
+                                   (model.form.tables["P"], 3)):
                 try:
                     mapping[next(iter(mapping))] = value
                 except TypeError:  # a read-only table
                     pass
         again = [find_countermodel(formula, SIZE2), next(exhaustive_models(SIZE2, voc))]
-        assert [(model_to_json(model), integer_form(model)) for model in again] == expected
-
-    def test_cold_and_kept_table_keys_make_the_same_models(self):
-        # the materialiser takes each arity's table keys from a bounded per-process cache
-        spec = ModelGenSpec(size=3, grid=MIXED_GRID, seed=2, count=20)
-        validate._keys.cache_clear()
-        cold = [model_to_json(model) for model in random_models(spec, FULL_VOC, True)]
-        assert validate._keys.cache_info().hits > 0
-        kept = [model_to_json(model) for model in random_models(spec, FULL_VOC, True)]
-        validate._keys.cache_clear()
-        assert [model_to_json(model) for model in random_models(spec, FULL_VOC, True)] == kept == cold
+        assert [(model_to_json(model), model.form) for model in again] == expected
 
     def test_only_a_few_small_plans_are_kept(self, monkeypatch):
         monkeypatch.setattr(validate, "_PLANS", {})
