@@ -19,12 +19,13 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     FormatError,
+    IntlogicError,
     MeasureNotNormalized,
     NotSubvocabulary,
     TableIncomplete,
     UniverseTooLarge,
 )
-from .rational import ONE, ZERO, format_rational, parse_rational, unit
+from .rational import ONE, ZERO, Ratio, format_rational, parse_ratio, unit
 from .syntax import APPROX_PRED, EQ_PRED, RESERVED_NAMES, Vocabulary
 
 PredTable = Mapping[tuple[str, ...], Fraction]
@@ -53,9 +54,9 @@ def _checked_table(what: str, table: Mapping, universe: tuple[str, ...], convert
     """`table` with tuple keys and `convert`ed values, and its arity.
 
     The keys (a bare string is a 1-tuple) must all have one arity >= 1, name
-    only elements of `universe` and cover every tuple of that arity.  The
-    per-key work stays in the one comprehension; the checks run over the
-    result at C speed.
+    only elements of `universe` and cover every tuple of that arity.  Every
+    value is converted first, in the table's order, so the first bad value
+    is the one reported.
     """
     fixed = {(key,) if isinstance(key, str) else tuple(key): convert(value) for key, value in table.items()}
     arities = set(map(len, fixed))
@@ -71,6 +72,27 @@ def _checked_table(what: str, table: Mapping, universe: tuple[str, ...], convert
     if len(fixed) != len(universe) ** arity:
         raise TableIncomplete(f"{what} must cover all {len(universe)}^{arity} tuples")
     return fixed, arity
+
+
+def _checked_rows(what: str, table: Mapping, universe: tuple[str, ...], convert) -> tuple[list, int]:
+    """The `convert`ed values of `table` in product order over `universe`, and its arity.
+
+    `table` must pass `_checked_table`.  A dict keyed by the tuples of one
+    arity >= 1, as a file's tables are, is checked by one lookup per tuple
+    in product order.  When a tuple is missing or `convert` rejects a value,
+    `_checked_table` finds the error to report, and it normalises a table
+    keyed otherwise.  A value that is no number at all raises as `unit`
+    raises it, met in product order.
+    """
+    first = next(iter(table), ())
+    arity = len(first) if type(first) is tuple else 0
+    if arity and type(table) is dict and len(table) == len(universe) ** arity:
+        try:
+            return list(map(convert, map(table.__getitem__, itertools.product(universe, repeat=arity)))), arity
+        except (KeyError, IntlogicError):
+            pass
+    table, arity = _checked_table(what, table, universe, convert)
+    return list(map(table.__getitem__, itertools.product(universe, repeat=arity))), arity
 
 
 def _check_reserved(name: str, arity: int) -> None:
@@ -126,12 +148,7 @@ def flattened(rows: tuple, arity: int) -> tuple:
     return tuple(rows)
 
 
-def _in_product_order(table: Mapping, universe: tuple[str, ...], arity: int) -> list:
-    """The values of a complete table over `universe`, in product order."""
-    return list(map(table.__getitem__, itertools.product(universe, repeat=arity)))
-
-
-def integer_row(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+def integer_row(values: Sequence[Ratio | Fraction]) -> tuple[int, tuple[int, ...]]:
     """`(den, row)`: `den` the lcm of the values' denominators, `row` each value times `den`."""
     den = lcm(*{v.denominator for v in values})
     return den, tuple([v.numerator * (den // v.denominator) for v in values])
@@ -204,34 +221,34 @@ class WeakProbModel:
         measure = {m: unit(w) for m, w in measure.items()}
         if set(measure) != elements:
             raise TableIncomplete("measure must assign a weight to every element")
-        total = sum(measure.values(), ZERO)
-        if total != ONE:
-            raise MeasureNotNormalized(f"measure weights sum to {total}, expected 1")
+        m_den, weight_row = integer_row([measure[m] for m in universe])
+        if sum(weight_row) != m_den:
+            raise MeasureNotNormalized(f"measure weights sum to {Fraction(sum(weight_row), m_den)}, expected 1")
 
         size, checked = len(universe), {}
         for name, table in predicates.items():
-            table, arity = checked[name] = _checked_table(f"table for {name!r}", table, universe, unit)
+            values, arity = checked[name] = _checked_rows(f"table for {name!r}", table, universe, unit)
             _check_reserved(name, arity)
 
         positions = dict(zip(universe, range(size)))
         funcs = {}
         for name, table in functions.items():
-            table, arity = _checked_table(f"table for {name!r}", table, universe, _element)
-            for key, value in table.items():
-                if value not in elements:
-                    raise FormatError(f"function {name!r} maps {key} outside the universe")
-            funcs[name] = nested([*map(positions.__getitem__, _in_product_order(table, universe, arity))], size, arity)
+            values, arity = _checked_rows(f"table for {name!r}", table, universe, _element)
+            if not elements.issuperset(values):
+                keyed, _ = _checked_table(f"table for {name!r}", table, universe, _element)
+                key = next(key for key, value in keyed.items() if value not in elements)
+                raise FormatError(f"function {name!r} maps {key} outside the universe")
+            funcs[name] = nested(list(map(positions.__getitem__, values)), size, arity)
 
         constants = dict(constants)
         for cname, target in constants.items():
             if _element(target) not in elements:
                 raise FormatError(f"constant {cname!r} points at unknown element {target!r}")
 
-        den = lcm(*{v.denominator for table, _ in checked.values() for v in table.values()})
-        tables = {name: nested([v.numerator * (den // v.denominator) for v in _in_product_order(t, universe, arity)],
-                               size, arity) for name, (t, arity) in checked.items()}
-        form = IntegerForm(den, tables, *integer_measure(integer_row([measure[m] for m in universe])[1]),
-                           funcs, positions)
+        den = lcm(*{v.denominator for values, _ in checked.values() for v in values})
+        tables = {name: nested([v.numerator * (den // v.denominator) for v in values], size, arity)
+                  for name, (values, arity) in checked.items()}
+        form = IntegerForm(den, tables, *integer_measure(weight_row), funcs, positions)
         vars(self).update(universe=universe, form=form, constants=constants)
 
     @classmethod
@@ -352,8 +369,8 @@ class FuzzySubset:
 
     def __post_init__(self, table):
         universe = tuple(self.universe)
-        checked, arity = _checked_table("fuzzy subset", table, universe, unit)
-        den, row = integer_row([checked[key] for key in itertools.product(universe, repeat=arity)])
+        values, arity = _checked_rows("fuzzy subset", table, universe, unit)
+        den, row = integer_row(values)
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "den", den)
@@ -558,7 +575,7 @@ def model_to_json(model: WeakProbModel) -> dict:
 
 
 def _split_key(raw: str, arity: int) -> tuple[str, ...]:
-    parts = tuple(p.strip() for p in raw.split(","))
+    parts = tuple(map(str.strip, raw.split(",")))
     if len(parts) != arity:
         raise FormatError(f"table key {raw!r} does not have arity {arity}")
     return parts
@@ -576,12 +593,12 @@ def model_from_json(data: dict) -> WeakProbModel:
         raise FormatError("'universe' must be a list of element names")
     if not isinstance(measure_raw, dict):
         raise FormatError("'measure' must map elements to 'p/q' strings")
-    measure = {m: parse_rational(w) for m, w in measure_raw.items()}
+    measure = {m: parse_ratio(w) for m, w in measure_raw.items()}
 
     predicates = {}
     for name, entry in _section(data, "predicates").items():
         arity, table_raw = _table_entry(name, entry)
-        predicates[name] = {_split_key(k, arity): parse_rational(v) for k, v in table_raw.items()}
+        predicates[name] = {_split_key(k, arity): parse_ratio(v) for k, v in table_raw.items()}
     functions = {}
     for name, entry in _section(data, "functions").items():
         arity, table_raw = _table_entry(name, entry)

@@ -6,17 +6,22 @@ Precedence (tightest first): ~ ; & and |+| ; /\\ and \\/ ; -> (right
 associative).  Quantifiers bind the longest formula to the right; '='
 appears only at the top level, between two quantifier expressions.
 
-The lexer is one linear scan of the whole text (`_TOKEN_RE.finditer`)
-whose last alternative matches any single character, so the first
-character no token starts with is an error before parsing begins.  A
-token keeps its text's offsets; its line and column are computed only
-when an error reports them.
+The lexer is one linear scan of the whole text in C (`_SCAN.findall`,
+whose whitespace alternative `\\s+` lies outside its one group and whose
+last alternative matches any single character).  It gives the parser two
+parallel lists, the tokens' kinds and texts, so the first character no
+token starts with is an error before parsing begins.  A `Token`, with its
+offsets, line and column, is made only for an error report, by scanning
+the text again up to the failing token.
 
-Nesting is bounded by `MAX_NESTING`: every `~`, quantifier, `INT`,
-parenthesis, `->` and function application opens one level, and the formula
-tree (binary connectives included) may be no deeper.  Deeper input is a
-ParseError, so the recursive parser, printer and evaluator stay well inside
-Python's recursion limit.
+Nesting is bounded by `MAX_NESTING` twice.  While parsing, every `~`,
+quantifier, `INT`, parenthesis, `->` and function application opens one
+level of recursion, and the level past the cap is an error at its token.
+Each parse function also returns the depth of the tree it built, in which
+binary connectives count and parentheses do not; a tree deeper than the
+cap is an error over the whole text once the parse has reached the end.
+So the recursive parser, printer and evaluator stay well inside Python's
+recursion limit.
 
 Identifier classification is driven by the vocabulary: a name declared as a
 predicate/function/constant parses as such, anything else in term position
@@ -28,10 +33,11 @@ variable), holding arities consistent across one `VocabBuilder`.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ArityMismatch, NestedQuantEq, ParseError, UnknownSymbol, ValueOutOfRange
 from .rational import unit
@@ -102,49 +108,59 @@ class Token(NamedTuple):
         return SourceSpan(self.start, self.end, self.line, self.column)
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+)
-  | (?P<WAND>/\\)
-  | (?P<WOR>\\/)
-  | (?P<SOR>\|\+\|)
-  | (?P<ARROW>->)
-  | (?P<TILDE>~)
-  | (?P<AMP>&)
-  | (?P<EQUALS>=)
-  | (?P<LPAREN>\()
-  | (?P<RPAREN>\))
-  | (?P<COMMA>,)
-  | (?P<DOT>\.)
-  | (?P<SLASH>/)
-  | (?P<NUMBER>\d+)
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<BAD>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+# Whitespace matches outside the one group, so `findall` gives '' for it.
+# The last alternative matches any other single character: a bad one.
+_SCAN = re.compile(r"\s+|(/\\|\\/|\|\+\||->|[~&=(),./]|\d+|[A-Za-z_][A-Za-z0-9_]*|.)", re.DOTALL)
+
+_KINDS = {"/\\": "WAND", "\\/": "WOR", "|+|": "SOR", "->": "ARROW", "~": "TILDE", "&": "AMP", "=": "EQUALS",
+          "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "/": "SLASH"}
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 _KEYWORDS = {"ALL", "EX", "INT"}
 
 MAX_NESTING = 100
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of `text` and a closing `EOF`, from one scan of the whole text.
+def _kinds(words: Iterable[str]) -> list[str]:
+    """The kind of each token `_SCAN` matched."""
+    return [_KINDS.get(word) or ("IDENT" if word[0] in _IDENT_START else "NUMBER" if word.isdecimal() else "BAD")
+            for word in words]
+
+
+def _scan(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and the texts of the tokens of `text`: two parallel lists, ending with `EOF` and ''.
 
     The first character no token starts with raises `ParseError`, so a bad
     character anywhere wins over every error the parser could report.
     """
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind != "WS":
-            token = Token(kind, match.group(), match.start(), match.end(), text)
-            if kind == "BAD":
-                raise ParseError(f"unexpected character {token.text!r}", token.span)
-            tokens.append(token)
-    tokens.append(Token("EOF", "", len(text), len(text), text))
-    return tokens
+    texts = list(filter(None, _SCAN.findall(text)))
+    kinds = _kinds(texts)
+    if "BAD" in kinds:
+        index = kinds.index("BAD")
+        raise ParseError(f"unexpected character {texts[index]!r}", _token_at(text, index).span)
+    kinds.append("EOF")
+    texts.append("")
+    return kinds, texts
+
+
+def _tokens(text: str) -> Iterator[Token]:
+    """Every token of `text` with its offsets, bad characters included, then `EOF`."""
+    for match in _SCAN.finditer(text):
+        word = match.group(1)
+        if word is not None:
+            yield Token(*_kinds([word]), word, match.start(), match.end(), text)
+    yield Token("EOF", "", len(text), len(text), text)
+
+
+def _token_at(text: str, index: int) -> Token:
+    """The token of `text` at `index` in `_scan`'s lists, found by scanning again up to it."""
+    return next(itertools.islice(_tokens(text), index, None))
+
+
+def tokenize(text: str) -> list[Token]:
+    """The tokens of `text` and a closing `EOF`; a bad character raises `ParseError` as in `_scan`."""
+    _scan(text)
+    return list(_tokens(text))
 
 
 class VocabBuilder:
@@ -154,25 +170,41 @@ class VocabBuilder:
         self.predicates: dict[str, int] = {}
         self.functions: dict[str, int] = {}
 
-    def predicate(self, name: str, arity: int, token: Token) -> None:
-        self._record(self.predicates, self.functions, "predicate", name, arity, token)
+    def predicate(self, name: str, arity: int, where: Callable[[], SourceSpan]) -> None:
+        self._record(self.predicates, self.functions, "predicate", name, arity, where)
 
-    def function(self, name: str, arity: int, token: Token) -> None:
-        self._record(self.functions, self.predicates, "function", name, arity, token)
+    def function(self, name: str, arity: int, where: Callable[[], SourceSpan]) -> None:
+        self._record(self.functions, self.predicates, "function", name, arity, where)
 
     @staticmethod
-    def _record(table, other, kind, name, arity, token):
-        """Record one use of `name`; an inconsistent use is an error at `token`."""
+    def _record(table, other, kind, name, arity, where):
+        """Record one use of `name`; an inconsistent use is an error at the span `where()` gives."""
         if name in other:
-            raise ParseError(f"{name!r} used both as predicate and function", token.span)
+            raise ParseError(f"{name!r} used both as predicate and function", where())
         seen = table.setdefault(name, arity)
         if seen != arity:
-            raise ArityMismatch(f"{kind} {name!r} used with arities {seen} and {arity}", token.span)
+            raise ArityMismatch(f"{kind} {name!r} used with arities {seen} and {arity}", where())
+
+
+# The binary connectives by kind: tier (1 binds loosest) and node.  Tier 1,
+# `->`, associates to the right and nests; the others associate to the left.
+_BINARY = {"ARROW": (1, Implies), "WAND": (2, And), "WOR": (2, Or), "AMP": (3, StrongAnd), "SOR": (3, StrongOr)}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], voc: Vocabulary | None, builder: VocabBuilder | None):
-        self.tokens = tokens
+    """Recursive descent over `_scan`'s lists.
+
+    `parse_binary`, `parse_unary`, `parse_atom`, `parse_args` and
+    `parse_term` return what they built and its tree depth, counted as
+    `MAX_NESTING` bounds it: every `~`, quantifier, `INT`, binary
+    connective and function application is one level deeper than its
+    operands, and parentheses add none.  `depth` counts the levels of the
+    recursion itself, in which parentheses do count.
+    """
+
+    def __init__(self, text: str, voc: Vocabulary | None, builder: VocabBuilder | None):
+        self.text = text
+        self.kinds, self.texts = _scan(text)
         self.pos = 0
         self.voc = voc
         self.builder = builder
@@ -180,184 +212,192 @@ class _Parser:
 
     # -- token helpers ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def span(self, index: int) -> SourceSpan:
+        return _token_at(self.text, index).span
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def expect(self, kind: str, what: str) -> int:
+        """The index of the next token, which must be of `kind`."""
+        index = self.pos
+        if self.kinds[index] != kind:
+            raise ParseError(f"expected {what}, found {self.texts[index] or 'end of input'!r}", self.span(index))
+        self.pos = index + 1
+        return index
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
-        return self.advance()
-
-    def nested(self, parse, tok: Token):
-        """Run `parse` one nesting level deeper than `tok`."""
+    def nested(self, index: int, parse, *args):
+        """`parse(*args)`, run one nesting level deeper than the token at `index`."""
         if self.depth == MAX_NESTING:
-            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", tok.span)
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", self.span(index))
         self.depth += 1
-        result = parse()
+        result = parse(*args)
         self.depth -= 1
         return result
 
     # -- grammar ----------------------------------------------------------
 
     def parse_top(self) -> Formula:
-        first = self.parse_impl()
-        if self.peek().kind == "EQUALS":
-            eq_tok = self.advance()
-            second = self.parse_impl()
+        result, depth = self.parse_binary(1)
+        if self.kinds[self.pos] == "EQUALS":
+            index = self.pos
+            self.pos += 1
+            second, second_depth = self.parse_binary(1)
             try:
-                result: Formula = QuantEq(first, second)
+                result = QuantEq(result, second)
             except ValueError as exc:
-                raise ParseError(str(exc), eq_tok.span) from None
-        else:
-            result = first
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.span)
+                raise ParseError(str(exc), self.span(index)) from None
+            depth = max(depth, second_depth)
+        if self.kinds[self.pos] != "EOF":
+            raise ParseError(f"unexpected trailing input {self.texts[self.pos]!r}", self.span(self.pos))
+        if depth > MAX_NESTING:
+            # chains of binary connectives nest in the tree without nesting in the parser
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", SourceSpan(0, len(self.text), 1, 1))
         return result
 
-    def parse_impl(self) -> Formula:
-        left = self.parse_weak()
-        if self.peek().kind == "ARROW":
-            arrow = self.advance()
-            return Implies(left, self.nested(self.parse_impl, arrow))
-        return left
+    def parse_binary(self, tier: int) -> tuple[Formula, int]:
+        """A formula whose binary connectives, outside parentheses, are of `tier` or tighter."""
+        left, depth = self.parse_unary()
+        while True:
+            index = self.pos
+            level, make = _BINARY.get(self.kinds[index], (0, None))
+            if level < tier:
+                return left, depth
+            self.pos = index + 1
+            if level == 1:
+                right, right_depth = self.nested(index, self.parse_binary, 1)
+            else:
+                right, right_depth = self.parse_binary(level + 1)
+            left, depth = make(left, right), max(depth, right_depth) + 1
 
-    def parse_weak(self) -> Formula:
-        left = self.parse_strong()
-        while self.peek().kind in ("WAND", "WOR"):
-            op = self.advance()
-            right = self.parse_strong()
-            left = And(left, right) if op.kind == "WAND" else Or(left, right)
-        return left
-
-    def parse_strong(self) -> Formula:
-        left = self.parse_unary()
-        while self.peek().kind in ("AMP", "SOR"):
-            op = self.advance()
-            right = self.parse_unary()
-            left = StrongAnd(left, right) if op.kind == "AMP" else StrongOr(left, right)
-        return left
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "TILDE":
-            self.advance()
-            return Not(self.nested(self.parse_unary, tok))
-        if tok.kind == "IDENT" and tok.text in ("ALL", "EX"):
-            self.advance()
-            var = self.parse_bound_variable()
-            self.expect("DOT", "'.' after the bound variable")
-            body = self.nested(self.parse_impl, tok)
-            return Forall(var, body) if tok.text == "ALL" else Exists(var, body)
-        if tok.kind == "IDENT" and tok.text == "INT":
-            self.advance()
-            body = self.nested(self.parse_impl, tok)
-            dtok = self.expect("IDENT", "the closing 'd<var>' of the integral")
-            if len(dtok.text) < 2 or not dtok.text.startswith("d"):
-                raise ParseError(f"expected 'd<var>' to close the integral, found {dtok.text!r}", dtok.span)
-            return Integral(dtok.text[1:], body)
-        if tok.kind == "LPAREN":
-            self.advance()
-            inner = self.nested(self.parse_impl, tok)
+    def parse_unary(self) -> tuple[Formula, int]:
+        """`~`, a quantifier, `INT`, a parenthesised formula, a truth constant or an atom."""
+        index = self.pos
+        kind, text = self.kinds[index], self.texts[index]
+        if kind == "IDENT":
+            if text == "ALL" or text == "EX":
+                self.pos = index + 1
+                var = self.parse_bound_variable()
+                self.expect("DOT", "'.' after the bound variable")
+                body, depth = self.nested(index, self.parse_binary, 1)
+                return (Forall if text == "ALL" else Exists)(var, body), depth + 1
+            if text == "INT":
+                self.pos = index + 1
+                body, depth = self.nested(index, self.parse_binary, 1)
+                close = self.expect("IDENT", "the closing 'd<var>' of the integral")
+                name = self.texts[close]
+                if len(name) < 2 or not name.startswith("d"):
+                    raise ParseError(f"expected 'd<var>' to close the integral, found {name!r}", self.span(close))
+                return Integral(name[1:], body), depth + 1
+            if text == "rat":
+                return self.parse_truth_const(), 0
+            return self.parse_atom()
+        if kind == "TILDE":
+            self.pos = index + 1
+            body, depth = self.nested(index, self.parse_unary)
+            return Not(body), depth + 1
+        if kind == "LPAREN":
+            self.pos = index + 1
+            inner = self.nested(index, self.parse_binary, 1)
             self.expect("RPAREN", "')'")
             return inner
-        if tok.kind == "IDENT" and tok.text == "rat":
-            return self.parse_truth_const()
-        if tok.kind == "IDENT":
-            return self.parse_atom()
-        raise ParseError(f"expected a formula, found {tok.text or 'end of input'!r}", tok.span)
+        raise ParseError(f"expected a formula, found {text or 'end of input'!r}", self.span(index))
 
     def parse_bound_variable(self) -> str:
-        tok = self.expect("IDENT", "a variable name")
-        if tok.text in _KEYWORDS or tok.text == "rat":
-            raise ParseError(f"{tok.text!r} is a keyword, not a variable", tok.span)
-        if self.voc is not None and tok.text in self.voc.symbol_names():
-            raise ParseError(f"{tok.text!r} is a declared symbol, not a variable", tok.span)
-        return tok.text
+        index = self.expect("IDENT", "a variable name")
+        name = self.texts[index]
+        if name in _KEYWORDS or name == "rat":
+            raise ParseError(f"{name!r} is a keyword, not a variable", self.span(index))
+        if self.voc is not None and name in self.voc.symbol_names():
+            raise ParseError(f"{name!r} is a declared symbol, not a variable", self.span(index))
+        return name
+
+    def parse_integer(self, what: str) -> int:
+        index = self.expect("NUMBER", f"a {what}")
+        try:
+            return int(self.texts[index])
+        except ValueError:  # past the interpreter's limit on digits read
+            raise ParseError(f"{what} has too many digits", self.span(index)) from None
 
     def parse_truth_const(self) -> Formula:
-        rat_tok = self.advance()
+        start = self.pos
+        self.pos += 1
         self.expect("LPAREN", "'(' after rat")
-        num = self.expect("NUMBER", "a numerator")
-        if self.peek().kind == "SLASH":
-            self.advance()
-            den = self.expect("NUMBER", "a denominator")
-            if int(den.text) == 0:
-                raise ParseError("denominator must be nonzero", den.span)
-            value = Fraction(int(num.text), int(den.text))
+        num = self.parse_integer("numerator")
+        if self.kinds[self.pos] == "SLASH":
+            self.pos += 1
+            den = self.parse_integer("denominator")
+            if den == 0:
+                raise ParseError("denominator must be nonzero", self.span(self.pos - 1))
+            value = Fraction(num, den)
         else:
-            value = Fraction(int(num.text))
+            value = Fraction(num)
         close = self.expect("RPAREN", "')'")
         try:
             value = unit(value)
         except ValueOutOfRange:
+            first, last = self.span(start), self.span(close)
             raise ParseError(f"truth constant {value} is outside [0, 1]",
-                             SourceSpan(rat_tok.start, close.end, rat_tok.line, rat_tok.column))
+                             SourceSpan(first.start, last.end, first.line, first.column))
         return TruthConst(value)
 
-    def parse_atom(self) -> Formula:
-        tok = self.advance()
-        name = tok.text
-        if self.peek().kind != "LPAREN":
-            raise ParseError(f"expected a predicate application, found bare name {name!r}", tok.span)
-        args = self.parse_args()
+    def parse_atom(self) -> tuple[Formula, int]:
+        index = self.pos
+        name = self.texts[index]
+        self.pos = index + 1
+        if self.kinds[self.pos] != "LPAREN":
+            raise ParseError(f"expected a predicate application, found bare name {name!r}", self.span(index))
+        args, depth = self.parse_args()
         if self.voc is not None:
             arity = self.voc.predicate_arity(name)
             if arity is None:
                 if self.voc.function_arity(name) is not None or self.voc.is_constant(name):
-                    raise ParseError(f"{name!r} is not a predicate", tok.span)
-                raise UnknownSymbol(name, span=tok.span)
+                    raise ParseError(f"{name!r} is not a predicate", self.span(index))
+                raise UnknownSymbol(name, span=self.span(index))
             if arity != len(args):
                 raise ArityMismatch(
-                    f"predicate {name!r} expects {arity} arguments, got {len(args)}", tok.span)
-        else:
-            if name in (EQ_PRED, APPROX_PRED):
-                if len(args) != 2:
-                    raise ArityMismatch(f"predicate {name!r} expects 2 arguments, got {len(args)}", tok.span)
-            elif self.builder is not None:
-                self.builder.predicate(name, len(args), tok)
-        return Atom(name, args)
+                    f"predicate {name!r} expects {arity} arguments, got {len(args)}", self.span(index))
+        elif name in (EQ_PRED, APPROX_PRED):
+            if len(args) != 2:
+                raise ArityMismatch(f"predicate {name!r} expects 2 arguments, got {len(args)}", self.span(index))
+        elif self.builder is not None:
+            self.builder.predicate(name, len(args), lambda: self.span(index))
+        return Atom(name, args), depth
 
-    def parse_args(self) -> tuple[Term, ...]:
+    def parse_args(self) -> tuple[tuple[Term, ...], int]:
         self.expect("LPAREN", "'('")
-        args = [self.parse_term()]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            args.append(self.parse_term())
+        term, depth = self.parse_term()
+        args = [term]
+        while self.kinds[self.pos] == "COMMA":
+            self.pos += 1
+            term, term_depth = self.parse_term()
+            args.append(term)
+            depth = max(depth, term_depth)
         self.expect("RPAREN", "')'")
-        return tuple(args)
+        return tuple(args), depth
 
-    def parse_term(self) -> Term:
-        tok = self.expect("IDENT", "a term")
-        name = tok.text
+    def parse_term(self) -> tuple[Term, int]:
+        index = self.expect("IDENT", "a term")
+        name = self.texts[index]
         if name in _KEYWORDS or name == "rat":
-            raise ParseError(f"{name!r} is a keyword, not a term", tok.span)
-        if self.peek().kind == "LPAREN":
-            args = self.nested(self.parse_args, tok)
+            raise ParseError(f"{name!r} is a keyword, not a term", self.span(index))
+        if self.kinds[self.pos] == "LPAREN":
+            args, depth = self.nested(index, self.parse_args)
             if self.voc is not None:
                 arity = self.voc.function_arity(name)
                 if arity is None:
                     if self.voc.predicate_arity(name) is not None:
-                        raise ParseError(f"predicate {name!r} cannot appear inside a term", tok.span)
-                    raise UnknownSymbol(name, span=tok.span)
+                        raise ParseError(f"predicate {name!r} cannot appear inside a term", self.span(index))
+                    raise UnknownSymbol(name, span=self.span(index))
                 if arity != len(args):
                     raise ArityMismatch(
-                        f"function {name!r} expects {arity} arguments, got {len(args)}", tok.span)
+                        f"function {name!r} expects {arity} arguments, got {len(args)}", self.span(index))
             elif self.builder is not None:
-                self.builder.function(name, len(args), tok)
-            return FuncApp(name, args)
+                self.builder.function(name, len(args), lambda: self.span(index))
+            return FuncApp(name, args), depth + 1
         if self.voc is not None:
             if self.voc.is_constant(name):
-                return Constant(name)
+                return Constant(name), 0
             if self.voc.predicate_arity(name) is not None or self.voc.function_arity(name) is not None:
-                raise ParseError(f"symbol {name!r} needs arguments", tok.span)
-        return Variable(name)
+                raise ParseError(f"symbol {name!r} needs arguments", self.span(index))
+        return Variable(name), 0
 
 
 def parse_formula(text: str, voc: Vocabulary | None = None, builder: VocabBuilder | None = None) -> Formula:
@@ -367,34 +407,7 @@ def parse_formula(text: str, voc: Vocabulary | None = None, builder: VocabBuilde
     usage; pass a shared `builder` to hold arities consistent across several
     related formulas (a sentence pool, a proof script).
     """
-    formula = _Parser(tokenize(text), voc, builder).parse_top()
-    if _tree_depth(formula) > MAX_NESTING:
-        raise ParseError(f"formula nests deeper than {MAX_NESTING} levels",
-                         SourceSpan(0, len(text), 1, 1))
-    return formula
-
-
-def _tree_depth(formula: Formula) -> int:
-    """Nesting depth of the formula tree, counted like `_Parser.nested` but without recursion.
-
-    Chains of binary connectives nest in the tree without nesting in the parser.
-    """
-    deepest = 0
-    stack = [(formula, 0)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        if isinstance(node, Atom):
-            stack.extend((arg, depth) for arg in node.args)
-        elif isinstance(node, FuncApp):
-            stack.extend((arg, depth + 1) for arg in node.args)
-        elif isinstance(node, QuantEq):
-            stack += [(node.left, depth), (node.right, depth)]
-        elif isinstance(node, (Not, Forall, Exists, Integral)):
-            stack.append((node.body, depth + 1))
-        elif isinstance(node, (And, Or, StrongAnd, StrongOr, Implies)):
-            stack += [(node.left, depth + 1), (node.right, depth + 1)]
-    return deepest
+    return _Parser(text, voc, builder).parse_top()
 
 
 def close_free_names(formula: Formula) -> Formula:

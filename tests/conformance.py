@@ -56,7 +56,11 @@ FILES = {
     "bad-system.json": {"sentences": ["P(c1) \\/ Q(c1)", "Q(c1)"], "rel": [[0, 1]]},
     "bool-rel.json": {"sentences": ["P(c1)", "Q(c1)"], "rel": [[True, False]]},
     "proof.json": [{"formula": "P(x)", "just": "premise"}, {"formula": "INT P(x) dx", "just": "int-intro:1,x"}],
+    # a bad rational is reported before the empty universe
+    "bad-rational-empty-universe.json": {"universe": [], "measure": {"a": "1/x"}},
 }
+# files written as they are, not as JSON
+TEXT_FILES = {"crlf-formula.txt": "P(c1) /\\\r\n  + Q(c1)\r\n"}
 
 M = ["--model", "model.json"]
 CALLS = {
@@ -93,6 +97,11 @@ CALLS = {
     "bad-parse": ["eval", *M, "--formula", "P(c1) + Q(c1)"],
     "bad-missing-file": ["eval", "--model", "missing.json", "--formula", "P(c1)"],
     "bad-grid": ["gen-models", "--size", "2", "--grid", "0,3/2"],
+    "bad-oversized-literal": ["eval", *M, "--formula", "rat(1/" + "9" * 5000 + ")"],
+    "bad-character-after-nesting-overflow": ["eval", *M, "--formula", "~" * 200 + "P(c1) $"],
+    "bad-crlf-formula-file": ["eval", *M, "--formula-file", "crlf-formula.txt"],
+    "bad-rational-and-empty-universe": ["eval", "--model", "bad-rational-empty-universe.json", "--formula", "P(a)"],
+    "non-ascii-digit": ["eval", *M, "--formula", "rat(\u0663/4)"],
 }
 CALLS |= {f"{name} --output json": [*argv, "--output", "json"] for name, argv in list(CALLS.items())}
 
@@ -123,6 +132,8 @@ def lines() -> list[str]:
         try:
             for name, content in FILES.items():
                 Path(name).write_text(json.dumps(content))
+            for name, content in TEXT_FILES.items():
+                Path(name).write_bytes(content.encode())
             out += [f"{run(argv)}  {name}" for name, argv in CALLS.items()]
         finally:
             os.chdir(here)

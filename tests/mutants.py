@@ -38,10 +38,22 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant(
         "lexer-ignores-bad-characters", "parser.py",
-        'if kind != "WS":\n            token = Token(',
-        'if kind not in ("WS", "BAD"):\n            token = Token(',
+        'if "BAD" in kinds:',
+        'if "BAD" in kinds[:0]:',
         ("tests/test_parser.py::test_error_type_message_and_span",
          "tests/test_parser.py::test_long_input_is_rejected_in_linear_time"),
+    ),
+    Mutant(
+        "nesting-cap-off-by-one", "parser.py",
+        "if self.depth == MAX_NESTING:",
+        "if self.depth == MAX_NESTING + 1:",
+        ("tests/test_parser.py::test_error_type_message_and_span",),
+    ),
+    Mutant(
+        "binary-chain-depth-not-counted", "parser.py",
+        "left, depth = make(left, right), max(depth, right_depth) + 1",
+        "left, depth = make(left, right), max(depth, right_depth)",
+        ("tests/test_parser.py::test_error_type_message_and_span",),
     ),
     Mutant(
         "token-column-off-by-one", "parser.py",

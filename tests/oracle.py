@@ -13,8 +13,9 @@ the compiled evaluator or the satisfaction module.
 `integrals.integral_dissection`, `layercake` for
 `integrals.integral_layercake`, `isomorphic` for `model.isomorphic`,
 `grid_measures` for `validate.grid_measures`, `grid_model_keys` for
-`validate.exhaustive_models`, and `attained_levels` for
-`satisfaction.default_level_config`.
+`validate.exhaustive_models`, `attained_levels` for
+`satisfaction.default_level_config`, `tokens` for the parser's scan and
+`tree_depth` for the depth the parser counts against `MAX_NESTING`.
 The pieces they need (the Lukasiewicz connectives on `Fraction`s,
 `pointwise`, `set_partitions`, `level_set`, `mass`) are defined here, so
 the oracle imports no code of the modules it checks but `LevelConfig`, the
@@ -28,6 +29,7 @@ on that.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -52,6 +54,7 @@ from intlogic.syntax import (
     Exists,
     Forall,
     Formula,
+    FuncApp,
     Implies,
     Integral,
     Not,
@@ -428,3 +431,60 @@ def grid_model_keys(size: int, grid, voc: Vocabulary, eq: bool = False, orbit_le
     relabellings = [dict(zip(names, images)) for images in itertools.permutations(names)]
     return [key for i, (key, model) in enumerate(zip(keys, models))
             if all(position[image(model, h)] >= i for h in relabellings)]
+
+
+# The concrete syntax's lexer as one `finditer` scan with a named group per
+# kind, and the formula tree's depth as a walk over the parsed tree.
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<WS>\s+)
+  | (?P<WAND>/\\)
+  | (?P<WOR>\\/)
+  | (?P<SOR>\|\+\|)
+  | (?P<ARROW>->)
+  | (?P<TILDE>~)
+  | (?P<AMP>&)
+  | (?P<EQUALS>=)
+  | (?P<LPAREN>\()
+  | (?P<RPAREN>\))
+  | (?P<COMMA>,)
+  | (?P<DOT>\.)
+  | (?P<SLASH>/)
+  | (?P<NUMBER>\d+)
+  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<BAD>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def tokens(text: str) -> list[tuple[str, str, int, int]]:
+    """`(kind, text, start, end)` of every token of `text`, bad characters (`BAD`) included, then `EOF`."""
+    found = [(m.lastgroup, m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text) if m.lastgroup != "WS"]
+    return found + [("EOF", "", len(text), len(text))]
+
+
+def tree_depth(formula: Formula) -> int:
+    """Nesting depth of the formula tree, walked without recursion.
+
+    Every `~`, quantifier, `INT`, binary connective and function
+    application is one level deeper than its operands; an atom's arguments
+    and the two sides of `=` are not.
+    """
+    deepest = 0
+    stack = [(formula, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, Atom):
+            stack.extend((arg, depth) for arg in node.args)
+        elif isinstance(node, FuncApp):
+            stack.extend((arg, depth + 1) for arg in node.args)
+        elif isinstance(node, QuantEq):
+            stack += [(node.left, depth), (node.right, depth)]
+        elif isinstance(node, (Not, Forall, Exists, Integral)):
+            stack.append((node.body, depth + 1))
+        elif isinstance(node, (And, Or, StrongAnd, StrongOr, Implies)):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return deepest

@@ -615,6 +615,15 @@ class TestInputErrorsExit2:
         assert main(["eval", "--model", str(path), "--formula", "INT P(x) dx"]) == 2
         assert capsys.readouterr() == ("", "error: arity of 'P' must be a positive integer\n")
 
+    @pytest.mark.parametrize("literal, message", [
+        ("1/" + "9" * 5000, "denominator has too many digits (at line 1, column 7)"),
+        ("0" * 5000 + "1", "numerator has too many digits (at line 1, column 5)"),
+    ], ids=["denominator", "numerator"])
+    def test_oversized_truth_constant(self, literal, message, model_path, capsys):
+        # `int` raises ValueError past the interpreter's limit on digits, which used to exit 3
+        assert main(["eval", "--model", model_path, "--formula", f"rat({literal})"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("rel", [[[True, False]], [["0", 0]]])
     def test_boolean_rel_index_is_no_index(self, rel, model_path, tmp_path, capsys):
         path = tmp_path / "sys.json"

@@ -11,6 +11,8 @@ from intlogic.parser import (
     MAX_NESTING,
     SourceSpan,
     VocabBuilder,
+    _scan,
+    _tokens,
     close_free_names,
     parse_formula,
     print_formula,
@@ -20,7 +22,9 @@ from intlogic.syntax import (
     And,
     Atom,
     Constant,
+    Exists,
     Forall,
+    FuncApp,
     Implies,
     Integral,
     Not,
@@ -34,6 +38,7 @@ from intlogic.syntax import (
 )
 
 import gen
+import oracle
 
 VOC = Vocabulary(
     predicates=(("P", 1), ("Q", 1), ("Phi", 1), ("R", 2)),
@@ -226,6 +231,11 @@ ERROR_SPANS = [
      errors.ParseError, "unexpected character '$'", (7, 8, 1, 8)),
     ("~" * 200 + "P(c) $", "voc",
      errors.ParseError, "unexpected character '$'", (205, 206, 1, 206)),
+    # past the interpreter's limit on the digits `int` reads
+    ("rat(" + "0" * 5000 + "1)", "voc",
+     errors.ParseError, "numerator has too many digits", (4, 5005, 1, 5)),
+    ("rat(1/" + "9" * 5000 + ")", "voc",
+     errors.ParseError, "denominator has too many digits", (6, 5006, 1, 7)),
 ]
 
 
@@ -244,15 +254,22 @@ def test_error_type_message_and_span(text, mode, kind, message, where):
     ("12" * 10000 + "$", "unexpected character '$'", (20000, 20001, 1, 20001)),
     ("~" * 3000 + "P(c)", f"formula nests deeper than {MAX_NESTING} levels",
      (MAX_NESTING, MAX_NESTING + 1, 1, MAX_NESTING + 1)),
+    (" " * 200000 + "$", "unexpected character '$'", (200000, 200001, 1, 200001)),
+    # a valid formula: no message, and it parses
+    ("P(c)" + " " * 200000, None, None),
 ])
 def test_long_input_is_rejected_in_linear_time(text, message, where):
     # a whole-text match of `(?:token)*` backtracks exponentially on a run of letters
-    # or digits before a bad character; one scan of the text does not
+    # or digits before a bad character, and a scan for `\s*(token)` is quadratic in a
+    # run of spaces; one scan of the text with `\s+` as its own match is neither
     started = time.perf_counter()
-    with pytest.raises(errors.ParseError) as excinfo:
-        parse_formula(text, VOC)
+    if message is None:
+        assert parse_formula(text, VOC) == Atom("P", (Constant("c"),))
+    else:
+        with pytest.raises(errors.ParseError) as excinfo:
+            parse_formula(text, VOC)
+        assert str(excinfo.value) == message and excinfo.value.span == SourceSpan(*where)
     assert time.perf_counter() - started < 5
-    assert str(excinfo.value) == message and excinfo.value.span == SourceSpan(*where)
 
 
 _PIECES = ["ALL", "EX", "INT", "rat", "P", "dx", "x_1", "0", "12", "~", "/\\", "\\/", "&", "|+|",
@@ -270,6 +287,61 @@ def test_tokens_locate_their_text(pieces):
         line_start = text.rfind("\n", 0, tok.start) + 1
         assert (tok.line, tok.column) == (text.count("\n", 0, tok.start) + 1, tok.start - line_start + 1)
         assert tok.span == SourceSpan(tok.start, tok.end, tok.line, tok.column)
+
+
+# `_PIECES` with bad characters, non-ASCII digits and letters, and runs of whitespace
+_SCAN_PIECES = [*_PIECES, "|", "-", "\\", "$", "\u0663", "\u00e9", "\r\n", "  \t ", " \u00a0\u2003"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_SCAN_PIECES), max_size=30))
+def test_scan_agrees_with_the_reference_lexer(pieces):
+    text = "".join(pieces)
+    expected = oracle.tokens(text)
+    assert [tok[:4] for tok in _tokens(text)] == expected
+    bad = [tok for tok in expected if tok[0] == "BAD"]
+    if bad:
+        with pytest.raises(errors.ParseError) as excinfo:
+            _scan(text)
+        _, word, start, end = bad[0]
+        assert str(excinfo.value) == f"unexpected character {word!r}"
+        assert (excinfo.value.span.start, excinfo.value.span.end) == (start, end)
+    else:
+        kinds, texts = _scan(text)
+        assert list(zip(kinds, texts)) == [(kind, word) for kind, word, _, _ in expected]
+
+
+def _spine(rng: random.Random, depth: int):
+    """A formula over `gen.VOC` whose tree is `depth` deep along one path, from every binder and connective."""
+    applications = rng.randint(0, min(depth, 3))
+    term = Constant("c")
+    for _ in range(applications):
+        term = FuncApp("f", (term,))
+    formula = Atom("P", (term,))
+    for _ in range(depth - applications):
+        kind = rng.choice((Not, Forall, Exists, Integral, And, Or, StrongAnd, StrongOr, Implies))
+        if kind is Not:
+            formula = Not(formula)
+        elif kind in (Forall, Exists, Integral):
+            formula = kind(rng.choice(gen.VAR_POOL), formula)
+        else:
+            leaf = rng.choice((Atom("Q", (Constant("d"),)), TruthConst(Fraction(1, 2))))
+            formula = kind(formula, leaf) if rng.random() < 0.5 else kind(leaf, formula)
+    if rng.random() < 0.2:
+        formula = QuantEq(Integral("x", formula), Integral("y", Atom("Q", (Variable("y"),))))
+    return formula
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=MAX_NESTING - 6, max_value=MAX_NESTING + 4))
+def test_depth_error_fires_exactly_past_the_cap(seed, depth):
+    formula = _spine(random.Random(seed), depth)
+    text = print_formula(formula)
+    if oracle.tree_depth(formula) > MAX_NESTING:
+        with pytest.raises(errors.ParseError, match=f"^formula nests deeper than {MAX_NESTING} levels$"):
+            parse_formula(text, gen.VOC)
+    else:
+        assert parse_formula(text, gen.VOC) == formula
 
 
 class TestPermissiveMode:

@@ -31,6 +31,21 @@ def test_parse_rejects_floats_and_junk():
             rational.parse_rational(bad)
 
 
+@given(st.integers(-50, 50), st.integers(-50, 50).filter(bool), st.sampled_from(["{}/{}", " {} / {} "]))
+def test_parse_ratio_gives_the_fractions_integers(p, q, shape):
+    # what parse_rational reads as a Fraction, parse_ratio reads straight to its two integers
+    text = shape.format(p, q)
+    expected = Fraction(p, q)
+    assert rational.parse_ratio(text) == (expected.numerator, expected.denominator)
+    assert rational.parse_rational(text) == expected
+
+
+def test_unit_keeps_a_ratio_and_reports_its_fraction():
+    assert rational.unit(rational.Ratio(1, 2)) == rational.Ratio(1, 2)
+    with pytest.raises(errors.ValueOutOfRange, match=r"^value 3/2 is outside \[0, 1\]$"):
+        rational.unit(rational.parse_ratio("-6/-4"))
+
+
 unit_values = st.fractions(min_value=0, max_value=1, max_denominator=30)
 
 
