@@ -8,6 +8,7 @@ numerator and denominator of their `Fraction`, without making one.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -60,6 +61,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Serialize a Fraction as the canonical "p/q" (or integer "p") string."""
-    return str(q)
+    """Serialize a Fraction as the canonical "p/q" (or integer "p") string, with every digit.
+
+    `str` of an integer past the interpreter's digit limit raises; a
+    `Decimal` of it prints every digit and leaves the limit as it is.
+    """
+    try:
+        return str(q)
+    except ValueError:
+        text = str(Decimal(q.numerator))
+        return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
 

@@ -56,7 +56,9 @@ class Vocabulary:
         object.__setattr__(self, "functions", tuple((str(n), int(a)) for n, a in self.functions))
         object.__setattr__(self, "constants", tuple(str(n) for n in self.constants))
         names = [n for n, _ in self.predicates] + [n for n, _ in self.functions] + list(self.constants)
-        if len(set(names)) != len(names):
+        # not a field, so equality and hash stay those of the fields
+        object.__setattr__(self, "_symbol_names", frozenset(names))
+        if len(self._symbol_names) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise InvalidSpec(f"duplicate symbol names in vocabulary: {dupes}")
         for n in names:
@@ -86,7 +88,8 @@ class Vocabulary:
         return name in self.constants
 
     def symbol_names(self) -> frozenset[str]:
-        return frozenset(n for n, _ in self.predicates) | frozenset(n for n, _ in self.functions) | frozenset(self.constants)
+        """Every predicate, function and constant name, built once with the vocabulary."""
+        return self._symbol_names
 
     def merged(self, other: "Vocabulary") -> "Vocabulary":
         """Union of two vocabularies; arities must agree on shared names."""

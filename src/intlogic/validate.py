@@ -11,9 +11,13 @@ combination in a deterministic order; random mode is reproducible from
 the seed.
 Countermodel search and the axiom checks enumerate only the models that
 are least in their orbit under relabellings of the universe
-(`exhaustive_models`).  An axiom instantiation with a failing check is
-swept again over every model, for every record; its `checked` count is
-always that of every model, taken from the plan that its sweeps run on.
+(`exhaustive_models`).  The odometer works this out position by position:
+it compares a model's indices with their images only while some
+relabelling still maps the prefix before the changed position to itself,
+and skips every model of a prefix that one maps lower.  An axiom
+instantiation with a failing check is swept again over every model, for
+every record; its `checked` count is always that of every model, taken
+from the plan that its sweeps run on.
 
 Exhaustive mode has one enumeration path, an odometer over factor indices
 (`_Odometer`): one factor for the measure and one per predicate table,
@@ -183,15 +187,16 @@ def _table_images(sigma: tuple[int, ...], arity: int, values: Sequence[int]) -> 
 
 
 def _relabellings(measures: list[tuple[int, ...]], grid_size: int, pred_arities: Sequence[int | None],
-                  func_arities: Sequence[int], constants: int) -> list[tuple]:
+                  func_arities: Sequence[int], constants: int) -> list[list]:
     """The images of every factor choice under each relabelling of the universe but the identity.
 
     A relabelling `sigma` maps element `j` to element `sigma[j]`.  Its
-    images hold one list per factor level (measures, predicates, functions,
-    constants) and in it, per factor, the index of each choice's image.
-    `measures` holds each measure's integer weights by position.  A
-    predicate arity of None is a fixed table, which every relabelling maps
-    to itself.
+    images hold one list per odometer position (the measure, each
+    predicate table, each function table, each constant) with the index of
+    each choice's image.  `measures` holds each measure's integer weights
+    by position.  A predicate arity of None is a fixed table, which every
+    relabelling maps to itself.  Factors of one kind and arity share their
+    image list.
     """
     size = len(measures[0])
     measure_index = {measure: i for i, measure in enumerate(measures)}
@@ -203,23 +208,11 @@ def _relabellings(measures: list[tuple[int, ...]], grid_size: int, pred_arities:
             for j, weight in zip(sigma, measure):
                 image[j] = weight
             moved.append(measure_index[tuple(image)])
-        preds = [[0] if arity is None else _table_images(sigma, arity, range(grid_size))
-                 for arity in pred_arities]
-        funcs = [_table_images(sigma, arity, sigma) for arity in func_arities]
-        out.append(([moved], preds, funcs, [sigma] * constants))
+        preds = {arity: [0] if arity is None else _table_images(sigma, arity, range(grid_size))
+                 for arity in set(pred_arities)}
+        funcs = {arity: _table_images(sigma, arity, sigma) for arity in set(func_arities)}
+        out.append([moved, *map(preds.get, pred_arities), *map(funcs.get, func_arities), *[sigma] * constants])
     return out
-
-
-def _ties(relabellings: list, level: int, indices: tuple[int, ...]) -> list | None:
-    """The relabellings that map `indices` at `level` to themselves; None when one maps them lower."""
-    ties = []
-    for images in relabellings:
-        image = tuple([choices[i] for choices, i in zip(images[level], indices)])
-        if image < indices:
-            return None
-        if image == indices:
-            ties.append(images)
-    return ties
 
 
 class _Models:
@@ -290,9 +283,6 @@ class _Plan(_Models):
         by_arity = {arity: choices(arity, range(size)) for arity in set(func_arities)}
         self.choices += [by_arity[arity] for arity in func_arities] + [range(size)] * constants
         self.radices = [len(self.measures), *map(len, self.choices)]
-        #: the first position of each level, and the position after its last
-        self.ends = list(itertools.accumulate((1, len(pred_arities) + eq, len(func_arities), constants)))
-        self.starts = [0, *self.ends[:3]]
         self._images = (len(grid), [*pred_arities, *[None] * eq], func_arities, constants)
 
     @functools.cached_property
@@ -342,9 +332,8 @@ class _Odometer:
     Position 0 is the measure, then come one position per predicate table
     (the vocabulary's, `approx`, then the fixed ones), per function table
     and per constant.  A model is a list of indices, one choice per factor,
-    and models come in lexicographic order on those lists.  The positions
-    make up four levels, measure, predicates, functions and constants, on
-    which orbit pruning works (`_ties`).
+    and models come in lexicographic order on those lists.  Orbit pruning
+    works per position, on the prefixes of that list (`sweep`).
 
     The choices, the measures and the radices stay on the `_Plan` of the
     enumeration's shape, which is built once per process (`_plan`), or
@@ -360,7 +349,7 @@ class _Odometer:
         labels = [("predicate", name) for name, _ in _pred_symbols(voc)] + [("predicate", EQ_PRED)] * eq
         labels += [("function", name) for name, _ in voc.functions] + [("constant", name) for name in voc.constants]
         self.factors = [(*label, choices) for label, choices in zip(labels, plan.choices)]
-        # the relabellings not yet known to map the model higher; they are tried level by level
+        # the images of each relabelling but the identity, one list per position; none without pruning
         self.relabellings = plan.relabellings if orbit_least else []
 
     def sweep(self, views: Sequence[SweepView] = ()) -> Iterator[tuple[list[int], int]]:
@@ -372,15 +361,26 @@ class _Odometer:
         writes once per sweep (`SweepView.writes`).  Before each model,
         every view is staged for a new measure and then gets the slots of
         the changed factors rewritten.
+
+        Orbit pruning compares prefixes: `ties[p]` holds the relabellings
+        that map `indices[:p]` to itself, and `free` is the first position
+        whose ties are empty.  Every relabelling maps `indices[:free]`
+        higher, so a step that changes no position before `free` needs no
+        check; otherwise the check starts at the changed position `p`.  A
+        relabelling in `ties[p]` that maps `indices[p]` lower maps every
+        model with the prefix `indices[:p + 1]` lower, so the sweep skips
+        them all (`step(p)`).  While the last position is at or after
+        `free`, the rest of its choices are yielded in a plain loop.
         """
         plan, relabellings = self.plan, self.relabellings
-        radices, starts, ends, n = plan.radices, plan.starts, plan.ends, len(plan.radices)
+        radices, n = plan.radices, len(plan.radices)
         writes = [[] for _ in range(n)]  #: per position, (view list, slot, choices) of each view reading it
         for view in views:
             for position, values, slot, choices in view.writes(self.factors):
                 writes[position].append((values, slot, choices))
-        level_of = [level for level, (start, end) in enumerate(zip(starts, ends)) for _ in range(start, end)]
-        ties = [relabellings, None, None, None, None]  #: per level, the relabellings tying the levels before
+        last, last_writes = n - 1, writes[-1]
+        ties = [relabellings] + [None] * n
+        free = n + 1 if relabellings else 0  #: n + 1 until the first check, and where no ties are empty
 
         indices = [0] * n
 
@@ -394,30 +394,39 @@ class _Odometer:
             indices[position] += 1
             return position
 
-        def pruned(level: int) -> int | None:
-            """The first level from `level` on at which a relabelling maps `indices` lower, or None.
+        def pruned(position: int) -> bool:
+            """Whether a relabelling in `ties[position]` maps `indices[position]` lower.
 
-            `ties[l + 1]` becomes the relabellings that tie `indices` at the
-            levels up to `l`.
+            If none does, `ties[p + 1]` is set for each position `p` from
+            `position` on until the ties run out, and `free` to the first
+            position whose ties are empty, or to `n + 1` when some
+            relabelling maps the whole model to itself.  A check starts at
+            the position a step changed, so every later index is 0, which
+            no relabelling maps lower.
             """
-            for level in range(level, 4):
-                tied, start, end = ties[level], starts[level], ends[level]
-                if tied and start < end:
-                    tied = _ties(tied, level, tuple(indices[start:end]))
-                    if tied is None:
-                        return level
-                ties[level + 1] = tied
-            return None
+            nonlocal free
+            for p in range(position, n):
+                i, tied = indices[p], []
+                for images in ties[p]:
+                    j = images[p][i]
+                    if j < i:
+                        return True
+                    if j == i:
+                        tied.append(images)
+                ties[p + 1] = tied
+                if not tied:
+                    free = p + 1
+                    return False
+            free = n + 1
+            return False
 
         changed = position = 0
         while position >= 0:
-            if relabellings:
-                level = pruned(level_of[position])
-                if level is not None:
-                    # no model of this block is orbit-least: skip to the block after it
-                    position = step(ends[level] - 1)
-                    changed = min(changed, position)
-                    continue
+            if position < free and pruned(position):
+                # every model with this prefix maps lower too: skip them all
+                position = step(position)
+                changed = min(changed, position)
+                continue
             if not changed:
                 m_den, weights, _ = plan.measures[indices[0]]
                 for view in views:
@@ -427,7 +436,14 @@ class _Odometer:
                 for values, slot, choices in writes[p]:
                     values[slot] = choices[i]
             yield indices, changed
-            position = changed = step(n - 1)
+            if free <= last and last:
+                # every further choice of the last factor is orbit-least too (a measure would need staging)
+                for i in range(indices[last] + 1, radices[last]):
+                    indices[last] = i
+                    for values, slot, choices in last_writes:
+                        values[slot] = choices[i]
+                    yield indices, last
+            position = changed = step(last)
 
     def model(self, indices: Sequence[int]) -> WeakProbModel:
         """The model at `indices` (`_Models.model`): it shares the plan's measure and rows."""
@@ -453,9 +469,10 @@ def exhaustive_models(gen: ModelGenSpec, voc: Vocabulary, eq: bool = False, *,
     maps to a model with smaller indices.  A sentence has the same value
     on every relabelling of a model, so the first model with some value is
     orbit-least and is found either way; so is the first model where an
-    axiom check fails (`_failures`).  A measure that a relabelling maps
-    lower skips its whole block; per model, only the relabellings that fix
-    the measure are tried, level by level.
+    axiom check fails (`_failures`).  A prefix of the indices that a
+    relabelling maps lower skips every model that starts with it, and a
+    prefix that every relabelling maps higher leaves the models that start
+    with it unchecked (`_Odometer.sweep`).
     """
     odometer = _Odometer(gen, voc, eq, orbit_least)
     for indices, _ in odometer.sweep():
@@ -664,8 +681,10 @@ def _failures(axiom: str, gen: ModelGenSpec, equality: bool, report: Report) -> 
     sweeps run on it.
 
     An exhaustive instantiation is decided on the orbit-least models only
-    (`exhaustive_models`).  A relabelling of the universe maps a check to
-    one with the same two values, and the valuations are all of the
+    (`exhaustive_models`), on a sweep that compares indices with their
+    images per position, and only where some relabelling still ties the
+    prefix (`_Odometer.sweep`).  A relabelling of the universe maps a check
+    to one with the same two values, and the valuations are all of the
     universe's tuples, so the failing models are closed under relabelling:
     when no orbit-least model fails, no model fails, and the first failing
     model is orbit-least.  On a failure the instantiation is swept again in

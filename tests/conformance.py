@@ -87,6 +87,10 @@ CALLS = {
     "validate-axioms": ["validate-axioms", "--size", "2", "--seed", "2", "--count", "10"],
     "validate-axioms-exhaustive": ["validate-axioms", "--axiom", "mu3", "--size", "2", "--grid", "0,1/2,1",
                                    "--exhaustive"],
+    # the first countermodel's measure, 1/4 1/4 1/2, is fixed by a transposition, so the orbit checks run to the end
+    "find-countermodel-exhaustive-size-3": ["find-countermodel", "--size", "3", "--grid", "0,1/2,1", "--exhaustive",
+                                            "--formula", "EX x. ~(INT eq(x, y) dy) \\/ (INT eq(c, y) dy -> INT "
+                                            "eq(d, y) dy) \\/ ~P(f(c)) \\/ P(d)"],
     "validate-integral-laws": ["validate-integral-laws", *M, "--count", "20", "--seed", "1"],
     "validate-integral-laws-exhaustive": ["validate-integral-laws", "--size", "1", "--exhaustive"],
     # input errors: each exits 2 with one line
@@ -102,6 +106,9 @@ CALLS = {
     "bad-crlf-formula-file": ["eval", *M, "--formula-file", "crlf-formula.txt"],
     "bad-rational-and-empty-universe": ["eval", "--model", "bad-rational-empty-universe.json", "--formula", "P(a)"],
     "non-ascii-digit": ["eval", *M, "--formula", "rat(\u0663/4)"],
+    # a value whose denominator has more digits than `str(int)` prints by default
+    "value-past-the-digit-limit": ["eval", "--model", "small.json", "--formula",
+                                   f"rat(1/{'9' * 2200}) |+| rat(1/{'9' * 2199}7)"],
 }
 CALLS |= {f"{name} --output json": [*argv, "--output", "json"] for name, argv in list(CALLS.items())}
 

@@ -102,6 +102,41 @@ MUTANTS = [
          "tests/test_validate.py::TestTrustedGeneration::test_random_models",
          "tests/test_validate.py::TestGolden::test_first_random_models"),
     ),
+    Mutant(
+        "orbit-pruning-on-a-tie", "validate.py",
+        "if j < i:",
+        "if j <= i:",
+        ("tests/test_validate.py::TestSweepDifferential::test_pruned_steps_as_the_brute_force_reference",
+         "tests/test_validate.py::TestPlanCache::test_cold_and_warm_plans_enumerate_as_the_oracle"),
+    ),
+    Mutant(
+        "tight-loop-drops-the-last-choice", "validate.py",
+        "yield indices, last",
+        "if i + 1 < radices[last]: yield indices, last",
+        ("tests/test_validate.py::TestSweepDifferential::test_pruned_steps_as_the_brute_force_reference",
+         "tests/test_validate.py::TestPlanCache::test_cold_and_warm_plans_enumerate_as_the_oracle"),
+    ),
+    Mutant(
+        "free-kept-when-the-whole-model-ties", "validate.py",
+        "free = n + 1\n            return False",
+        "return False",
+        ("tests/test_validate.py::TestSweepDifferential::test_pruned_steps_as_the_brute_force_reference",
+         "tests/test_validate.py::TestPlanCache::test_cold_and_warm_plans_enumerate_as_the_oracle"),
+    ),
+    Mutant(
+        "never-re-sweep", "validate.py",
+        "yield from itertools.islice(records(False), 1, None)",
+        "pass",
+        ("tests/test_validate.py::TestViolationRecords::test_records",
+         "tests/test_validate.py::TestPrunedAxiomChecks::test_report_as_on_every_model",
+         "tests/test_validate.py::TestPrunedAxiomChecks::test_full_sweeps_only_for_failing_instantiations"),
+    ),
+    Mutant(
+        "re-sweep-repeats-the-first-record", "validate.py",
+        "yield from itertools.islice(records(False), 1, None)",
+        "yield from records(False)",
+        ("tests/test_validate.py::TestViolationRecords::test_records",),
+    ),
 ]
 
 

@@ -13,7 +13,8 @@ the compiled evaluator or the satisfaction module.
 `integrals.integral_dissection`, `layercake` for
 `integrals.integral_layercake`, `isomorphic` for `model.isomorphic`,
 `grid_measures` for `validate.grid_measures`, `grid_model_keys` for
-`validate.exhaustive_models`, `attained_levels` for
+`validate.exhaustive_models`, `orbit_least_steps` for the pruned
+`validate._Odometer.sweep`, `attained_levels` for
 `satisfaction.default_level_config`, `tokens` for the parser's scan and
 `tree_depth` for the depth the parser counts against `MAX_NESTING`.
 The pieces they need (the Lukasiewicz connectives on `Fraction`s,
@@ -419,18 +420,38 @@ def grid_model_keys(size: int, grid, voc: Vocabulary, eq: bool = False, orbit_le
         return keys
 
     position = {key: i for i, key in enumerate(keys)}
-
-    def image(model, h):
-        """The key of the model carried along the relabelling `h`."""
-        measure, preds, funcs, consts = model
-        carry = lambda table: {tuple(h[e] for e in key): v for key, v in table.items()}
-        return _key({h[m]: w for m, w in measure.items()}, {name: carry(t) for name, t in preds.items()},
-                    {name: {key: h[e] for key, e in carry(t).items()} for name, t in funcs.items()},
-                    {c: h[e] for c, e in consts.items()})
-
     relabellings = [dict(zip(names, images)) for images in itertools.permutations(names)]
     return [key for i, (key, model) in enumerate(zip(keys, models))
-            if all(position[image(model, h)] >= i for h in relabellings)]
+            if all(position[_image(*model, h)] >= i for h in relabellings)]
+
+
+def _image(measure, preds, funcs, consts, h) -> tuple:
+    """The `_key` of the model of these dicts carried along the relabelling `h`, a dict of elements."""
+    carry = lambda table: {tuple(h[e] for e in key): v for key, v in table.items()}
+    return _key({h[m]: w for m, w in measure.items()}, {name: carry(t) for name, t in preds.items()},
+                {name: {key: h[e] for key, e in carry(t).items()} for name, t in funcs.items()},
+                {c: h[e] for c, e in consts.items()})
+
+
+def orbit_least_steps(models) -> list[tuple[tuple[int, ...], int]]:
+    """`(indices, changed)` of each orbit-least model among `models`, by brute force.
+
+    `models` holds `(indices, model)` of every model of an unpruned
+    exhaustive sweep, in its order.  A model is kept when no relabelling of
+    the universe maps it to a model with smaller indices; `changed` is the
+    least position at which its indices differ from those of the model kept
+    before it (0 for the first).
+    """
+    index_of = {model_key(model): indices for indices, model in models}
+    names = models[0][1].universe
+    relabellings = [dict(zip(names, images)) for images in itertools.permutations(names)]
+    kept = []
+    for indices, model in models:
+        parts = (model.measure, model.predicates, model.functions, model.constants)
+        if all(index_of[_image(*parts, h)] >= indices for h in relabellings):
+            previous = kept[-1][0] if kept else indices
+            kept.append((indices, next((p for p, (a, b) in enumerate(zip(previous, indices)) if a != b), 0)))
+    return kept
 
 
 # The concrete syntax's lexer as one `finditer` scan with a named group per

@@ -66,6 +66,29 @@ class TestEval:
         assert code == 0
         assert capsys.readouterr().out.strip() == "1"
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_value_past_the_digit_limit(self, output, tmp_path, capsys):
+        # the sum's denominator has about 4 400 digits, past the interpreter's default limit of 4 300 for `str(int)`,
+        # which used to exit 3
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"universe": ["a"], "measure": {"a": "1"}}))
+        p, q = int("9" * 2200), int("9" * 2199 + "7")
+        value = F(1, p) + F(1, q)
+
+        def digits(n):  # `str(n)` in chunks, each short enough for `str`
+            chunks = []
+            while n:
+                n, chunk = divmod(n, 10 ** 100)
+                chunks.append(chunk)
+            return str(chunks[-1]) + "".join(f"{chunk:0100d}" for chunk in reversed(chunks[:-1]))
+
+        formula = f"rat(1/{'9' * 2200}) |+| rat(1/{'9' * 2199}7)"
+        assert main(["eval", "--model", str(path), "--formula", formula, "--output", output]) == 0
+        out, err = capsys.readouterr()
+        text = f"{digits(value.numerator)}/{digits(value.denominator)}"
+        assert (out, err) == ((json.dumps({"value": text}) if output == "json" else text) + "\n", "")
+        assert len(text) > 6000
+
     def test_bad_model_exits_2(self, capsys):
         code = main(["eval", "--model", "/definitely/missing.json", "--formula", "P(c)"])
         assert code == 2

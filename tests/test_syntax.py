@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -64,6 +65,14 @@ class TestVocabulary:
                        has_approx=True)
         assert a.merged(b) == Vocabulary(predicates=(("P", 1), ("Q", 2), ("R", 1)),
                                          functions=(("f", 2), ("g", 1)), constants=("d", "c", "e"), has_approx=True)
+
+    def test_symbol_names_are_built_once(self):
+        voc = Vocabulary(predicates=(("P", 1), ("R", 2)), functions=(("f", 1),), constants=("c",), has_approx=True)
+        assert voc.symbol_names() == {"P", "R", "f", "c"} and voc.symbol_names() is voc.symbol_names()
+        same = Vocabulary(predicates=[["P", 1], ["R", 2]], functions=[("f", 1)], constants=["c"], has_approx=True)
+        assert same == voc and hash(same) == hash(voc) and repr(same) == repr(voc)
+        assert Vocabulary(constants=("c",)) != Vocabulary(constants=("d",))
+        assert dataclasses.replace(voc, constants=("d", "e")).symbol_names() == {"P", "R", "f", "d", "e"}
 
     @pytest.mark.parametrize("kind, field", [("predicate", "predicates"), ("function", "functions")])
     def test_merged_conflict_names_the_symbol(self, kind, field):
