@@ -8,6 +8,7 @@ level sets.  On finite models all three agree exactly, in exact rationals.
 Run with: python3 demos/integral_trio.py
 """
 
+import random
 from fractions import Fraction as F
 
 from intlogic import (
@@ -20,8 +21,9 @@ from intlogic import (
     level_set,
     set_partitions,
 )
+from intlogic.integrals import DISSECTION_MAX_UNIVERSE
 from intlogic.rational import DEFAULT_GRID
-from intlogic.validate import grid_fuzzy_subsets, grid_measures
+from intlogic.validate import grid_fuzzy_subsets, grid_measures, random_fuzzy_subset, universe_names
 
 model = WeakProbModel(
     universe=("a", "b", "c"),
@@ -59,3 +61,19 @@ for measure in grid_measures(2, DEFAULT_GRID):
         assert integral_dissection(subset, two) == e == integral_layercake(subset, two)
         checked += 1
 print(f"  {checked} triples checked, zero mismatches")
+print()
+
+print(f"Seeded agreement at every universe size up to the dissection's cap, |M| <= {DISSECTION_MAX_UNIVERSE}:")
+rng = random.Random(29)
+for size in range(1, DISSECTION_MAX_UNIVERSE + 1):
+    names = universe_names(size)
+    # some elements weigh 0, never the last
+    weights = [rng.randint(0, 4) for _ in names[1:]] + [rng.randint(1, 4)]
+    sized = WeakProbModel(names, {m: F(w, sum(weights)) for m, w in zip(names, weights)}, {}, {}, {})
+    total = F(0)
+    for _ in range(20):
+        subset = random_fuzzy_subset(names, DEFAULT_GRID, rng)
+        e = integral_expectation(subset, sized)
+        assert integral_dissection(subset, sized) == e == integral_layercake(subset, sized)
+        total += e
+    print(f"  |M| = {size}: 20 seeded subsets agree, their integrals sum to {total}")

@@ -11,10 +11,12 @@ reads the subset's integer form (`FuzzySubset.den` and `.row`) and the
 model's integer weights (`IntegerForm.weight_row` of `WeakProbModel.form`),
 both stored on the object, and makes a single `Fraction`, for its
 result.  The two oracles share only that conversion with the expectation
-form.  The dissection also keeps the mass of every block per
-weight tuple, and finds its supremum by recursion over subsets rather
-than by scoring each partition; the splits that recursion reads depend
-only on the universe size and are listed once per process (`_splits`).
+form.  The dissection runs one straight-line integer function per
+universe size, generated from the splits of its recursion over subsets
+(`_splits`, `_source`) and compiled on first use (`_kernel`); it scores
+every block once and finds the supremum by that recursion rather than by
+scoring each partition.  Its source names only integer indices, so no
+symbol, value or input enters it.
 The layer cake is one walk over the values by decreasing value.  The law
 checker integrates rows, not subsets, with the core of
 `integral_expectation` by default, and decides each law by integer
@@ -64,6 +66,8 @@ def integral_expectation(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
 @lru_cache(maxsize=None)
 def set_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All partitions of range(n) into non-empty blocks (Bell(n) of them)."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"set_partitions needs a non-negative integer, got {n!r}")
     if n == 0:
         return ((),)
     out = []
@@ -75,21 +79,8 @@ def set_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=32)
-def _blocks(weights: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The mass and the lowest element of every block of range(n), indexed by the block as a bitmask."""
-    n = len(weights)
-    mass, lowest = [0] * (1 << n), [0] * (1 << n)
-    for block in range(1, 1 << n):
-        rest = block & (block - 1)
-        i = lowest[block] = (block ^ rest).bit_length() - 1
-        mass[block] = mass[rest] + weights[i]
-    return tuple(mass), tuple(lowest)
-
-
-@lru_cache(maxsize=None)
-def _splits(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """The sets S that `_best_dissection` computes, in order, each with its splits.
+def _splits(n: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """The sets S whose best partition the kernel computes, in order, each with its splits.
 
     A split of S is a block B that holds S's lowest element and is not S
     itself, with the rest S - B, both as bitmasks.  The S are range(n) and
@@ -106,26 +97,62 @@ def _splits(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
             sub = (sub - 1) & rest
             splits.append((low | sub, rest ^ sub))
         sets.append((s, tuple(splits)))
-    return tuple(sets)
+    return sets
+
+
+def _source(n: int, scores: bool) -> str:
+    """The source of the straight-line kernel over range(n) (`_kernel`).
+
+    Its locals are named by integer indices alone: `s{B}` is the score of
+    the block B and `b{S}` the best sum of block scores over the partitions
+    of S, both as bitmasks.  Every partition of S is a block B holding S's
+    lowest element plus a partition of S - B, so `b{S}` is the largest of
+    `s{S}` and of `s{B} + b{S - B}` over S's splits (`_splits`).  With
+    `scores`, `kernel(score)` unpacks the scores from a list indexed by
+    block.  Without, `kernel(values, top, weights)` scores each block as
+    its lowest value times its mass: the lowest value `l{B}` is the lesser
+    of its lowest element's value `v{i}` and that of the rest of the block
+    (`top`, the value 1, for the empty rest), and the mass `m{B}` adds
+    `w{i}` to the rest's.
+    """
+    blocks = range(1, 1 << n)
+    if scores:
+        lines = ["_, " + "".join(f"s{b}, " for b in blocks) + "= score"]
+    else:
+        lines = ["".join(f"v{i}, " for i in range(n)) + "= values", "".join(f"w{i}, " for i in range(n)) + "= weights"]
+        for b in blocks:
+            rest = b & (b - 1)
+            i = (b ^ rest).bit_length() - 1
+            low, mass = (f"l{rest}", f"m{rest} + ") if rest else ("top", "")
+            lines += [f"l{b} = v{i} if v{i} < {low} else {low}", f"m{b} = {mass}w{i}", f"s{b} = l{b} * m{b}"]
+    for s, splits in _splits(n):
+        lines.append(f"b{s} = s{s}")
+        for block, rest in splits:
+            lines += [f"t = s{block} + b{rest}", f"if t > b{s}: b{s} = t"]
+    lines.append(f"return b{(1 << n) - 1}" if n else "return 0")
+    parameters = "score" if scores else "values, top, weights"
+    return f"def kernel({parameters}):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+@lru_cache(maxsize=DISSECTION_MAX_UNIVERSE)
+def _kernel(n: int, scores: bool = False) -> Callable[..., int]:
+    """`_source(n, scores)` compiled on first use; it reads no global and no builtin.
+
+    The dissection only ever asks for `n <= DISSECTION_MAX_UNIVERSE`, so
+    the cache keeps every kernel it builds.
+    """
+    namespace: dict = {}
+    exec(_source(n, scores), {"__builtins__": {}}, namespace)
+    return namespace["kernel"]
 
 
 def _best_dissection(score: Sequence[int], n: int) -> int:
     """The maximum over the partitions of range(n) of the sum of their blocks' scores.
 
-    `score[block]` is indexed by the block as a bitmask.  Every partition of
-    a set S is a block B holding S's lowest element plus a partition of
-    S - B, so `best[S]`, the maximum over S's partitions, is the maximum of
-    `score[S]` and of `score[B] + best[S - B]` over S's splits (`_splits`).
+    `score[block]` is indexed by the block as a bitmask; the recursion is
+    the dissection kernel's (`_source`).
     """
-    best = [0] * (1 << n)
-    for s, splits in _splits(n):
-        top = score[s]
-        for block, rest in splits:
-            total = score[block] + best[rest]
-            if total > top:
-                top = total
-        best[s] = top
-    return best[-1]
+    return _kernel(n, True)(score)
 
 
 def integral_dissection(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
@@ -133,25 +160,18 @@ def integral_dissection(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
 
     The supremum is exact over every set partition of the universe, so it
     is capped at small universes; it serves as the independent oracle for
-    the expectation form.  Each of the 2^n - 1 blocks is scored once, on
-    values and weights over shared integer denominators; the block masses
-    are kept per weight tuple.  The best partition is then found by
-    recursion over subsets (`_best_dissection`), not by scoring each of
+    the expectation form.  One straight-line kernel per universe size
+    (`_kernel`, generated on first use) scores each of the 2^n - 1 blocks
+    once, on values and weights over shared integer denominators, and finds
+    the best partition by recursion over subsets, not by scoring each of
     the Bell(n) partitions.
     """
     _require(subset, model.universe, 1)
     n = len(model.universe)
     if n > DISSECTION_MAX_UNIVERSE:
         raise UniverseTooLarge(f"dissection enumeration capped at |M| <= {DISSECTION_MAX_UNIVERSE}")
-    form, values = model.form, subset.row
-    mass, lowest = _blocks(form.weight_row)
-    # a block's infimum is the lesser of its lowest element's value and the
-    # infimum of the rest of the block; over the empty block it is 1, `den`
-    low = [subset.den] * (1 << n)
-    for block in range(1, 1 << n):
-        value, rest = values[lowest[block]], low[block & (block - 1)]
-        low[block] = value if value < rest else rest
-    return Fraction(_best_dissection(list(map(mul, low, mass)), n), subset.den * form.m_den)
+    form = model.form
+    return Fraction(_kernel(n)(subset.row, subset.den, form.weight_row), subset.den * form.m_den)
 
 
 def integral_layercake(subset: FuzzySubset, model: WeakProbModel) -> Fraction:

@@ -10,7 +10,9 @@ in-process through `intlogic.cli.main`, imported from this repository's
 `src`, and each demo of `demos/` as a subprocess of the same interpreter.
 One line is printed per call: the sha256 of its stdout, a NUL, its stderr,
 a NUL and its exit code, then the call's id.  Two interpreters that print
-the same lines behave the same on every call.  Help and usage errors are
+the same lines behave the same on every call.  `demos/integral_trio.py`
+runs the generated dissection kernel at every universe size it takes, so
+its line compares those kernels too.  Help and usage errors are
 not among the calls: argparse lays them out differently across versions.
 Standard library only.
 """

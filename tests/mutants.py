@@ -137,6 +137,27 @@ MUTANTS = [
         "yield from records(False)",
         ("tests/test_validate.py::TestViolationRecords::test_records",),
     ),
+    Mutant(
+        # a set's best starts from its first split, so the whole set is never one block unless it is a singleton
+        "dissection-drops-the-whole-set-candidate", "integrals.py",
+        'lines.append(f"b{s} = s{s}")',
+        'lines.append(f"b{s} = s{splits[0][0]} + b{splits[0][1]}" if splits else f"b{s} = s{s}")',
+        ("tests/test_integrals.py::TestDissection::test_recursion_is_the_maximum_over_every_partition",),
+    ),
+    Mutant(
+        "layer-cake-drops-its-last-term", "integrals.py",
+        "total + level * mass",
+        "total",
+        ("tests/test_integrals.py::TestLayercake::test_hand_computed",
+         "tests/test_integrals.py::TestLayercake::test_matches_the_fraction_oracle"),
+    ),
+    Mutant(
+        "slice-first-over-the-wrong-axis", "integrals.py",
+        "_slice_row(h, model, True)",
+        "_slice_row(h, model, False)",
+        ("tests/test_integrals.py::TestSlices::test_slice_values",
+         "tests/test_integrals.py::TestAgainstFractionSums::test_slices_and_double_sum"),
+    ),
 ]
 
 

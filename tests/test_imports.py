@@ -2,7 +2,8 @@
 
 The modules import each other only relatively (`from .model import ...`).
 A re-imported copy of the package leaves nothing of the old copy alive.
-The test oracle takes no computation from the modules it checks.
+The test oracle takes no computation from the modules it checks.  Importing
+builds no generated kernel.
 """
 
 import ast
@@ -80,6 +81,14 @@ def test_reimport_frees_the_old_package():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert done.stdout.split("\n")[0] == "[True, True]", done.stderr
+
+
+def test_import_builds_no_kernel():
+    """The dissection kernels are generated on first use, never at import."""
+    script = "import intlogic.cli\nfrom intlogic.integrals import _kernel\nprint(_kernel.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert done.stdout == "0\n", done.stderr
 
 
 # the names `tests/oracle.py` may take from the modules it is a reference for: types, no computation

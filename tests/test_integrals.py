@@ -10,6 +10,7 @@ from intlogic.integrals import (
     DISSECTION_MAX_UNIVERSE,
     _best_dissection,
     _expectation,
+    _kernel,
     check_family_closure,
     check_semantic_integral_laws,
     check_similarity_lipschitz,
@@ -69,6 +70,11 @@ class TestSetPartitions:
         for partition in set_partitions(4):
             flat = sorted(i for block in partition for i in block)
             assert flat == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("n", [-1, -1000, 2.5, 3.0, "3", None])
+    def test_a_negative_or_non_integer_size_is_a_value_error(self, n):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            set_partitions(n)
 
 
 @st.composite
@@ -143,6 +149,27 @@ class TestDissection:
         """`_best_dissection` on the splits kept per n against the oracle's maximum over every partition."""
         f, model = inputs
         assert integral_dissection(f, model) == oracle.dissection(f, model)
+
+    @pytest.mark.parametrize("n", range(1, DISSECTION_MAX_UNIVERSE + 1))
+    def test_every_size_matches_the_fraction_oracle(self, n):
+        rng = random.Random(100 + n)
+        names = tuple(f"e{i}" for i in range(n))
+        for _ in range(3):
+            weights = [rng.choice(MIXED) for _ in names[1:]] + [rng.choice(MIXED[1:])]
+            model = WeakProbModel(names, {m: w / sum(weights) for m, w in zip(names, weights)}, {}, {}, {})
+            f = FuzzySubset(names, {(m,): rng.choice(MIXED) for m in names})
+            assert integral_dissection(f, model) == oracle.dissection(f, model)
+
+    def test_kernels_cold_and_kept_agree(self):
+        """The kernels are built on first use per size, at most one per size the dissection takes."""
+        assert _kernel.cache_info().maxsize == DISSECTION_MAX_UNIVERSE
+        names = tuple(f"e{i}" for i in range(5))
+        model = WeakProbModel(names, dict(zip(names, [F(1, 3), F(0), F(1, 6), F(1, 4), F(1, 4)])), {}, {}, {})
+        f = FuzzySubset(names, {(m,): v for m, v in zip(names, MIXED)})
+        _kernel.cache_clear()
+        cold = integral_dissection(f, model)
+        assert _kernel.cache_info().currsize == 1
+        assert integral_dissection(f, model) == cold == oracle.dissection(f, model)
 
     def test_universe_cap(self):
         names = tuple(f"e{i}" for i in range(9))
