@@ -20,10 +20,13 @@ symbol, value or input enters it.
 The layer cake is one walk over the values by decreasing value.  The law
 checker integrates rows, not subsets, with the core of
 `integral_expectation` by default, and decides each law by integer
-cross-multiplication.  Once per call, it checks and looks up each
-distinct subset once and computes both slices of a bivariate subset from
-one split of its row; the exhaustive samples of
-`validate.integral_law_suite` are built once per process.
+cross-multiplication.  Its rows are prepared once per sample set
+(`prepare_law_samples`): each distinct subset is checked and looked up
+once, and the rows of complements, of each pair's three combinations and
+of each bivariate subset's split are derived before any model is seen.
+Each model then only integrates and compares (`check_prepared_laws`);
+`validate.integral_law_suite` keeps the prepared samples, so every
+measure's suite on one sample set shares them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ArityMismatch, FormatError, NotCrisp, UniverseTooLarge
 from .rational import DEFAULT_GRID, ONE, unit
@@ -63,9 +66,8 @@ def integral_expectation(subset: FuzzySubset, model: WeakProbModel) -> Fraction:
     return Fraction(*_expectation(subset.den, subset.row, model.form))
 
 
-@lru_cache(maxsize=None)
 def set_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All partitions of range(n) into non-empty blocks (Bell(n) of them)."""
+    """All partitions of range(n) into non-empty blocks (Bell(n) of them); nothing is kept between calls."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"set_partitions needs a non-negative integer, got {n!r}")
     if n == 0:
@@ -244,6 +246,150 @@ def double_sum(h: FuzzySubset, model: WeakProbModel) -> Fraction:
 # The five semantic-integral laws
 
 
+class LawSamples(NamedTuple):
+    """The rows of the law checks on one sample set over one universe, derived once for every model.
+
+    `rows` lists the `(den, row)` of every core call that no model changes,
+    in the order the core sees them: one per constant, then, pair by pair,
+    the calls on `f`, `g` and `~f` that are new and those on `f -> g`,
+    `f (+) g` and `f (x) g`.  `constants` holds each constant with its
+    value as `(numerator, denominator)`; `pairs` holds each pair with the
+    positions in `rows` of `f`'s, `g`'s and `~f`'s calls and of its first
+    own call.  `lines` lists the distinct rows and columns of the bivariate
+    subsets, and `bivariate` holds each bivariate subset with its den and
+    the positions in `lines` of its columns and of its rows.  All of it is
+    tuples.
+    """
+
+    universe: tuple[str, ...]
+    rows: tuple[tuple[int, tuple[int, ...]], ...]
+    constants: tuple[tuple[Fraction, tuple[int, int]], ...]
+    pairs: tuple[tuple[FuzzySubset, FuzzySubset, int, int, int, int], ...]
+    lines: tuple[tuple[int, ...], ...]
+    bivariate: tuple[tuple[FuzzySubset, int, tuple[int, ...], tuple[int, ...]], ...]
+
+
+def prepare_law_samples(
+    universe: tuple[str, ...],
+    pairs: Sequence[tuple[FuzzySubset, FuzzySubset]] = (),
+    bivariate: Sequence[FuzzySubset] = (),
+    constants: Sequence[Fraction] = DEFAULT_GRID,
+) -> LawSamples:
+    """The law checks' rows on these samples, independent of any model (`LawSamples`).
+
+    Each subset object is checked against `universe` and matched by
+    equality on its first occurrence only; after that its entry, the
+    positions of its call and of its complement's, is found by identity.
+    Both sides of a pair are checked before either's row is taken, and
+    every subset is checked before any core call is made.
+    """
+    n = len(universe)
+    rows = []
+    prepared_constants = []
+    for r in constants:
+        q = unit(r)
+        prepared_constants.append((r, (q.numerator, q.denominator)))
+        rows.append((q.denominator, (q.numerator,) * n))
+
+    # one entry per distinct subset, [the position of its call, that of its complement's],
+    # each filled on first use; `prepared_pairs` keeps every subset keyed by `id` alive
+    by_id: dict[int, list] = {}
+    by_value: dict[FuzzySubset, list] = {}
+
+    def entry(f):
+        _require(f, universe, 1)
+        by_id[id(f)] = found = by_value.setdefault(f, [None, None])
+        return found
+
+    prepared_pairs = []
+    for f, g in pairs:
+        left = by_id.get(id(f)) or entry(f)
+        right = by_id.get(id(g)) or entry(g)
+        if left[0] is None:
+            left[0] = len(rows)
+            rows.append((f.den, f.row))
+        if right[0] is None:
+            right[0] = len(rows)
+            rows.append((g.den, g.row))
+        if left[1] is None:
+            left[1] = len(rows)
+            rows.append((f.den, tuple([f.den - x for x in f.row])))
+        prepared_pairs.append((f, g, left[0], right[0], left[1], len(rows)))
+        den, a, b = _aligned(f, g)
+        rows += [(den, tuple([min(den, den - x + y) for x, y in zip(a, b)])),
+                 (den, tuple([min(den, x + y) for x, y in zip(a, b)])),
+                 (den, tuple([max(0, x + y - den) for x, y in zip(a, b)]))]
+
+    lines: dict[tuple[int, ...], int] = {}  # each distinct row or column, with its position in `lines`
+
+    def number(line):
+        return lines.setdefault(line, len(lines))
+
+    prepared_bivariate = []
+    for h in bivariate:
+        split = _rows(h, universe)
+        prepared_bivariate.append((h, h.den, tuple(map(number, zip(*split))), tuple(map(number, split))))
+    return LawSamples(universe, tuple(rows), tuple(prepared_constants), tuple(prepared_pairs), tuple(lines),
+                      tuple(prepared_bivariate))
+
+
+def check_prepared_laws(model: WeakProbModel, samples: LawSamples, integral: Callable = _expectation) -> Report:
+    """The law checks of `samples` on one model: integrate the rows, then decide each law on integers.
+
+    The core sees `samples.rows` in order, then each bivariate subset's two
+    slices, the first over its columns, the second over its rows, both
+    weighted by this model.
+    """
+    universe, form = model.universe, model.form
+    if samples.universe != universe:
+        raise FormatError(f"law samples over the universe {samples.universe}, expected {universe}")
+    report = Report(checked=len(samples.constants) + 3 * len(samples.pairs) + len(samples.bivariate))
+
+    def record(law, lhs, rhs, sample):
+        report.add("integral-law-violation", law=law, lhs=str(Fraction(*lhs)), rhs=str(Fraction(*rhs)),
+                   sample=sample)
+
+    def equal(p, q):
+        return p[0] * q[1] == q[0] * p[1]
+
+    out = [integral(den, row, form) for den, row in samples.rows]
+
+    for lhs, (r, rhs) in zip(out, samples.constants):
+        if not equal(lhs, rhs):
+            record("constant", lhs, rhs, {"r": str(r)})
+
+    for f, g, i, j, k, p in samples.pairs:
+        (num_f, scale_f), (num_g, scale_g) = out[i], out[j]
+        lhs, rhs = out[k], (scale_f - num_f, scale_f)
+        if not equal(lhs, rhs):
+            record("complement", lhs, rhs, _sample(f=f))
+
+        # int f and int g are cross_f / scale and cross_g / scale
+        scale = scale_f * scale_g
+        cross_f, cross_g = num_f * scale_g, num_g * scale_f
+
+        lhs, rhs = out[p], (min(scale, scale - cross_f + cross_g), scale)
+        if lhs[0] * scale > rhs[0] * lhs[1]:
+            record("implication", lhs, rhs, _sample(f=f, g=g))
+
+        lhs, (num_and, scale_and) = out[p + 1], out[p + 2]
+        rhs = ((cross_f + cross_g) * scale_and - num_and * scale, scale * scale_and)
+        if not equal(lhs, rhs):
+            record("additivity", lhs, rhs, _sample(f=f, g=g))
+
+    # each distinct row and column of a bivariate subset integrated once, h(a, .) and h(., b) alike
+    weights, m_den = form.weight_row, form.m_den
+    sums = [sum(map(mul, line, weights)) for line in samples.lines]
+    for h, den, columns, rows in samples.bivariate:
+        scale = den * m_den
+        first_then_second = integral(scale, [sums[i] for i in columns], form)
+        second_then_first = integral(scale, [sums[i] for i in rows], form)
+        if not equal(first_then_second, second_then_first):
+            record("iteration", first_then_second, second_then_first, _sample(h=h))
+
+    return report
+
+
 def check_semantic_integral_laws(
     model: WeakProbModel,
     pairs: Sequence[tuple[FuzzySubset, FuzzySubset]] = (),
@@ -259,94 +405,23 @@ def check_semantic_integral_laws(
 
     `integral(den, row, form) -> (numerator, scale)`, with `scale > 0`, has
     `_expectation`'s contract; each row holds one value in [0, den] per
-    element.  Within one call it sees each unary subset of `pairs` once,
-    subsets that are equal counting as one, and its complement once, when
-    it is first the left of a pair; each pair then costs three calls, on
-    the rows of `f -> g`, `f (+) g` and `f (x) g` over the lcm of the two
+    element.  It sees each unary subset of `pairs` once, subsets that are
+    equal counting as one, and its complement once, when it is first the
+    left of a pair; each pair then costs three calls, on the rows of
+    `f -> g`, `f (+) g` and `f (x) g` over the lcm of the two
     denominators, and each bivariate subset two, on its slices.
 
-    Once per call, each subset object is checked against the model's
-    universe and matched by equality on its first occurrence only; after
-    that its entry, which holds its integral and its complement's, is
-    found by identity.  Each bivariate subset is checked and split into
-    its rows once for both of its slices.  Both sides of a pair are
-    checked before either is integrated.
+    The check runs in two steps.  `prepare_law_samples` checks every
+    subset against the model's universe, once per distinct subset, and
+    derives every row that depends on the samples alone: the subsets' and
+    complements' rows, the three rows of each pair and the rows and
+    columns of each bivariate subset.  `check_prepared_laws` integrates
+    them on this model and decides each law.  A bad subset anywhere
+    raises before the core is called.  `validate.integral_law_suite`
+    keeps the prepared samples, so the rows of one sample set are derived
+    once for every model.
     """
-    report = Report()
-    universe, form = model.universe, model.form
-
-    def record(law, lhs, rhs, sample):
-        report.add("integral-law-violation", law=law, lhs=str(Fraction(*lhs)), rhs=str(Fraction(*rhs)),
-                   sample=sample)
-
-    def equal(p, q):
-        return p[0] * q[1] == q[0] * p[1]
-
-    for r in constants:
-        q = unit(r)
-        lhs = integral(q.denominator, (q.numerator,) * len(universe), form)
-        rhs = (q.numerator, q.denominator)
-        report.tally()
-        if not equal(lhs, rhs):
-            record("constant", lhs, rhs, {"r": str(r)})
-
-    # one entry per distinct subset, [its integral, its complement's integral],
-    # each filled on first use; `held` keeps every subset keyed by `id` alive
-    by_id: dict[int, list] = {}
-    by_value: dict[FuzzySubset, list] = {}
-    held = []
-
-    def entry(f):
-        _require(f, universe, 1)
-        found = by_id[id(f)] = by_value.setdefault(f, [None, None])
-        held.append(f)
-        return found
-
-    for f, g in pairs:
-        left = by_id.get(id(f)) or entry(f)
-        right = by_id.get(id(g)) or entry(g)
-        if left[0] is None:
-            left[0] = integral(f.den, f.row, form)
-        if right[0] is None:
-            right[0] = integral(g.den, g.row, form)
-        (num_f, scale_f), (num_g, scale_g) = left[0], right[0]
-
-        lhs = left[1]
-        if lhs is None:
-            lhs = left[1] = integral(f.den, [f.den - x for x in f.row], form)
-        rhs = (scale_f - num_f, scale_f)
-        report.tally()
-        if not equal(lhs, rhs):
-            record("complement", lhs, rhs, _sample(f=f))
-
-        # int f and int g are cross_f / scale and cross_g / scale
-        scale = scale_f * scale_g
-        cross_f, cross_g = num_f * scale_g, num_g * scale_f
-        den, a, b = _aligned(f, g)
-
-        lhs = integral(den, [min(den, den - x + y) for x, y in zip(a, b)], form)
-        rhs = (min(scale, scale - cross_f + cross_g), scale)
-        report.tally()
-        if lhs[0] * rhs[1] > rhs[0] * lhs[1]:
-            record("implication", lhs, rhs, _sample(f=f, g=g))
-
-        lhs = integral(den, [min(den, x + y) for x, y in zip(a, b)], form)
-        num_and, scale_and = integral(den, [max(0, x + y - den) for x, y in zip(a, b)], form)
-        rhs = ((cross_f + cross_g) * scale_and - num_and * scale, scale * scale_and)
-        report.tally()
-        if not equal(lhs, rhs):
-            record("additivity", lhs, rhs, _sample(f=f, g=g))
-
-    weights = form.weight_row
-    for h in bivariate:
-        rows, scale = _rows(h, universe), h.den * form.m_den
-        first_then_second = integral(scale, [sum(map(mul, column, weights)) for column in zip(*rows)], form)
-        second_then_first = integral(scale, [sum(map(mul, row, weights)) for row in rows], form)
-        report.tally()
-        if not equal(first_then_second, second_then_first):
-            record("iteration", first_then_second, second_then_first, _sample(h=h))
-
-    return report
+    return check_prepared_laws(model, prepare_law_samples(model.universe, pairs, bivariate, constants), integral)
 
 
 def _aligned(f: FuzzySubset, g: FuzzySubset) -> tuple[int, Sequence[int], Sequence[int]]:

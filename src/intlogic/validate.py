@@ -58,7 +58,7 @@ from .errors import (
     TableIncomplete,
 )
 from .evaluate import SweepView, compile_formula, compile_integers
-from .integrals import check_semantic_integral_laws
+from .integrals import LawSamples, check_prepared_laws, prepare_law_samples
 from .model import (
     FuzzySubset,
     IntegerForm,
@@ -563,8 +563,8 @@ def _random_subset(universe: tuple[str, ...], arity: int, den: int, values: Sequ
 LAW_SAMPLES_KEPT = 2048  #: the most pairs plus bivariate subsets of a law sample kept for later suites
 LAW_SAMPLE_SETS_KEPT = 4  #: the most law samples kept at once
 
-#: the samples kept, by universe and grid (and seed and count in random mode), least recently used first
-_LAW_SAMPLES: dict[tuple, tuple] = {}
+#: the prepared samples kept, by universe and grid (and seed and count in random mode), least recently used first
+_LAW_SAMPLES: dict[tuple, LawSamples] = {}
 
 
 def _exhaustive_law_samples(universe: tuple[str, ...], grid: tuple[Fraction, ...]) -> tuple[tuple, tuple]:
@@ -595,19 +595,21 @@ def integral_law_suite(model: WeakProbModel, gen: ModelGenSpec) -> Report:
     the grid (guarded against blowup).  Random mode takes `gen.count`
     seeded samples of each shape, the subsets that `random_fuzzy_subset`
     draws in turn from one seeded generator, with the grid converted once.
-    The samples depend only on the universe and the grid as given, and in
-    random mode the seed and the count, so they are built once per process
-    and kept when small (`LAW_SAMPLES_KEPT`), for the suites of the other
-    measures; they are tuples of frozen subsets.
+    The samples, and so every row the law checks derive from them, depend
+    only on the universe and the grid as given, and in random mode the seed
+    and the count.  So they are drawn and prepared (`prepare_law_samples`,
+    with the grid as the constants) once per process and kept when small
+    (`LAW_SAMPLES_KEPT`), for the suites of the other measures, which only
+    integrate the kept rows and compare.
     """
-    universe = model.universe
+    universe, grid = model.universe, gen.grid
     if gen.exhaustive:
-        key, build = (universe, gen.grid), lambda: _exhaustive_law_samples(universe, gen.grid)
+        key, draw = (universe, grid), lambda: _exhaustive_law_samples(universe, grid)
     else:
-        key, build = (universe, gen.grid, gen.seed, gen.count), lambda: _random_law_samples(universe, gen)
-    pairs, bivariate = _kept(_LAW_SAMPLES, key, build, lambda samples: sum(map(len, samples)),
-                             LAW_SAMPLES_KEPT, LAW_SAMPLE_SETS_KEPT)
-    return check_semantic_integral_laws(model, pairs, bivariate, constants=gen.grid)
+        key, draw = (universe, grid, gen.seed, gen.count), lambda: _random_law_samples(universe, gen)
+    samples = _kept(_LAW_SAMPLES, key, lambda: prepare_law_samples(universe, *draw(), grid),
+                    lambda samples: len(samples.pairs) + len(samples.bivariate), LAW_SAMPLES_KEPT, LAW_SAMPLE_SETS_KEPT)
+    return check_prepared_laws(model, samples)
 
 
 # ---------------------------------------------------------------------------

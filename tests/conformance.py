@@ -95,6 +95,9 @@ CALLS = {
                                             "eq(d, y) dy) \\/ ~P(f(c)) \\/ P(d)"],
     "validate-integral-laws": ["validate-integral-laws", *M, "--count", "20", "--seed", "1"],
     "validate-integral-laws-exhaustive": ["validate-integral-laws", "--size", "1", "--exhaustive"],
+    # every generated model's suite integrates the rows of one prepared sample set
+    "validate-integral-laws-exhaustive-size-2": ["validate-integral-laws", "--size", "2", "--exhaustive"],
+    "validate-integral-laws-size-3": ["validate-integral-laws", "--size", "3", "--count", "40", "--seed", "1"],
     # input errors: each exits 2 with one line
     "bad-boolean-arity": ["eval", "--model", "bool-arity.json", "--formula", "INT P(x) dx"],
     "bad-boolean-rel": ["approx-sat", *M, "--approx-system", "bool-rel.json", "--formula", "P(c1)"],

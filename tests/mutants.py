@@ -158,6 +158,40 @@ MUTANTS = [
         ("tests/test_integrals.py::TestSlices::test_slice_values",
          "tests/test_integrals.py::TestAgainstFractionSums::test_slices_and_double_sum"),
     ),
+    Mutant(
+        "law-strong-or-row-unclamped", "integrals.py",
+        "min(den, x + y)",
+        "x + y",
+        ("tests/test_integrals.py::TestIntegralLaws::test_all_laws_on_uniform_grid",
+         "tests/test_integrals.py::TestLawsAgainstFractionLoop::test_integral_call_sequence"),
+    ),
+    Mutant(
+        "law-complement-row-uncomplemented", "integrals.py",
+        "tuple([f.den - x for x in f.row])",
+        "f.row",
+        ("tests/test_integrals.py::TestIntegralLaws::test_all_laws_on_uniform_grid",
+         "tests/test_integrals.py::TestLawsAgainstFractionLoop::test_integral_call_sequence"),
+    ),
+    Mutant(
+        "law-rows-kept-without-the-grid", "validate.py",
+        "key, draw = (universe, grid), lambda",
+        "key, draw = (universe,), lambda",
+        ("tests/test_validate.py::TestLawSampleCache::test_grid_orders_are_kept_apart",),
+    ),
+    Mutant(
+        "evaluator-strong-or-unclamped", "evaluate.py",
+        "return v if v < top else top",
+        "return v",
+        ("tests/test_evaluate.py::TestConnectives::test_strong_connectives",
+         "tests/test_evaluate.py::TestDifferential::test_toplevel_formulas"),
+    ),
+    Mutant(
+        # a side of a connective or of `=` stays on its own scale, S_e, instead of moving to S_(e+d)
+        "evaluator-alignment-drops-the-power", "evaluate.py",
+        "return lambda view, env: closure(view, env) * view[p]",
+        "return closure",
+        ("tests/test_evaluate.py::TestDifferential::test_mixed_denominators_and_nested_integrals",),
+    ),
 ]
 
 

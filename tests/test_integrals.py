@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from intlogic.integrals import (
     _expectation,
     _kernel,
     check_family_closure,
+    check_prepared_laws,
     check_semantic_integral_laws,
     check_similarity_lipschitz,
     double_sum,
@@ -19,6 +21,7 @@ from intlogic.integrals import (
     integral_dissection,
     integral_expectation,
     integral_layercake,
+    prepare_law_samples,
     set_partitions,
     slice_first,
     slice_second,
@@ -75,6 +78,18 @@ class TestSetPartitions:
     def test_a_negative_or_non_integer_size_is_a_value_error(self, n):
         with pytest.raises(ValueError, match="non-negative integer"):
             set_partitions(n)
+
+    def test_nothing_is_held_once_the_result_is_dropped(self):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            partitions = set_partitions(9)
+            assert len(partitions) == 21147
+            del partitions
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 2 ** 20
 
 
 @st.composite
@@ -304,6 +319,14 @@ class TestUniverseChecks:
             with pytest.raises(errors.FormatError):
                 combine()
 
+    @pytest.mark.parametrize("universe", [("a", "c"), ("b", "a")])
+    def test_prepared_samples_over_another_universe(self, universe):
+        samples = prepare_law_samples(self.MODEL.universe, [(fs(a=F(1), b=F(0)),) * 2])
+        model = WeakProbModel(universe, {m: HALF for m in universe}, {}, {}, {})
+        with pytest.raises(errors.FormatError, match="law samples over the universe"):
+            check_prepared_laws(model, samples)
+        assert check_prepared_laws(self.MODEL, samples).checked == len(DEFAULT_GRID) + 3
+
     @pytest.mark.parametrize("integrate", [slice_first, slice_second, double_sum])
     def test_bivariate_needs_arity_two(self, integrate):
         with pytest.raises(errors.ArityMismatch):
@@ -474,6 +497,26 @@ class TestLawsAgainstFractionLoop:
         for pair in ((f, g), (g, f)):
             with pytest.raises(error):
                 check_semantic_integral_laws(model2(), [pair], integral=lambda den, row, form: (0, 1))
+
+
+    @pytest.mark.parametrize("pairs, bivariate, error, message", [
+        ([(fs(a=F(1), b=F(0)), FuzzySubset(("a", "c"), {("a",): HALF, ("c",): HALF}))], [], errors.FormatError,
+         "fuzzy subset over the universe ('a', 'c'), expected ('a', 'b')"),
+        ([(TestUniverseChecks.binary(("a", "b")), fs(a=F(1), b=F(0)))], [], errors.ArityMismatch,
+         "expected a fuzzy subset of arity 1, got arity 2"),
+        ([], [fs(a=F(1), b=F(0))], errors.ArityMismatch, "expected a fuzzy subset of arity 2, got arity 1"),
+    ])
+    def test_a_bad_subset_raises_before_any_core_call(self, pairs, bivariate, error, message):
+        # the bad subset comes after every grid pair and a good bivariate subset
+        model = model2(F(1, 4), F(3, 4))
+        unary = list(grid_fuzzy_subsets(model.universe, DEFAULT_GRID))
+        calls = []
+        with pytest.raises(error) as caught:
+            check_semantic_integral_laws(model, [*itertools.product(unary, repeat=2), *pairs],
+                                         [TestUniverseChecks.binary(("a", "b")), *bivariate],
+                                         integral=lambda den, row, form: calls.append(row) or (0, 1))
+        assert type(caught.value) is error and str(caught.value) == message
+        assert calls == []
 
 
 class TestLipschitz:

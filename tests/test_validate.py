@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 import intlogic as il
 from intlogic import errors, integrals, validate
 from intlogic.evaluate import compile_formula, compile_integers
-from intlogic.integrals import check_semantic_integral_laws, slice_first, slice_second
+from intlogic.integrals import check_prepared_laws, check_semantic_integral_laws, slice_first, slice_second
 from intlogic.model import (
     FuzzySubset,
     WeakProbModel,
@@ -381,15 +381,15 @@ class TestIntegralLawSuite:
 
     @pytest.mark.parametrize("core", [integrals._expectation, _squared_sup_core])
     def test_random_suite_converts_the_grid_once(self, monkeypatch, core):
-        monkeypatch.setattr(validate, "check_semantic_integral_laws",
-                            functools.partial(check_semantic_integral_laws, integral=core))
+        monkeypatch.setattr(validate, "check_prepared_laws",
+                            functools.partial(check_prepared_laws, integral=core))
         model = il.WeakProbModel(("a", "b", "c"), {"a": F(1, 6), "b": HALF, "c": F(1, 3)}, {}, {}, {})
         spec = ModelGenSpec(size=3, seed=7, count=20)
         rng = random.Random(spec.seed)
         pairs = [(random_fuzzy_subset(model.universe, spec.grid, rng),
                   random_fuzzy_subset(model.universe, spec.grid, rng)) for _ in range(spec.count)]
         bivariate = [random_fuzzy_subset(model.universe, spec.grid, rng, arity=2) for _ in range(spec.count)]
-        expected = validate.check_semantic_integral_laws(model, pairs, bivariate, constants=spec.grid)
+        expected = check_semantic_integral_laws(model, pairs, bivariate, constants=spec.grid, integral=core)
         calls, subset_grid = [], validate._subset_grid
         monkeypatch.setattr(validate, "_subset_grid", lambda *args: calls.append(args) or subset_grid(*args))
         monkeypatch.setattr(validate, "_LAW_SAMPLES", {})
@@ -836,8 +836,8 @@ class TestLawSampleCache:
 
     @pytest.mark.parametrize("core", [integrals._expectation, _squared_sup_core])
     def test_cold_and_kept_samples_give_the_same_report(self, monkeypatch, core):
-        monkeypatch.setattr(validate, "check_semantic_integral_laws",
-                            functools.partial(check_semantic_integral_laws, integral=core))
+        monkeypatch.setattr(validate, "check_prepared_laws",
+                            functools.partial(check_prepared_laws, integral=core))
         for measure in grid_measures(2, DEFAULT_GRID)[::5]:
             model = il.WeakProbModel(("a", "b"), measure, {}, {}, {})
             monkeypatch.setattr(validate, "_LAW_SAMPLES", {})
@@ -849,8 +849,8 @@ class TestLawSampleCache:
             assert (cold[1] == "[]") == (core is integrals._expectation)
 
     def test_grid_orders_are_kept_apart(self, monkeypatch):
-        monkeypatch.setattr(validate, "check_semantic_integral_laws",
-                            functools.partial(check_semantic_integral_laws, integral=_squared_sup_core))
+        monkeypatch.setattr(validate, "check_prepared_laws",
+                            functools.partial(check_prepared_laws, integral=_squared_sup_core))
         monkeypatch.setattr(validate, "_LAW_SAMPLES", {})
         model = il.WeakProbModel(("a", "b"), {"a": F(1, 4), "b": F(3, 4)}, {}, {}, {})
         grids = [(F(1), F(0)), (F(0), F(1)), (HALF, F(1, 3)), (F(1, 3), HALF)]
@@ -883,12 +883,41 @@ class TestLawSampleCache:
         assert len(validate._LAW_SAMPLES) == validate.LAW_SAMPLE_SETS_KEPT
         assert samples(1) is kept[1] and samples(0) is not kept[0]
 
+    def test_kept_rows_report_as_a_fresh_check_on_every_measure(self, monkeypatch):
+        monkeypatch.setattr(validate, "check_prepared_laws",
+                            functools.partial(check_prepared_laws, integral=_squared_sup_core))
+        monkeypatch.setattr(validate, "_LAW_SAMPLES", {})
+        universe, grid = ("a", "b"), self.SPEC.grid
+        for measure in grid_measures(2, DEFAULT_GRID):
+            model = il.WeakProbModel(universe, measure, {}, {}, {})
+            pairs, bivariate = validate._exhaustive_law_samples(universe, grid)
+            fresh = check_semantic_integral_laws(model, pairs, bivariate, grid, integral=_squared_sup_core)
+            assert _law_suite_outputs(model, self.SPEC) == (fresh.checked, json.dumps(fresh.violations))
+            assert fresh.violations and list(validate._LAW_SAMPLES) == [(universe, grid)]
+        assert len(grid_measures(2, DEFAULT_GRID)) == 13
+
+    def test_one_preparation_per_sample_set(self, monkeypatch):
+        monkeypatch.setattr(validate, "_LAW_SAMPLES", {})
+        prepared, prepare = [], validate.prepare_law_samples
+        monkeypatch.setattr(validate, "prepare_law_samples", lambda *args: prepared.append(args) or prepare(*args))
+        models = [il.WeakProbModel(("a", "b"), measure, {}, {}, {}) for measure in grid_measures(2, DEFAULT_GRID)]
+        for model in models:
+            integral_law_suite(model, self.SPEC)
+        assert len(prepared) == 1
+        one = il.WeakProbModel(("a",), {"a": F(1)}, {}, {}, {})
+        for k in range(validate.LAW_SAMPLE_SETS_KEPT):  # evicts the size-2 set
+            integral_law_suite(one, ModelGenSpec(size=1, grid=(F(0), F(1, k + 1)), exhaustive=True))
+        assert len(prepared) == 1 + validate.LAW_SAMPLE_SETS_KEPT
+        for model in models:
+            integral_law_suite(model, self.SPEC)
+        assert len(prepared) == 2 + validate.LAW_SAMPLE_SETS_KEPT
+
     RANDOM = ModelGenSpec(size=2, seed=11, count=40)
 
     @pytest.mark.parametrize("core", [integrals._expectation, _squared_sup_core])
     def test_cold_and_kept_random_samples_give_the_same_report(self, monkeypatch, core):
-        monkeypatch.setattr(validate, "check_semantic_integral_laws",
-                            functools.partial(check_semantic_integral_laws, integral=core))
+        monkeypatch.setattr(validate, "check_prepared_laws",
+                            functools.partial(check_prepared_laws, integral=core))
         key = (("a", "b"), self.RANDOM.grid, self.RANDOM.seed, self.RANDOM.count)
         for measure in grid_measures(2, DEFAULT_GRID)[::5]:
             model = il.WeakProbModel(("a", "b"), measure, {}, {}, {})
@@ -901,8 +930,8 @@ class TestLawSampleCache:
             assert (cold[1] == "[]") == (core is integrals._expectation)
 
     def test_seeds_and_counts_are_kept_apart(self, monkeypatch):
-        monkeypatch.setattr(validate, "check_semantic_integral_laws",
-                            functools.partial(check_semantic_integral_laws, integral=_squared_sup_core))
+        monkeypatch.setattr(validate, "check_prepared_laws",
+                            functools.partial(check_prepared_laws, integral=_squared_sup_core))
         model = il.WeakProbModel(("a", "b"), {"a": F(1, 4), "b": F(3, 4)}, {}, {}, {})
         specs = [ModelGenSpec(size=2, seed=seed, count=count) for seed, count in [(1, 30), (2, 30), (1, 31)]]
         cold = []
