@@ -14,10 +14,11 @@ universe, never on element names:
 
 - `env` is a positional environment of element positions: the free names
   take the first slots, and each binder the slot after those of the
-  binders around it.  Names given at the public boundary
+  binders around it.  Elements given at the public boundary
   (`compile_integers`, `compile_formula`, `value_matrix`) are mapped to
-  positions once per call, through the model's position map; a name
-  outside the universe raises `FormatError`.
+  positions once per call, through a map from the model's universe that
+  a bind builds only for a formula with free names; an element outside
+  the universe raises `FormatError`.
 - `view` is the model's integer view, built once per compiled formula and
   model from the model's integer form (`WeakProbModel.form`): one entry per
   table, constant, truth constant, scale and power the closures read, at
@@ -29,12 +30,14 @@ universe, never on element names:
   before its first subscript, so errors surface in reading order.  The
   universe entry is `range(n)`; it, the truth constants, scales and powers
   depend on the model only through the universe's size, `D` and `M`;
-  tables, constants and weights change per model.  Every bind builds a
-  new view, so every bound formula keeps its own list.  An exhaustive
-  sweep instead gives each formula one private view for the whole sweep
-  (`SweepView`), built by the same builder: it is rebuilt once per
-  measure and its per-model slots are rewritten in place, only when their
-  part of the model changes.  Nothing but the sweep reads it, so no bound
+  tables, constants and weights change per model.  The weights entry
+  holds the `(position, weight)` pairs that `INT` and `=` iterate, built
+  from the form's `weight_row` once per view or measure (`_Compiler.stage`).
+  Every bind builds a new view, so every bound formula keeps its own list.
+  An exhaustive sweep instead gives each formula one private view for the
+  whole sweep (`SweepView`), staged by the same `stage`: once per measure,
+  and its per-model slots are rewritten in place, only when their part of
+  the model changes.  Nothing but the sweep reads it, so no bound
   formula sees it change.  The sweep sees only the view's `stage`, its
   list of writes, its `numerator` and its `scale`.
 - A subformula whose `INT` nesting height is `e` has the value `n / S_e`,
@@ -284,7 +287,7 @@ class _Compiler:
         self.index: dict[tuple, int] = {}
         self.per_model: list[tuple[int, int, str, object]] = []  #: (index, kind, name, value if absent)
         self.arities: dict[int, set[int]] = {}  #: by view index, the argument counts each table is read with
-        self.weights: int | None = None  #: the index of the weights entry
+        self.pairs: int | None = None  #: the view index of the weights entry, the (position, weight) pairs
         self.truth_den = 1
 
     def entry(self, build: Callable, key=None) -> int:
@@ -305,7 +308,7 @@ class _Compiler:
             i = self.index[(kind, name)] = len(self.entries)
             self.entries.append((None, None))
             if kind == _WEIGHTS:
-                self.weights = i
+                self.pairs = i
                 return i
             absent = None if kind == _CONSTANT else _Missing(kind, name)
             self.per_model.append((i, kind, name, absent))
@@ -421,14 +424,15 @@ class _Compiler:
         self.top = self.entry(_scale, e)
 
         def bind(model: WeakProbModel) -> BoundIntegers:
-            form = model.form
-            view, at = self.view(model), form.positions.__getitem__
+            view = self.view(model)
+            # the position of each element, which only a formula with free names reads
+            at = dict(zip(model.universe, range(len(model.universe)))) if self.names else {}
 
             def positions(elements: Sequence[str]) -> list[int]:
                 try:
-                    return list(map(at, elements))
+                    return list(map(at.__getitem__, elements))
                 except KeyError:
-                    outside = next(m for m in elements if m not in form.positions)
+                    outside = next(m for m in elements if m not in at)
                     raise FormatError(f"{outside!r} is not an element of the universe") from None
             return self.numerator(view, positions), view[self.top]
         return bind
@@ -451,34 +455,38 @@ class _Compiler:
         """
         return den if den % self.truth_den == 0 else lcm(den, self.truth_den)
 
-    def blank(self, size: int, den: int, m_den: int) -> list:
-        """A new view for the models over a universe of `size` elements with this `D` and `M`.
+    def stage(self, view: list, den: int, m_den: int, weight_row: tuple[int, ...]) -> None:
+        """Fill `view` in place for a measure with this `M` and integer weights by position, and this `D`.
 
-        The entries that depend on the model only through those are built;
-        every per-model entry holds its value for a model that lacks it.
+        The entries that depend on the model only through the universe's
+        size, `D` and `M` are built, and the weights entry holds the
+        `(position, weight)` pairs that `INT` and `=` iterate; every other
+        per-model entry holds its value for a model that lacks it.
         """
-        view = [build and build(key, size, den, m_den) for build, key in self.entries]
+        size = len(weight_row)
+        view[:] = [build and build(key, size, den, m_den) for build, key in self.entries]
         for i, _, _, absent in self.per_model:
             view[i] = absent
-        return view
+        if self.pairs is not None:
+            view[self.pairs] = tuple(enumerate(weight_row))
 
     def view(self, model: WeakProbModel) -> list:
         """The model's integer view: the value of every entry, in index order.
 
-        It reads the model's integer form, with the rows of the predicates
-        the formula reads rescaled when `self.den` raises the form's `D`,
-        and the positions of the functions and constants the formula reads.
-        A table the formula reads with another number of arguments than its
+        It is staged (`stage`) for the model's measure and then reads the
+        rest of the model's integer form: the rows of the predicates the
+        formula reads, rescaled when `self.den` raises the form's `D`, and
+        the positions of the functions and constants the formula reads.  A
+        table the formula reads with another number of arguments than its
         arity raises `ArityMismatch`.
         """
-        form = model.form
+        form, view = model.form, []
         den = self.den(form.den)
         factor = den // form.den
-        view = self.blank(len(form.weight_row), den, form.m_den)
+        self.stage(view, den, form.m_den, form.weight_row)
         for i, kind, name, _ in self.per_model:
             if kind == _CONSTANT:
-                if name in model.constants:
-                    view[i] = form.positions[model.constants[name]]
+                view[i] = form.constants.get(name)
                 continue
             rows = (form.tables if kind == _PREDICATE else form.functions).get(name)
             if rows is None:
@@ -488,8 +496,6 @@ class _Compiler:
                 n = min(read - {arity})
                 raise ArityMismatch(f"{kind} {name!r} has arity {arity}, but is read with {n} argument{'s' * (n != 1)}")
             view[i] = rows if kind == _FUNCTION or factor == 1 else _scaled(rows, factor)
-        if self.weights is not None:
-            view[self.weights] = form.weights
         return view
 
 
@@ -500,7 +506,7 @@ class SweepView:
     raises the grid's `den` to its own `D` as `compile_integers` does.
     Once per sweep, `writes(factors)` hands the sweep the write of every
     factor the formula reads, with predicate tables already over `D`.
-    Per model, `stage(M, weights)` rebuilds in place the entries that
+    Per measure, `stage(M, weight_row)` rebuilds in place the entries that
     depend on the measure and resets every per-model entry to its value
     for a model that lacks it; the sweep then carries out the writes of
     the factors that changed.  On the model written,
@@ -511,8 +517,7 @@ class SweepView:
     def __init__(self, formula: Formula, free_names: Sequence[str], universe: tuple[str, ...], den: int):
         self._compiler = compiler = _Compiler(free_names)
         compiler.compile(formula)
-        self._size, self._grid_den = len(universe), den
-        self._den = compiler.den(den)
+        self._grid_den, self._den = den, compiler.den(den)
         self._values: list = []
         # the positions of every tuple of elements the free names can take, for the sweep's valuations
         positions = {elements: [universe.index(m) for m in elements]
@@ -541,12 +546,9 @@ class SweepView:
             out.append((position, self._values, slot, choices))
         return out
 
-    def stage(self, m_den: int, weights: tuple[tuple[int, int], ...]) -> None:
+    def stage(self, m_den: int, weight_row: tuple[int, ...]) -> None:
         """Rebuild the view for a measure with this `M` and integer weights, by position."""
-        compiler = self._compiler
-        self._values[:] = compiler.blank(self._size, self._den, m_den)
-        if compiler.weights is not None:
-            self._values[compiler.weights] = weights
+        self._compiler.stage(self._values, self._den, m_den, weight_row)
 
     @property
     def scale(self) -> int:

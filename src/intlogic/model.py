@@ -2,10 +2,12 @@
 
 A model interprets every predicate as a total [0,1]-valued table over
 tuples of universe elements, every function as a total element-valued
-table, and carries a probability measure whose weights sum to exactly 1.
-It stores them in one form, as integers by element position
-(`IntegerForm`), and builds `Fraction` dicts of them only when they are
-read.  Models are immutable; all operations here return fresh models.
+table and every constant as an element, and carries a probability measure
+whose weights sum to exactly 1.  It stores its universe and one form of
+the rest, as integers by element position (`IntegerForm`): a constant is
+the position of its element.  `Fraction` and element-name dicts are built
+only when they are read.  Models are immutable; all operations here
+return fresh models.
 """
 
 from __future__ import annotations
@@ -95,9 +97,16 @@ def _checked_rows(what: str, table: Mapping, universe: tuple[str, ...], convert)
     return list(map(table.__getitem__, itertools.product(universe, repeat=arity))), arity
 
 
-def _check_reserved(name: str, arity: int) -> None:
-    if name in (EQ_PRED, APPROX_PRED) and arity != 2:
-        raise FormatError(f"the reserved predicate {name!r} must be binary")
+def _check_name(name: str, arity: int = 0) -> None:
+    """Reject a reserved symbol name: of a predicate of `arity`, or of a function or constant (`arity` 0).
+
+    A predicate may be `eq` or `approx` only when binary; no symbol may take a keyword.
+    """
+    if arity and name in (EQ_PRED, APPROX_PRED):
+        if arity != 2:
+            raise FormatError(f"the reserved predicate {name!r} must be binary")
+    elif name in RESERVED_NAMES:
+        raise FormatError(f"symbol name {name!r} is reserved")
 
 
 # ---------------------------------------------------------------------------
@@ -105,25 +114,24 @@ def _check_reserved(name: str, arity: int) -> None:
 
 
 class IntegerForm(NamedTuple):
-    """A model's measure and tables as integers by element position: the one form a model stores.
+    """A model's measure, tables and constants as integers by element position: all a model stores but its universe.
 
-    Position `i` stands for `universe[i]`.  A table of arity `k` is a nested
-    tuple with one level per argument, in `itertools.product(universe,
-    repeat=k)` order (`nested`), so its arity is its nesting depth
-    (`arity_of`): the value at `(universe[i], universe[j])` times `D` is
-    `tables[name][i][j]`, and a function's rows hold the positions of its
-    values.  `D` is a common denominator of every predicate value: the
-    least one in a model the checking constructor builds, the grid's lcm in
-    a generated one.
+    Position `i` stands for `universe[i]`; no element name occurs in the
+    form.  A table of arity `k` is a nested tuple with one level per
+    argument, in `itertools.product(universe, repeat=k)` order (`nested`),
+    so its arity is its nesting depth (`arity_of`): the value at
+    `(universe[i], universe[j])` times `D` is `tables[name][i][j]`, and a
+    function's rows hold the positions of its values.  `D` is a common
+    denominator of every predicate value: the least one in a model the
+    checking constructor builds, the grid's lcm in a generated one.
     """
 
     den: int  #: D, a common denominator of every predicate table value
     tables: dict[str, tuple]  #: the rows of every predicate: values times D
     m_den: int  #: M, the lcm of the measure's denominators
-    weights: tuple[tuple[int, int], ...]  #: (position, mu(m) times M) of each element
-    weight_row: tuple[int, ...]  #: mu(m) times M alone, by position
+    weight_row: tuple[int, ...]  #: mu(m) times M, by position
     functions: dict[str, tuple]  #: the rows of every function: positions of values
-    positions: Mapping[str, int]  #: the position of each element
+    constants: dict[str, int]  #: the position of each constant's element
 
 
 def arity_of(rows: tuple) -> int:
@@ -154,8 +162,8 @@ def integer_row(values: Sequence[Ratio | Fraction]) -> tuple[int, tuple[int, ...
     return den, tuple([v.numerator * (den // v.denominator) for v in values])
 
 
-def integer_measure(draw: Sequence[int]) -> tuple[int, tuple, tuple]:
-    """`(M, weights, weight_row)` of an `IntegerForm` for the measure `n / N`, by position.
+def integer_measure(draw: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """`(M, weight_row)` of an `IntegerForm` for the measure `n / N`, by position.
 
     `draw` holds the numerators `n`, not all zero, and `N` is their sum.
     With `g` the gcd of `N` and every `n`, `M` is `N / g` and the weights
@@ -163,8 +171,7 @@ def integer_measure(draw: Sequence[int]) -> tuple[int, tuple, tuple]:
     """
     total = sum(draw)
     common = gcd(total, *draw)
-    row = tuple([n // common for n in draw])
-    return total // common, tuple(enumerate(row)), row
+    return total // common, tuple([n // common for n in draw])
 
 
 def _flat(tables: dict[str, tuple]) -> dict[str, tuple[int, tuple]]:
@@ -190,14 +197,15 @@ _EMPTY: Mapping = MappingProxyType({})
 
 @dataclass(frozen=True, init=False, eq=False)
 class WeakProbModel:
-    """A finite weak probabilistic model: its universe, its integer form and its constants.
+    """A finite weak probabilistic model: its universe and its integer form, nothing else.
 
-    The integer form (`IntegerForm`) is the one stored form of the measure
-    and the tables.  `measure`, `predicates` and `functions` build fresh
-    dicts from it on every read: `Fraction` weights in universe order,
-    and tables keyed in product order.  Changing one leaves the model as it
-    was.  Equality and the hash read the form with `D` reduced (`_reduced`),
-    so a model is the same whatever common denominator it was made over.
+    The integer form (`IntegerForm`) is the one stored form of the measure,
+    the tables and the constants.  `measure`, `predicates`, `functions` and
+    `constants` build fresh dicts from it on every read: `Fraction` weights
+    in universe order, tables keyed in product order and constants mapped
+    to element names.  Changing one leaves the model as it was.  Equality
+    and the hash read the form with `D` reduced (`_reduced`), so a model is
+    the same whatever common denominator it was made over.
 
     The checking constructor `WeakProbModel(universe, measure, predicates,
     functions, constants)` checks its arguments and converts them once
@@ -206,7 +214,6 @@ class WeakProbModel:
 
     universe: tuple[str, ...]
     form: IntegerForm
-    constants: Mapping[str, str]
 
     def __init__(self, universe: Sequence[str], measure: Mapping[str, Fraction],
                  predicates: Mapping[str, PredTable] = _EMPTY, functions: Mapping[str, FuncTable] = _EMPTY,
@@ -216,10 +223,10 @@ class WeakProbModel:
     def __post_init__(self, universe, measure, predicates, functions, constants):
         universe = tuple(universe)
         _check_universe(universe)
-        elements = set(universe)
+        positions = dict(zip(universe, range(len(universe))))
 
         measure = {m: unit(w) for m, w in measure.items()}
-        if set(measure) != elements:
+        if measure.keys() != positions.keys():
             raise TableIncomplete("measure must assign a weight to every element")
         m_den, weight_row = integer_row([measure[m] for m in universe])
         if sum(weight_row) != m_den:
@@ -228,40 +235,41 @@ class WeakProbModel:
         size, checked = len(universe), {}
         for name, table in predicates.items():
             values, arity = checked[name] = _checked_rows(f"table for {name!r}", table, universe, unit)
-            _check_reserved(name, arity)
+            _check_name(name, arity)
 
-        positions = dict(zip(universe, range(size)))
         funcs = {}
         for name, table in functions.items():
             values, arity = _checked_rows(f"table for {name!r}", table, universe, _element)
-            if not elements.issuperset(values):
+            if not positions.keys() >= set(values):
                 keyed, _ = _checked_table(f"table for {name!r}", table, universe, _element)
-                key = next(key for key, value in keyed.items() if value not in elements)
+                key = next(key for key, value in keyed.items() if value not in positions)
                 raise FormatError(f"function {name!r} maps {key} outside the universe")
+            _check_name(name)
             funcs[name] = nested(list(map(positions.__getitem__, values)), size, arity)
 
-        constants = dict(constants)
+        consts = {}
         for cname, target in constants.items():
-            if _element(target) not in elements:
+            if _element(target) not in positions:
                 raise FormatError(f"constant {cname!r} points at unknown element {target!r}")
+            _check_name(cname)
+            consts[cname] = positions[target]
 
         den = lcm(*{v.denominator for values, _ in checked.values() for v in values})
         tables = {name: nested([v.numerator * (den // v.denominator) for v in values], size, arity)
                   for name, (values, arity) in checked.items()}
-        form = IntegerForm(den, tables, *integer_measure(weight_row), funcs, positions)
-        vars(self).update(universe=universe, form=form, constants=constants)
+        form = IntegerForm(den, tables, *integer_measure(weight_row), funcs, consts)
+        vars(self).update(universe=universe, form=form)
 
     @classmethod
-    def _trusted(cls, universe: tuple[str, ...], form: IntegerForm, constants: dict) -> "WeakProbModel":
+    def _trusted(cls, universe: tuple[str, ...], form: IntegerForm) -> "WeakProbModel":
         """A model from parts that are valid by construction: no checks and no copies.
 
         Only for callers that built every part themselves, over a checked
         grid or from a model that is already valid.  The model shares the
-        form and the constants it is given, so they must not change
-        afterwards.
+        form it is given, so it must not change afterwards.
         """
         model = object.__new__(cls)
-        vars(model).update(universe=universe, form=form, constants=constants)
+        vars(model).update(universe=universe, form=form)
         return model
 
     # -- the tables, built on read -------------------------------------------
@@ -280,6 +288,10 @@ class WeakProbModel:
     def functions(self) -> dict[str, dict[tuple[str, ...], str]]:
         return self._tables(self.form.functions, self.universe.__getitem__)
 
+    @property
+    def constants(self) -> dict[str, str]:
+        return {name: self.universe[i] for name, i in self.form.constants.items()}
+
     def _tables(self, tables: dict[str, tuple], value) -> dict:
         """Every table of `tables` as a dict from its keys, in product order, to `value` of its entries."""
         return {name: dict(zip(itertools.product(self.universe, repeat=arity), map(value, values)))
@@ -288,11 +300,11 @@ class WeakProbModel:
     # -- equality ------------------------------------------------------------
 
     def _key(self) -> tuple:
-        """What equality and the hash read: the universe, the form with `D` reduced and the constants."""
+        """What equality and the hash read: the universe and the form with `D` reduced."""
         form = self.form
         den, tables = _reduced(form)
         return (self.universe, den, frozenset(tables.items()), form.m_den, form.weight_row,
-                frozenset(form.functions.items()), frozenset(self.constants.items()))
+                frozenset(form.functions.items()), frozenset(form.constants.items()))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -318,7 +330,7 @@ class WeakProbModel:
         return Vocabulary(
             preds,
             funcs,
-            tuple(sorted(self.constants)),
+            tuple(sorted(form.constants)),
             has_approx=APPROX_PRED in form.tables,
         )
 
@@ -445,11 +457,11 @@ def reduct(model: WeakProbModel, voc: Vocabulary) -> WeakProbModel:
         functions[name] = form.functions[name]
     consts = {}
     for name in voc.constants:
-        if name not in model.constants:
+        if name not in form.constants:
             raise NotSubvocabulary(f"model does not interpret constant {name!r}")
-        consts[name] = model.constants[name]
+        consts[name] = form.constants[name]
     # D stays a common denominator of the tables kept
-    return WeakProbModel._trusted(model.universe, form._replace(tables=tables, functions=functions), consts)
+    return WeakProbModel._trusted(model.universe, form._replace(tables=tables, functions=functions, constants=consts))
 
 
 def rename(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakProbModel:
@@ -461,13 +473,15 @@ def rename(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakProbModel:
     form = model.form
     tables = {ren(n): rows for n, rows in form.tables.items()}
     functions = {ren(n): rows for n, rows in form.functions.items()}
-    consts = {ren(n): e for n, e in model.constants.items()}
+    consts = {ren(n): i for n, i in form.constants.items()}
     if len(tables) != len(form.tables) or len(functions) != len(form.functions) or \
-            len(consts) != len(model.constants):
+            len(consts) != len(form.constants):
         raise FormatError("renaming collapses two symbols")
     for name, rows in tables.items():
-        _check_reserved(name, arity_of(rows))
-    return WeakProbModel._trusted(model.universe, form._replace(tables=tables, functions=functions), consts)
+        _check_name(name, arity_of(rows))
+    for name in (*functions, *consts):
+        _check_name(name)
+    return WeakProbModel._trusted(model.universe, form._replace(tables=tables, functions=functions, constants=consts))
 
 
 def relabel_universe(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakProbModel:
@@ -476,10 +490,8 @@ def relabel_universe(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakPr
         raise FormatError("relabeling must be a bijection on the universe")
     universe = tuple(mapping[m] for m in model.universe)
     _check_universe(universe)
-    consts = {name: mapping[e] for name, e in model.constants.items()}
-    # every element keeps its position, so the rows stay as they are
-    return WeakProbModel._trusted(universe, model.form._replace(positions=dict(zip(universe, range(len(universe))))),
-                                  consts)
+    # every element keeps its position, so the form stays as it is
+    return WeakProbModel._trusted(universe, model.form)
 
 
 ISOMORPHISM_MAX_UNIVERSE = 8
@@ -496,7 +508,7 @@ def _isomorphism_invariants(model: WeakProbModel) -> tuple:
         den,
         {name: (arity, sorted(values)) for name, (arity, values) in tables.items()},
         {name: arity_of(rows) for name, rows in form.functions.items()},
-        set(model.constants),
+        set(form.constants),
     )
 
 
@@ -508,7 +520,7 @@ def _cells(model: WeakProbModel) -> dict[tuple, int]:
     """
     form, size = model.form, len(model.universe)
     cells = {("weight", "", (i,)): w for i, w in enumerate(form.weight_row)}
-    cells |= {("position", name, ()): form.positions[e] for name, e in model.constants.items()}
+    cells |= {("position", name, ()): i for name, i in form.constants.items()}
     for kind, tables in (("value", _reduced(form)[1]), ("position", _flat(form.functions))):
         for name, (arity, values) in tables.items():
             cells.update(zip([(kind, name, key) for key in itertools.product(range(size), repeat=arity)], values))
@@ -533,19 +545,17 @@ def isomorphic(left: WeakProbModel, right: WeakProbModel) -> bool:
 def expand_by_constants(model: WeakProbModel, elements: Iterable[str] | None = None) -> WeakProbModel:
     """Add, for each element, a constant carrying the element's own name."""
     elements = tuple(elements) if elements is not None else model.universe
-    consts = dict(model.constants)
     form = model.form
+    positions = dict(zip(model.universe, range(len(model.universe))))
+    consts = dict(form.constants)
     for element in elements:
-        if element not in model.universe:
+        if element not in positions:
             raise FormatError(f"{element!r} is not an element of the universe")
-        current = consts.get(element)
-        if current is not None and current != element:
+        if consts.setdefault(element, positions[element]) != positions[element]:
             raise FormatError(f"constant name {element!r} is already taken")
         if element in form.tables or element in form.functions:
             raise FormatError(f"name {element!r} is already a symbol of the model")
-        consts[element] = element
-    # constants have no rows, so the form is the model's own
-    return WeakProbModel._trusted(model.universe, form, consts)
+    return WeakProbModel._trusted(model.universe, form._replace(constants=consts))
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def _grid_measures(size: int, numerators: Sequence[int]) -> list[tuple]:
     for draw in itertools.product(numerators, repeat=size):
         if any(draw):
             form = integer_measure(draw)
-            forms.setdefault(form[2], form)
+            forms.setdefault(form[1], form)
     return list(forms.values())
 
 
@@ -158,7 +158,7 @@ def grid_measures(size: int, grid: Sequence[Fraction]) -> list[dict[str, Fractio
     """
     names = universe_names(size)
     return [{name: Fraction(w, m_den) for name, w in zip(names, weight_row)}
-            for m_den, _, weight_row in _grid_measures(size, integer_row(sorted(grid))[1])]
+            for m_den, weight_row in _grid_measures(size, integer_row(sorted(grid))[1])]
 
 
 def _pred_symbols(voc: Vocabulary) -> list[tuple[str, int]]:
@@ -186,26 +186,26 @@ def _table_images(sigma: tuple[int, ...], arity: int, values: Sequence[int]) -> 
     return [sum(map(operator.mul, digits, weights)) for digits in itertools.product(values, repeat=len(keys))]
 
 
-def _relabellings(measures: list[tuple[int, ...]], grid_size: int, pred_arities: Sequence[int | None],
+def _relabellings(measures: list[tuple[int, tuple[int, ...]]], grid_size: int, pred_arities: Sequence[int | None],
                   func_arities: Sequence[int], constants: int) -> list[list]:
     """The images of every factor choice under each relabelling of the universe but the identity.
 
     A relabelling `sigma` maps element `j` to element `sigma[j]`.  Its
     images hold one list per odometer position (the measure, each
     predicate table, each function table, each constant) with the index of
-    each choice's image.  `measures` holds each measure's integer weights
-    by position.  A predicate arity of None is a fixed table, which every
-    relabelling maps to itself.  Factors of one kind and arity share their
+    each choice's image.  `measures` holds each measure as
+    `integer_measure` gives it, `(M, weight_row)`.  A predicate arity of
+    None is a fixed table, which every relabelling maps to itself.  Factors of one kind and arity share their
     image list.
     """
-    size = len(measures[0])
-    measure_index = {measure: i for i, measure in enumerate(measures)}
+    size = len(measures[0][1])
+    measure_index = {row: i for i, (_, row) in enumerate(measures)}
     out = []
     for sigma in itertools.islice(itertools.permutations(range(size)), 1, None):
         moved = []
-        for measure in measures:
+        for _, row in measures:
             image = [None] * size
-            for j, weight in zip(sigma, measure):
+            for j, weight in zip(sigma, row):
                 image[j] = weight
             moved.append(measure_index[tuple(image)])
         preds = {arity: [0] if arity is None else _table_images(sigma, arity, range(grid_size))
@@ -220,27 +220,27 @@ class _Models:
 
     `names` is the universe, `den` the grid's lcm and `numerators` the grid
     values times `den`, in order.  `model` is the one materialiser of
-    generated models, exhaustive and random.
+    generated models, exhaustive and random; it makes no name of an
+    element, since a model's form holds positions alone.
     """
 
     def __init__(self, size: int, grid: Sequence[Fraction]):
-        names = self.names = universe_names(size)
+        self.names = universe_names(size)
         self.den, self.numerators = integer_row(grid)
-        self.positions = dict(zip(names, range(size)))
 
     def model(self, measure: tuple, parts: Iterable[tuple]) -> WeakProbModel:
         """The model of `measure`, as `integer_measure` gives it, and of one `(kind, name, choice)` per other part.
 
         A predicate's choice is its nested rows of numerators over `den`, a
         function's its nested rows of positions and a constant's a position.
-        The model's integer form holds the rows and the measure as they are,
-        and a position map of its own.
+        The model's integer form holds the rows, the measure and the
+        positions as they are.
         """
         rows = {"predicate": {}, "function": {}, "constant": {}}
         for kind, name, choice in parts:
             rows[kind][name] = choice
-        form = IntegerForm(self.den, rows["predicate"], *measure, rows["function"], dict(self.positions))
-        return WeakProbModel._trusted(self.names, form, {name: self.names[i] for name, i in rows["constant"].items()})
+        form = IntegerForm(self.den, rows["predicate"], *measure, rows["function"], rows["constant"])
+        return WeakProbModel._trusted(self.names, form)
 
 
 class _Plan(_Models):
@@ -250,12 +250,12 @@ class _Plan(_Models):
     predicate table (the vocabulary's, then `approx`), whether `eq` is the
     fixed identity, the arity of each function table and the number of
     constants.  The plan holds each measure once, as `integer_measure`
-    gives it, and each factor's choices once, as integer rows: a
-    predicate's are its nested rows of numerators over the grid's lcm `den`
-    (one list per arity, which the predicates of that arity share), `eq`'s
-    is the identity, a function's are its nested rows of positions and a
-    constant's are the positions.  Every measure and every row is a tuple,
-    so the models built on a plan cannot change it.
+    gives it (`(M, weight_row)`), and each factor's choices once, as
+    integer rows: a predicate's are its nested rows of numerators over the
+    grid's lcm `den` (one list per arity, which the predicates of that
+    arity share), `eq`'s is the identity, a function's are its nested rows
+    of positions and a constant's are the positions.  Every measure and
+    every row is a tuple, so the models built on a plan cannot change it.
     """
 
     def __init__(self, size: int, grid: tuple[Fraction, ...], pred_arities: tuple[int, ...], eq: bool,
@@ -288,7 +288,7 @@ class _Plan(_Models):
     @functools.cached_property
     def relabellings(self) -> list[tuple]:
         """`_relabellings` of the plan's choices, built on the first sweep that prunes by orbit."""
-        return _relabellings([weight_row for *_, weight_row in self.measures], *self._images)
+        return _relabellings(self.measures, *self._images)
 
 
 PLAN_CHOICES_KEPT = 1024  #: the most choices, summed over a plan's factors, of a plan kept for later sweeps
@@ -428,9 +428,9 @@ class _Odometer:
                 changed = min(changed, position)
                 continue
             if not changed:
-                m_den, weights, _ = plan.measures[indices[0]]
+                m_den, weight_row = plan.measures[indices[0]]
                 for view in views:
-                    view.stage(m_den, weights)
+                    view.stage(m_den, weight_row)
             for p in range(changed, n):
                 i = indices[p]
                 for values, slot, choices in writes[p]:

@@ -60,6 +60,8 @@ FILES = {
     "proof.json": [{"formula": "P(x)", "just": "premise"}, {"formula": "INT P(x) dx", "just": "int-intro:1,x"}],
     # a bad rational is reported before the empty universe
     "bad-rational-empty-universe.json": {"universe": [], "measure": {"a": "1/x"}},
+    # a keyword is no symbol name: a table named `INT` is rejected as the file loads
+    "keyword-predicate.json": {**SMALL, "predicates": {**SMALL["predicates"], "INT": SMALL["predicates"]["P"]}},
 }
 # files written as they are, not as JSON
 TEXT_FILES = {"crlf-formula.txt": "P(c1) /\\\r\n  + Q(c1)\r\n"}
@@ -110,6 +112,7 @@ CALLS = {
     "bad-character-after-nesting-overflow": ["eval", *M, "--formula", "~" * 200 + "P(c1) $"],
     "bad-crlf-formula-file": ["eval", *M, "--formula-file", "crlf-formula.txt"],
     "bad-rational-and-empty-universe": ["eval", "--model", "bad-rational-empty-universe.json", "--formula", "P(a)"],
+    "bad-keyword-predicate": ["congruence", "--model", "keyword-predicate.json", "--relation", "eq"],
     "non-ascii-digit": ["eval", *M, "--formula", "rat(\u0663/4)"],
     # a value whose denominator has more digits than `str(int)` prints by default
     "value-past-the-digit-limit": ["eval", "--model", "small.json", "--formula",

@@ -76,8 +76,8 @@ MUTANTS = [
     ),
     Mutant(
         "dirac-case-swaps-f-and-g", "satisfaction.py",
-        "_levels_agree(f.row, g.row, model.form.weights, 1, None)",
-        "_levels_agree(g.row, f.row, model.form.weights, 1, None)",
+        "_levels_agree(f.row, g.row, tuple(enumerate(model.form.weight_row)), 1, None)",
+        "_levels_agree(g.row, f.row, tuple(enumerate(model.form.weight_row)), 1, None)",
         ("tests/test_satisfaction.py::TestDiracCase",
          "tests/test_satisfaction.py::TestAgainstTheOracle::test_dirac_case"),
     ),
@@ -191,6 +191,30 @@ MUTANTS = [
         "return lambda view, env: closure(view, env) * view[p]",
         "return closure",
         ("tests/test_evaluate.py::TestDifferential::test_mixed_denominators_and_nested_integrals",),
+    ),
+    Mutant(
+        "constants-read-the-wrong-element", "model.py",
+        "return {name: self.universe[i] for name, i in self.form.constants.items()}",
+        "return {name: self.universe[i - 1] for name, i in self.form.constants.items()}",
+        ("tests/test_model.py::TestLoading::test_json_round_trip",
+         "tests/test_model.py::TestStructureOps::test_expand_by_constants_keeps_a_constant_naming_its_own_element",
+         "tests/test_validate.py::TestTrustedGeneration::test_random_models"),
+    ),
+    Mutant(
+        # every element is integrated with another's weight unless the measure is sorted by position
+        "stage-sorts-the-weights", "evaluate.py",
+        "view[self.pairs] = tuple(enumerate(weight_row))",
+        "view[self.pairs] = tuple(enumerate(sorted(weight_row)))",
+        ("tests/test_evaluate.py::TestDifferential::test_toplevel_formulas",
+         "tests/test_satisfaction.py::TestHsatQeq::test_level_set_difference_with_null_mass",
+         "tests/test_validate.py::TestViolationRecords::test_records"),
+    ),
+    Mutant(
+        # a sorted position map reads every free name's element at the wrong position on an unsorted universe
+        "bind-maps-the-sorted-universe", "evaluate.py",
+        "at = dict(zip(model.universe, range(len(model.universe))))",
+        "at = dict(zip(sorted(model.universe), range(len(model.universe))))",
+        ("tests/test_evaluate.py::test_compile_integers_on_unsorted_universes",),
     ),
 ]
 

@@ -613,6 +613,24 @@ class TestInputErrorsExit2:
         exits_2_with_one_line(["check-proof", "--proof", str(path)], capsys)
 
     @pytest.mark.parametrize("field, value", [
+        (("predicates", "INT"), {"arity": 1, "table": {"a": "1", "b": "0"}}),
+        (("functions", "INT"), {"arity": 1, "table": {"a": "b", "b": "a"}}),
+        (("constants", "rat"), "a"),
+        (("constants", "eq"), "a"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["congruence", "--relation", "eq"],
+        ["validate-integral-laws", "--count", "1"],
+        ["eval", "--formula", "P(c)"],
+    ])
+    def test_reserved_symbol_names_in_a_model(self, field, value, command, tmp_path, capsys):
+        # a model file is checked as it loads, whichever command reads it
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(with_field(MODEL_DOC, field, value)))
+        assert main([*command, "--model", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: symbol name {field[-1]!r} is reserved\n")
+
+    @pytest.mark.parametrize("field, value", [
         (("measure", "a"), 1),
         (("predicates", "P", "table", "a"), 1),
         (("constants", "c"), ["a"]),

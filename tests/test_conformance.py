@@ -4,6 +4,9 @@
 `python3.12` and `python3.13` found on PATH runs the conformance script,
 and its lines must equal those of the interpreter running the tests.  An
 interpreter that is not found, or does not run, is skipped with the reason.
+The interpreter running the tests must also print exactly
+`tests/conformance_digests.txt`, so the CLI's bytes are pinned across
+commits too: a change to any of them edits that file.
 A pyenv shim runs the interpreter of the version that `PYENV_VERSION`
 names; other interpreters ignore the variable.
 """
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent / "conformance.py"
+DIGESTS = SCRIPT.with_name("conformance_digests.txt")
 VERSIONS = ("3.10", "3.12", "3.13")
 PROBE = "import sys; print('%d.%d' % sys.version_info[:2])"
 
@@ -76,3 +80,9 @@ def test_every_call_has_a_line(runs):
     names = [line.split("  ", 1)[1] for line in out.splitlines()]
     assert len(names) == len(set(names)) > 60
     assert sum(name.startswith("demos/") for name in names) == 5
+
+
+def test_pinned_digests(runs):
+    code, out, err = runs["reference"]
+    assert code == 0 and err == "", err[-2000:]
+    assert out.splitlines() == DIGESTS.read_text().splitlines()

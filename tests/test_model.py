@@ -66,7 +66,7 @@ class TestLoading:
         path.write_text(json.dumps(dict(MODEL_DOC, measure={"a": "1/6", "b": "5/6"})))
         model = load_model(path)
         form = model.form
-        assert (form.m_den, form.weights, form.weight_row, form.den) == (6, ((0, 1), (1, 5)), (1, 5), 1)
+        assert (form.m_den, form.weight_row, form.den, form.constants) == (6, (1, 5), 1, {"c": 0})
         assert form.tables == {"P": (1, 0)} and form.functions == {"swap": (1, 0)}  # made by the constructor
 
     def test_unnormalized_measure(self):
@@ -94,6 +94,36 @@ class TestLoading:
         doc = dict(MODEL_DOC, predicates={name: {"arity": 1, "table": {"a": "1", "b": "0"}}})
         with pytest.raises(errors.FormatError):
             model_from_json(doc)
+
+    @pytest.mark.parametrize("section, names", [
+        ("predicates", ["ALL", "EX", "INT", "rat"]),
+        ("functions", ["ALL", "EX", "INT", "rat", "eq", "approx"]),
+        ("constants", ["ALL", "EX", "INT", "rat", "eq", "approx"]),
+    ])
+    def test_keyword_names_are_rejected(self, section, names):
+        entry = {"predicates": {"arity": 2, "table": {"a,a": "1", "a,b": "0", "b,a": "0", "b,b": "1"}},
+                 "functions": {"arity": 1, "table": {"a": "b", "b": "a"}}, "constants": "b"}[section]
+        for name in names:
+            with pytest.raises(errors.FormatError, match=f"^symbol name '{name}' is reserved$"):
+                model_from_json(dict(MODEL_DOC, **{section: {name: entry}}))
+            model = model_from_json(dict(MODEL_DOC, **{section: {"K": entry}}))
+            with pytest.raises(errors.FormatError, match=f"^symbol name '{name}' is reserved$"):
+                rename(model, {"K": name})
+
+    def test_a_keyword_name_is_checked_where_its_symbol_is(self):
+        # each symbol's own checks come first, and the sections keep their order
+        bad_table = {"arity": 1, "table": {"a": "1"}}
+        with pytest.raises(errors.TableIncomplete):
+            model_from_json(dict(MODEL_DOC, predicates={"INT": bad_table}))
+        with pytest.raises(errors.TableIncomplete):
+            model_from_json(dict(MODEL_DOC, predicates={"P": bad_table}, constants={"rat": "a"}))
+        with pytest.raises(errors.FormatError, match="^function 'INT' maps"):
+            model_from_json(dict(MODEL_DOC, functions={"INT": {"arity": 1, "table": {"a": "z", "b": "a"}}}))
+        with pytest.raises(errors.FormatError, match="^constant 'rat' points at unknown element 'z'$"):
+            model_from_json(dict(MODEL_DOC, constants={"rat": "z"}))
+        with pytest.raises(errors.FormatError, match="^symbol name 'ALL' is reserved$"):
+            model_from_json(dict(MODEL_DOC, predicates={"ALL": bad_table | {"table": {"a": "1", "b": "0"}}},
+                                 constants={"rat": "a"}))
 
     def test_json_round_trip(self):
         model = model_from_json(MODEL_DOC)
@@ -257,8 +287,11 @@ class TestModelContract:
                 "approx": {"arity": 2, "table": {"a,a": "1", "a,b": "1/4", "b,a": "1/4", "b,b": "1"}}},
                 "functions": {"f": {"arity": 1, "table": {"a": "b", "b": "a"}}}})):
             before = (model_to_json(model), hash(model), [il.evaluate_closed(s, model) for s in sentences])
-            measure, predicates, functions = model.measure, model.predicates, model.functions
+            measure, predicates, functions, constants = model.measure, model.predicates, model.functions, \
+                model.constants
             first = model.universe[0]
+            constants["c"] = model.universe[-1] if constants["c"] == first else first
+            constants["k"] = first
             measure[first] = Fraction(1, 7)
             predicates["P"][(first,)] = HALF
             predicates["R"].clear()
@@ -267,6 +300,7 @@ class TestModelContract:
             predicates["Q"] = {(m,): HALF for m in model.universe}
             assert (model_to_json(model), hash(model), [il.evaluate_closed(s, model) for s in sentences]) == before
             assert model.measure != measure and model.predicates != predicates and model.functions != functions
+            assert model.constants != constants and "k" not in model.constants
 
     def test_copies_keep_equality_and_hash(self):
         for model in [*grid_models()[::7], model_from_json(MODEL_DOC)]:
@@ -276,11 +310,13 @@ class TestModelContract:
 
     def test_the_form_is_all_a_model_stores(self):
         for model in [*grid_models()[::7], model_from_json(MODEL_DOC)]:
-            assert set(vars(model)) == {"universe", "form", "constants"}
+            assert set(vars(model)) == {"universe", "form"}
             form = model.form
-            integers = [form.den, form.m_den, *form.weight_row, *itertools.chain.from_iterable(
-                il.model.flattened(rows, il.model.arity_of(rows)) for rows in (*form.tables.values(),
-                                                                               *form.functions.values()))]
+            assert type(form) is il.model.IntegerForm
+            assert form._fields == ("den", "tables", "m_den", "weight_row", "functions", "constants")
+            integers = [form.den, form.m_den, *form.weight_row, *form.constants.values(),
+                        *itertools.chain.from_iterable(il.model.flattened(rows, il.model.arity_of(rows))
+                                                       for rows in (*form.tables.values(), *form.functions.values()))]
             assert all(type(n) is int for n in integers)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 model.universe = ()
@@ -304,6 +340,7 @@ class TestStructureOps:
         image = tuple(rng.sample(["n1", "n2", "zz"], len(model.universe)))
         voc = il.Vocabulary(predicates=(("R", 2),), functions=(("g", 2),), constants=("d",))
         relabelled = relabel_universe(model, dict(zip(model.universe, image)))
+        assert relabelled.form is model.form
         swap = {"P": "Q", "Q": "P", "f": "h", "c": "d", "d": "c"}
         renamed = rename(model, swap)
         for tables, renamed_tables in ((model.predicates, renamed.predicates), (model.functions, renamed.functions)):
@@ -314,7 +351,8 @@ class TestStructureOps:
             rebuilt = WeakProbModel(derived.universe, derived.measure, derived.predicates, derived.functions,
                                     derived.constants)
             assert derived == rebuilt and hash(derived) == hash(rebuilt)
-            assert form.positions == rebuilt.form.positions == {m: i for i, m in enumerate(derived.universe)}
+            assert form.constants == rebuilt.form.constants == {name: derived.universe.index(e)
+                                                                for name, e in derived.constants.items()}
             assert set(form.tables) == set(rebuilt.form.tables) and form.functions == rebuilt.form.functions
             for name in form.tables:
                 assert FuzzySubset.from_predicate(derived, name) == FuzzySubset.from_predicate(rebuilt, name)
@@ -438,3 +476,30 @@ class TestStructureOps:
         assert expanded.constants["a"] == "a" and expanded.constants["b"] == "b"
         # idempotent on the same names
         assert expand_by_constants(expanded).constants == expanded.constants
+
+    @pytest.mark.parametrize("elements, message", [
+        (["a", "z"], "'z' is not an element of the universe"),
+        (["c"], "constant name 'c' is already taken"),
+        (["P"], "name 'P' is already a symbol of the model"),
+        (["swap"], "name 'swap' is already a symbol of the model"),
+    ])
+    def test_expand_by_constants_errors(self, elements, message):
+        # the universe names an element like the constant `c`, the predicate `P` and the function `swap`
+        model = WeakProbModel(("a", "c", "P", "swap"), {m: Fraction(1, 4) for m in ("a", "c", "P", "swap")},
+                              {"P": {(m,): Fraction(1) for m in ("a", "c", "P", "swap")}},
+                              {"swap": {(m,): m for m in ("a", "c", "P", "swap")}}, {"c": "a"})
+        with pytest.raises(errors.FormatError, match=f"^{message}$"):
+            expand_by_constants(model, elements)
+
+    def test_expand_by_constants_keeps_a_constant_naming_its_own_element(self):
+        model = WeakProbModel(("a", "b"), {"a": HALF, "b": HALF}, {}, {}, {"a": "a", "k": "b"})
+        assert expand_by_constants(model).constants == {"a": "a", "k": "b", "b": "b"}
+        # relabelled, the constant `c` names the element it points at
+        relabelled = relabel_universe(uniform2(), {"a": "c", "b": "d"})
+        assert relabelled.constants == {"c": "c"}
+        expanded = expand_by_constants(relabelled)
+        assert expanded.constants == {"c": "c", "d": "d"}
+        assert expanded == WeakProbModel(("c", "d"), {"c": HALF, "d": HALF}, {"P": {("c",): 1, ("d",): 0}}, {},
+                                         {"c": "c", "d": "d"})
+        with pytest.raises(errors.FormatError, match="^constant name 'c' is already taken$"):
+            expand_by_constants(relabel_universe(uniform2(), {"a": "d", "b": "c"}))

@@ -426,7 +426,7 @@ def assert_form_of_its_own_tables(model):
     the table times D and each function's rows the positions of its values, in product order with one
     tuple level per argument, and each weight is the measure times M."""
     form, universe = model.form, model.universe
-    assert form.positions == {m: i for i, m in enumerate(universe)}
+    assert form.constants == {name: universe.index(e) for name, e in model.constants.items()}
     for rows, tables, value_of in ((form.tables, model.predicates, lambda n: F(n, form.den)),
                                    (form.functions, model.functions, universe.__getitem__)):
         assert set(rows) == set(tables)
@@ -437,7 +437,7 @@ def assert_form_of_its_own_tables(model):
                     assert type(value) is tuple and len(value) == len(universe)
                     value = value[i]
                 assert value_of(value) == table[tuple(universe[i] for i in key)]
-    assert type(form.weight_row) is tuple and form.weights == tuple(enumerate(form.weight_row))
+    assert type(form.weight_row) is tuple
     assert [F(w, form.m_den) for w in form.weight_row] == [model.measure[m] for m in universe]
 
 
@@ -478,7 +478,7 @@ class TestTrustedGeneration:
         # the one the checking constructor's model makes (over its own D)
         assert_form_of_its_own_tables(model)
         form, own = model.form, rebuilt.form
-        assert (form.m_den, form.weights, form.weight_row) == (own.m_den, own.weights, own.weight_row)
+        assert (form.m_den, form.weight_row, form.constants) == (own.m_den, own.weight_row, own.constants)
         assert form.den % own.den == 0
         for name in model.predicates:
             assert FuzzySubset.from_predicate(model, name) == FuzzySubset.from_predicate(rebuilt, name)
@@ -722,18 +722,18 @@ class TestSweepResults:
                                           model.constants)
             # the measure and every row of the integer form are the plan's own objects, not copies per model
             chosen = iter(zip(indices[1:], plan.choices))
-            m_den, weights, weight_row = plan.measures[indices[0]]
+            m_den, weight_row = plan.measures[indices[0]]
             form = model.form
             assert form.m_den == m_den
-            rows = [(form.weights, weights), (form.weight_row, weight_row)]
+            rows = [(form.weight_row, weight_row)]
             for name in model.predicates:
                 i, choices = next(chosen)
                 rows.append((form.tables[name], choices[i]))
             for name in model.functions:
                 i, choices = next(chosen)
                 rows.append((form.functions[name], choices[i]))
-            assert [model.constants[name] for name in model.constants] == [model.universe[i] for i, _ in chosen]
-            assert len(rows) == 2 + len(model.predicates) + len(model.functions)
+            assert list(form.constants.values()) == [i for i, _ in chosen]
+            assert len(rows) == 1 + len(model.predicates) + len(model.functions)
             assert all(part is own and type(own) is tuple for part, own in rows)
 
 
