@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import files
 from .errors import IntlogicError, ParseError
 from .evaluate import evaluate_closed
-from .model import model_to_json
+from .model import expand_by_constants, model_to_json
 from .parser import close_free_names, parse_formula, print_formula
 from .proofs import AXIOM_IDS, check_proof, first_invalid_line
 from .rational import format_rational, parse_rational
@@ -310,9 +310,8 @@ def _cmd_check_substructure(args) -> int:
     if len(models) != 2:
         raise UsageError("check-substructure takes exactly two --model flags (small, large)")
     small, large = models
-    voc = _merged_vocabulary(models)
     # pool sentences may name elements of the small universe as constants
-    voc = voc.merged(Vocabulary(constants=tuple(sorted(small.universe))))
+    voc = _merged_vocabulary([expand_by_constants(small), large])
     pool = files.load_pool(args.pool, voc)
     if args.approx_system is not None:
         system = files.load_approx_system(args.approx_system, voc)

@@ -215,8 +215,8 @@ def _interior(f: Iterable, g: Iterable, top) -> list:
     return sorted({*f, *g} - {0, top})
 
 
-def _levels_agree(f: list[int], g: list[int], weights, top: int, cfg) -> bool:
-    """The level-set condition of `=` on rows of numerators over `top`, weighted by `weights`.
+def _levels_agree(f: list[int], g: list[int], weights: Sequence[int], top: int, cfg) -> bool:
+    """The level-set condition of `=` on rows of numerators over `top`, weighted by `weights` by position.
 
     The level set of `a` is `{n > a * top}`.  Levels and pairs come from `cfg`,
     else from the Dirac rule (crisp rows) or the attained interior values.
@@ -232,7 +232,7 @@ def _levels_agree(f: list[int], g: list[int], weights, top: int, cfg) -> bool:
     mass = 0
     for i, j in pairs:
         a, b = cuts[i], cuts[j]
-        for x, y, (_, weight) in zip(f, g, weights):
+        for x, y, weight in zip(f, g, weights):
             if x > a and y <= b:
                 mass += weight
             elif y > b and x <= a:
@@ -373,7 +373,7 @@ class _Compiler:
                 for m, _ in view[w]:
                     env[slot] = m
                     row.append(body(view, env))
-            return view[s] if _levels_agree(f, g, view[w], view[s], cfg) else 0
+            return view[s] if _levels_agree(f, g, [weight for _, weight in view[w]], view[s], cfg) else 0
         return run, e
 
     def aligned(self, closure, d: int):

@@ -179,17 +179,17 @@ def _flat(tables: dict[str, tuple]) -> dict[str, tuple[int, tuple]]:
     return {name: (arity_of(rows), flattened(rows, arity_of(rows))) for name, rows in tables.items()}
 
 
-def _reduced(form: IntegerForm) -> tuple[int, dict[str, tuple[int, tuple]]]:
-    """`(D, _flat(tables))` of `form` with `D` and every table value divided by their gcd.
+def _reduced(form: IntegerForm) -> IntegerForm:
+    """`form` with `D` and every table value divided by their gcd.
 
     `D` is then the lcm of the table values' denominators, whatever common
     denominator the form was made over, as `FuzzySubset._trusted` reduces
     `den`.
     """
-    tables = _flat(form.tables)
+    tables, size = _flat(form.tables), len(form.weight_row)
     common = gcd(form.den, *itertools.chain.from_iterable(values for _, values in tables.values()))
-    return form.den // common, {name: (arity, tuple([n // common for n in values]))
-                                for name, (arity, values) in tables.items()}
+    return form._replace(den=form.den // common, tables={name: nested([n // common for n in values], size, arity)
+                                                         for name, (arity, values) in tables.items()})
 
 
 _EMPTY: Mapping = MappingProxyType({})
@@ -301,9 +301,8 @@ class WeakProbModel:
 
     def _key(self) -> tuple:
         """What equality and the hash read: the universe and the form with `D` reduced."""
-        form = self.form
-        den, tables = _reduced(form)
-        return (self.universe, den, frozenset(tables.items()), form.m_den, form.weight_row,
+        form = _reduced(self.form)
+        return (self.universe, form.den, frozenset(form.tables.items()), form.m_den, form.weight_row,
                 frozenset(form.functions.items()), frozenset(form.constants.items()))
 
     def __eq__(self, other):
@@ -494,52 +493,54 @@ def relabel_universe(model: WeakProbModel, mapping: Mapping[str, str]) -> WeakPr
     return WeakProbModel._trusted(universe, model.form)
 
 
+def relabelled(form: IntegerForm, image: Sequence[int]) -> IntegerForm:
+    """`form` carried along a permutation of positions: position `image[i]` carries what position `i` carries.
+
+    The weights and every table move with their positions, and the
+    positions a function's values and a constant hold are mapped too.
+    """
+    source = sorted(range(len(image)), key=image.__getitem__)  # image[source[j]] == j
+
+    def carried(rows: tuple, values: Sequence[int] | None = None) -> tuple:
+        if type(rows[0]) is tuple:
+            return tuple([carried(rows[i], values) for i in source])
+        row = [rows[i] for i in source]
+        return tuple(row if values is None else [values[n] for n in row])
+
+    return form._replace(tables={name: carried(rows) for name, rows in form.tables.items()},
+                         weight_row=carried(form.weight_row),
+                         functions={name: carried(rows, image) for name, rows in form.functions.items()},
+                         constants={name: image[i] for name, i in form.constants.items()})
+
+
 ISOMORPHISM_MAX_UNIVERSE = 8
 
 
 def _isomorphism_invariants(model: WeakProbModel) -> tuple:
     """What every relabelling of `model` keeps: the measure's values, the signature
     and each predicate's values, all as multisets, and the least `D`."""
-    form = model.form
-    den, tables = _reduced(form)
+    form = _reduced(model.form)
     return (
         form.m_den,
         sorted(form.weight_row),
-        den,
-        {name: (arity, sorted(values)) for name, (arity, values) in tables.items()},
+        form.den,
+        {name: (arity, sorted(values)) for name, (arity, values) in _flat(form.tables).items()},
         {name: arity_of(rows) for name, rows in form.functions.items()},
         set(form.constants),
     )
 
 
-def _cells(model: WeakProbModel) -> dict[tuple, int]:
-    """The model by element positions: `(kind, name, positions) -> integer`, with `D` reduced.
-
-    The integer of a weight or a predicate value is its numerator over `M`
-    or `D`, and that of a function value or a constant a position.
-    """
-    form, size = model.form, len(model.universe)
-    cells = {("weight", "", (i,)): w for i, w in enumerate(form.weight_row)}
-    cells |= {("position", name, ()): i for name, i in form.constants.items()}
-    for kind, tables in (("value", _reduced(form)[1]), ("position", _flat(form.functions))):
-        for name, (arity, values) in tables.items():
-            cells.update(zip([(kind, name, key) for key in itertools.product(range(size), repeat=arity)], values))
-    return cells
-
-
 def isomorphic(left: WeakProbModel, right: WeakProbModel) -> bool:
     """Brute-force search for a measure-preserving isomorphism: a relabelling of `left` that is `right`."""
-    if len(left.universe) != len(right.universe):
+    size = len(left.universe)
+    if size != len(right.universe):
         return False
-    if len(left.universe) > ISOMORPHISM_MAX_UNIVERSE:
+    if size > ISOMORPHISM_MAX_UNIVERSE:
         raise UniverseTooLarge(f"isomorphism search capped at |M| <= {ISOMORPHISM_MAX_UNIVERSE}")
     if _isomorphism_invariants(left) != _isomorphism_invariants(right):
         return False
-    source, target = _cells(left), _cells(right)
-    # the relabelling that moves position i to image[i] carries every key, and every position a cell holds
-    return any({(kind, name, tuple([image[i] for i in key])): image[n] if kind == "position" else n
-                for (kind, name, key), n in source.items()} == target
-               for image in itertools.permutations(range(len(left.universe))))
+    source, target = _reduced(left.form), _reduced(right.form)
+    return any(relabelled(source, image) == target for image in itertools.permutations(range(size)))
 
 
 def expand_by_constants(model: WeakProbModel, elements: Iterable[str] | None = None) -> WeakProbModel:
@@ -551,6 +552,8 @@ def expand_by_constants(model: WeakProbModel, elements: Iterable[str] | None = N
     for element in elements:
         if element not in positions:
             raise FormatError(f"{element!r} is not an element of the universe")
+        if element in RESERVED_NAMES:
+            raise FormatError(f"element {element!r} cannot name a constant: the name is reserved")
         if consts.setdefault(element, positions[element]) != positions[element]:
             raise FormatError(f"constant name {element!r} is already taken")
         if element in form.tables or element in form.functions:

@@ -4,7 +4,10 @@ Token set:  ~  /\\  \\/  &  |+|  ->  ALL x.  EX x.  INT ... dx  rat(p/q)  =
 
 Precedence (tightest first): ~ ; & and |+| ; /\\ and \\/ ; -> (right
 associative).  Quantifiers bind the longest formula to the right; '='
-appears only at the top level, between two quantifier expressions.
+appears only at the top level, between two quantifier expressions.  One
+table, `_OPERATORS`, gives each binary connective its symbol and tier:
+precedence climbing reads it through the token kinds and the printer
+reads it directly, so the two cannot disagree.
 
 The lexer is one linear scan of the whole text in C (`_SCAN.findall`,
 whose whitespace alternative `\\s+` lies outside its one group and whose
@@ -44,6 +47,7 @@ from .rational import unit
 from .syntax import (
     APPROX_PRED,
     EQ_PRED,
+    KEYWORDS,
     And,
     Atom,
     Constant,
@@ -116,7 +120,10 @@ _KINDS = {"/\\": "WAND", "\\/": "WOR", "|+|": "SOR", "->": "ARROW", "~": "TILDE"
           "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "/": "SLASH"}
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
-_KEYWORDS = {"ALL", "EX", "INT"}
+# The binary connectives: symbol and tier (1 binds loosest).  Tier 1, `->`,
+# associates to the right and nests; the others associate to the left.
+_OPERATORS = {Implies: ("->", 1), And: ("/\\", 2), Or: ("\\/", 2), StrongAnd: ("&", 3), StrongOr: ("|+|", 3)}
+_BINARY = {_KINDS[symbol]: (tier, node) for node, (symbol, tier) in _OPERATORS.items()}
 
 MAX_NESTING = 100
 
@@ -184,11 +191,6 @@ class VocabBuilder:
         seen = table.setdefault(name, arity)
         if seen != arity:
             raise ArityMismatch(f"{kind} {name!r} used with arities {seen} and {arity}", where())
-
-
-# The binary connectives by kind: tier (1 binds loosest) and node.  Tier 1,
-# `->`, associates to the right and nests; the others associate to the left.
-_BINARY = {"ARROW": (1, Implies), "WAND": (2, And), "WOR": (2, Or), "AMP": (3, StrongAnd), "SOR": (3, StrongOr)}
 
 
 class _Parser:
@@ -303,7 +305,7 @@ class _Parser:
     def parse_bound_variable(self) -> str:
         index = self.expect("IDENT", "a variable name")
         name = self.texts[index]
-        if name in _KEYWORDS or name == "rat":
+        if name in KEYWORDS:
             raise ParseError(f"{name!r} is a keyword, not a variable", self.span(index))
         if self.voc is not None and name in self.voc.symbol_names():
             raise ParseError(f"{name!r} is a declared symbol, not a variable", self.span(index))
@@ -376,7 +378,7 @@ class _Parser:
     def parse_term(self) -> tuple[Term, int]:
         index = self.expect("IDENT", "a term")
         name = self.texts[index]
-        if name in _KEYWORDS or name == "rat":
+        if name in KEYWORDS:
             raise ParseError(f"{name!r} is a keyword, not a term", self.span(index))
         if self.kinds[self.pos] == "LPAREN":
             args, depth = self.nested(index, self.parse_args)
@@ -425,14 +427,8 @@ def close_free_names(formula: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Pretty printer
 
-_LEVEL_IMPL = 1
-_LEVEL_WEAK = 2
-_LEVEL_STRONG = 3
-_LEVEL_UNARY = 4
-_LEVEL_ATOM = 5
-
-_WEAK_OPS = {And: "/\\", Or: "\\/"}
-_STRONG_OPS = {StrongAnd: "&", StrongOr: "|+|"}
+# `~` binds tighter than every binary tier
+_NOT_TIER = 1 + max(tier for _, tier in _OPERATORS.values())
 
 
 def _fmt_term(term: Term) -> str:
@@ -442,33 +438,28 @@ def _fmt_term(term: Term) -> str:
     return f"{term.func}({args})"
 
 
-def _fmt(phi: Formula, min_level: int, open_ok: bool) -> str:
+def _fmt(phi: Formula, min_level: int = 1, open_ok: bool = True) -> str:
     if isinstance(phi, Atom):
         args = ",".join(_fmt_term(a) for a in phi.args)
         return f"{phi.pred}({args})"
     if isinstance(phi, TruthConst):
         return f"rat({phi.value})"
     if isinstance(phi, Not):
-        return f"~{_fmt(phi.body, _LEVEL_UNARY, open_ok)}"
-    if isinstance(phi, (And, Or)):
-        op = _WEAK_OPS[type(phi)]
-        text = f"{_fmt(phi.left, _LEVEL_WEAK, False)} {op} {_fmt(phi.right, _LEVEL_WEAK + 1, open_ok)}"
-        return f"({text})" if _LEVEL_WEAK < min_level else text
-    if isinstance(phi, (StrongAnd, StrongOr)):
-        op = _STRONG_OPS[type(phi)]
-        text = f"{_fmt(phi.left, _LEVEL_STRONG, False)} {op} {_fmt(phi.right, _LEVEL_STRONG + 1, open_ok)}"
-        return f"({text})" if _LEVEL_STRONG < min_level else text
-    if isinstance(phi, Implies):
-        text = f"{_fmt(phi.left, _LEVEL_IMPL + 1, False)} -> {_fmt(phi.right, _LEVEL_IMPL, open_ok)}"
-        return f"({text})" if _LEVEL_IMPL < min_level else text
+        return f"~{_fmt(phi.body, _NOT_TIER, open_ok)}"
+    if type(phi) in _OPERATORS:
+        symbol, tier = _OPERATORS[type(phi)]
+        # `->` nests to the right and the other tiers to the left: only that side's operand may share the tier
+        left_level, right_level = tier + (tier == 1), tier + (tier != 1)
+        text = f"{_fmt(phi.left, left_level, False)} {symbol} {_fmt(phi.right, right_level, open_ok)}"
+        return f"({text})" if tier < min_level else text
     if isinstance(phi, (Forall, Exists)):
         head = "ALL" if isinstance(phi, Forall) else "EX"
-        text = f"{head} {phi.var}. {_fmt(phi.body, _LEVEL_IMPL, True)}"
+        text = f"{head} {phi.var}. {_fmt(phi.body)}"
         # an unparenthesized ALL/EX body runs to the end of its region
         return text if open_ok else f"({text})"
     if isinstance(phi, Integral):
         # the trailing d<var> closes the integral, so no parentheses needed
-        return f"INT {_fmt(phi.body, _LEVEL_IMPL, True)} d{phi.var}"
+        return f"INT {_fmt(phi.body)} d{phi.var}"
     if isinstance(phi, QuantEq):
         raise NestedQuantEq("quantifier equality can only be printed at the top level")
     raise TypeError(f"not a formula: {phi!r}")
@@ -477,5 +468,5 @@ def _fmt(phi: Formula, min_level: int, open_ok: bool) -> str:
 def print_formula(formula: Formula) -> str:
     """Canonical text for a formula; `parse_formula` inverts it exactly."""
     if isinstance(formula, QuantEq):
-        return f"{_fmt(formula.left, _LEVEL_IMPL, True)} = {_fmt(formula.right, _LEVEL_IMPL, True)}"
-    return _fmt(formula, _LEVEL_IMPL, True)
+        return f"{_fmt(formula.left)} = {_fmt(formula.right)}"
+    return _fmt(formula)

@@ -100,7 +100,7 @@ def hsat_qeq_dirac(f: FuzzySubset, g: FuzzySubset, model: WeakProbModel) -> bool
         raise NotCrisp("the Dirac-case check requires {0,1}-valued matrices")
     for subset in (f, g):
         _require(subset, model.universe, 1)
-    return _levels_agree(f.row, g.row, tuple(enumerate(model.form.weight_row)), 1, None)
+    return _levels_agree(f.row, g.row, model.form.weight_row, 1, None)
 
 
 def hsat_qeq(

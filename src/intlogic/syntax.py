@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Literal, Mapping
+from typing import Callable, Iterable, Iterator, Literal, Mapping
 
 from .errors import (
     ArityMismatch,
@@ -30,11 +30,13 @@ from .errors import (
 )
 from .rational import unit
 
-#: Names with fixed meaning in the concrete syntax; never usable as symbols.
-RESERVED_NAMES = frozenset({"ALL", "EX", "INT", "rat", "eq", "approx"})
-
 EQ_PRED = "eq"
 APPROX_PRED = "approx"
+
+#: The words of the concrete syntax; never a variable, a term or a symbol.
+KEYWORDS = frozenset({"ALL", "EX", "INT", "rat"})
+#: Names with fixed meaning in the concrete syntax; never usable as symbols.
+RESERVED_NAMES = KEYWORDS | {EQ_PRED, APPROX_PRED}
 
 
 @dataclass(frozen=True)
@@ -240,6 +242,25 @@ Formula = (
 _BINARY = (And, Or, StrongAnd, StrongOr, Implies, QuantEq)
 
 
+def _parts(formula: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of `formula`, in reading order; an atom or a truth constant has none."""
+    if isinstance(formula, (Atom, TruthConst)):
+        return ()
+    if isinstance(formula, (Not, *_QUANTIFIERS)):
+        return (formula.body,)
+    if isinstance(formula, _BINARY):
+        return (formula.left, formula.right)
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def _rebuilt(formula: Formula, part: Callable[[Formula], Formula]) -> Formula:
+    """`formula` with `part` applied to each of its parts; an atom or a truth constant as it is."""
+    parts = _parts(formula)
+    if isinstance(formula, _QUANTIFIERS):
+        return type(formula)(formula.var, part(*parts))
+    return type(formula)(*map(part, parts)) if parts else formula
+
+
 # ---------------------------------------------------------------------------
 # Free variables and substitution
 
@@ -294,17 +315,11 @@ def substitute(formula: Formula, var: str, term: Term) -> Formula:
     """Replace every free occurrence of `var` by `term` (capture-checked)."""
     if isinstance(formula, Atom):
         return Atom(formula.pred, tuple(_subst_term(a, var, term) for a in formula.args))
-    if isinstance(formula, TruthConst):
-        return formula
-    if isinstance(formula, Not):
-        return Not(substitute(formula.body, var, term))
-    if isinstance(formula, _BINARY):
-        return type(formula)(substitute(formula.left, var, term), substitute(formula.right, var, term))
     if isinstance(formula, _QUANTIFIERS):
         if formula.var == var:
             return formula
         return type(formula)(formula.var, _subst_binder(formula.var, formula.body, var, term))
-    raise TypeError(f"not a formula: {formula!r}")
+    return _rebuilt(formula, lambda part: substitute(part, var, term))
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +387,8 @@ def is_well_formed(formula: Formula, voc: Vocabulary) -> bool:
 def subformulas(formula: Formula) -> Iterator[Formula]:
     """Pre-order walk over the formula tree."""
     yield formula
-    if isinstance(formula, Not):
-        yield from subformulas(formula.body)
-    elif isinstance(formula, _BINARY):
-        yield from subformulas(formula.left)
-        yield from subformulas(formula.right)
-    elif isinstance(formula, _QUANTIFIERS):
-        yield from subformulas(formula.body)
+    for part in _parts(formula):
+        yield from subformulas(part)
 
 
 def _collect_term_symbols(term: Term, funcs: dict, consts: set) -> None:
@@ -446,15 +456,7 @@ def rename_symbols(formula: Formula, mapping: Mapping[str, str]) -> Formula:
     """Apply a vocabulary renaming to every symbol occurrence (variables untouched)."""
     if isinstance(formula, Atom):
         return Atom(mapping.get(formula.pred, formula.pred), tuple(_rename_term(a, mapping) for a in formula.args))
-    if isinstance(formula, TruthConst):
-        return formula
-    if isinstance(formula, Not):
-        return Not(rename_symbols(formula.body, mapping))
-    if isinstance(formula, _BINARY):
-        return type(formula)(rename_symbols(formula.left, mapping), rename_symbols(formula.right, mapping))
-    if isinstance(formula, _QUANTIFIERS):
-        return type(formula)(formula.var, rename_symbols(formula.body, mapping))
-    raise TypeError(f"not a formula: {formula!r}")
+    return _rebuilt(formula, lambda part: rename_symbols(part, mapping))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ from .model import (
     model_to_json,
     nested,
     reduct,
-    relabel_universe,
+    relabelled,
     rename,
 )
 from .parser import print_formula
@@ -812,6 +812,8 @@ def _closed_value(sentence: Formula):
 def check_abstract_logic_properties(gen: ModelGenSpec, pool: Sequence[Formula]) -> Report:
     """Evaluation invariance under renaming, reducts and universe relabeling.
 
+    The isomorphic image of each model keeps its universe and reverses its
+    positions: position `n - 1 - i` carries what position `i` carries.
     Also checks structurally that well-formedness is monotone under
     vocabulary extension.
     """
@@ -827,8 +829,8 @@ def check_abstract_logic_properties(gen: ModelGenSpec, pool: Sequence[Formula]) 
                           _closed_value(rename_symbols(sentence, symbol_map)), sentence_voc, monotone))
 
     for m_index, model in enumerate(generate_models(gen, voc, eq=mentions_eq(pool))):
-        flipped = dict(zip(model.universe, reversed(model.universe)))
-        relabeled = relabel_universe(model, flipped)
+        reversal = range(len(model.universe) - 1, -1, -1)
+        relabeled = WeakProbModel._trusted(model.universe, relabelled(model.form, reversal))
         renamed_model = rename(model, symbol_map)
 
         for sentence, value_in, renamed_value_in, sentence_voc, monotone in sentences:

@@ -62,6 +62,10 @@ FILES = {
     "bad-rational-empty-universe.json": {"universe": [], "measure": {"a": "1/x"}},
     # a keyword is no symbol name: a table named `INT` is rejected as the file loads
     "keyword-predicate.json": {**SMALL, "predicates": {**SMALL["predicates"], "INT": SMALL["predicates"]["P"]}},
+    # an element named like a keyword cannot name a constant
+    "rat-small.json": {"universe": ["rat"], "measure": {"rat": "1"},
+                       "predicates": {"P": {"arity": 1, "table": {"rat": "1"}}}},
+    "rat-pool.json": ["EX x. P(x)"],
 }
 # files written as they are, not as JSON
 TEXT_FILES = {"crlf-formula.txt": "P(c1) /\\\r\n  + Q(c1)\r\n"}
@@ -79,6 +83,9 @@ CALLS = {
     "check-proof": ["check-proof", "--proof", "proof.json"],
     "check-closure": ["check-closure", "--pool", "pool.json", "--size", "2", "--seed", "3", "--count", "5"],
     "check-closure-exhaustive": ["check-closure", "--pool", "pool.json", "--size", "1", "--exhaustive"],
+    # the isomorphism image reverses the universe, so it differs from the model
+    "check-closure-exhaustive-size-2": ["check-closure", "--pool", "pool.json", "--size", "2", "--grid", "0,1",
+                                        "--exhaustive"],
     "congruence": ["congruence", *M, "--relation", "approx"],
     "check-substructure": ["check-substructure", "--model", "small.json", *M, "--pool", "small-pool.json"],
     "check-weak-negation": ["check-weak-negation", "--approx-system", "system.json", "--pool", "system-pool.json",
@@ -113,6 +120,8 @@ CALLS = {
     "bad-crlf-formula-file": ["eval", *M, "--formula-file", "crlf-formula.txt"],
     "bad-rational-and-empty-universe": ["eval", "--model", "bad-rational-empty-universe.json", "--formula", "P(a)"],
     "bad-keyword-predicate": ["congruence", "--model", "keyword-predicate.json", "--relation", "eq"],
+    "bad-keyword-element": ["check-substructure", "--model", "rat-small.json", "--model", "rat-small.json",
+                            "--pool", "rat-pool.json"],
     "non-ascii-digit": ["eval", *M, "--formula", "rat(\u0663/4)"],
     # a value whose denominator has more digits than `str(int)` prints by default
     "value-past-the-digit-limit": ["eval", "--model", "small.json", "--formula",

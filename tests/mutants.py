@@ -76,8 +76,8 @@ MUTANTS = [
     ),
     Mutant(
         "dirac-case-swaps-f-and-g", "satisfaction.py",
-        "_levels_agree(f.row, g.row, tuple(enumerate(model.form.weight_row)), 1, None)",
-        "_levels_agree(g.row, f.row, tuple(enumerate(model.form.weight_row)), 1, None)",
+        "_levels_agree(f.row, g.row, model.form.weight_row, 1, None)",
+        "_levels_agree(g.row, f.row, model.form.weight_row, 1, None)",
         ("tests/test_satisfaction.py::TestDiracCase",
          "tests/test_satisfaction.py::TestAgainstTheOracle::test_dirac_case"),
     ),
@@ -90,8 +90,8 @@ MUTANTS = [
     ),
     Mutant(
         "model-equality-reads-unreduced-form", "model.py",
-        "den, tables = _reduced(form)\n        return (self.universe,",
-        "den, tables = form.den, _flat(form.tables)\n        return (self.universe,",
+        "form = _reduced(self.form)\n        return (self.universe,",
+        "form = self.form\n        return (self.universe,",
         ("tests/test_model.py::TestModelContract::test_grid_and_loaded_models_are_equal",),
     ),
     Mutant(
@@ -215,6 +215,43 @@ MUTANTS = [
         "at = dict(zip(model.universe, range(len(model.universe))))",
         "at = dict(zip(sorted(model.universe), range(len(model.universe))))",
         ("tests/test_evaluate.py::test_compile_integers_on_unsorted_universes",),
+    ),
+    Mutant(
+        # `->` prints its left operand bare and the other tiers their right one, so each reparses the other way
+        "printer-flips-associativity", "parser.py",
+        "left_level, right_level = tier + (tier == 1), tier + (tier != 1)",
+        "left_level, right_level = tier + (tier != 1), tier + (tier == 1)",
+        ("tests/test_parser.py::TestRoundTrip::test_seeded_round_trip",
+         "tests/test_parser.py::TestRoundTrip::test_hypothesis_round_trip"),
+    ),
+    Mutant(
+        "rebuilt-reverses-the-parts", "syntax.py",
+        "return type(formula)(*map(part, parts)) if parts else formula",
+        "return type(formula)(*map(part, parts[::-1])) if parts else formula",
+        ("tests/test_syntax.py::TestSubstitute::test_quant_eq_side_binding_the_variable_unchanged",
+         "tests/test_syntax.py::TestRenameSymbols::test_renames_all_kinds"),
+    ),
+    Mutant(
+        # each model's isomorphic image is the model itself, so no position moves
+        "closure-image-is-the-model", "validate.py",
+        "relabeled = WeakProbModel._trusted(model.universe, relabelled(model.form, reversal))",
+        "relabeled = WeakProbModel._trusted(model.universe, model.form)",
+        ("tests/test_validate.py::TestClosureProperties::test_isomorphic_images_move_positions",),
+    ),
+    Mutant(
+        "relabelled-leaves-function-values", "model.py",
+        "functions={name: carried(rows, image) for name, rows in form.functions.items()}",
+        "functions={name: carried(rows) for name, rows in form.functions.items()}",
+        ("tests/test_model.py::TestStructureOps::test_relabelled_transports_along_the_image",
+         "tests/test_model.py::TestStructureOps::test_isomorphic_agrees_with_brute_force"),
+    ),
+    Mutant(
+        # the same as the image for an involution, such as check-closure's reversal; `isomorphic` tries every
+        # permutation and its inverse alike, so only transport along a longer cycle tells the two apart
+        "relabelled-moves-along-the-inverse", "model.py",
+        "source = sorted(range(len(image)), key=image.__getitem__)",
+        "source, image = image, sorted(range(len(image)), key=image.__getitem__)",
+        ("tests/test_model.py::TestStructureOps::test_relabelled_transports_along_the_image",),
     ),
 ]
 

@@ -630,6 +630,22 @@ class TestInputErrorsExit2:
         assert main([*command, "--model", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: symbol name {field[-1]!r} is reserved\n")
 
+    @pytest.mark.parametrize("element, message", [
+        ("rat", "element 'rat' cannot name a constant: the name is reserved"),
+        ("eq", "element 'eq' cannot name a constant: the name is reserved"),
+        ("P", "name 'P' is already a symbol of the model"),
+    ])
+    def test_substructure_element_that_cannot_name_a_constant(self, element, message, tmp_path, capsys):
+        # the elements of the first model become constants; no file names such a symbol
+        small = {"universe": [element], "measure": {element: "1"},
+                 "predicates": {"P": {"arity": 1, "table": {element: "1"}}}}
+        small_path, pool_path = tmp_path / "small.json", tmp_path / "pool.json"
+        small_path.write_text(json.dumps(small))
+        pool_path.write_text(json.dumps(["EX x. P(x)"]))
+        assert main(["check-substructure", "--model", str(small_path), "--model", str(small_path),
+                     "--pool", str(pool_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("field, value", [
         (("measure", "a"), 1),
         (("predicates", "P", "table", "a"), 1),

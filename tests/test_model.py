@@ -25,8 +25,11 @@ from intlogic.model import (
     mu_set,
     reduct,
     relabel_universe,
+    relabelled,
     rename,
 )
+from intlogic.satisfaction import ApproximationSystem, check_elementary_substructure
+from intlogic.syntax import RESERVED_NAMES
 
 HALF = Fraction(1, 2)
 
@@ -361,6 +364,26 @@ class TestStructureOps:
             for m in derived.universe:
                 assert il.evaluate(body, derived, {"y": m}) == oracle.evaluate(body, rebuilt, {"y": m})
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_relabelled_transports_along_the_image(self, seed):
+        # the checking constructor, given every element moved along the image, builds the relabelled form;
+        # from size 3 the image is no involution, so a relabelling along its inverse fails here
+        rng = random.Random(seed)
+        size = seed % 4 + 1
+        model = gen.random_model(rng, size)  # unary and binary predicates and functions, constants, approx
+        image = tuple(rng.sample(range(size), size))
+        while size > 2 and all(image[image[i]] == i for i in range(size)):
+            image = tuple(rng.sample(range(size), size))
+        move = {m: model.universe[j] for m, j in zip(model.universe, image)}
+        moved = lambda key: tuple(map(move.__getitem__, key))
+        expected = WeakProbModel(
+            model.universe, {move[m]: w for m, w in model.measure.items()},
+            {name: {moved(key): v for key, v in table.items()} for name, table in model.predicates.items()},
+            {name: {moved(key): move[v] for key, v in table.items()} for name, table in model.functions.items()},
+            {name: move[m] for name, m in model.constants.items()})
+        assert relabelled(model.form, image) == expected.form
+        assert isomorphic(model, expected)
+
     def test_reduct_drops_symbols(self):
         model = model_from_json(MODEL_DOC)
         small = reduct(model, il.Vocabulary(predicates=(("P", 1),)))
@@ -440,8 +463,8 @@ class TestStructureOps:
                                                   left.constants),
         }[change]()
         relabellings = []
-        cells = il.model._cells
-        monkeypatch.setattr(il.model, "_cells", lambda *args: relabellings.append(args) or cells(*args))
+        relabel = il.model.relabelled
+        monkeypatch.setattr(il.model, "relabelled", lambda *args: relabellings.append(args) or relabel(*args))
         assert not isomorphic(left, right)
         assert relabellings == []
 
@@ -460,6 +483,9 @@ class TestStructureOps:
             image = [f"r{i}" for i in range(size)]
             rng.shuffle(image)
             right = relabel_universe(left, dict(zip(left.universe, image)))
+            # listed in name order, every element moves to the position its new name sorts to
+            right = WeakProbModel(sorted(right.universe), right.measure, right.predicates, right.functions,
+                                  right.constants)
         if how == "swapped":
             # exchange two entries of one table: every multiset stays, the structure may not
             name = rng.choice(sorted(right.predicates))
@@ -490,6 +516,18 @@ class TestStructureOps:
                               {"swap": {(m,): m for m in ("a", "c", "P", "swap")}}, {"c": "a"})
         with pytest.raises(errors.FormatError, match=f"^{message}$"):
             expand_by_constants(model, elements)
+
+    @pytest.mark.parametrize("name", sorted(RESERVED_NAMES))
+    def test_expand_by_constants_rejects_a_reserved_element_name(self, name):
+        model = WeakProbModel((name, "b"), {name: HALF, "b": HALF}, {"P": {(name,): 1, ("b",): 0}}, {}, {})
+        message = f"^element '{name}' cannot name a constant: the name is reserved$"
+        with pytest.raises(errors.FormatError, match=message):
+            expand_by_constants(model)
+        assert expand_by_constants(model, ["b"]).constants == {"b": "b"}
+        # the substructure check expands both models by the first one's elements, so it raises too
+        pool = [il.parse_formula("EX x. P(x)")]
+        with pytest.raises(errors.FormatError, match=message):
+            check_elementary_substructure(model, model, pool, ApproximationSystem.diagonal(tuple(pool)))
 
     def test_expand_by_constants_keeps_a_constant_naming_its_own_element(self):
         model = WeakProbModel(("a", "b"), {"a": HALF, "b": HALF}, {}, {}, {"a": "a", "k": "b"})

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import intlogic as il
 from intlogic import errors, integrals, validate
-from intlogic.evaluate import compile_formula, compile_integers
+from intlogic.evaluate import _Compiler, compile_formula, compile_integers
 from intlogic.integrals import check_prepared_laws, check_semantic_integral_laws, slice_first, slice_second
 from intlogic.model import (
     FuzzySubset,
@@ -324,9 +324,22 @@ class TestClosureProperties:
         report = check_abstract_logic_properties(ModelGenSpec(size=2, seed=8, count=10), pool)
         assert report.ok
 
+    def test_isomorphic_images_move_positions(self, monkeypatch):
+        # an `INT` that pairs positions with the sorted weights depends on positions, so an image that
+        # keeps every position sees no change, and the reversed image does
+        def sorted_stage(compiler, view, den, m_den, weight_row):
+            stage(compiler, view, den, m_den, tuple(sorted(weight_row)))
+
+        stage = _Compiler.stage
+        monkeypatch.setattr(_Compiler, "stage", sorted_stage)
+        pool = [il.parse_formula("INT P(x) dx", Vocabulary(predicates=(("P", 1),)))]
+        report = check_abstract_logic_properties(ModelGenSpec(size=2, seed=3, count=20), pool)
+        assert report.checked == 20 * 4
+        assert [record["kind"] for record in report.violations] == ["isomorphism-variance"] * 14
+
     # (model, sentence, base, image) of each variance when one image flips its first table entry, P(a)
     FLIPPED_P_A = {
-        "relabel_universe": ("isomorphism", [(0, 0, "2, 5", "4, 5"), (2, 0, "1, 1", "1, 4")]),
+        "relabelled": ("isomorphism", [(0, 0, "2, 5", "4, 5"), (2, 0, "1, 1", "1, 4")]),
         "rename": ("renaming", [(0, 0, "2, 5", "1, 5"), (0, 1, "1, 1", "1, 4"), (1, 0, "1, 1", "0, 1"),
                                 (1, 1, "3, 4", "0, 1"), (2, 0, "1, 1", "3, 4")]),
         "reduct": ("reduct", [(0, 0, "2, 5", "1, 5"), (0, 1, "1, 1", "1, 4"), (1, 0, "1, 1", "0, 1"),
@@ -337,6 +350,9 @@ class TestClosureProperties:
     def test_variance_records(self, monkeypatch, image):
         def flipped(*args):
             model = original(*args)
+            if image == "relabelled":  # a form: flip the value of P at position 0, the element a
+                row = model.tables["P"]
+                return model._replace(tables={**model.tables, "P": (model.den - row[0], *row[1:])})
             name = min(model.predicates)
             table = model.predicates[name]
             key = min(table)
